@@ -87,6 +87,7 @@ def _spec_to_dict(spec: ProtocolSpec) -> dict:
         "n_revolutions": spec.n_revolutions,
         "sample_count": spec.sample_count,
         "observables": list(spec.observables),
+        "rtol": spec.rtol,
     }
 
 
@@ -102,6 +103,7 @@ def _spec_from_dict(d: dict) -> ProtocolSpec:
         n_revolutions=d["n_revolutions"],
         sample_count=d["sample_count"],
         observables=tuple(d["observables"]),
+        rtol=d["rtol"],
     )
 
 

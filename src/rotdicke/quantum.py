@@ -2,10 +2,14 @@
 
 Basis ordering is m-major, n-minor: the amplitude of |n>|j,m> sits at flat
 index (m+j)*(n_max+1) + n, with m = -j..j and n = 0..n_max.  Operators are
-real symmetric; they are stored dense up to dimension 4000 and as CSR sparse
-matrices beyond that.  Propagation approximates exp(-i H dt) by a Chebyshev
+real symmetric and never stored as matrices: the number operators are
+diagonals, and a Hamiltonian is its diagonal plus the tridiagonal factors
+of its coupling term, applied to a vector in O(dim) (see
+:class:`Hamiltonian`).  Propagation approximates exp(-i H dt) by a Chebyshev
 expansion of the spectrally rescaled Hamiltonian with Bessel-function
-coefficients; in the driven case H is the co-rotating-frame Hamiltonian
+coefficients (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), within
+Gershgorin bounds on the spectrum; in the driven case H is the
+co-rotating-frame Hamiltonian
 
     H_rot = (omega0 + delta_phi) J_z + omega a^dag a
             + (lam/sqrt(2j)) (a + a^dag)(J_+ + J_-),
@@ -32,6 +36,7 @@ from .model import ModelParams
 __all__ = [
     "PropagationError",
     "QuantumState",
+    "Hamiltonian",
     "OperatorSet",
     "basis_index",
     "build_operators",
@@ -46,7 +51,8 @@ __all__ = [
     "initial_state_params",
 ]
 
-DENSE_CUTOFF = 4000
+# ground_state diagonalizes the dense undriven H up to this dimension.
+DENSE_EIGH_CUTOFF = 4000
 DEFAULT_DIM_CAP = 200_000
 TRUNCATION_TOL = 1e-10
 
@@ -88,49 +94,119 @@ class QuantumState:
         return float(np.linalg.norm(self.amplitudes))
 
     def expectation(self, op) -> float:
-        """<psi|op|psi> for a Hermitian operator (dense, sparse or diagonal)."""
+        """<psi|op|psi> for a Hermitian matrix, Hamiltonian or 1-D diagonal."""
         psi = self.amplitudes
         if isinstance(op, np.ndarray) and op.ndim == 1:
             return float(np.real(np.vdot(psi, op * psi)))
-        return float(np.real(np.vdot(psi, _matvec(op, psi))))
+        return float(np.real(np.vdot(psi, op @ psi)))
 
     def overlap(self, other: "QuantumState") -> complex:
         return complex(np.vdot(other.amplitudes, self.amplitudes))
 
 
+class Hamiltonian:
+    """Real symmetric H = diag(d) + c (J_+ + J_-) (x) (a + a^dag), applied matrix-free.
+
+    Stored in O(dim) numbers: the diagonal ``d`` over the product basis, the
+    off-diagonals of the two tridiagonal factors (``spin_offdiag[k]`` =
+    <m+1|J_+|m> at m = k - j, ``field_offdiag[n-1]`` = <n-1|a|n> = sqrt(n))
+    and the scalar coupling ``c``.  ``h @ v`` is a handful of shifted-slice
+    products on v reshaped to (2j+1, n_max+1).  ``to_dense()`` builds the
+    explicit matrix, for the dense ground-state eigensolve and as a test
+    reference.
+    """
+
+    def __init__(
+        self,
+        diagonal: np.ndarray,
+        spin_offdiag: np.ndarray,
+        field_offdiag: np.ndarray,
+        coupling: float,
+    ):
+        self.diagonal = diagonal
+        self.spin_offdiag = spin_offdiag
+        self.field_offdiag = field_offdiag
+        self.coupling = float(coupling)
+        self.grid = (spin_offdiag.size + 1, field_offdiag.size + 1)
+        self.shape = (diagonal.size, diagonal.size)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the stored arrays."""
+        return self.diagonal.nbytes + self.spin_offdiag.nbytes + self.field_offdiag.nbytes
+
+    def shifted(self, shift: float, factor: float) -> "Hamiltonian":
+        """The operator factor * (H - shift)."""
+        return Hamiltonian(
+            (self.diagonal - shift) * factor,
+            self.spin_offdiag,
+            self.field_offdiag,
+            self.coupling * factor,
+        )
+
+    def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """H v, written into ``out`` when given (it must not alias ``v``)."""
+        if out is None:
+            out = np.empty_like(v, dtype=np.result_type(v, float))
+        psi = v.reshape(self.grid)
+        field = self.field_offdiag
+        # (a + a^dag) acts on the minor (Fock) axis ...
+        y = np.empty_like(psi)
+        np.multiply(psi[:, 1:], field, out=y[:, :-1])
+        y[:, -1] = 0.0
+        y[:, 1:] += psi[:, :-1] * field
+        # ... and (J_+ + J_-), scaled by the coupling, on the major (m) axis.
+        spin = (self.coupling * self.spin_offdiag)[:, None]
+        res = out.reshape(self.grid)
+        np.multiply(self.diagonal.reshape(self.grid), psi, out=res)
+        res[:-1] += spin * y[1:]
+        res[1:] += spin * y[:-1]
+        return out
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.apply(v)
+
+    def row_radii(self) -> np.ndarray:
+        """Gershgorin radii: the off-diagonal absolute row sums of H."""
+        spin = np.zeros(self.grid[0])
+        spin[:-1] += self.spin_offdiag
+        spin[1:] += self.spin_offdiag
+        field = np.zeros(self.grid[1])
+        field[:-1] += self.field_offdiag
+        field[1:] += self.field_offdiag
+        return abs(self.coupling) * np.outer(spin, field).ravel()
+
+    def to_dense(self) -> np.ndarray:
+        """H as an explicit dim x dim array."""
+        spin = np.diag(self.spin_offdiag, k=-1)
+        field = np.diag(self.field_offdiag, k=1)
+        return np.diag(self.diagonal) + self.coupling * np.kron(spin + spin.T, field + field.T)
+
+
 @dataclass(frozen=True)
 class OperatorSet:
-    """Operator matrices on the truncated basis for one parameter set.
+    """Operators on the truncated basis for one parameter set.
 
     ``adag_a``, ``jz``, ``ntot`` and ``parity`` are diagonal and stored as
-    1-D arrays of their diagonals; ``x`` (= a + a^dag), ``jpm`` (= J_+ + J_-),
-    ``h_dicke`` and ``h_rot`` are real symmetric matrices.
+    1-D arrays of their diagonals; ``h_dicke`` (undriven) and ``h_rot``
+    (co-rotating frame) are matrix-free :class:`Hamiltonian` objects that
+    share their two tridiagonal factors.  Nothing is O(dim^2).
     """
 
     params: ModelParams
     j: float
     n_max: int
     dim: int
-    sparse: bool
     adag_a: np.ndarray
     jz: np.ndarray
     ntot: np.ndarray
     parity: np.ndarray
-    x: object
-    jpm: object
-    h_dicke: object
-    h_rot: object
-
-
-def _matvec(op, v: np.ndarray) -> np.ndarray:
-    # Real H on a complex vector: two real products avoid upcasting H.
-    if np.iscomplexobj(v):
-        return _matvec(op, v.real) + 1j * _matvec(op, v.imag)
-    return op @ v
+    h_dicke: Hamiltonian
+    h_rot: Hamiltonian
 
 
 def build_operators(params: ModelParams, dim_cap: int = DEFAULT_DIM_CAP) -> OperatorSet:
-    """Build all operator matrices for ``params`` (n_max must be set)."""
+    """Build the operators for ``params`` (n_max must be set)."""
     if params.n_max is None:
         raise ValueError("params.n_max must be set to build operators")
     j = params.j
@@ -148,11 +224,9 @@ def build_operators(params: ModelParams, dim_cap: int = DEFAULT_DIM_CAP) -> Oper
     m_vals = np.arange(dim_spin, dtype=float) - j
 
     # a |n> = sqrt(n) |n-1>; J_+ |j,m> = sqrt((j-m)(j+m+1)) |j,m+1>.
-    a_small = np.diag(np.sqrt(n_vals[1:]), k=1)
-    jp_small = np.diag(np.sqrt((j - m_vals[:-1]) * (j + m_vals[:-1] + 1.0)), k=-1)
-
-    x_small = a_small + a_small.T
-    jpm_small = jp_small + jp_small.T
+    field_offdiag = np.sqrt(n_vals[1:])
+    spin_offdiag = np.sqrt((j - m_vals[:-1]) * (j + m_vals[:-1] + 1.0))
+    coupling = params.lam / math.sqrt(2.0 * j)
 
     ones_spin = np.ones(dim_spin)
     ones_field = np.ones(dim_field)
@@ -161,45 +235,24 @@ def build_operators(params: ModelParams, dim_cap: int = DEFAULT_DIM_CAP) -> Oper
     ntot = adag_a + jz + j
     parity = np.where(np.round(ntot).astype(int) % 2 == 0, 1.0, -1.0)
 
-    sparse = dim > DENSE_CUTOFF
-    if sparse:
-        eye_s = scipy.sparse.identity(dim_spin, format="csr")
-        eye_f = scipy.sparse.identity(dim_field, format="csr")
-        x = scipy.sparse.kron(eye_s, scipy.sparse.csr_matrix(x_small), format="csr")
-        jpm = scipy.sparse.kron(scipy.sparse.csr_matrix(jpm_small), eye_f, format="csr")
-        diag_d = scipy.sparse.diags(params.omega0 * jz + params.omega * adag_a)
-        diag_r = scipy.sparse.diags(
-            (params.omega0 + params.delta_phi) * jz + params.omega * adag_a
-        )
-        coupling = (params.lam / math.sqrt(2.0 * j)) * scipy.sparse.kron(
-            scipy.sparse.csr_matrix(jpm_small), scipy.sparse.csr_matrix(x_small), format="csr"
-        )
-        h_dicke = (diag_d + coupling).tocsr()
-        h_rot = (diag_r + coupling).tocsr()
-    else:
-        eye_s = np.eye(dim_spin)
-        eye_f = np.eye(dim_field)
-        x = np.kron(eye_s, x_small)
-        jpm = np.kron(jpm_small, eye_f)
-        coupling = (params.lam / math.sqrt(2.0 * j)) * np.kron(jpm_small, x_small)
-        h_dicke = np.diag(params.omega0 * jz + params.omega * adag_a) + coupling
-        h_rot = (
-            np.diag((params.omega0 + params.delta_phi) * jz + params.omega * adag_a)
-            + coupling
-        )
-
+    h_dicke = Hamiltonian(
+        params.omega0 * jz + params.omega * adag_a, spin_offdiag, field_offdiag, coupling
+    )
+    h_rot = Hamiltonian(
+        (params.omega0 + params.delta_phi) * jz + params.omega * adag_a,
+        spin_offdiag,
+        field_offdiag,
+        coupling,
+    )
     return OperatorSet(
         params=params,
         j=j,
         n_max=n_max,
         dim=dim,
-        sparse=sparse,
         adag_a=adag_a,
         jz=jz,
         ntot=ntot,
         parity=parity,
-        x=x,
-        jpm=jpm,
         h_dicke=h_dicke,
         h_rot=h_rot,
     )
@@ -219,29 +272,21 @@ def _lanczos_start(dim: int) -> np.ndarray:
 
 
 def spectral_bounds(h, hermitian_tol: float = 1e-12) -> tuple[float, float]:
-    """Bounds (E_min, E_max) enclosing the spectrum of a real symmetric H.
+    """Gershgorin bounds (E_min, E_max) enclosing the spectrum of a real symmetric H.
 
-    Full symmetric eigensolve up to dimension 2000; beyond that, Lanczos
-    extremal estimates widened by 1% of the estimated span on each side
-    (Ritz values lie inside the spectrum, so widening keeps the rescaled
-    Chebyshev argument within [-1, 1]).
+    min(d_i - r_i) and max(d_i + r_i) over the diagonal d and the
+    off-diagonal absolute row sums r, in O(dim) for a :class:`Hamiltonian`
+    and exact when its coupling is zero.  An explicit dense or sparse matrix
+    is checked for symmetry first.
     """
-    dim = h.shape[0]
-    if _asymmetry(h) > hermitian_tol:
-        raise ValueError("spectral_bounds requires a symmetric matrix")
-    if dim <= 2000:
-        dense = h.toarray() if scipy.sparse.issparse(h) else h
-        vals = scipy.linalg.eigvalsh(dense)
-        return float(vals[0]), float(vals[-1])
-    v0 = _lanczos_start(dim)
-    e_min = float(
-        scipy.sparse.linalg.eigsh(h, k=1, which="SA", v0=v0, return_eigenvectors=False)[0]
-    )
-    e_max = float(
-        scipy.sparse.linalg.eigsh(h, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
-    )
-    span = e_max - e_min
-    return e_min - 0.01 * span, e_max + 0.01 * span
+    if isinstance(h, Hamiltonian):
+        diagonal, radii = h.diagonal, h.row_radii()
+    else:
+        if _asymmetry(h) > hermitian_tol:
+            raise ValueError("spectral_bounds requires a symmetric matrix")
+        diagonal = h.diagonal()
+        radii = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diagonal)
+    return float(np.min(diagonal - radii)), float(np.max(diagonal + radii))
 
 
 def chebyshev_order(dt: float, e_min: float, e_max: float) -> int:
@@ -295,21 +340,26 @@ def chebyshev_step(
     if coefficients is None:
         coefficients = chebyshev_coefficients(dt, e_min, e_max, order)
 
+    # The recurrence T_k = 2 h T_(k-1) - T_(k-2) with h = (H - center)/half_span
+    # applies 2h each term, so the centre and span are folded into one
+    # operator; T_1 = h T_0 is half of its first product.
     center = 0.5 * (e_max + e_min)
     half_span = 0.5 * (e_max - e_min)
-
-    def h_scaled(v):
-        return (_matvec(h, v) - center * v) / half_span
+    doubled = h.shifted(center, 2.0 / half_span)
 
     t_prev = psi.amplitudes.astype(complex)
     out = coefficients[0] * t_prev
     if order >= 1:
-        t_cur = h_scaled(t_prev)
-        out = out + coefficients[1] * t_cur
+        t_cur = doubled @ t_prev
+        t_cur *= 0.5
+        out += coefficients[1] * t_cur
+        scratch = np.empty_like(t_prev)
         for k in range(2, order + 1):
-            t_next = 2.0 * h_scaled(t_cur) - t_prev
-            out = out + coefficients[k] * t_next
-            t_prev, t_cur = t_cur, t_next
+            doubled.apply(t_cur, out=scratch)
+            np.subtract(scratch, t_prev, out=t_prev)
+            t_prev, t_cur = t_cur, t_prev
+            np.multiply(t_cur, coefficients[k], out=scratch)
+            out += scratch
 
     in_norm = psi.norm()
     drift = abs(float(np.linalg.norm(out)) - in_norm)
@@ -451,7 +501,8 @@ def basis_state(j: float, n_max: int, n: int = 0, m: float | None = None) -> Qua
 def ground_state(params: ModelParams, ops: OperatorSet | None = None) -> QuantumState:
     """Ground state of the undriven Hamiltonian on the truncated basis.
 
-    Lowest eigenvector with a deterministic global phase: the
+    Dense ``eigh`` up to dimension 4000, seeded Lanczos on the matrix-free
+    operator beyond.  Lowest eigenvector with a deterministic global phase: the
     largest-magnitude amplitude is made real positive.  Above the critical
     coupling the lowest pair is near-degenerate; whatever branch the
     eigensolver returns is kept, no parity symmetrization is applied.
@@ -460,12 +511,12 @@ def ground_state(params: ModelParams, ops: OperatorSet | None = None) -> Quantum
         ops = build_operators(params)
     h = ops.h_dicke
     try:
-        if not ops.sparse:
-            _, vecs = scipy.linalg.eigh(h, subset_by_index=(0, 0))
-            vec = vecs[:, 0]
+        if ops.dim <= DENSE_EIGH_CUTOFF:
+            _, vecs = scipy.linalg.eigh(h.to_dense(), subset_by_index=(0, 0))
         else:
-            _, vecs = scipy.sparse.linalg.eigsh(h, k=1, which="SA", v0=_lanczos_start(ops.dim))
-            vec = vecs[:, 0]
+            op = scipy.sparse.linalg.LinearOperator(h.shape, matvec=h.apply, dtype=float)
+            _, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", v0=_lanczos_start(ops.dim))
+        vec = vecs[:, 0]
     except Exception as exc:  # pragma: no cover - eigensolver failures are rare
         raise RuntimeError(f"ground-state eigensolve failed: {exc}") from exc
     vec = vec.astype(complex)

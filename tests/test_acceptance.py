@@ -64,7 +64,7 @@ def test_c02_propagator_oracle():
     bounds = spectral_bounds(ops.h_rot)
     worst = 0.0
     for dt in (0.01, 0.1, 1.0):
-        u = scipy.linalg.expm(-1j * ops.h_rot * dt)
+        u = scipy.linalg.expm(-1j * ops.h_rot.to_dense() * dt)
         for _ in range(20):
             v = rng.normal(size=ops.dim) + 1j * rng.normal(size=ops.dim)
             v /= np.linalg.norm(v)

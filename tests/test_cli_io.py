@@ -209,6 +209,14 @@ class TestEmit:
         assert back.cells == result.cells
         assert np.array_equal(back.axes[0][1], result.axes[0][1])
 
+    def test_sweep_json_round_trip_keeps_rtol(self, tmp_path):
+        result = sweep_lambda(small_spec(rtol=1e-8), [0.5, 1.0])
+        out = tmp_path / "s.json"
+        emit(result, "json", out)
+        back = load_result_json(out)
+        assert back.spec.rtol == 1e-8
+        assert back.spec == result.spec
+
     def test_two_dim_csv_long_format_sorted(self, tmp_path):
         result = phase_diagram(small_spec(), [0.5, 1.0], [1.0, 2.0])
         out = tmp_path / "pd.csv"

@@ -23,11 +23,49 @@ from rotdicke import (
     spectral_bounds,
     stationary_photon_scaled,
 )
-from rotdicke.quantum import basis_index
+from rotdicke.quantum import Hamiltonian, basis_index
 
 
-def dense(op):
-    return op.toarray() if scipy.sparse.issparse(op) else np.asarray(op)
+def factor_matrices(ops):
+    """Full-space J_+ + J_- and a + a^dag from the Hamiltonian's stored factors."""
+    h = ops.h_rot
+    jp = np.diag(h.spin_offdiag, k=-1)
+    a = np.diag(h.field_offdiag, k=1)
+    jpm = np.kron(jp + jp.T, np.eye(h.grid[1]))
+    x = np.kron(np.eye(h.grid[0]), a + a.T)
+    return jpm, x
+
+
+def kron_hamiltonian(j, n_max, lam, omega0_eff, omega=1.0):
+    """Dense H = omega0_eff J_z + omega a^dag a + lam/sqrt(2j) (J_+ + J_-)(a + a^dag),
+    built from the single-mode matrices with np.kron."""
+    two_j = int(round(2 * j))
+    m = np.arange(two_j + 1) - j
+    jp = np.diag(np.sqrt((j - m[:-1]) * (j + m[:-1] + 1)), k=-1)
+    a = np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1)
+    eye_s, eye_f = np.eye(two_j + 1), np.eye(n_max + 1)
+    return (
+        omega0_eff * np.kron(np.diag(m), eye_f)
+        + omega * np.kron(eye_s, np.diag(np.arange(n_max + 1.0)))
+        + lam / math.sqrt(2 * j) * np.kron(jp + jp.T, a + a.T)
+    )
+
+
+def operators_or_bare(j, n_max, lam, delta_phi):
+    """(h_dicke, h_rot) from build_operators, or, for n_max = 0 (which
+    ModelParams rejects), bare Hamiltonians with an empty field factor."""
+    if n_max >= 1:
+        ops = build_operators(ModelParams(lam=lam, j=j, delta_phi=delta_phi, n_max=n_max))
+        return ops.h_dicke, ops.h_rot
+    two_j = int(round(2 * j))
+    m = np.arange(two_j + 1) - j
+    spin = np.sqrt((j - m[:-1]) * (j + m[:-1] + 1))
+    field = np.zeros(0)
+    coupling = lam / math.sqrt(2 * j)
+    return (
+        Hamiltonian(1.0 * m, spin, field, coupling),
+        Hamiltonian((1.0 + delta_phi) * m, spin, field, coupling),
+    )
 
 
 class TestBuildOperators:
@@ -36,7 +74,7 @@ class TestBuildOperators:
         ops = build_operators(params)
         # m-major blocks: diag(-1/2, -1/2, +1/2, +1/2)
         assert np.allclose(ops.jz, [-0.5, -0.5, 0.5, 0.5])
-        jpm = dense(ops.jpm)
+        jpm, _ = factor_matrices(ops)
         jp = np.triu(jpm).T  # J_+ is the lower triangle in the m-major basis
         jm = jp.T
         comm = jp @ jm - jm @ jp
@@ -45,7 +83,7 @@ class TestBuildOperators:
     def test_su2_commutators_larger_spin(self):
         params = ModelParams(lam=0.3, j=2.0, n_max=2)
         ops = build_operators(params)
-        jpm = dense(ops.jpm)
+        jpm, _ = factor_matrices(ops)
         jz = np.diag(ops.jz)
         # [J_z, J_+ + J_-] = J_+ - J_-, hence [[J_z, J_pm], J_z] = -J_pm.
         inner = jz @ jpm - jpm @ jz
@@ -55,7 +93,7 @@ class TestBuildOperators:
         n_max = 5
         params = ModelParams(lam=0.5, j=0.5, n_max=n_max)
         ops = build_operators(params)
-        x = dense(ops.x)
+        _, x = factor_matrices(ops)
         # reconstruct a from x = a + a^dag on one spin block
         block = x[: n_max + 1, : n_max + 1]
         a = np.triu(block)
@@ -78,7 +116,7 @@ class TestBuildOperators:
     def test_hamiltonians_hermitian_and_commute_with_parity(self):
         params = ModelParams(lam=1.0, j=1.5, delta_phi=0.7, n_max=6)
         ops = build_operators(params)
-        for h in (dense(ops.h_dicke), dense(ops.h_rot)):
+        for h in (ops.h_dicke.to_dense(), ops.h_rot.to_dense()):
             assert np.max(np.abs(h - h.T)) < 1e-14
             comm = h * ops.parity[None, :] - ops.parity[:, None] * h
             assert np.max(np.abs(comm)) < 1e-13
@@ -88,8 +126,8 @@ class TestBuildOperators:
         driven = ModelParams(lam=0.9, j=1.0, delta_phi=2.0, n_max=4)
         ops0 = build_operators(base)
         ops2 = build_operators(driven)
-        assert np.allclose(dense(ops0.h_dicke), dense(ops2.h_dicke))
-        diff = dense(ops2.h_rot) - dense(ops2.h_dicke)
+        assert np.allclose(ops0.h_dicke.to_dense(), ops2.h_dicke.to_dense())
+        diff = ops2.h_rot.to_dense() - ops2.h_dicke.to_dense()
         assert np.allclose(diff, 2.0 * np.diag(ops2.jz))
 
     def test_dimension_cap(self):
@@ -97,11 +135,36 @@ class TestBuildOperators:
         with pytest.raises(ValueError, match="cap"):
             build_operators(params, dim_cap=1000)
 
-    def test_sparse_above_dense_cutoff(self):
-        params = ModelParams(lam=1.0, j=10.0, n_max=249)
-        ops = build_operators(params)  # dim 5250 > 4000
-        assert ops.sparse
-        assert scipy.sparse.issparse(ops.h_rot)
+    def test_matrix_free_apply_matches_kron_reference(self):
+        rng = np.random.default_rng(16)
+        for j in (0.5, 1.0, 2.5, 6.0):
+            for n_max in (0, 1, 8, 100):
+                h_dicke, h_rot = operators_or_bare(j, n_max, 1.3, 2.0)
+                for h, omega0_eff in ((h_dicke, 1.0), (h_rot, 3.0)):
+                    ref = kron_hamiltonian(j, n_max, 1.3, omega0_eff)
+                    v = rng.normal(size=ref.shape[0]) + 1j * rng.normal(size=ref.shape[0])
+                    v /= np.linalg.norm(v)
+                    assert np.max(np.abs(h @ v - ref @ v)) < 1e-13, (j, n_max, omega0_eff)
+                    assert np.max(np.abs(h.to_dense() - ref)) < 1e-13, (j, n_max, omega0_eff)
+
+    def test_large_basis_is_matrix_free(self):
+        # dim 5250: past the size where the dense undriven H is diagonalized,
+        # so the ground state comes from seeded Lanczos on the operator.
+        params = ModelParams(lam=1.0, j=10.0, delta_phi=1.0, n_max=249)
+        ops = build_operators(params)
+        assert ops.dim == 5250
+        stored = sum(
+            value.nbytes for value in vars(ops).values() if hasattr(value, "nbytes")
+        )
+        assert stored <= 8 * 8 * ops.dim  # a few float64 diagonals, not dim^2
+        gs = ground_state(params, ops=ops)
+        again = ground_state(params, ops=ops)
+        assert np.array_equal(gs.amplitudes, again.amplitudes)
+        energy = gs.expectation(ops.h_dicke)
+        residual = ops.h_dicke @ gs.amplitudes - energy * gs.amplitudes
+        assert np.linalg.norm(residual) < 1e-6
+        out = chebyshev_step(ops, gs, 0.1)
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSpectralBounds:
@@ -123,7 +186,7 @@ class TestSpectralBounds:
         h = scipy.sparse.diags(
             [m[:-1, 0], m[:, 1], m[:-1, 0]], offsets=[-1, 0, 1], format="csr"
         )
-        e_min, e_max = spectral_bounds(h)  # Lanczos path (dim > 2000)
+        e_min, e_max = spectral_bounds(h)
         true_vals = np.linalg.eigvalsh(h.toarray())
         assert e_min <= true_vals[0]
         assert e_max >= true_vals[-1]
@@ -133,13 +196,18 @@ class TestSpectralBounds:
         with pytest.raises(ValueError, match="symmetric"):
             spectral_bounds(h)
 
-    def test_lanczos_path_deterministic(self):
-        rng = np.random.default_rng(15)
-        m = rng.normal(size=(2100, 2))
-        h = scipy.sparse.diags(
-            [m[:-1, 0], m[:, 1], m[:-1, 0]], offsets=[-1, 0, 1], format="csr"
-        )
-        assert spectral_bounds(h) == spectral_bounds(h)
+    def test_gershgorin_encloses_kron_reference_spectrum(self):
+        for j in (0.5, 1.0, 2.5, 6.0):
+            for n_max in (0, 1, 8, 100):
+                for lam in (0.0, 1.3):
+                    h_dicke, h_rot = operators_or_bare(j, n_max, lam, 2.0)
+                    for h, omega0_eff in ((h_dicke, 1.0), (h_rot, 3.0)):
+                        vals = np.linalg.eigvalsh(kron_hamiltonian(j, n_max, lam, omega0_eff))
+                        e_min, e_max = spectral_bounds(h)
+                        if lam == 0.0:
+                            assert (e_min, e_max) == (vals[0], vals[-1])
+                        else:
+                            assert e_min <= vals[0] and e_max >= vals[-1]
 
 
 class TestChebyshevCoefficients:
@@ -203,7 +271,7 @@ class TestChebyshevStep:
             ops = build_operators(params)
             bounds = spectral_bounds(ops.h_rot)
             for dt in (0.01, 0.1, 1.0):
-                u = scipy.linalg.expm(-1j * dense(ops.h_rot) * dt)
+                u = scipy.linalg.expm(-1j * ops.h_rot.to_dense() * dt)
                 for _ in range(3):
                     psi = random_state(rng, j, 8)
                     out = chebyshev_step(ops, psi, dt, bounds=bounds)
