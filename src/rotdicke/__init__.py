@@ -53,10 +53,12 @@ from .quantum import (
 from .experiments import (
     NONZERO_THRESHOLD,
     ProtocolSpec,
+    Spectrum,
     SweepCell,
     SweepResult,
     phase_diagram,
     run_protocol,
+    spectrum,
     sweep_lambda,
     sweep_velocity,
 )

@@ -29,17 +29,11 @@ from .experiments import (
     ProtocolSpec,
     phase_diagram,
     run_protocol,
+    spectrum,
     sweep_lambda,
     sweep_velocity,
 )
-from .model import (
-    ModelParams,
-    critical_coupling,
-    dynamical_critical_fit,
-    excitation_energy_np,
-    excitation_energy_srp,
-    rotated_critical_coupling,
-)
+from .model import ModelParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "config_to_spec", "main"]
 
@@ -286,16 +280,23 @@ def _parse_value(subcommand: str, key: str, text: str):
 
 def _read_config_file(path: str) -> dict[str, str]:
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            # No schema value contains "#", so it starts a comment anywhere.
+            stripped = line.partition("#")[0].strip()
+            if not stripped:
                 continue
             key, sep, value = stripped.partition("=")
             if not sep:
                 raise ConfigError(f"{path}:{line_no}: expected key = value, got {stripped!r}")
-            value = value.split(" #", 1)[0]
-            raw[key.strip()] = value.strip()
+            key = key.strip()
+            if key in first_line:
+                raise ConfigError(
+                    f"{path}:{line_no}: duplicate key {key!r} (first set on line {first_line[key]})"
+                )
+            first_line[key] = line_no
+            raw[key] = value.strip()
     return raw
 
 
@@ -381,41 +382,21 @@ def config_to_spec(config: RunConfig) -> ProtocolSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _spectrum_table(values: dict) -> tuple[list[str], list[list]]:
-    omega, omega0 = values["omega"], values["omega0"]
-    lam_c = critical_coupling(omega, omega0)
-    lam_c_rot = rotated_critical_coupling(omega, omega0, values["delta_phi"])
-    header = ["lambda", "eps_np", "eps_srp", "lambda_c", "lambda_c_rot", "lambda_c_dyn"]
-    rows = []
-    for lam in _axis_values(values, "lambda"):
-        lam = float(lam)
-        eps_np = excitation_energy_np(omega, omega0, lam) if lam <= lam_c else None
-        eps_srp = excitation_energy_srp(omega, omega0, lam) if lam >= lam_c else None
-        rows.append(
-            [lam, eps_np, eps_srp, lam_c, lam_c_rot, dynamical_critical_fit(values["delta_phi"])]
-        )
-    return header, rows
-
-
 def _run(config: RunConfig, out_path: str) -> None:
     v = config.values
-    fmt, precision = v["format"], v["precision"]
-    config_dict = {"subcommand": config.subcommand, **v}
-    config_dict["observables"] = list(v.get("observables", ()))
     if config.subcommand == "spectrum":
-        header, rows = _spectrum_table(v)
-        rio.emit_columns(out_path, fmt, header, rows, precision, config_dict, kind="spectrum")
-        return
-    spec = config_to_spec(config)
-    if config.subcommand == "trajectory":
-        result = run_protocol(spec)
+        result = spectrum(v["omega"], v["omega0"], v["delta_phi"], _axis_values(v, "lambda"))
+    elif config.subcommand == "trajectory":
+        result = run_protocol(config_to_spec(config))
     elif config.subcommand == "sweep-lambda":
-        result = sweep_lambda(spec, _axis_values(v, "lambda"))
+        result = sweep_lambda(config_to_spec(config), _axis_values(v, "lambda"))
     elif config.subcommand == "sweep-velocity":
-        result = sweep_velocity(spec, _axis_values(v, "delta_phi"))
+        result = sweep_velocity(config_to_spec(config), _axis_values(v, "delta_phi"))
     else:
-        result = phase_diagram(spec, _axis_values(v, "lambda"), _axis_values(v, "delta_phi"))
-    rio.emit(result, fmt, out_path, precision=precision, config=config_dict)
+        lambdas, velocities = _axis_values(v, "lambda"), _axis_values(v, "delta_phi")
+        result = phase_diagram(config_to_spec(config), lambdas, velocities)
+    config_dict = {"subcommand": config.subcommand, **v}
+    rio.emit(result, v["format"], out_path, precision=v["precision"], config=config_dict)
 
 
 def _build_parser() -> argparse.ArgumentParser:

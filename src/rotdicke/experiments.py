@@ -6,7 +6,8 @@ t=0.  The final time is always t_f = n_revolutions * 2 pi / delta_phi;
 undriven comparison runs keep the same t_f, using delta_phi only to fix it.
 Sweeps repeat a protocol over parameter grids, recording final-time and
 time-averaged observables per cell; a failed cell is tagged with its error
-instead of aborting the grid.
+instead of aborting the grid.  The excitation spectrum tabulates the
+closed-form energy branches and critical lines over a coupling grid.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ import numpy as np
 
 from . import meanfield, quantum
 from .meanfield import Trajectory
-from .model import ModelParams, dynamical_critical_fit, rotated_critical_coupling
+from .model import (
+    ModelParams,
+    critical_coupling,
+    dynamical_critical_fit,
+    excitation_energy_np,
+    excitation_energy_srp,
+    rotated_critical_coupling,
+)
 
 __all__ = [
     "ENGINES",
@@ -28,10 +36,12 @@ __all__ = [
     "ProtocolSpec",
     "SweepCell",
     "SweepResult",
+    "Spectrum",
     "run_protocol",
     "sweep_lambda",
     "sweep_velocity",
     "phase_diagram",
+    "spectrum",
     "resolve_n_max",
 ]
 
@@ -158,6 +168,18 @@ class SweepResult:
             if cell.error is None:
                 flat[i] = record[observable]
         return out
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Excitation-energy branches and critical lines, one row per coupling.
+
+    A branch is None where it does not exist (normal phase above lambda_c,
+    super-radiant phase below it).
+    """
+
+    header: tuple[str, ...]
+    rows: tuple[tuple[float | None, ...], ...]
 
 
 def _initial_labels(spec: ProtocolSpec) -> tuple[complex, complex]:
@@ -339,4 +361,25 @@ def phase_diagram(spec: ProtocolSpec, lambda_values, delta_phi_values) -> SweepR
         cells=tuple(cells),
         spec=spec,
         overlays=overlays,
+    )
+
+
+def spectrum(omega: float, omega0: float, delta_phi: float, lambda_values) -> Spectrum:
+    """Normal- and super-radiant-phase excitation energies over couplings.
+
+    Every row repeats the equilibrium critical coupling, the rotated one at
+    ``delta_phi`` and the empirical dynamical fit at ``delta_phi``.
+    """
+    lam_c = critical_coupling(omega, omega0)
+    lam_c_rot = rotated_critical_coupling(omega, omega0, delta_phi)
+    lam_c_dyn = dynamical_critical_fit(delta_phi)
+    rows = []
+    for lam in _validated_axis("lambda", lambda_values):
+        lam = float(lam)
+        eps_np = excitation_energy_np(omega, omega0, lam) if lam <= lam_c else None
+        eps_srp = excitation_energy_srp(omega, omega0, lam) if lam >= lam_c else None
+        rows.append((lam, eps_np, eps_srp, lam_c, lam_c_rot, lam_c_dyn))
+    return Spectrum(
+        header=("lambda", "eps_np", "eps_srp", "lambda_c", "lambda_c_rot", "lambda_c_dyn"),
+        rows=tuple(rows),
     )

@@ -10,9 +10,16 @@ sweeps emit the axis value, then ``<observable>_final`` and
 ``<observable>_timeavg`` columns, then ``error``.  Two-dimensional sweeps
 emit long format, lexicographically sorted by (lambda, delta_phi), plus the
 ``lambda_c_rot``/``lambda_c_dyn`` overlay columns and the ``region`` tag.
+Spectra emit their header and rows as they are, empty where a branch does
+not exist.
 
 JSON output wraps the result together with the fully resolved run
-configuration for provenance and round-trips exactly.
+configuration for provenance: ``{"config": ..., "result": ...}``.  The
+result is derived from the dataclass fields, in field order, after a
+``kind`` tag (see ``RESULT_KINDS``): arrays become lists, complex numbers
+``[re, im]`` pairs and tuples lists.  :func:`load_result_json` rebuilds the
+result from the fields' type annotations, so every field round-trips
+exactly.
 
 Quantum state snapshots are text: header lines ``j=``, ``n_max=``,
 ``ordering=m-major,n-minor``, ``dim=``, then one ``re im`` pair per
@@ -22,14 +29,15 @@ amplitude in basis order.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
+import typing
 
 import numpy as np
 
+from .experiments import Spectrum, SweepResult
 from .meanfield import Trajectory
-from .model import ModelParams
-from .experiments import ProtocolSpec, SweepCell, SweepResult
 from .quantum import QuantumState
 
 __all__ = [
@@ -42,6 +50,9 @@ __all__ = [
 
 STATE_ORDERING_TAG = "m-major,n-minor"
 
+# JSON ``kind`` tag of each result type.
+RESULT_KINDS = {"trajectory": Trajectory, "sweep": SweepResult, "spectrum": Spectrum}
+
 
 def _fmt(value, precision: int) -> str:
     if isinstance(value, float):
@@ -53,69 +64,47 @@ def _fmt(value, precision: int) -> str:
     return str(value)
 
 
-def _params_to_dict(params: ModelParams) -> dict:
-    return {
-        "lam": params.lam,
-        "omega0": params.omega0,
-        "omega": params.omega,
-        "j": params.j,
-        "delta_phi": params.delta_phi,
-        "n_max": params.n_max,
-    }
+def _encode(value):
+    """JSON-ready form of a dataclass, walked field by field in field order."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    return value
 
 
-def _params_from_dict(d: dict) -> ModelParams:
-    return ModelParams(
-        lam=d["lam"],
-        omega0=d["omega0"],
-        omega=d["omega"],
-        j=d["j"],
-        delta_phi=d["delta_phi"],
-        n_max=d["n_max"],
-    )
-
-
-def _spec_to_dict(spec: ProtocolSpec) -> dict:
-    return {
-        "params": _params_to_dict(spec.params),
-        "engine": spec.engine,
-        "initial": spec.initial,
-        "epsilon": spec.epsilon,
-        "alpha": [spec.alpha.real, spec.alpha.imag],
-        "zeta": [spec.zeta.real, spec.zeta.imag],
-        "driven": spec.driven,
-        "n_revolutions": spec.n_revolutions,
-        "sample_count": spec.sample_count,
-        "observables": list(spec.observables),
-        "rtol": spec.rtol,
-    }
-
-
-def _spec_from_dict(d: dict) -> ProtocolSpec:
-    return ProtocolSpec(
-        params=_params_from_dict(d["params"]),
-        engine=d["engine"],
-        initial=d["initial"],
-        epsilon=d["epsilon"],
-        alpha=complex(*d["alpha"]),
-        zeta=complex(*d["zeta"]),
-        driven=d["driven"],
-        n_revolutions=d["n_revolutions"],
-        sample_count=d["sample_count"],
-        observables=tuple(d["observables"]),
-        rtol=d["rtol"],
-    )
+def _decode(tp, value):
+    """Inverse of :func:`_encode`, driven by the type annotation ``tp``."""
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return tp(**{f.name: _decode(hints[f.name], value[f.name]) for f in dataclasses.fields(tp)})
+    if tp is np.ndarray:
+        return np.array(value)
+    if tp is complex:
+        return complex(*value)
+    args = typing.get_args(tp)
+    origin = typing.get_origin(tp)
+    if origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            return tuple(_decode(args[0], v) for v in value)
+        return tuple(_decode(a, v) for a, v in zip(args, value))
+    if origin is dict:
+        return {k: _decode(args[1], v) for k, v in value.items()}
+    return value  # scalars, strings and None
 
 
 def _trajectory_rows(traj: Trajectory) -> tuple[list[str], list[list]]:
     names = list(traj.observables) if traj.observables else [
         k for k in traj.data if k not in ("q1", "p1", "q2", "p2")
     ]
-    header = ["t"] + names
-    rows = []
-    for i, t in enumerate(traj.times):
-        rows.append([float(t)] + [float(traj.data[name][i]) for name in names])
-    return header, rows
+    columns = [traj.times] + [traj.data[name] for name in names]
+    return ["t"] + names, np.array(columns, dtype=float).T.tolist()
 
 
 def _sweep_rows(result: SweepResult) -> tuple[list[str], list[list]]:
@@ -155,44 +144,13 @@ def emit_table(result) -> tuple[list[str], list[list]]:
         return _trajectory_rows(result)
     if isinstance(result, SweepResult):
         return _sweep_rows(result)
-    raise TypeError(f"cannot emit {type(result).__name__}")
-
-
-def _result_to_dict(result) -> dict:
-    if isinstance(result, Trajectory):
-        return {
-            "kind": "trajectory",
-            "params": _params_to_dict(result.params),
-            "engine": result.engine,
-            "driven": result.driven,
-            "observables": list(result.observables),
-            "times": [float(t) for t in result.times],
-            "data": {k: [float(v) for v in col] for k, col in result.data.items()},
-        }
-    if isinstance(result, SweepResult):
-        return {
-            "kind": "sweep",
-            "axes": [[name, [float(v) for v in values]] for name, values in result.axes],
-            "cells": [
-                {
-                    "coords": list(cell.coords),
-                    "final": cell.final,
-                    "average": cell.average,
-                    "region": cell.region,
-                    "error": cell.error,
-                }
-                for cell in result.cells
-            ],
-            "overlays": {
-                k: [float(v) for v in values] for k, values in result.overlays.items()
-            },
-            "spec": _spec_to_dict(result.spec),
-        }
+    if isinstance(result, Spectrum):
+        return list(result.header), [list(row) for row in result.rows]
     raise TypeError(f"cannot emit {type(result).__name__}")
 
 
 def emit(result, fmt: str, path, precision: int = 17, config: dict | None = None) -> None:
-    """Write a trajectory or sweep result to ``path`` as CSV or JSON."""
+    """Write a trajectory, sweep or spectrum result to ``path`` as CSV or JSON."""
     if fmt == "csv":
         header, rows = emit_table(result)
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -201,35 +159,10 @@ def emit(result, fmt: str, path, precision: int = 17, config: dict | None = None
             for row in rows:
                 writer.writerow([_fmt(v, precision) for v in row])
     elif fmt == "json":
-        payload = {"config": config, "result": _result_to_dict(result)}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-    else:
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
-
-
-def emit_columns(
-    path,
-    fmt: str,
-    header: list[str],
-    rows: list[list],
-    precision: int = 17,
-    config: dict | None = None,
-    kind: str = "table",
-) -> None:
-    """Write a plain header/rows table (used by the spectrum subcommand)."""
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v, precision) for v in row])
-    elif fmt == "json":
-        payload = {
-            "config": config,
-            "result": {"kind": kind, "header": header, "rows": rows},
-        }
+        kind = next((k for k, cls in RESULT_KINDS.items() if type(result) is cls), None)
+        if kind is None:
+            raise TypeError(f"cannot emit {type(result).__name__}")
+        payload = {"config": config, "result": {"kind": kind, **_encode(result)}}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
@@ -242,33 +175,10 @@ def load_result_json(path):
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     d = payload["result"]
-    if d["kind"] == "trajectory":
-        return Trajectory(
-            params=_params_from_dict(d["params"]),
-            engine=d["engine"],
-            driven=d["driven"],
-            times=np.array(d["times"]),
-            data={k: np.array(col) for k, col in d["data"].items()},
-            observables=tuple(d["observables"]),
-        )
-    if d["kind"] == "sweep":
-        cells = tuple(
-            SweepCell(
-                coords=tuple(c["coords"]),
-                final=c["final"],
-                average=c["average"],
-                region=c["region"],
-                error=c["error"],
-            )
-            for c in d["cells"]
-        )
-        return SweepResult(
-            axes=tuple((name, np.array(values)) for name, values in d["axes"]),
-            cells=cells,
-            spec=_spec_from_dict(d["spec"]),
-            overlays={k: np.array(v) for k, v in d["overlays"].items()},
-        )
-    raise ValueError(f"unknown result kind {d['kind']!r}")
+    cls = RESULT_KINDS.get(d["kind"])
+    if cls is None:
+        raise ValueError(f"unknown result kind {d['kind']!r}")
+    return _decode(cls, d)
 
 
 def save_state(path, state: QuantumState, precision: int = 17) -> None:

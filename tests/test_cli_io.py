@@ -3,6 +3,7 @@
 import csv
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +25,15 @@ from rotdicke.cli import (
     PROTOCOL_KEY_MAP,
     SCHEMAS,
     ConfigError,
+    RunConfig,
     config_to_spec,
     main,
     parse_config,
 )
+from rotdicke.experiments import Spectrum, SweepResult, spectrum
+from rotdicke.meanfield import Trajectory
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_spec(**kwargs):
@@ -113,6 +119,22 @@ class TestParseConfig:
         assert config.values["j"] == 2.0
         assert config.provenance["j"] == "file"
 
+    @pytest.mark.parametrize("line", ["lambda = 1.0# x", "lambda = 1.0\t# x", "lambda = 1.0#"])
+    def test_hash_starts_comment_anywhere(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"engine = meanfield\ninitial = fock# no space\n{line}\n", encoding="utf-8")
+        config = parse_config("trajectory", str(cfg))
+        assert config.values["lambda"] == 1.0
+        assert config.values["initial"] == "fock"
+
+    def test_duplicate_key_names_both_lines(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "engine = meanfield\nlambda = 0.5\ninitial = fock\nlambda = 1.0\n", encoding="utf-8"
+        )
+        with pytest.raises(ConfigError, match=r":4: duplicate key 'lambda' \(first set on line 2\)"):
+            parse_config("trajectory", str(cfg))
+
     def test_echo_reparses_to_same_values(self, tmp_path):
         config = parse_config(
             "trajectory",
@@ -196,7 +218,9 @@ class TestEmit:
         assert back.engine == traj.engine
         assert back.driven == traj.driven
         assert back.params == traj.params
+        assert back.observables == traj.observables
         assert np.array_equal(back.times, traj.times)
+        assert back.data.keys() == traj.data.keys()
         for key in traj.data:
             assert np.array_equal(back.data[key], traj.data[key])
 
@@ -208,6 +232,32 @@ class TestEmit:
         assert back.spec == result.spec
         assert back.cells == result.cells
         assert np.array_equal(back.axes[0][1], result.axes[0][1])
+        assert back.axes[0][0] == "lambda" and len(back.axes) == 1
+        assert back.overlays == {}
+
+    def test_phase_diagram_json_round_trip(self, tmp_path):
+        result = phase_diagram(small_spec(), [0.5, 1.0], [1.0, 2.0])
+        out = tmp_path / "pd.json"
+        emit(result, "json", out)
+        back = load_result_json(out)
+        assert back.spec == result.spec
+        assert back.cells == result.cells
+        assert {c.region for c in back.cells} == {"zero", "nonzero"}
+        assert [name for name, _ in back.axes] == ["lambda", "delta_phi"]
+        for (_, a), (_, b) in zip(back.axes, result.axes):
+            assert np.array_equal(a, b)
+        assert back.overlays.keys() == result.overlays.keys()
+        for key, values in result.overlays.items():
+            assert np.array_equal(back.overlays[key], values)
+
+    def test_spectrum_json_round_trip(self, tmp_path):
+        result = spectrum(1.0, 1.0, 0.5, [0.0, 0.5, 1.0])
+        out = tmp_path / "spec.json"
+        emit(result, "json", out)
+        back = load_result_json(out)
+        assert isinstance(back, Spectrum)
+        assert back == result
+        assert back.rows[0][2] is None
 
     def test_sweep_json_round_trip_keeps_rtol(self, tmp_path):
         result = sweep_lambda(small_spec(rtol=1e-8), [0.5, 1.0])
@@ -242,6 +292,59 @@ class TestEmit:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="csv or json"):
             emit(run_protocol(small_spec()), "xml", tmp_path / "x.xml")
+
+
+class TestLegacyFixtures:
+    """JSON results written by the earlier, hand-written serializer still load."""
+
+    @pytest.mark.parametrize(
+        "name, cls",
+        [
+            ("trajectory", Trajectory),
+            ("sweep_lambda", SweepResult),
+            ("phase_diagram", SweepResult),
+            ("spectrum", Spectrum),
+        ],
+    )
+    def test_loads_and_reemits_same_json(self, tmp_path, name, cls):
+        path = DATA / f"{name}.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        back = load_result_json(path)
+        assert type(back) is cls
+        out = tmp_path / "again.json"
+        emit(back, "json", out, config=payload["config"])
+        assert json.loads(out.read_text(encoding="utf-8")) == payload
+
+    @pytest.mark.parametrize("name", ["trajectory", "sweep_lambda", "phase_diagram"])
+    def test_spec_matches_its_config(self, name):
+        payload = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
+        values = dict(payload["config"])
+        subcommand = values.pop("subcommand")
+        spec = config_to_spec(RunConfig(subcommand, values, {}))
+        back = load_result_json(DATA / f"{name}.json")
+        if subcommand == "trajectory":
+            assert back.params == spec.params
+            assert (back.engine, back.driven, back.observables) == (
+                spec.engine, spec.driven, spec.observables
+            )
+            assert np.array_equal(back.times, spec.time_grid())
+        else:
+            assert back.spec == spec
+
+    def test_sweep_keeps_failed_cell(self):
+        back = load_result_json(DATA / "sweep_lambda.json")
+        assert back.spec.rtol == 1e-9
+        assert back.cells[0].error is None
+        assert "increase n_max" in back.cells[1].error
+        assert back.cells[1].final == {}
+
+    def test_spectrum_matches_closed_form(self):
+        payload = json.loads((DATA / "spectrum.json").read_text(encoding="utf-8"))
+        v = payload["config"]
+        count = round((v["lambda_max"] - v["lambda_min"]) / v["lambda_step"])
+        lambdas = v["lambda_min"] + v["lambda_step"] * np.arange(count + 1)
+        expected = spectrum(v["omega"], v["omega0"], v["delta_phi"], lambdas)
+        assert load_result_json(DATA / "spectrum.json") == expected
 
 
 class TestStateSnapshot:
@@ -421,3 +524,29 @@ class TestMainExitCodes:
         assert rows[0][0] == "delta_phi"
         vals = {float(r[0]): float(r[rows[0].index("mean_photon_scaled_timeavg")]) for r in rows[1:]}
         assert vals[2.5] > 0.05 and vals[3.5] < 1e-3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trajectory", "--engine", "meanfield", "--initial", "fock", "--lambda", "1.0",
+             "--j", "1", "--sample-count", "5"],
+            ["sweep-lambda", "--engine", "meanfield", "--initial", "fock", "--j", "1",
+             "--lambda-min", "0.5", "--lambda-max", "0.5", "--lambda-step", "0.5",
+             "--n-revolutions", "1", "--sample-count", "5"],
+            ["sweep-velocity", "--engine", "meanfield", "--initial", "fock", "--j", "1",
+             "--lambda", "0.5", "--delta-phi-min", "1.0", "--delta-phi-max", "1.0",
+             "--delta-phi-step", "1.0", "--n-revolutions", "1", "--sample-count", "5"],
+            ["phase-diagram", "--engine", "meanfield", "--initial", "fock", "--j", "1",
+             "--lambda-min", "0.5", "--lambda-max", "0.5", "--lambda-step", "0.5",
+             "--delta-phi-min", "1.0", "--delta-phi-max", "1.0", "--delta-phi-step", "1.0",
+             "--n-revolutions", "1", "--sample-count", "5"],
+            ["spectrum", "--lambda-step", "0.5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_json_config_keys_match_schema(self, tmp_path, argv):
+        out = tmp_path / "out.json"
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert set(payload["config"]) == {"subcommand"} | set(SCHEMAS[argv[0]])
+        assert isinstance(load_result_json(out), (Trajectory, SweepResult, Spectrum))

@@ -1,0 +1,222 @@
+"""Property tests: JSON and CSV round trips, and the configuration echo.
+
+Every value is built directly from strategies; no engine runs.
+"""
+
+import csv
+import json
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rotdicke import io as rio
+from rotdicke.cli import parse_config
+from rotdicke.experiments import (
+    ENGINES,
+    INITIAL_KINDS,
+    OBSERVABLES,
+    ProtocolSpec,
+    Spectrum,
+    SweepCell,
+)
+from rotdicke.meanfield import Trajectory
+from rotdicke.model import ModelParams
+
+SETTINGS = settings(max_examples=30, deadline=None)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-9, max_value=1e9)
+half_integers = st.integers(min_value=1, max_value=60).map(lambda k: k / 2)
+complexes = st.complex_numbers(allow_nan=False, allow_infinity=False)
+COORDINATES = ("q1", "p1", "q2", "p2")
+
+
+def model_params(delta_phi=finite):
+    return st.builds(
+        ModelParams,
+        lam=st.floats(min_value=0.0, max_value=1e9),
+        omega0=positive,
+        omega=positive,
+        j=half_integers,
+        delta_phi=delta_phi,
+        n_max=st.none() | st.integers(min_value=1, max_value=10_000),
+    )
+
+
+@st.composite
+def protocol_specs(draw):
+    engine = draw(st.sampled_from(ENGINES))
+    kinds = [k for k in INITIAL_KINDS if engine == "quantum" or k != "ground_state"]
+    initial = draw(st.sampled_from(kinds))
+    allowed = [o for o in OBSERVABLES if engine == "meanfield" or o != "scaled_parity"]
+    epsilon = positive if initial == "nearly_fock" else st.none() | positive
+    return ProtocolSpec(
+        params=draw(model_params(delta_phi=positive)),
+        engine=engine,
+        initial=initial,
+        epsilon=draw(epsilon),
+        alpha=draw(complexes),
+        zeta=draw(complexes),
+        driven=draw(st.booleans()),
+        n_revolutions=draw(st.integers(min_value=1, max_value=10_000)),
+        sample_count=draw(st.integers(min_value=2, max_value=10**7)),
+        observables=tuple(draw(st.lists(st.sampled_from(allowed), min_size=1, unique=True))),
+        rtol=draw(st.floats(min_value=1e-16, max_value=1.0)),
+    )
+
+
+def observable_dicts():
+    return st.dictionaries(st.sampled_from(OBSERVABLES), finite)
+
+
+sweep_cells = st.builds(
+    SweepCell,
+    coords=st.lists(finite, min_size=1, max_size=2).map(tuple),
+    final=observable_dicts(),
+    average=observable_dicts(),
+    region=st.sampled_from([None, "zero", "nonzero"]),
+    error=st.none() | st.text(),
+)
+
+
+@st.composite
+def trajectories(draw):
+    steps = draw(st.lists(st.floats(min_value=1e-3, max_value=1e3), max_size=15))
+    times = np.concatenate(([0.0], np.cumsum(steps)))
+    observables = tuple(draw(st.lists(st.sampled_from(OBSERVABLES), min_size=1, unique=True)))
+    names = observables + tuple(draw(st.lists(st.sampled_from(COORDINATES), unique=True)))
+    column = st.lists(finite, min_size=times.size, max_size=times.size).map(np.array)
+    return Trajectory(
+        params=draw(model_params()),
+        engine=draw(st.sampled_from(ENGINES)),
+        driven=draw(st.booleans()),
+        times=times,
+        data={name: draw(column) for name in names},
+        observables=observables,
+    )
+
+
+@st.composite
+def spectra(draw):
+    header = tuple(draw(st.lists(st.text(), min_size=1, max_size=6)))
+    row = st.tuples(*[st.none() | finite for _ in header])
+    return Spectrum(header=header, rows=tuple(draw(st.lists(row, max_size=8))))
+
+
+def assert_same(a, b):
+    """Field-by-field equality, exact, with arrays compared elementwise."""
+    assert type(a) is type(b)
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, dict):
+            assert x.keys() == y.keys()
+            for key in x:
+                assert np.array_equal(x[key], y[key]), (f.name, key)
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y) and y.dtype == x.dtype, f.name
+        else:
+            assert x == y, f.name
+
+
+def json_round_trip(value):
+    return rio._decode(type(value), json.loads(json.dumps(rio._encode(value), indent=1)))
+
+
+def emit_and_load(result):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "result.json"
+        rio.emit(result, "json", path)
+        return rio.load_result_json(path)
+
+
+@SETTINGS
+@given(model_params())
+def test_model_params_json_round_trip(params):
+    assert json_round_trip(params) == params
+
+
+@SETTINGS
+@given(protocol_specs())
+def test_protocol_spec_json_round_trip(spec):
+    assert json_round_trip(spec) == spec
+
+
+@SETTINGS
+@given(sweep_cells)
+def test_sweep_cell_json_round_trip(cell):
+    assert json_round_trip(cell) == cell
+
+
+@SETTINGS
+@given(trajectories())
+def test_trajectory_json_round_trip(traj):
+    assert_same(emit_and_load(traj), traj)
+
+
+@SETTINGS
+@given(spectra())
+def test_spectrum_json_round_trip(result):
+    assert emit_and_load(result) == result
+
+
+@SETTINGS
+@given(trajectories())
+def test_csv_17_digits_reparse_exactly(traj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "result.csv"
+        rio.emit(traj, "csv", path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+    assert header == ["t", *traj.observables]
+    parsed = np.array(rows, dtype=float).T
+    assert np.array_equal(parsed[0], traj.times)
+    for name, column in zip(traj.observables, parsed[1:]):
+        assert np.array_equal(column, traj.data[name])
+
+
+@st.composite
+def trajectory_overrides(draw):
+    engine = draw(st.sampled_from(ENGINES))
+    allowed = [o for o in OBSERVABLES if engine == "meanfield" or o != "scaled_parity"]
+    observables = draw(st.lists(st.sampled_from(allowed), min_size=1, unique=True))
+    n_max = draw(st.none() | st.integers(min_value=1, max_value=10_000))
+    values = {
+        "engine": engine,
+        "initial": draw(st.sampled_from(INITIAL_KINDS)),
+        "lambda": draw(st.floats(min_value=0.0, max_value=1e9)),
+        "omega": draw(positive),
+        "omega0": draw(positive),
+        "delta_phi": draw(positive),
+        "j": draw(half_integers),
+        "n_max": "" if n_max is None else n_max,
+        "epsilon": draw(positive),
+        "alpha_re": draw(finite),
+        "alpha_im": draw(finite),
+        "zeta_re": draw(finite),
+        "zeta_im": draw(finite),
+        "driven": draw(st.sampled_from(["true", "false", "True"])),
+        "n_revolutions": draw(st.integers(min_value=1, max_value=10_000)),
+        "sample_count": draw(st.integers(min_value=2, max_value=10**7)),
+        "observables": ",".join(observables),
+        "rtol": draw(positive),
+        "format": draw(st.sampled_from(["csv", "json"])),
+        "precision": draw(st.integers(min_value=1, max_value=17)),
+    }
+    keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True))
+    required = {"engine", "initial", "lambda"}
+    return {k: str(v) for k, v in values.items() if k in required or k in keys}
+
+
+@SETTINGS
+@given(trajectory_overrides())
+def test_config_echo_reparses_to_same_values(overrides):
+    config = parse_config("trajectory", overrides=overrides)
+    with tempfile.TemporaryDirectory() as tmp:
+        echo = Path(tmp) / "echo.cfg"
+        echo.write_text("\n".join(config.echo_lines()) + "\n", encoding="utf-8")
+        reparsed = parse_config("trajectory", str(echo))
+    assert reparsed.values == config.values
