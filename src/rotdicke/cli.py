@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -55,7 +56,7 @@ class KeySpec:
 
 def _positive(key):
     def check(v):
-        if v <= 0:
+        if not v > 0:
             raise ConfigError(f"{key} must be positive, got {v}")
 
     return check
@@ -63,7 +64,7 @@ def _positive(key):
 
 def _nonnegative(key):
     def check(v):
-        if v < 0:
+        if not v >= 0:
             raise ConfigError(f"{key} must be nonnegative, got {v}")
 
     return check
@@ -71,7 +72,7 @@ def _nonnegative(key):
 
 def _half_integer(key):
     def check(v):
-        if v <= 0 or abs(2 * v - round(2 * v)) > 1e-9:
+        if not (v > 0 and math.isfinite(v) and abs(2 * v - round(2 * v)) <= 1e-9):
             raise ConfigError(f"{key} must be a positive half-integer (2*{key} an integer), got {v}")
 
     return check
@@ -79,7 +80,7 @@ def _half_integer(key):
 
 def _at_least(key, bound):
     def check(v):
-        if v is not None and v < bound:
+        if v is not None and not v >= bound:
             raise ConfigError(f"{key} must be >= {bound}, got {v}")
 
     return check
@@ -275,6 +276,8 @@ def _parse_value(subcommand: str, key: str, text: str):
     check = _CHECKS.get(key)
     if check is not None and value is not None:
         check(value)
+    if spec.kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}")
     return value
 
 

@@ -94,16 +94,16 @@ class ProtocolSpec:
                 "initial=ground_state requires the quantum engine; the "
                 "thermodynamic-limit counterpart is stationary_dicke"
             )
-        if self.params.delta_phi <= 0.0:
+        if not self.params.delta_phi > 0.0:
             raise ValueError(
                 "delta_phi must be positive: it defines t_f = n_R*2pi/delta_phi "
                 "(undriven runs use it for t_f only)"
             )
-        if self.n_revolutions < 1:
+        if not self.n_revolutions >= 1:
             raise ValueError(f"n_revolutions must be >= 1, got {self.n_revolutions}")
-        if self.sample_count < 2:
+        if not self.sample_count >= 2:
             raise ValueError(f"sample_count must be >= 2, got {self.sample_count}")
-        if self.rtol <= 0.0:
+        if not self.rtol > 0.0:
             raise ValueError(f"rtol must be positive, got {self.rtol}")
         bad = set(self.observables) - set(OBSERVABLES)
         if bad:

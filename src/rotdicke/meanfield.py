@@ -10,16 +10,22 @@ The coherent-state labels map onto phase space as
 
     zeta  = (q1 + i p1) / sqrt(4j - (q1^2 + p1^2)),
     alpha = (q2 + i p2) / sqrt(2).
+
+:func:`integrate` steps the flow with Dormand-Prince 8(5,3) (DOP853) on
+plain Python floats, one run at a time: on a 4-vector the per-call cost of
+array operations outweighs the arithmetic.  Single runs and every sweep
+cell go through this one integrator.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .model import ModelParams, PhasePoint
 
@@ -48,6 +54,15 @@ DEFAULT_ATOL = 1e-12
 # by step rejection (NaN derivatives), so trial evaluations that overshoot
 # the domain are retried with a smaller step instead of killing the run.
 _BOUNDARY_GUARD = 1e-12
+_NANS = (math.nan,) * 4
+
+# DOP853 step control: the next step is the last one times
+# _SAFETY * err**(-1/8) (the error estimate has order 7), kept within
+# [_MIN_FACTOR, _MAX_FACTOR] times the last.
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_EXPONENT = -1.0 / 8.0
 
 
 class IntegrationError(RuntimeError):
@@ -96,36 +111,42 @@ class Trajectory:
         return time_average(self.times, self.data[name])
 
 
-def _rhs(t, y, omega0, omega, lam, four_j, drive):
-    q1 = y[0]
-    p1 = y[1]
-    q2 = y[2]
-    p2 = y[3]
-    out = np.empty(4)
-    rem = four_j - (q1 * q1 + p1 * p1)
-    if rem < _BOUNDARY_GUARD * four_j:
-        out[:] = np.nan  # reject the step; see _BOUNDARY_GUARD
-        return out
-    phi = drive * t
-    cos_phi = math.cos(phi)
-    sin_phi = math.sin(phi)
-    proj = cos_phi * q1 + sin_phi * p1
-    root = math.sqrt(rem / four_j)
-    denom = math.sqrt(four_j * rem)
-    g = 2.0 * lam * q2
-    out[0] = omega0 * p1 - g * proj * p1 / denom + g * root * sin_phi
-    out[1] = -omega0 * q1 + g * proj * q1 / denom - g * root * cos_phi
-    out[2] = omega * p2
-    out[3] = -omega * q2 - 2.0 * lam * root * proj
-    return out
+def _flow(params: ModelParams, drive: float):
+    """Right-hand side f(t, q1, p1, q2, p2) -> (dq1, dp1, dq2, dp2) on floats.
 
+    ``drive`` is the rotation velocity (0 for the undriven flow).  Within
+    _BOUNDARY_GUARD of the sphere the derivatives are NaN, which the stepper
+    treats as a rejected step.
+    """
+    omega0 = params.omega0
+    omega = params.omega
+    two_lam = 2.0 * params.lam
+    four_j = 4.0 * params.j
+    guard = _BOUNDARY_GUARD * four_j
+    # Local names: a run calls f some 10^4-10^5 times.
+    cos = math.cos
+    sin = math.sin
+    sqrt = math.sqrt
 
-try:  # JIT pays off in sweeps: the integrator calls this millions of times.
-    from numba import njit
+    def f(t, q1, p1, q2, p2):
+        rem = four_j - (q1 * q1 + p1 * p1)
+        if rem < guard:
+            return _NANS
+        phi = drive * t
+        cos_phi = cos(phi)
+        sin_phi = sin(phi)
+        proj = cos_phi * q1 + sin_phi * p1
+        root = sqrt(rem / four_j)
+        denom = sqrt(four_j * rem)
+        g = two_lam * q2
+        return (
+            omega0 * p1 - g * proj * p1 / denom + g * root * sin_phi,
+            -omega0 * q1 + g * proj * q1 / denom - g * root * cos_phi,
+            omega * p2,
+            -omega * q2 - two_lam * root * proj,
+        )
 
-    _rhs = njit(cache=True)(_rhs)
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    pass
+    return f
 
 
 def eom_rhs(point: PhasePoint, t: float, params: ModelParams) -> np.ndarray:
@@ -137,17 +158,8 @@ def eom_rhs(point: PhasePoint, t: float, params: ModelParams) -> np.ndarray:
             f"q1^2+p1^2 = {r2} is on or outside the sphere of radius^2 4j = {four_j}; "
             "the square-root derivative diverges there"
         )
-    return np.asarray(
-        _rhs(
-            t,
-            np.array([point.q1, point.p1, point.q2, point.p2]),
-            params.omega0,
-            params.omega,
-            params.lam,
-            four_j,
-            params.delta_phi,
-        )
-    )
+    f = _flow(params, params.delta_phi)
+    return np.array(f(t, point.q1, point.p1, point.q2, point.p2))
 
 
 def hp_rhs(
@@ -209,15 +221,19 @@ def integrate(
 ) -> Trajectory:
     """Integrate the mean-field flow and sample it on a uniform grid.
 
-    Steps adaptively (embedded RK 4/5, relative tolerance ``tol``) and
-    reports on ``sample_count`` uniform times including t=0 and ``t_end``.
-    Raises :class:`IntegrationError` when step control fails, which in
-    practice flags an approach to the q1^2+p1^2 -> 4j boundary.
+    Steps adaptively with the Dormand-Prince 8(5,3) pair (DOP853, relative
+    tolerance ``tol``) and reads the ``sample_count`` uniform times, t=0 and
+    ``t_end`` included, off the method's 7th-order dense output.  Raises
+    :class:`IntegrationError` when step control fails, which in practice
+    flags an approach to the q1^2+p1^2 -> 4j boundary.
     """
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not (t_end > 0.0 and math.isfinite(t_end)):
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if sample_count < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count}")
+    y0 = (start.q1, start.p1, start.q2, start.p2)
+    if not all(map(math.isfinite, y0)):
+        raise ValueError(f"start must be finite, got (q1, p1, q2, p2) = {y0}")
     four_j = 4.0 * params.j
     r2 = start.q1**2 + start.p1**2
     if r2 >= four_j:
@@ -226,26 +242,9 @@ def integrate(
         )
     drive = params.delta_phi if driven else 0.0
     t_grid = np.linspace(0.0, t_end, sample_count)
-    sol = solve_ivp(
-        _rhs,
-        (0.0, t_end),
-        [start.q1, start.p1, start.q2, start.p2],
-        method="RK45",
-        rtol=tol,
-        atol=DEFAULT_ATOL,
-        t_eval=t_grid,
-        args=(params.omega0, params.omega, params.lam, four_j, drive),
-    )
-    if not sol.success:
-        t_fail = float(sol.t[-1]) if sol.t.size else 0.0
-        raise IntegrationError(
-            t_fail,
-            f"integration failed ({sol.message.strip()}); step rejection this "
-            "hard flags an approach to the q1^2+p1^2 -> 4j boundary",
-        )
-    q1, p1, q2, p2 = sol.y
-    r2_samples = q1**2 + p1**2
-    bad = np.nonzero(r2_samples > four_j)[0]
+    q1, p1, q2, p2 = _dop853(_flow(params, drive), y0, t_grid, tol, DEFAULT_ATOL)
+    # NaN counts as a violation: a dense-output stage can cross the guard.
+    bad = np.nonzero(~(q1**2 + p1**2 <= four_j))[0]
     if bad.size:
         raise IntegrationError(
             float(t_grid[bad[0]]),
@@ -258,6 +257,140 @@ def integrate(
         times=t_grid,
         data={"q1": q1, "p1": p1, "q2": q2, "p2": p2},
     )
+
+
+def _rms(values) -> float:
+    return math.sqrt(sum(v * v for v in values)) / math.sqrt(len(values))
+
+
+def _initial_step(f, y, fy, t_end, rtol, atol) -> float:
+    """First step size (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
+    scale = [atol + abs(c) * rtol for c in y]
+    d0 = _rms([c / s for c, s in zip(y, scale)])
+    d1 = _rms([c / s for c, s in zip(fy, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = f(h0, *[c + h0 * d for c, d in zip(y, fy)])
+    d2 = _rms([(b - a) / s for a, b, s in zip(fy, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100.0 * h0, h1, t_end)
+
+
+def _run_stages(rows, f, t, h, y, stages) -> None:
+    """Append f at t + c h, y + h sum_k a_k K_k to ``stages`` for each (a, c)."""
+    q1, p1, q2, p2 = y
+    K1, K2, K3, K4 = stages
+    for a, c in rows:
+        k1, k2, k3, k4 = f(
+            t + c * h,
+            q1 + sum(map(mul, a, K1)) * h,
+            p1 + sum(map(mul, a, K2)) * h,
+            q2 + sum(map(mul, a, K3)) * h,
+            p2 + sum(map(mul, a, K4)) * h,
+        )
+        K1.append(k1)
+        K2.append(k2)
+        K3.append(k3)
+        K4.append(k4)
+
+
+def _dop853(f, y, t_grid, rtol, atol):
+    """Sample (q1, p1, q2, p2)' = f(t, q1, p1, q2, p2) on ``t_grid``.
+
+    Starts from ``y`` at t_grid[0] = 0; the grid must increase.
+    Dormand-Prince 8(5,3) on Python floats (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.5 and II.10), with the step control of the DOP853
+    code: safety 0.9, step factors 0.2-10, the blended 5th/3rd-order error
+    norm, a minimum step of 10 ulp of t, and a NaN right-hand side taken
+    as a rejected step.  Each step that holds grid times keeps its
+    7th-order interpolant; the grid is evaluated from those after the last
+    step, one coefficient at a time.  Returns one array per component.
+    """
+    grid = t_grid.tolist()
+    t_end = grid[-1]
+    t = 0.0
+    q1, p1, q2, p2 = y
+    f1, f2, f3, f4 = f(t, q1, p1, q2, p2)
+    h_abs = _initial_step(f, y, (f1, f2, f3, f4), t_end, rtol, atol)
+    dense = []  # per step holding samples: t, h, then (y, F0..F6) per component
+    counts = []  # samples per such step
+    next_sample = 0
+    while t < t_end:
+        min_step = 10.0 * math.ulp(t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise IntegrationError(
+                    t,
+                    "integration failed (required step fell below 10 ulp of t); "
+                    "step rejection this hard flags an approach to the "
+                    "q1^2+p1^2 -> 4j boundary",
+                )
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = h
+            K1, K2, K3, K4 = [f1], [f2], [f3], [f4]
+            _run_stages(_STAGES, f, t, h, (q1, p1, q2, p2), (K1, K2, K3, K4))
+            n1 = q1 + h * sum(map(mul, _B, K1))
+            n2 = p1 + h * sum(map(mul, _B, K2))
+            n3 = q2 + h * sum(map(mul, _B, K3))
+            n4 = p2 + h * sum(map(mul, _B, K4))
+            g1, g2, g3, g4 = f(t + h, n1, n2, n3, n4)
+            K1.append(g1)
+            K2.append(g2)
+            K3.append(g3)
+            K4.append(g4)
+            e5 = e3 = 0.0
+            for yc, nc, kc in ((q1, n1, K1), (p1, n2, K2), (q2, n3, K3), (p2, n4, K4)):
+                scale = atol + max(abs(yc), abs(nc)) * rtol
+                x5 = sum(map(mul, _E5, kc)) / scale
+                x3 = sum(map(mul, _E3, kc)) / scale
+                e5 += x5 * x5
+                e3 += x3 * x3
+            if e5 == 0.0 and e3 == 0.0:
+                err = 0.0
+            else:  # RMS over the four components
+                err = h * e5 / math.sqrt((e5 + 0.01 * e3) * 4.0)
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            # max() keeps MIN_FACTOR for a NaN error: the step is rejected.
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)
+            rejected = True
+        if grid[next_sample] <= t_new:
+            _run_stages(_DENSE_STAGES, f, t, h, (q1, p1, q2, p2), (K1, K2, K3, K4))
+            dense += (t, h)
+            for yc, nc, fo, fn, kc in (
+                (q1, n1, f1, g1, K1), (p1, n2, f2, g2, K2), (q2, n3, f3, g3, K3), (p2, n4, f4, g4, K4)
+            ):
+                delta = nc - yc
+                dense += (yc, delta, h * fo - delta, 2.0 * delta - h * (fn + fo))
+                dense += [h * sum(map(mul, d, kc)) for d in _D]
+            end = bisect.bisect_right(grid, t_new, next_sample)
+            counts.append(end - next_sample)
+            next_sample = end
+        t, q1, p1, q2, p2 = t_new, n1, n2, n3, n4
+        f1, f2, f3, f4 = g1, g2, g3, g4
+    table = np.array(dense).reshape(len(counts), -1).T
+    seg = np.repeat(np.arange(len(counts)), counts)
+    x = (t_grid - table[0][seg]) / table[1][seg]
+    x1 = 1.0 - x
+    out = []
+    for base in range(2, 34, 8):
+        # y + x (F0 + (1-x) (F1 + x (F2 + ... + x F6))), innermost first.
+        yc = table[base + 7][seg] * x
+        for i, row in enumerate(range(base + 6, base, -1), start=1):
+            yc += table[row][seg]
+            yc *= x1 if i % 2 else x
+        yc += table[base][seg]
+        out.append(yc)
+    return out
 
 
 def mean_photon_scaled(point: PhasePoint, j: float) -> float:
@@ -334,3 +467,146 @@ def coherent_from_point(point: PhasePoint, j: float) -> tuple[complex, complex]:
     zeta = complex(point.q1, point.p1) / math.sqrt(four_j - r2)
     alpha = complex(point.q2, point.p2) / math.sqrt(2.0)
     return alpha, zeta
+
+
+# Dormand-Prince 8(5,3) tableau, as published with the DOP853 code (Hairer,
+# Norsett & Wanner).  Row s of _A holds a_s0..a_s,s-1; rows 1-11 are the
+# stages, row 12 the weights _B, rows 13-15 the extra stages of the dense
+# output, whose coefficients beyond the first three are _D.  _E5 and _E3
+# weight the 13 stages (the last is f at the new point) into the 5th- and
+# 3rd-order error estimates.
+_C = (
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0, 0.1,
+    0.2, 0.777777777777777777777777777778,
+)
+_A = (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (
+        2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+        9.24834003261792003115737966543e-1,
+    ),
+    (
+        3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+        1.25467687566822425016691814123e-1,
+    ),
+    (
+        3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+        6.02165389804559606850219397283e-2, -1.7578125e-2,
+    ),
+    (
+        3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+        1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+        8.27378916381402288758473766002e-3,
+    ),
+    (
+        6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+        -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+        2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
+    ),
+    (
+        4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+        -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+        1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+        -2.03312017085086261358222928593e-2,
+    ),
+    (
+        -9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+        1.09143734899672957818500254654, -8.14978701074692612513997267357,
+        -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+        2.49360555267965238987089396762, -3.0467644718982195003823669022,
+    ),
+    (
+        2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+        -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+        2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+        -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+        6.43392746015763530355970484046e-1,
+    ),
+    (
+        5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+        4.45031289275240888144113950566, 1.89151789931450038304281599044,
+        -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+        -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+        4.47106157277725905176885569043e-2,
+    ),
+    (
+        5.61675022830479523392909219681e-2, 0.0, 0.0, 0.0, 0.0, 0.0,
+        2.53500210216624811088794765333e-1, -2.46239037470802489917441475441e-1,
+        -1.24191423263816360469010140626e-1, 1.5329179827876569731206322685e-1,
+        8.20105229563468988491666602057e-3, 7.56789766054569976138603589584e-3, -8.298e-3,
+    ),
+    (
+        3.18346481635021405060768473261e-2, 0.0, 0.0, 0.0, 0.0,
+        2.83009096723667755288322961402e-2, 5.35419883074385676223797384372e-2,
+        -5.49237485713909884646569340306e-2, 0.0, 0.0, -1.08347328697249322858509316994e-4,
+        3.82571090835658412954920192323e-4, -3.40465008687404560802977114492e-4,
+        1.41312443674632500278074618366e-1,
+    ),
+    (
+        -4.28896301583791923408573538692e-1, 0.0, 0.0, 0.0, 0.0,
+        -4.69762141536116384314449447206, 7.68342119606259904184240953878,
+        4.06898981839711007970213554331, 3.56727187455281109270669543021e-1, 0.0, 0.0, 0.0,
+        -1.39902416515901462129418009734e-3, 2.9475147891527723389556272149,
+        -9.15095847217987001081870187138,
+    ),
+)
+_N_STAGES = 12
+_B = _A[_N_STAGES]
+_STAGES = tuple(zip(_A[1:_N_STAGES], _C[1:_N_STAGES]))
+_DENSE_STAGES = tuple(zip(_A[_N_STAGES + 1 :], _C[_N_STAGES + 1 :]))
+_E5 = (
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1, 0.0,
+)
+# The 3rd-order estimate is _B less these weights at stages 0, 8 and 11.
+_E3 = list(_B) + [0.0]
+_E3[0] -= 0.244094488188976377952755905512
+_E3[8] -= 0.733846688281611857341361741547
+_E3[11] -= 0.220588235294117647058823529412e-1
+_E3 = tuple(_E3)
+_D = (
+    (
+        -0.84289382761090128651353491142e+1, 0.0, 0.0, 0.0, 0.0,
+        0.56671495351937776962531783590, -0.30689499459498916912797304727e+1,
+        0.23846676565120698287728149680e+1, 0.21170345824450282767155149946e+1,
+        -0.87139158377797299206789907490, 0.22404374302607882758541771650e+1,
+        0.63157877876946881815570249290, -0.88990336451333310820698117400e-1,
+        0.18148505520854727256656404962e+2, -0.91946323924783554000451984436e+1,
+        -0.44360363875948939664310572000e+1,
+    ),
+    (
+        0.10427508642579134603413151009e+2, 0.0, 0.0, 0.0, 0.0,
+        0.24228349177525818288430175319e+3, 0.16520045171727028198505394887e+3,
+        -0.37454675472269020279518312152e+3, -0.22113666853125306036270938578e+2,
+        0.77334326684722638389603898808e+1, -0.30674084731089398182061213626e+2,
+        -0.93321305264302278729567221706e+1, 0.15697238121770843886131091075e+2,
+        -0.31139403219565177677282850411e+2, -0.93529243588444783865713862664e+1,
+        0.35816841486394083752465898540e+2,
+    ),
+    (
+        0.19985053242002433820987653617e+2, 0.0, 0.0, 0.0, 0.0,
+        -0.38703730874935176555105901742e+3, -0.18917813819516756882830838328e+3,
+        0.52780815920542364900561016686e+3, -0.11573902539959630126141871134e+2,
+        0.68812326946963000169666922661e+1, -0.10006050966910838403183860980e+1,
+        0.77771377980534432092869265740, -0.27782057523535084065932004339e+1,
+        -0.60196695231264120758267380846e+2, 0.84320405506677161018159903784e+2,
+        0.11992291136182789328035130030e+2,
+    ),
+    (
+        -0.25693933462703749003312586129e+2, 0.0, 0.0, 0.0, 0.0,
+        -0.15418974869023643374053993627e+3, -0.23152937917604549567536039109e+3,
+        0.35763911791061412378285349910e+3, 0.93405324183624310003907691704e+2,
+        -0.37458323136451633156875139351e+2, 0.10409964950896230045147246184e+3,
+        0.29840293426660503123344363579e+2, -0.43533456590011143754432175058e+2,
+        0.96324553959188282948394950600e+2, -0.39177261675615439165231486172e+2,
+        -0.14972683625798562581422125276e+3,
+    ),
+)

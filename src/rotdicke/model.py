@@ -52,19 +52,23 @@ class ModelParams:
     n_max: int | None = None
 
     def __post_init__(self) -> None:
-        if self.omega <= 0.0:
+        if not self.omega > 0.0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.omega0 <= 0.0:
+        if not self.omega0 > 0.0:
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         two_j = 2.0 * self.j
-        if self.j <= 0.0 or abs(two_j - round(two_j)) > 1e-9:
+        if not (0.0 < self.j < math.inf and abs(two_j - round(two_j)) <= 1e-9):
             raise ValueError(
                 f"j must be a positive half-integer (2j a positive integer), got {self.j}"
             )
-        if self.n_max is not None and self.n_max < 1:
+        if self.n_max is not None and not self.n_max >= 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        for name in ("lam", "omega0", "omega", "delta_phi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def two_j(self) -> int:

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -405,6 +408,27 @@ class TestMainExitCodes:
         assert code == 1
         assert "half-integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key",
+        ["lambda", "omega", "omega0", "delta_phi", "j", "epsilon", "rtol", "alpha_re", "zeta_im"],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_is_validation_error(self, tmp_path, capsys, key, value):
+        flag = "--" + key.replace("_", "-")
+        code = main(
+            [
+                "trajectory",
+                "--engine", "meanfield",
+                "--initial", "nearly_fock",
+                "--lambda", "1.0",
+                "--sample-count", "5",
+                f"{flag}={value}",
+                "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 1
+        assert f"error: {key} must" in capsys.readouterr().err
+
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # quantum run whose coherent state cannot fit the requested n_max
         code = main(
@@ -550,3 +574,11 @@ class TestMainExitCodes:
         payload = json.loads(out.read_text())
         assert set(payload["config"]) == {"subcommand"} | set(SCHEMAS[argv[0]])
         assert isinstance(load_result_json(out), (Trajectory, SweepResult, Spectrum))
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate alone cost every command ~0.25 s of start-up.
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, rotdicke.cli; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -39,6 +39,10 @@ class TestProtocolSpecValidation:
         with pytest.raises(ValueError, match="delta_phi"):
             mf_spec(params=ModelParams(lam=1.0, j=1.0, delta_phi=0.0))
 
+    def test_rejects_nan_rtol(self):
+        with pytest.raises(ValueError, match="rtol"):
+            mf_spec(rtol=math.nan)
+
     def test_rejects_unknown_engine_and_initial(self):
         with pytest.raises(ValueError, match="engine"):
             mf_spec(engine="exact")

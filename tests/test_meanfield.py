@@ -1,6 +1,7 @@
 """Mean-field flow, integration quality, and phase-space observables."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from rotdicke import (
     IntegrationError,
     ModelParams,
     PhasePoint,
+    ProtocolSpec,
     classical_hamiltonian,
     coherent_from_point,
     eom_rhs,
@@ -19,10 +21,13 @@ from rotdicke import (
     parity_meanfield,
     point_from_coherent,
     rotated_critical_coupling,
+    run_protocol,
     scaled_parity_meanfield,
     stationary_photon_scaled,
+    sweep_lambda,
     time_average,
 )
+from rotdicke import meanfield
 
 
 def random_domain_point(rng, j, fill=0.9):
@@ -238,6 +243,98 @@ class TestIntegrate:
         with pytest.raises(IntegrationError, match="boundary") as excinfo:
             integrate(start, params, 5.0, sample_count=50, tol=1e-6)
         assert excinfo.value.t >= 0.0
+
+
+class TestDop853:
+    def test_tableau_equals_scipy(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        assert np.array_equal(meanfield._C, ref.C)
+        assert len(meanfield._A) == ref.N_STAGES_EXTENDED
+        for s, row in enumerate(meanfield._A):
+            assert np.array_equal(np.asarray(row, dtype=float), ref.A[s, :s])
+            assert not np.any(ref.A[s, s:])
+        assert np.array_equal(meanfield._B, ref.B)
+        assert np.array_equal(meanfield._E3, ref.E3)
+        assert np.array_equal(meanfield._E5, ref.E5)
+        assert np.array_equal(meanfield._D, ref.D)
+
+    def test_matches_scipy_dop853(self, monkeypatch):
+        # Same tableau and step control: the same right-hand-side calls, so
+        # the same accepted and rejected steps, and samples within 1e-9.
+        from scipy.integrate import solve_ivp
+
+        rng = np.random.default_rng(12)
+        for k in range(8):
+            j = float(rng.choice([0.5, 1.0, 3.0]))
+            params = ModelParams(
+                lam=float(rng.uniform(0.2, 1.5)), j=j, delta_phi=float(rng.uniform(0.3, 2.0))
+            )
+            start = random_domain_point(rng, j)
+            driven = k % 2 == 0
+            flow = meanfield._flow(params, params.delta_phi if driven else 0.0)
+            calls = []
+
+            def counted(*args):
+                calls.append(args)
+                return flow(*args)
+
+            monkeypatch.setattr(meanfield, "_flow", lambda p, d: counted)
+            traj = integrate(start, params, 2 * math.pi, sample_count=200, driven=driven)
+            monkeypatch.undo()
+            ref = solve_ivp(
+                lambda t, y: flow(t, *y),
+                (0.0, 2 * math.pi),
+                [start.q1, start.p1, start.q2, start.p2],
+                method="DOP853",
+                rtol=1e-12,
+                atol=1e-12,
+                t_eval=traj.times,
+            )
+            assert len(calls) == ref.nfev
+            ours = np.array([traj.data[name] for name in ("q1", "p1", "q2", "p2")])
+            assert np.max(np.abs(ours - ref.y)) < 1e-9
+
+    def test_uncoupled_flow_is_closed_form_rotation(self):
+        # At lambda = 0 both sectors rotate rigidly, drive or no drive.
+        params = ModelParams(lam=0.0, omega0=1.3, omega=0.7, j=2.0, delta_phi=1.0)
+        start = PhasePoint(0.8, -1.1, 1.5, 0.4)
+        for driven in (True, False):
+            traj = integrate(start, params, 20.0, sample_count=301, driven=driven)
+            for q, p, w in (("q1", "p1", params.omega0), ("q2", "p2", params.omega)):
+                cos, sin = np.cos(w * traj.times), np.sin(w * traj.times)
+                q0, p0 = getattr(start, q), getattr(start, p)
+                assert np.max(np.abs(traj.data[q] - (q0 * cos + p0 * sin))) < 1e-9
+                assert np.max(np.abs(traj.data[p] - (p0 * cos - q0 * sin))) < 1e-9
+
+    def test_sweep_cell_bit_identical_to_single_run(self):
+        spec = ProtocolSpec(
+            params=ModelParams(lam=0.5, j=1.0, delta_phi=1.0),
+            initial="nearly_fock",
+            epsilon=3.0,
+            n_revolutions=2,
+            sample_count=300,
+            rtol=1e-9,
+        )
+        lambdas = (0.4, 0.9, 1.3)
+        result = sweep_lambda(spec, lambdas)
+        for lam, cell in zip(lambdas, result.cells):
+            traj = run_protocol(replace(spec, params=replace(spec.params, lam=lam)))
+            assert cell.final == {name: traj.final(name) for name in spec.observables}
+            assert cell.average == {name: traj.average(name) for name in spec.observables}
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_bad_t_end(self, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            integrate(PhasePoint(0.1, 0, 0, 0), ModelParams(lam=1.0, j=1.0), t_end)
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_start(self, index, bad):
+        coords = [0.1, 0.2, 0.3, 0.4]
+        coords[index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            integrate(PhasePoint(*coords), ModelParams(lam=1.0, j=1.0), 1.0)
 
 
 class TestObservables:

@@ -272,6 +272,12 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(lam=1.0, n_max=0)
 
+    @pytest.mark.parametrize("name", ["lam", "omega0", "omega", "j", "delta_phi"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            ModelParams(**{"lam": 1.0, name: value})
+
     def test_half_integer_spins_accepted(self):
         assert ModelParams(lam=1.0, j=0.5).two_j == 1
         assert ModelParams(lam=1.0, j=2.5).two_j == 5

@@ -1,4 +1,5 @@
-"""Property tests: JSON and CSV round trips, and the configuration echo.
+"""Property tests: JSON and CSV round trips, the configuration echo, and the
+coherent-state phase-space maps.
 
 Every value is built directly from strategies; no engine runs.
 """
@@ -23,7 +24,7 @@ from rotdicke.experiments import (
     Spectrum,
     SweepCell,
 )
-from rotdicke.meanfield import Trajectory
+from rotdicke.meanfield import Trajectory, coherent_from_point, point_from_coherent
 from rotdicke.model import ModelParams
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -220,3 +221,24 @@ def test_config_echo_reparses_to_same_values(overrides):
         echo.write_text("\n".join(config.echo_lines()) + "\n", encoding="utf-8")
         reparsed = parse_config("trajectory", str(echo))
     assert reparsed.values == config.values
+
+
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny  # smallest normal float
+
+
+@SETTINGS
+@given(
+    alpha=st.complex_numbers(max_magnitude=1e6, allow_nan=False),
+    zeta=st.complex_numbers(max_magnitude=100.0, allow_nan=False),
+    j=half_integers,
+)
+def test_coherent_point_maps_invert(alpha, zeta, j):
+    # Every finite zeta lands inside the open disk q1^2 + p1^2 < 4j; the way
+    # back loses ~(1 + |zeta|^2) ulp to the cancellation in 4j - q1^2 - p1^2,
+    # and subnormal inputs keep only an absolute accuracy.
+    point = point_from_coherent(alpha, zeta, j)
+    assert point.q1**2 + point.p1**2 < 4.0 * j
+    back_alpha, back_zeta = coherent_from_point(point, j)
+    assert abs(back_alpha - alpha) <= 4 * EPS * abs(alpha) + TINY
+    assert abs(back_zeta - zeta) <= 8 * EPS * (1.0 + abs(zeta) ** 2) * abs(zeta) + TINY
