@@ -149,6 +149,8 @@ class SweepResult:
     spec: ProtocolSpec
     overlays: dict[str, np.ndarray] = field(default_factory=dict)
 
+    __eq__ = meanfield._eq_by_value
+
     def __post_init__(self) -> None:
         expected = 1
         for _, values in self.axes:
@@ -214,12 +216,16 @@ def _meanfield_observables(traj: Trajectory, names: tuple[str, ...]) -> Trajecto
     return replace(traj, data=data, observables=names)
 
 
-def resolve_n_max(spec: ProtocolSpec) -> int:
+def resolve_n_max(
+    spec: ProtocolSpec, solved: list[quantum.QuantumState] | None = None
+) -> int:
     """Boson truncation for a quantum run when the parameters leave it open.
 
     Grown from the floor of 100 until the initial state carries less than
     1e-10 truncation loss; for the ground state the occupation of the top
-    Fock row stands in for the loss.
+    Fock row stands in for the loss, and the ground state solved at the
+    returned n_max is appended to ``solved`` when a list is given, so that
+    the caller does not solve it again.
     """
     if spec.params.n_max is not None:
         return spec.params.n_max
@@ -231,6 +237,8 @@ def resolve_n_max(spec: ProtocolSpec) -> int:
             block = state.amplitudes.reshape(spec.params.two_j + 1, n_max + 1)
             top_row = float(np.sum(np.abs(block[:, -1]) ** 2))
             if top_row < 1e-12:
+                if solved is not None:
+                    solved.append(state)
                 return n_max
             n_max = int(math.ceil(n_max * 1.5))
     alpha, zeta = _initial_labels(spec)
@@ -257,10 +265,11 @@ def run_protocol(spec: ProtocolSpec) -> Trajectory:
         )
         return _meanfield_observables(traj, spec.observables)
 
-    params = replace(spec.params, n_max=resolve_n_max(spec))
+    solved: list[quantum.QuantumState] = []
+    params = replace(spec.params, n_max=resolve_n_max(spec, solved))
     ops = quantum.build_operators(params)
     if spec.initial == "ground_state":
-        psi0 = quantum.ground_state(params, ops=ops)
+        psi0 = solved[0] if solved else quantum.ground_state(params, ops=ops)
     else:
         alpha, zeta = _initial_labels(spec)
         psi0 = quantum.coherent_state(alpha, zeta, params.j, params.n_max)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import mul
 
 import numpy as np
@@ -73,6 +73,28 @@ class IntegrationError(RuntimeError):
         self.t = t
 
 
+def _same(a, b) -> bool:
+    """a == b, with ndarrays (also inside tuples and dicts) compared by value."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    return a == b
+
+
+def _eq_by_value(self, other) -> bool:
+    """Field-by-field dataclass equality for results that hold ndarrays.
+
+    The generated ``__eq__`` compares field tuples, which raises on an
+    ndarray of more than one element.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled time series produced by either engine.
@@ -88,6 +110,8 @@ class Trajectory:
     times: np.ndarray
     data: dict[str, np.ndarray]
     observables: tuple[str, ...] = ()
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)

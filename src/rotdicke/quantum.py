@@ -8,7 +8,8 @@ of its coupling term, applied to a vector in O(dim) (see
 :class:`Hamiltonian`).  Propagation approximates exp(-i H dt) by a Chebyshev
 expansion of the spectrally rescaled Hamiltonian with Bessel-function
 coefficients (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), within
-Gershgorin bounds on the spectrum; in the driven case H is the
+Gershgorin bounds on the spectrum; the Bessel values come from Miller's
+backward recurrence (:func:`_bessel_j`).  In the driven case H is the
 co-rotating-frame Hamiltonian
 
     H_rot = (omega0 + delta_phi) J_z + omega a^dag a
@@ -16,6 +17,9 @@ co-rotating-frame Hamiltonian
 
 whose expectation values of a^dag a and of the parity Pi = exp(i pi N)
 coincide with the laboratory-frame ones (both commute with J_z).
+
+scipy is imported only by :func:`ground_state`, for its eigensolve, and
+only when it is called: mean-field and coherent-state runs never load it.
 """
 
 from __future__ import annotations
@@ -25,10 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
-from scipy.special import gammaln, jv
 
 from .meanfield import Trajectory
 from .model import ModelParams
@@ -59,6 +59,10 @@ TRUNCATION_TOL = 1e-10
 # Per-step norm drift above this aborts propagation (insufficient order or
 # bad spectral bounds); drift is checked, never silently renormalized away.
 _NORM_DRIFT_TOL = 1e-8
+
+# _bessel_j divides its running values by this (an exact power of two)
+# whenever one exceeds it.
+_BESSEL_RESCALE = 2.0**500
 
 
 class PropagationError(RuntimeError):
@@ -259,10 +263,10 @@ def build_operators(params: ModelParams, dim_cap: int = DEFAULT_DIM_CAP) -> Oper
 
 
 def _asymmetry(h) -> float:
-    if scipy.sparse.issparse(h):
-        d = (h - h.T).tocoo()
-        return float(np.max(np.abs(d.data))) if d.data.size else 0.0
-    return float(np.max(np.abs(h - h.T))) if h.size else 0.0
+    if isinstance(h, np.ndarray):
+        return float(np.max(np.abs(h - h.T))) if h.size else 0.0
+    d = (h - h.T).tocoo()  # a scipy.sparse matrix
+    return float(np.max(np.abs(d.data))) if d.data.size else 0.0
 
 
 def _lanczos_start(dim: int) -> np.ndarray:
@@ -276,8 +280,8 @@ def spectral_bounds(h, hermitian_tol: float = 1e-12) -> tuple[float, float]:
 
     min(d_i - r_i) and max(d_i + r_i) over the diagonal d and the
     off-diagonal absolute row sums r, in O(dim) for a :class:`Hamiltonian`
-    and exact when its coupling is zero.  An explicit dense or sparse matrix
-    is checked for symmetry first.
+    and exact when its coupling is zero.  An explicit dense (ndarray) or
+    scipy.sparse matrix is checked for symmetry first.
     """
     if isinstance(h, Hamiltonian):
         diagonal, radii = h.diagonal, h.row_radii()
@@ -301,10 +305,52 @@ def chebyshev_order(dt: float, e_min: float, e_max: float) -> int:
     return int(math.ceil(math.e * abs(dt) * span / 4.0)) + 20
 
 
+def _bessel_j(x: float, order: int) -> np.ndarray:
+    """J_0(x)..J_order(x) by Miller's backward recurrence.
+
+    J_(k-1) = (2k/x) J_k - J_(k+1) is run downward from J_(N+1) = 0, J_N = 1
+    at an N far enough above both ``order`` and |x| that the error of this
+    arbitrary start has shrunk below rounding by the time the recurrence
+    reaches them.  The values are rescaled by powers of two against overflow
+    and normalised by J_0 + 2 sum_k J_2k = 1 (Gautschi, SIAM Rev. 9, 24
+    (1967); Abramowitz & Stegun 9.12).  J_k(0) = delta_k0 exactly, and
+    J_k(-x) = (-1)^k J_k(x).
+    """
+    out = np.zeros(order + 1)
+    ax = abs(x)
+    if ax < 1e-150:
+        # The recurrence's growth 2k/x would overflow; the leading series
+        # term (x/2)^k/k! is exact to rounding here (and 0 at x = 0).
+        term = 1.0
+        for k in range(order + 1):
+            out[k] = term
+            term *= 0.5 * ax / (k + 1)
+    else:
+        top = max(order, math.ceil(ax))
+        upper, current, norm = 0.0, 1.0, 0.0
+        for k in range(top + math.isqrt(160 * top) + 10, 0, -1):
+            if k <= order:
+                out[k] = current
+            if k % 2 == 0:
+                norm += 2.0 * current
+            upper, current = current, 2.0 * k / ax * current - upper
+            if abs(current) > _BESSEL_RESCALE:
+                upper /= _BESSEL_RESCALE
+                current /= _BESSEL_RESCALE
+                norm /= _BESSEL_RESCALE
+                out[k:] /= _BESSEL_RESCALE
+        out[0] = current
+        out /= norm + current
+    if x < 0.0:
+        out[1::2] *= -1.0
+    return out
+
+
 def chebyshev_coefficients(dt: float, e_min: float, e_max: float, order: int) -> np.ndarray:
     """Coefficients a_k of exp(-i H dt) = sum_k a_k T_k(h_rescaled), k = 0..order.
 
-    a_k = (-i)^k exp(-i dt (E_max+E_min)/2) (2 - delta_k0) J_k(dt (E_max-E_min)/2).
+    a_k = (-i)^k exp(-i dt (E_max+E_min)/2) (2 - delta_k0) J_k(dt (E_max-E_min)/2),
+    with the Bessel values from :func:`_bessel_j`.
     """
     if e_max <= e_min:
         raise ValueError("requires E_max > E_min")
@@ -313,7 +359,7 @@ def chebyshev_coefficients(dt: float, e_min: float, e_max: float, order: int) ->
     k = np.arange(order + 1)
     phase = np.exp(-1j * dt * 0.5 * (e_max + e_min))
     weight = np.where(k == 0, 1.0, 2.0)
-    return (-1j) ** k * phase * weight * jv(k, dt * 0.5 * (e_max - e_min))
+    return (-1j) ** k * phase * weight * _bessel_j(dt * 0.5 * (e_max - e_min), order)
 
 
 def chebyshev_step(
@@ -439,6 +485,11 @@ def evolve(
     )
 
 
+def _log_factorial(values: np.ndarray) -> np.ndarray:
+    """log(v!) elementwise for whole-number floats."""
+    return np.array([math.lgamma(v + 1.0) for v in values.tolist()])
+
+
 def coherent_state(
     alpha: complex,
     zeta: complex,
@@ -462,7 +513,7 @@ def coherent_state(
         field = np.zeros(n_max + 1, dtype=complex)
         field[0] = 1.0
     else:
-        log_mag = -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
+        log_mag = -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) - 0.5 * _log_factorial(n)
         field = np.exp(log_mag + 1j * n * cmath.phase(alpha))
 
     k = np.arange(two_j + 1, dtype=float)
@@ -470,7 +521,7 @@ def coherent_state(
         spin = np.zeros(two_j + 1, dtype=complex)
         spin[0] = 1.0
     else:
-        log_binom = gammaln(two_j + 1.0) - gammaln(k + 1.0) - gammaln(two_j - k + 1.0)
+        log_binom = math.lgamma(two_j + 1.0) - _log_factorial(k) - _log_factorial(two_j - k)
         log_mag = (
             k * math.log(abs(zeta))
             + 0.5 * log_binom
@@ -501,8 +552,10 @@ def basis_state(j: float, n_max: int, n: int = 0, m: float | None = None) -> Qua
 def ground_state(params: ModelParams, ops: OperatorSet | None = None) -> QuantumState:
     """Ground state of the undriven Hamiltonian on the truncated basis.
 
-    Dense ``eigh`` up to dimension 4000, seeded Lanczos on the matrix-free
-    operator beyond.  Lowest eigenvector with a deterministic global phase: the
+    Dense ``scipy.linalg.eigh`` up to dimension 4000, seeded Lanczos
+    (``scipy.sparse.linalg.eigsh``) on the matrix-free operator beyond, each
+    imported only when its branch runs.  Lowest eigenvector with a
+    deterministic global phase: the
     largest-magnitude amplitude is made real positive.  Above the critical
     coupling the lowest pair is near-degenerate; whatever branch the
     eigensolver returns is kept, no parity symmetrization is applied.
@@ -512,8 +565,12 @@ def ground_state(params: ModelParams, ops: OperatorSet | None = None) -> Quantum
     h = ops.h_dicke
     try:
         if ops.dim <= DENSE_EIGH_CUTOFF:
+            import scipy.linalg
+
             _, vecs = scipy.linalg.eigh(h.to_dense(), subset_by_index=(0, 0))
         else:
+            import scipy.sparse.linalg
+
             op = scipy.sparse.linalg.LinearOperator(h.shape, matvec=h.apply, dtype=float)
             _, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", v0=_lanczos_start(ops.dim))
         vec = vecs[:, 0]

@@ -576,9 +576,34 @@ class TestMainExitCodes:
         assert isinstance(load_result_json(out), (Trajectory, SweepResult, Spectrum))
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # scipy.integrate alone cost every command ~0.25 s of start-up.
+def scipy_modules_after(code):
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, rotdicke.cli; sys.exit('scipy.integrate' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code += "\nimport json, sys; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # Importing scipy cost every command ~0.4 s of start-up; the CLI loads
+    # no scipy module at all.
+    assert scipy_modules_after("import rotdicke.cli") == []
+
+
+@pytest.mark.parametrize(
+    "flags, loaded",
+    [
+        (["--engine", "meanfield", "--initial", "stationary_circle"], []),
+        (["--engine", "quantum", "--initial", "stationary_circle", "--n-max", "20"], []),
+        (["--engine", "quantum", "--initial", "ground_state", "--n-max", "20"], ["scipy.linalg"]),
+    ],
+    ids=["meanfield", "coherent-state", "ground-state"],
+)
+def test_only_the_ground_state_loads_scipy(tmp_path, flags, loaded):
+    argv = ["trajectory", "--lambda", "1.2", "--j", "1", "--delta-phi", "1",
+            "--sample-count", "5", "--out", str(tmp_path / "out.csv")] + flags
+    modules = scipy_modules_after(f"from rotdicke.cli import main; assert main({argv!r}) == 0")
+    assert [m for m in modules if m in ("scipy.linalg", "scipy.sparse.linalg")] == loaded
+    assert bool(modules) == bool(loaded)

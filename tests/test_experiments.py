@@ -138,6 +138,31 @@ class TestRunProtocol:
         )
         assert resolve_n_max(spec) == 100  # weak coupling sits well below the floor
 
+    def test_adaptive_ground_state_run_solves_once(self, monkeypatch):
+        from rotdicke import quantum
+
+        solve = quantum.ground_state
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(quantum, "ground_state", counting)
+        spec = mf_spec(
+            engine="quantum",
+            initial="ground_state",
+            params=ModelParams(lam=1.3, j=2.0, delta_phi=1.0),
+            sample_count=30,
+            observables=("mean_photon_scaled", "parity"),
+        )
+        traj = run_protocol(spec)
+        assert len(calls) == 1  # resolve_n_max's solve is the run's initial state
+        # The same run with n_max given solves its own ground state.
+        fixed = run_protocol(replace(spec, params=replace(spec.params, n_max=traj.params.n_max)))
+        assert len(calls) == 2
+        assert traj == fixed
+
     def test_quantum_sweep_smoke(self):
         spec = mf_spec(
             engine="quantum",
@@ -265,6 +290,15 @@ class TestPhaseDiagram:
         regions = {cell.coords[0]: cell.region for cell in result.cells}
         assert regions[0.4] == "zero"
         assert regions[1.2] == "nonzero"
+
+    def test_equality_compares_arrays_by_value(self):
+        spec = mf_spec(sample_count=100)
+        result = phase_diagram(spec, [0.4, 1.2], [1.0])
+        assert result == phase_diagram(spec, [0.4, 1.2], [1.0])
+        assert result != phase_diagram(spec, [0.4, 1.3], [1.0])
+        shifted = {**result.overlays, "lambda_c_dyn": result.overlays["lambda_c_dyn"] + 1.0}
+        assert result != replace(result, overlays=shifted)
+        assert result != replace(result, overlays={})
 
     def test_cell_count_invariant(self):
         spec = mf_spec(sample_count=100)

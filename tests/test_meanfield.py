@@ -412,6 +412,25 @@ class TestTrajectoryInvariants:
                 params, "meanfield", True, np.array([0.0, 1.0]), {"q1": np.zeros(3)}
             )
 
+    def test_equality_compares_arrays_by_value(self):
+        from rotdicke import Trajectory
+
+        def make(times=(0.0, 1.0), q1=(0.5, 0.25), lam=1.0):
+            return Trajectory(
+                ModelParams(lam=lam), "meanfield", True, np.array(times), {"q1": np.array(q1)}
+            )
+
+        assert make() == make()
+        assert Trajectory(ModelParams(lam=1.0), "meanfield", True, np.array([0.0, 1.0]), {}) == (
+            Trajectory(ModelParams(lam=1.0), "meanfield", True, np.array([0.0, 1.0]), {})
+        )
+        assert make() != make(times=(0.0, 2.0))
+        assert make() != make(q1=(0.5, 0.125))
+        assert make() != make(lam=1.5)
+        assert make() != replace(make(), data={"p1": np.array([0.5, 0.25])})
+        assert make() != make(times=(0.0, 1.0, 2.0), q1=(0.5, 0.25, 0.0))
+        assert make() != "not a trajectory"
+
 
 class TestCoherentPointMaps:
     def test_round_trip(self):

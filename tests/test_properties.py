@@ -1,7 +1,8 @@
-"""Property tests: JSON and CSV round trips, the configuration echo, and the
-coherent-state phase-space maps.
+"""Property tests: JSON and CSV round trips, the configuration echo, the
+coherent-state phase-space maps, and the invariants of quantum propagation.
 
-Every value is built directly from strategies; no engine runs.
+Every value is built directly from strategies; only the propagation tests
+run an engine, on small bases.
 """
 
 import csv
@@ -11,6 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +28,7 @@ from rotdicke.experiments import (
 )
 from rotdicke.meanfield import Trajectory, coherent_from_point, point_from_coherent
 from rotdicke.model import ModelParams
+from rotdicke.quantum import QuantumState, build_operators, chebyshev_step, evolve
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -242,3 +245,41 @@ def test_coherent_point_maps_invert(alpha, zeta, j):
     back_alpha, back_zeta = coherent_from_point(point, j)
     assert abs(back_alpha - alpha) <= 4 * EPS * abs(alpha) + TINY
     assert abs(back_zeta - zeta) <= 8 * EPS * (1.0 + abs(zeta) ** 2) * abs(zeta) + TINY
+
+
+@st.composite
+def small_quantum_runs(draw):
+    """A random state on a small basis, parameters, a step and a step count."""
+    rate = st.floats(min_value=0.2, max_value=2.0)
+    params = ModelParams(
+        lam=draw(st.floats(min_value=0.0, max_value=2.0)),
+        omega0=draw(rate),
+        omega=draw(rate),
+        j=draw(st.integers(min_value=1, max_value=6).map(lambda k: k / 2)),
+        delta_phi=draw(rate),
+        n_max=draw(st.integers(min_value=1, max_value=12)),
+    )
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    dim = (params.n_max + 1) * (params.two_j + 1)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi = QuantumState(v / np.linalg.norm(v), params.j, params.n_max)
+    return params, psi, draw(st.floats(min_value=0.01, max_value=1.0)), draw(st.integers(1, 6))
+
+
+@pytest.mark.parametrize("driven", [True, False])
+@settings(max_examples=25, deadline=None)
+@given(run=small_quantum_runs())
+def test_evolve_conserves_norm_and_parity(driven, run):
+    # Both Hamiltonians commute with the parity, and the propagator is
+    # unitary: one Chebyshev step keeps the norm to rounding, and a mixed-
+    # parity state keeps its <Pi> along the whole trajectory.
+    params, psi, dt, steps = run
+    ops = build_operators(params)
+    state = psi
+    for _ in range(steps):
+        after = chebyshev_step(ops, state, dt, driven=driven)
+        assert abs(after.norm() - state.norm()) <= 1e-12
+        state = after
+    grid = dt * np.arange(steps + 1)
+    parity = evolve(psi, params, grid, observables=("parity",), driven=driven, ops=ops).data["parity"]
+    assert np.max(np.abs(parity - parity[0])) <= 1e-10

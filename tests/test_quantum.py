@@ -23,7 +23,7 @@ from rotdicke import (
     spectral_bounds,
     stationary_photon_scaled,
 )
-from rotdicke.quantum import Hamiltonian, basis_index
+from rotdicke.quantum import Hamiltonian, _bessel_j, basis_index
 
 
 def factor_matrices(ops):
@@ -244,6 +244,47 @@ class TestChebyshevCoefficients:
         assert chebyshev_order(1.0, 0.0, 4.0) == math.ceil(math.e) + 20
 
 
+class TestBessel:
+    """The in-house J_0(x)..J_M(x) behind the Chebyshev coefficients."""
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-3, 0.5, 2.1, 12.4, 50.0, 150.0])
+    def test_matches_scipy_jv(self, x):
+        from scipy.special import jv
+
+        # Orders past the propagator's own cut-off for argument x = dt*dE/2.
+        order = chebyshev_order(1.0, 0.0, 2.0 * x) + 20
+        k = np.arange(order + 1)
+        ours, ref = _bessel_j(x, order), jv(k, x)
+        assert np.max(np.abs(ours - ref)) <= 1e-14
+        # Past k = x, J_k decays without zeros and must match in relative
+        # terms down to the smallest normal numbers.
+        tail = (k > x) & (np.abs(ref) > 1e-290)
+        assert np.all(np.abs(ours[tail] - ref[tail]) <= 1e-12 * np.abs(ref[tail]))
+
+    @pytest.mark.parametrize(
+        "x, k", [(1e-8, 5), (0.5, 3), (2.1, 30), (12.4, 7), (150.0, 149), (150.0, 200)]
+    )
+    def test_matches_mpmath(self, x, k):
+        import mpmath
+
+        with mpmath.workdps(30):
+            ref = float(mpmath.besselj(k, x))
+        assert _bessel_j(x, k + 5)[k] == pytest.approx(ref, rel=1e-14, abs=1e-300)
+
+    def test_zero_argument_is_exact(self):
+        values = _bessel_j(0.0, 12)
+        assert values[0] == 1.0 and np.all(values[1:] == 0.0)
+
+    @pytest.mark.parametrize("x", [1e-3, 2.1, 50.0])
+    def test_negative_argument_flips_odd_orders(self, x):
+        from scipy.special import jv
+
+        k = np.arange(31)
+        neg = _bessel_j(-x, 30)
+        assert np.array_equal(neg, (-1.0) ** k * _bessel_j(x, 30))
+        assert np.max(np.abs(neg - jv(k, -x))) <= 1e-14
+
+
 def random_state(rng, j, n_max):
     dim = (n_max + 1) * int(round(2 * j + 1))
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -383,6 +424,30 @@ class TestCoherentState:
     def test_complex_labels_normalized(self):
         state = coherent_state(0.8 - 0.3j, 0.2 + 0.6j, 1.5, 60)
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "alpha, zeta, j, n_max",
+        [(2.0 + 1.0j, -0.5 + 0.2j, 6.0, 100), (5.0, 0.9, 12.0, 170), (0.3j, 2.0, 2.5, 20),
+         (9.0, -3.0, 40.0, 300)],
+    )
+    def test_matches_gammaln_reference(self, alpha, zeta, j, n_max):
+        from scipy.special import gammaln
+
+        n = np.arange(n_max + 1.0)
+        field = np.exp(
+            -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
+            + 1j * n * np.angle(alpha)
+        )
+        k = np.arange(2 * j + 1.0)
+        log_binom = gammaln(2 * j + 1.0) - gammaln(k + 1.0) - gammaln(2 * j - k + 1.0)
+        spin = np.exp(
+            k * math.log(abs(zeta)) + 0.5 * log_binom - j * math.log1p(abs(zeta) ** 2)
+            + 1j * k * np.angle(zeta)
+        )
+        ref = np.kron(spin, field)
+        ref /= np.linalg.norm(ref)
+        state = coherent_state(alpha, zeta, j, n_max)
+        assert np.max(np.abs(state.amplitudes - ref)) <= 1e-14
 
 
 class TestGroundState:
