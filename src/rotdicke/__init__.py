@@ -29,6 +29,7 @@ from .meanfield import (
     eom_rhs,
     hp_rhs,
     integrate,
+    jacobi_integral,
     mean_photon_scaled,
     parity_meanfield,
     point_from_coherent,

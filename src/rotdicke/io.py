@@ -19,7 +19,10 @@ result is derived from the dataclass fields, in field order, after a
 ``kind`` tag (see ``RESULT_KINDS``): arrays become lists, complex numbers
 ``[re, im]`` pairs and tuples lists.  :func:`load_result_json` rebuilds the
 result from the fields' type annotations, so every field round-trips
-exactly.
+exactly.  The layout is that of ``json.dump(payload, fh, indent=1)``, byte
+for byte, but float arrays are written ``CHUNK`` values at a time, and
+trajectory CSV rows ``CHUNK`` rows at a time, so no whole-file string or
+per-value object list is ever held.
 
 Quantum state snapshots are text: header lines ``j=``, ``n_max=``,
 ``ordering=m-major,n-minor``, ``dim=``, then one ``re im`` pair per
@@ -31,7 +34,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
 import typing
 
 import numpy as np
@@ -53,30 +55,72 @@ STATE_ORDERING_TAG = "m-major,n-minor"
 # JSON ``kind`` tag of each result type.
 RESULT_KINDS = {"trajectory": Trajectory, "sweep": SweepResult, "spectrum": Spectrum}
 
+# Values (JSON arrays, CSV rows, snapshot amplitudes) formatted per write:
+# large enough to amortise the per-chunk calls, small enough that the
+# chunk's strings stay far below the size of the arrays being written.
+CHUNK = 4096
+
 
 def _fmt(value, precision: int) -> str:
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return f"{value:.{precision}g}"
     if value is None:
         return ""
     return str(value)
 
 
-def _encode(value):
-    """JSON-ready form of a dataclass, walked field by field in field order."""
+def _encode(value, keep_arrays: bool = False):
+    """JSON-ready form of a dataclass, walked field by field in field order.
+
+    With ``keep_arrays`` the ndarrays are left as they are, for
+    :func:`_write_json` to stream.
+    """
     if dataclasses.is_dataclass(value):
-        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return {f.name: _encode(getattr(value, f.name), keep_arrays) for f in dataclasses.fields(value)}
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        return value if keep_arrays else value.tolist()
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, (tuple, list)):
-        return [_encode(v) for v in value]
+        return [_encode(v, keep_arrays) for v in value]
     if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
+        return {k: _encode(v, keep_arrays) for k, v in value.items()}
     return value
+
+
+def _write_json(fh, value, level: int = 0) -> None:
+    """Write ``value`` to ``fh`` exactly as ``json.dump(value, fh, indent=1)``.
+
+    A one-dimensional float64 ndarray is written as the JSON list of its
+    values, ``CHUNK`` values per write; every other ndarray as its
+    ``tolist()``.  Keys and scalars go through ``json.dumps``.
+    """
+    if isinstance(value, np.ndarray) and not (value.ndim == 1 and value.dtype == np.float64 and value.size):
+        value = value.tolist()
+    if not isinstance(value, (dict, list, tuple, np.ndarray)) or not len(value):
+        fh.write(json.dumps(value))
+        return
+    pad = "\n" + " " * (level + 1)
+    if isinstance(value, np.ndarray):
+        fh.write("[")
+        for start in range(0, value.size, CHUNK):
+            chunk = value[start : start + CHUNK]
+            # float.__repr__ is json's spelling of every finite float.
+            spell = float.__repr__ if np.isfinite(chunk).all() else json.dumps
+            fh.write(("," if start else "") + pad + ("," + pad).join(map(spell, chunk.tolist())))
+    elif isinstance(value, dict):
+        fh.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            # json.dump turns int, float, bool and None keys into their JSON spelling.
+            name = key if isinstance(key, str) else json.dumps(key)
+            fh.write(("," if i else "") + pad + json.dumps(name) + ": ")
+            _write_json(fh, item, level + 1)
+    else:
+        fh.write("[")
+        for i, item in enumerate(value):
+            fh.write(("," if i else "") + pad)
+            _write_json(fh, item, level + 1)
+    fh.write("\n" + " " * level + ("}" if isinstance(value, dict) else "]"))
 
 
 def _decode(tp, value):
@@ -99,12 +143,19 @@ def _decode(tp, value):
     return value  # scalars, strings and None
 
 
-def _trajectory_rows(traj: Trajectory) -> tuple[list[str], list[list]]:
+def _trajectory_columns(traj: Trajectory) -> tuple[list[str], list[np.ndarray]]:
     names = list(traj.observables) if traj.observables else [
         k for k in traj.data if k not in ("q1", "p1", "q2", "p2")
     ]
     columns = [traj.times] + [traj.data[name] for name in names]
-    return ["t"] + names, np.array(columns, dtype=float).T.tolist()
+    return ["t"] + names, [np.asarray(c, dtype=float) for c in columns]
+
+
+def _write_rows(fh, template: str, columns: list[np.ndarray]) -> None:
+    """Write ``template % row`` for each row of ``columns``, ``CHUNK`` rows per write."""
+    for start in range(0, len(columns[0]), CHUNK):
+        rows = zip(*[c[start : start + CHUNK].tolist() for c in columns])
+        fh.write("".join(map(template.__mod__, rows)))
 
 
 def _sweep_rows(result: SweepResult) -> tuple[list[str], list[list]]:
@@ -141,7 +192,8 @@ def _sweep_rows(result: SweepResult) -> tuple[list[str], list[list]]:
 def emit_table(result) -> tuple[list[str], list[list]]:
     """Header and rows of the CSV representation of a result."""
     if isinstance(result, Trajectory):
-        return _trajectory_rows(result)
+        header, columns = _trajectory_columns(result)
+        return header, np.array(columns).T.tolist()
     if isinstance(result, SweepResult):
         return _sweep_rows(result)
     if isinstance(result, Spectrum):
@@ -152,19 +204,25 @@ def emit_table(result) -> tuple[list[str], list[list]]:
 def emit(result, fmt: str, path, precision: int = 17, config: dict | None = None) -> None:
     """Write a trajectory, sweep or spectrum result to ``path`` as CSV or JSON."""
     if fmt == "csv":
-        header, rows = emit_table(result)
+        trajectory = isinstance(result, Trajectory)
+        header, body = _trajectory_columns(result) if trajectory else emit_table(result)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v, precision) for v in row])
+            if trajectory:
+                # Floats only: one %-template per row, straight from the columns.
+                _write_rows(fh, ",".join([f"%.{precision}g"] * len(body)) + "\n", body)
+            else:
+                # Sweep and spectrum rows hold strings with commas, and None.
+                for row in body:
+                    writer.writerow([_fmt(v, precision) for v in row])
     elif fmt == "json":
         kind = next((k for k, cls in RESULT_KINDS.items() if type(result) is cls), None)
         if kind is None:
             raise TypeError(f"cannot emit {type(result).__name__}")
-        payload = {"config": config, "result": {"kind": kind, **_encode(result)}}
+        payload = {"config": config, "result": {"kind": kind, **_encode(result, keep_arrays=True)}}
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+            _write_json(fh, payload)
             fh.write("\n")
     else:
         raise ValueError(f"format must be csv or json, got {fmt!r}")
@@ -188,8 +246,7 @@ def save_state(path, state: QuantumState, precision: int = 17) -> None:
         fh.write(f"n_max={state.n_max}\n")
         fh.write(f"ordering={STATE_ORDERING_TAG}\n")
         fh.write(f"dim={state.amplitudes.size}\n")
-        for z in state.amplitudes:
-            fh.write(f"{z.real:.{precision}g} {z.imag:.{precision}g}\n")
+        _write_rows(fh, f"%.{precision}g %.{precision}g\n", [state.amplitudes.real, state.amplitudes.imag])
 
 
 def load_state(path) -> QuantumState:
@@ -204,6 +261,10 @@ def load_state(path) -> QuantumState:
         dim = int(header["dim"])
         amplitudes = np.empty(dim, dtype=complex)
         for i in range(dim):
-            re_part, im_part = fh.readline().split()
-            amplitudes[i] = complex(float(re_part), float(im_part))
+            pair = fh.readline().split()
+            if len(pair) != 2:
+                raise ValueError(f"{path}: amplitude line {i + 1} of dim={dim} is not a 're im' pair")
+            amplitudes[i] = complex(float(pair[0]), float(pair[1]))
+        if fh.read().strip():
+            raise ValueError(f"{path}: data after the dim={dim} amplitudes")
     return QuantumState(amplitudes, float(header["j"]), int(header["n_max"]))

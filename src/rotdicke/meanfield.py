@@ -36,6 +36,7 @@ __all__ = [
     "hp_rhs",
     "integrate",
     "classical_hamiltonian",
+    "jacobi_integral",
     "mean_photon_scaled",
     "parity_meanfield",
     "scaled_parity_meanfield",
@@ -232,6 +233,18 @@ def classical_hamiltonian(
         0.5 * params.omega0 * (r2 - 2.0 * params.j)
         + 0.5 * params.omega * (point.q2**2 + point.p2**2)
         + 2.0 * params.lam * math.sqrt((four_j - r2) / four_j) * proj * point.q2
+    )
+
+
+def jacobi_integral(point: PhasePoint, t: float, params: ModelParams) -> float:
+    """Jacobi integral of the driven flow, its constant of motion.
+
+    In the frame co-rotating with phi(t) = delta_phi * t the driven flow is
+    autonomous; its energy is H_cl(t) + delta_phi * ((q1^2 + p1^2)/2 - j).
+    """
+    r2 = point.q1**2 + point.p1**2
+    return classical_hamiltonian(point, t, params, driven=True) + params.delta_phi * (
+        0.5 * r2 - params.j
     )
 
 

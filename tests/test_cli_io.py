@@ -3,8 +3,10 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -296,6 +298,25 @@ class TestEmit:
         with pytest.raises(ValueError, match="csv or json"):
             emit(run_protocol(small_spec()), "xml", tmp_path / "x.xml")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emit_memory_stays_flat(self, tmp_path, fmt):
+        # Writing the whole file as one string, or every value as its own
+        # object list, peaks at >20 MB here; streaming chunks stays near 1 MB.
+        n = 100_000
+        rng = np.random.default_rng(7)
+        observables = ("mean_photon_scaled", "parity", "scaled_parity")
+        data = {k: rng.normal(size=n) for k in observables}
+        traj = Trajectory(
+            ModelParams(lam=1.0), "meanfield", True, np.linspace(0.0, 125.0, n), data, observables
+        )
+        tracemalloc.start()
+        try:
+            emit(traj, fmt, tmp_path / f"big.{fmt}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"emit {fmt} peaked at {peak / 1e6:.1f} MB"
+
 
 class TestLegacyFixtures:
     """JSON results written by the earlier, hand-written serializer still load."""
@@ -371,6 +392,22 @@ class TestStateSnapshot:
         text = path.read_text().replace("m-major,n-minor", "n-major,m-minor")
         path.write_text(text)
         with pytest.raises(ValueError, match="ordering"):
+            load_state(path)
+
+
+    def test_truncated_snapshot_rejected(self, tmp_path):
+        path = tmp_path / "state.txt"
+        save_state(path, basis_state(0.5, 2))
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-2]))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*dim=6"):
+            load_state(path)
+
+    def test_padded_snapshot_rejected(self, tmp_path):
+        path = tmp_path / "state.txt"
+        save_state(path, basis_state(0.5, 2))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("0 0\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*dim=6"):
             load_state(path)
 
 

@@ -17,6 +17,7 @@ from rotdicke import (
     fixed_points,
     hp_rhs,
     integrate,
+    jacobi_integral,
     mean_photon_scaled,
     parity_meanfield,
     point_from_coherent,
@@ -190,6 +191,24 @@ class TestIntegrate:
                     for i, t in enumerate(traj.times)
                 ]
             )
+            drift = np.max(np.abs(energies - energies[0])) / abs(energies[0])
+            assert drift < 1e-8
+
+    def test_jacobi_integral_conserved_driven(self):
+        # The driven flow is autonomous in the co-rotating frame, so the
+        # Jacobi integral is conserved while H_cl(t) itself swings by O(1).
+        rng = np.random.default_rng(113)
+        for _ in range(10):
+            params = ModelParams(
+                lam=float(rng.uniform(0.2, 1.5)), j=1.0, delta_phi=float(rng.uniform(0.5, 3.0))
+            )
+            start = random_domain_point(rng, 1.0, fill=0.8)
+            traj = integrate(start, params, 50.0, sample_count=200, tol=1e-12, driven=True)
+            points = [
+                PhasePoint(*(traj.data[k][i] for k in ("q1", "p1", "q2", "p2")))
+                for i in range(traj.times.size)
+            ]
+            energies = np.array([jacobi_integral(p, t, params) for p, t in zip(points, traj.times)])
             drift = np.max(np.abs(energies - energies[0])) / abs(energies[0])
             assert drift < 1e-8
 

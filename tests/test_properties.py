@@ -1,12 +1,15 @@
-"""Property tests: JSON and CSV round trips, the configuration echo, the
-coherent-state phase-space maps, and the invariants of quantum propagation.
+"""Property tests: JSON and CSV round trips, byte identity of the streaming
+writers, the configuration echo, the coherent-state phase-space maps, and
+the invariants of quantum propagation.
 
 Every value is built directly from strategies; only the propagation tests
 run an engine, on small bases.
 """
 
 import csv
+import io
 import json
+import math
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -180,6 +183,124 @@ def test_csv_17_digits_reparse_exactly(traj):
     assert np.array_equal(parsed[0], traj.times)
     for name, column in zip(traj.observables, parsed[1:]):
         assert np.array_equal(column, traj.data[name])
+
+
+# Floats whose spellings differ between repr, json and %g, or that sit at
+# the ends of the double range.
+SPECIAL_FLOATS = (
+    math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1.7976931348623157e308
+)
+any_float = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+# Lengths on either side of the chunk seams of the streaming writers.
+CHUNK_LENGTHS = (0, 1, rio.CHUNK - 1, rio.CHUNK, rio.CHUNK + 1)
+
+
+@st.composite
+def float_arrays(draw, lengths=CHUNK_LENGTHS):
+    """A float64 array of a seam-straddling length with special values sprinkled in."""
+    n = draw(st.sampled_from(lengths))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    for _ in range(draw(st.integers(min_value=0, max_value=6)) if n else 0):
+        values[draw(st.sampled_from([0, n - 1, min(rio.CHUNK, n - 1), draw(st.integers(0, n - 1))]))] = draw(any_float)
+    return values
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | any_float
+    | st.text()
+    | st.sampled_from(['a"b', "c\\d", "\u00e9\u2028\U0001f600", "\x00\n\t"])
+)
+json_keys = (
+    st.text() | st.sampled_from(['"', "\\", "\u00fc"]) | st.integers() | st.booleans() | st.none() | any_float
+)
+json_payloads = st.recursive(
+    json_scalars | float_arrays(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_keys, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def assert_same_text(got, want):
+    """Exact equality, reported at the first difference: pytest's own diff of
+    two long strings takes minutes."""
+    if got != want:
+        i = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        raise AssertionError(
+            f"texts differ at {i} (lengths {len(got)}, {len(want)}): "
+            f"got {got[max(0, i - 40) : i + 40]!r}, want {want[max(0, i - 40) : i + 40]!r}"
+        )
+
+
+@SETTINGS
+@given(json_payloads, float_arrays())
+def test_json_writer_matches_json_dumps(nested, array):
+    payload = {"array": array, "nested": nested}
+    buf = io.StringIO()
+    rio._write_json(buf, payload)
+    assert_same_text(buf.getvalue(), json.dumps(payload, indent=1, default=np.ndarray.tolist))
+
+
+@SETTINGS
+@given(trajectories() | spectra())
+def test_emit_json_matches_json_dump_of_encoded_result(result):
+    kind = "trajectory" if isinstance(result, Trajectory) else "spectrum"
+    payload = {"config": {"format": "json"}, "result": {"kind": kind, **rio._encode(result)}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "result.json"
+        rio.emit(result, "json", path, config={"format": "json"})
+        assert_same_text(path.read_text(encoding="utf-8"), json.dumps(payload, indent=1) + "\n")
+
+
+def per_value_csv(header, columns, precision):
+    """Trajectory CSV as written one csv.writer row and one format call per value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in np.array(columns, dtype=float).T.tolist():
+        writer.writerow(["nan" if math.isnan(v) else f"{v:.{precision}g}" for v in row])
+    return buf.getvalue()
+
+
+@st.composite
+def special_trajectories(draw):
+    """Trajectories of 1 to 3 observables holding special values, 1 row or seam-straddling."""
+    n = draw(st.sampled_from((1, 2, rio.CHUNK, rio.CHUNK + 1)))
+    times = np.arange(n) * draw(st.floats(min_value=5e-324, max_value=1e300))
+    names = OBSERVABLES[: draw(st.integers(min_value=1, max_value=len(OBSERVABLES)))]
+    data = {name: draw(float_arrays(lengths=(n,))) for name in names}
+    return Trajectory(ModelParams(lam=1.0), "meanfield", True, times, data, names)
+
+
+@SETTINGS
+@given(traj=special_trajectories(), precision=st.integers(min_value=1, max_value=17))
+def test_trajectory_csv_matches_per_value_rows(traj, precision):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "result.csv"
+        rio.emit(traj, "csv", path, precision=precision)
+        text = path.read_bytes().decode("utf-8")
+    columns = [traj.times] + [traj.data[name] for name in traj.observables]
+    assert_same_text(text, per_value_csv(["t", *traj.observables], columns, precision))
+
+
+@SETTINGS
+@given(real=float_arrays(lengths=(2, rio.CHUNK + 2)), precision=st.integers(min_value=1, max_value=17))
+def test_state_snapshot_matches_per_amplitude_lines(real, precision):
+    amplitudes = np.empty(real.size, dtype=complex)
+    amplitudes.real, amplitudes.imag = real, real[::-1]
+    state = QuantumState(amplitudes, 0.5, amplitudes.size // 2 - 1)
+    expected = f"j=0.5\nn_max={state.n_max}\nordering=m-major,n-minor\ndim={amplitudes.size}\n" + "".join(
+        f"{z.real:.{precision}g} {z.imag:.{precision}g}\n" for z in amplitudes
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.txt"
+        rio.save_state(path, state, precision=precision)
+        assert_same_text(path.read_bytes().decode("utf-8"), expected)
 
 
 @st.composite
