@@ -24,7 +24,8 @@ for byte, but float arrays are written ``CHUNK`` values at a time, and
 trajectory CSV rows ``CHUNK`` rows at a time, so no whole-file string or
 per-value object list is ever held.
 
-Quantum state snapshots are text: header lines ``j=``, ``n_max=``,
+Quantum state snapshots are text: header lines ``j=`` (the exact float
+``repr``, whatever the amplitude precision), ``n_max=``,
 ``ordering=m-major,n-minor``, ``dim=``, then one ``re im`` pair per
 amplitude in basis order.
 """
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 STATE_ORDERING_TAG = "m-major,n-minor"
+_STATE_HEADER = ("j", "n_max", "ordering", "dim")
 
 # JSON ``kind`` tag of each result type.
 RESULT_KINDS = {"trajectory": Trajectory, "sweep": SweepResult, "spectrum": Spectrum}
@@ -242,7 +244,8 @@ def load_result_json(path):
 def save_state(path, state: QuantumState, precision: int = 17) -> None:
     """Write a quantum state snapshot (text, documented in the module docstring)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"j={state.j:.{precision}g}\n")
+        # j is exact whatever the amplitude precision: it fixes the dimension.
+        fh.write(f"j={float(state.j)!r}\n")
         fh.write(f"n_max={state.n_max}\n")
         fh.write(f"ordering={STATE_ORDERING_TAG}\n")
         fh.write(f"dim={state.amplitudes.size}\n")
@@ -254,10 +257,14 @@ def load_state(path) -> QuantumState:
     with open(path, encoding="utf-8") as fh:
         header = {}
         for _ in range(4):
-            key, _, value = fh.readline().strip().partition("=")
-            header[key] = value
-        if header.get("ordering") != STATE_ORDERING_TAG:
-            raise ValueError(f"unsupported ordering {header.get('ordering')!r}")
+            key, sep, value = fh.readline().strip().partition("=")
+            if sep:
+                header[key] = value
+        missing = [key for key in _STATE_HEADER if key not in header]
+        if missing:
+            raise ValueError(f"{path}: snapshot header lacks {', '.join(missing)}")
+        if header["ordering"] != STATE_ORDERING_TAG:
+            raise ValueError(f"unsupported ordering {header['ordering']!r}")
         dim = int(header["dim"])
         amplitudes = np.empty(dim, dtype=complex)
         for i in range(dim):

@@ -18,8 +18,9 @@ co-rotating-frame Hamiltonian
 whose expectation values of a^dag a and of the parity Pi = exp(i pi N)
 coincide with the laboratory-frame ones (both commute with J_z).
 
-scipy is imported only by :func:`ground_state`, for its eigensolve, and
-only when it is called: mean-field and coherent-state runs never load it.
+The ground state is the lowest eigenvector of the undriven Hamiltonian in
+the even-parity sector, found by Lanczos on the matrix-free operator
+(:func:`ground_state`).  Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -51,14 +52,21 @@ __all__ = [
     "initial_state_params",
 ]
 
-# ground_state diagonalizes the dense undriven H up to this dimension.
-DENSE_EIGH_CUTOFF = 4000
 DEFAULT_DIM_CAP = 200_000
 TRUNCATION_TOL = 1e-10
 
 # Per-step norm drift above this aborts propagation (insufficient order or
 # bad spectral bounds); drift is checked, never silently renormalized away.
 _NORM_DRIFT_TOL = 1e-8
+
+# ground_state's Lanczos iteration (_lowest_eigenvector): seed of the start
+# vector, iteration cap, Ritz-pair check interval, relative residual and
+# relative breakdown thresholds.
+_LANCZOS_SEED = 764853
+_LANCZOS_MAX_ITER = 1000
+_LANCZOS_CHECK = 10
+_LANCZOS_RTOL = 1e-13
+_LANCZOS_BREAKDOWN = 1e-12
 
 # _bessel_j divides its running values by this (an exact power of two)
 # whenever one exceeds it.
@@ -116,8 +124,7 @@ class Hamiltonian:
     <m+1|J_+|m> at m = k - j, ``field_offdiag[n-1]`` = <n-1|a|n> = sqrt(n))
     and the scalar coupling ``c``.  ``h @ v`` is a handful of shifted-slice
     products on v reshaped to (2j+1, n_max+1).  ``to_dense()`` builds the
-    explicit matrix, for the dense ground-state eigensolve and as a test
-    reference.
+    explicit matrix, as a test reference.
     """
 
     def __init__(
@@ -262,34 +269,21 @@ def build_operators(params: ModelParams, dim_cap: int = DEFAULT_DIM_CAP) -> Oper
     )
 
 
-def _asymmetry(h) -> float:
-    if isinstance(h, np.ndarray):
-        return float(np.max(np.abs(h - h.T))) if h.size else 0.0
-    d = (h - h.T).tocoo()  # a scipy.sparse matrix
-    return float(np.max(np.abs(d.data))) if d.data.size else 0.0
-
-
-def _lanczos_start(dim: int) -> np.ndarray:
-    # eigsh defaults to a random start vector; a seeded one keeps runs
-    # bit-identical for identical inputs.
-    return np.random.default_rng(764853).normal(size=dim)
-
-
 def spectral_bounds(h, hermitian_tol: float = 1e-12) -> tuple[float, float]:
     """Gershgorin bounds (E_min, E_max) enclosing the spectrum of a real symmetric H.
 
     min(d_i - r_i) and max(d_i + r_i) over the diagonal d and the
     off-diagonal absolute row sums r, in O(dim) for a :class:`Hamiltonian`
-    and exact when its coupling is zero.  An explicit dense (ndarray) or
-    scipy.sparse matrix is checked for symmetry first.
+    and exact when its coupling is zero.  An explicit dense matrix (ndarray)
+    is checked for symmetry first.
     """
     if isinstance(h, Hamiltonian):
         diagonal, radii = h.diagonal, h.row_radii()
     else:
-        if _asymmetry(h) > hermitian_tol:
+        if h.size and np.max(np.abs(h - h.T)) > hermitian_tol:
             raise ValueError("spectral_bounds requires a symmetric matrix")
-        diagonal = h.diagonal()
-        radii = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diagonal)
+        diagonal = np.diag(h)
+        radii = np.abs(h).sum(axis=1) - np.abs(diagonal)
     return float(np.min(diagonal - radii)), float(np.max(diagonal + radii))
 
 
@@ -549,37 +543,74 @@ def basis_state(j: float, n_max: int, n: int = 0, m: float | None = None) -> Qua
     return QuantumState(amplitudes, j, n_max)
 
 
+def _lowest_eigenvector(h: Hamiltonian, sector: np.ndarray) -> np.ndarray:
+    """Lowest eigenvector of ``h`` restricted to the invariant index set ``sector``.
+
+    Lanczos with full reorthogonalisation (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., sec. 10.1) from a seeded start vector, the
+    Krylov vectors kept as the rows of one preallocated block over the
+    sector alone.  Every ``_LANCZOS_CHECK`` iterations the lowest Ritz pair
+    of the tridiagonal matrix T is taken; the run stops when its residual
+    estimate |beta_k s_k| falls to ``_LANCZOS_RTOL`` * ||T||, on a breakdown
+    beta_k <= ``_LANCZOS_BREAKDOWN`` * max |alpha_i| (the Krylov space is
+    invariant) or when it spans the sector.  Returns the normalised Ritz
+    vector over the sector.
+    """
+    size = sector.size
+    limit = min(size, _LANCZOS_MAX_ITER)
+    basis = np.empty((limit, size))
+    alphas = np.empty(limit)
+    betas = np.empty(limit)
+    start = np.random.default_rng(_LANCZOS_SEED).normal(size=size)
+    basis[0] = start / np.linalg.norm(start)
+    full = np.zeros(h.shape[0])
+    alpha_max = 0.0
+    for k in range(limit):
+        full[sector] = basis[k]
+        w = h.apply(full)[sector]
+        alphas[k] = basis[k] @ w
+        alpha_max = max(alpha_max, abs(alphas[k]))
+        block = basis[: k + 1]
+        for _ in range(2):
+            w -= (block @ w) @ block
+        betas[k] = beta = float(np.linalg.norm(w))
+        exhausted = beta <= _LANCZOS_BREAKDOWN * alpha_max or k + 1 == size
+        if exhausted or (k + 1) % _LANCZOS_CHECK == 0 or k + 1 == limit:
+            tri = np.diag(alphas[: k + 1]) + np.diag(betas[:k], 1) + np.diag(betas[:k], -1)
+            ritz, vecs = np.linalg.eigh(tri)
+            residual = beta * abs(vecs[-1, 0])
+            if exhausted or residual <= _LANCZOS_RTOL * max(abs(ritz[0]), abs(ritz[-1])):
+                vec = vecs[:, 0] @ block
+                return vec / np.linalg.norm(vec)
+        if k + 1 < limit:
+            basis[k + 1] = w / beta
+    raise RuntimeError(
+        f"ground-state eigensolve failed: Lanczos residual {residual:.3e} after {limit} iterations"
+    )
+
+
 def ground_state(params: ModelParams, ops: OperatorSet | None = None) -> QuantumState:
     """Ground state of the undriven Hamiltonian on the truncated basis.
 
-    Dense ``scipy.linalg.eigh`` up to dimension 4000, seeded Lanczos
-    (``scipy.sparse.linalg.eigsh``) on the matrix-free operator beyond, each
-    imported only when its branch runs.  Lowest eigenvector with a
-    deterministic global phase: the
-    largest-magnitude amplitude is made real positive.  Above the critical
-    coupling the lowest pair is near-degenerate; whatever branch the
-    eigensolver returns is kept, no parity symmetrization is applied.
+    The lowest eigenvector of ``h_dicke`` in the even-parity sector, where
+    the finite-size ground state lies, from Lanczos on the matrix-free
+    operator (:func:`_lowest_eigenvector`).  It is parity-definite,
+    <Pi> = +1, also above the critical coupling, where the lowest even and
+    odd levels are split only by an exponentially small gap.  The global
+    phase is deterministic: the largest-magnitude amplitude is made real
+    positive.
     """
     if ops is None:
         ops = build_operators(params)
-    h = ops.h_dicke
-    try:
-        if ops.dim <= DENSE_EIGH_CUTOFF:
-            import scipy.linalg
-
-            _, vecs = scipy.linalg.eigh(h.to_dense(), subset_by_index=(0, 0))
-        else:
-            import scipy.sparse.linalg
-
-            op = scipy.sparse.linalg.LinearOperator(h.shape, matvec=h.apply, dtype=float)
-            _, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", v0=_lanczos_start(ops.dim))
-        vec = vecs[:, 0]
-    except Exception as exc:  # pragma: no cover - eigensolver failures are rare
-        raise RuntimeError(f"ground-state eigensolve failed: {exc}") from exc
-    vec = vec.astype(complex)
-    top = int(np.argmax(np.abs(vec)))
-    vec = vec * (vec[top].conjugate() / abs(vec[top]))
-    vec = vec / np.linalg.norm(vec)
+    # The even checkerboard k + n = N even: (a + a^dag)(J_+ + J_-) moves
+    # (k, n) by (+-1, +-1), so H maps it onto itself.
+    sector = np.flatnonzero(ops.parity > 0.0)
+    sector_vec = _lowest_eigenvector(ops.h_dicke, sector)
+    top = int(np.argmax(np.abs(sector_vec)))
+    if sector_vec[top] < 0.0:
+        sector_vec = -sector_vec
+    vec = np.zeros(ops.dim, dtype=complex)
+    vec[sector] = sector_vec
     return QuantumState(vec, ops.j, ops.n_max)
 
 

@@ -394,6 +394,22 @@ class TestStateSnapshot:
         with pytest.raises(ValueError, match="ordering"):
             load_state(path)
 
+    def test_low_precision_keeps_j_exact(self, tmp_path):
+        # j fixes the dimension: rounded to one digit, j=1.5 would read as 2.
+        state = coherent_state(0.4, 0.1, 1.5, 20)
+        path = tmp_path / "state.txt"
+        save_state(path, state, precision=1)
+        assert path.read_text().startswith("j=1.5\n")
+        back = load_state(path)
+        assert back.j == 1.5 and back.n_max == 20
+        expected = [complex(float(f"{z.real:.1g}"), float(f"{z.imag:.1g}")) for z in state.amplitudes]
+        assert np.array_equal(back.amplitudes, expected)
+
+    def test_cut_short_header_rejected(self, tmp_path):
+        path = tmp_path / "state.txt"
+        path.write_text("j=0.5\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*n_max, ordering, dim"):
+            load_state(path)
 
     def test_truncated_snapshot_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
@@ -630,17 +646,17 @@ def test_cli_import_leaves_out_scipy_integrate():
 
 
 @pytest.mark.parametrize(
-    "flags, loaded",
+    "flags",
     [
-        (["--engine", "meanfield", "--initial", "stationary_circle"], []),
-        (["--engine", "quantum", "--initial", "stationary_circle", "--n-max", "20"], []),
-        (["--engine", "quantum", "--initial", "ground_state", "--n-max", "20"], ["scipy.linalg"]),
+        ["--engine", "meanfield", "--initial", "stationary_circle"],
+        ["--engine", "quantum", "--initial", "stationary_circle", "--n-max", "20"],
+        ["--engine", "quantum", "--initial", "ground_state", "--n-max", "20"],
     ],
     ids=["meanfield", "coherent-state", "ground-state"],
 )
-def test_only_the_ground_state_loads_scipy(tmp_path, flags, loaded):
+def test_only_the_ground_state_loads_scipy(tmp_path, flags):
+    # No run loads scipy, the ground state included: its Lanczos solver is
+    # in-house, and scipy is a test-only dependency.
     argv = ["trajectory", "--lambda", "1.2", "--j", "1", "--delta-phi", "1",
             "--sample-count", "5", "--out", str(tmp_path / "out.csv")] + flags
-    modules = scipy_modules_after(f"from rotdicke.cli import main; assert main({argv!r}) == 0")
-    assert [m for m in modules if m in ("scipy.linalg", "scipy.sparse.linalg")] == loaded
-    assert bool(modules) == bool(loaded)
+    assert scipy_modules_after(f"from rotdicke.cli import main; assert main({argv!r}) == 0") == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from rotdicke import (
     ModelParams,
@@ -148,8 +149,8 @@ class TestBuildOperators:
                     assert np.max(np.abs(h.to_dense() - ref)) < 1e-13, (j, n_max, omega0_eff)
 
     def test_large_basis_is_matrix_free(self):
-        # dim 5250: past the size where the dense undriven H is diagonalized,
-        # so the ground state comes from seeded Lanczos on the operator.
+        # dim 5250: the operator is stored in O(dim) numbers, and the ground
+        # state comes from seeded Lanczos on it, never from a dense matrix.
         params = ModelParams(lam=1.0, j=10.0, delta_phi=1.0, n_max=249)
         ops = build_operators(params)
         assert ops.dim == 5250
@@ -186,7 +187,7 @@ class TestSpectralBounds:
         h = scipy.sparse.diags(
             [m[:-1, 0], m[:, 1], m[:-1, 0]], offsets=[-1, 0, 1], format="csr"
         )
-        e_min, e_max = spectral_bounds(h)
+        e_min, e_max = spectral_bounds(h.toarray())
         true_vals = np.linalg.eigvalsh(h.toarray())
         assert e_min <= true_vals[0]
         assert e_max >= true_vals[-1]
@@ -376,6 +377,29 @@ class TestEvolve:
         with pytest.raises(ValueError, match="observables"):
             evolve(psi0, params, np.array([0.0, 1.0]), observables=("scaled_parity",))
 
+    @pytest.mark.parametrize("driven", [False, True], ids=["undriven", "driven"])
+    def test_energy_conserved_over_many_steps(self, driven):
+        # exp(-i H t) commutes with H: <H_rot> (driven) or <H_dicke>
+        # (undriven) is a constant of the motion on the truncated basis.
+        rng = np.random.default_rng(21 + driven)
+        for _ in range(4):
+            j = float(rng.integers(1, 7)) / 2
+            n_max = int(rng.integers(20, 41))
+            params = ModelParams(
+                lam=float(rng.uniform(0.2, 1.5)), j=j,
+                delta_phi=float(rng.uniform(0.5, 2.0)), n_max=n_max,
+            )
+            ops = build_operators(params)
+            h = ops.h_rot if driven else ops.h_dicke
+            alpha = complex(*rng.uniform(-1.5, 1.5, size=2))
+            zeta = complex(*rng.uniform(-1.0, 1.0, size=2))
+            psi = coherent_state(alpha, zeta, j, n_max)
+            bounds = spectral_bounds(h)
+            first = psi.expectation(h)
+            for _ in range(200):
+                psi = chebyshev_step(ops, psi, 0.05, driven=driven, bounds=bounds)
+            assert abs(psi.expectation(h) - first) < 1e-10 * abs(first), params
+
     def test_truncation_monotonicity(self):
         results = {}
         for n_max in (100, 125):
@@ -451,6 +475,45 @@ class TestCoherentState:
 
 
 class TestGroundState:
+    @pytest.mark.parametrize(
+        "j, lam, n_max", [(6.0, 1.3, 100), (12.0, 1.3, 170), (10.0, 1.0, 249)],
+        ids=["dim1313", "dim4275", "dim5250"],
+    )
+    def test_lanczos_matches_scipy_and_is_even(self, j, lam, n_max):
+        # Above lambda_c = 0.5 the lowest even and odd levels are split by an
+        # exponentially small gap; the ground state is the even one.
+        params = ModelParams(lam=lam, j=j, n_max=n_max)
+        ops = build_operators(params)
+        h = ops.h_dicke
+        if ops.dim <= 2000:
+            ref = scipy.linalg.eigh(h.to_dense(), eigvals_only=True, subset_by_index=(0, 0))[0]
+        else:
+            op = scipy.sparse.linalg.LinearOperator(h.shape, matvec=h.apply, dtype=float)
+            ref = scipy.sparse.linalg.eigsh(
+                op, k=1, which="SA", v0=np.ones(ops.dim), return_eigenvectors=False
+            )[0]
+        gs = ground_state(params, ops=ops)
+        assert gs.norm() == pytest.approx(1.0, abs=1e-14)
+        assert abs(gs.expectation(h) - ref) <= 1e-12 * abs(ref)
+        assert abs(gs.expectation(ops.parity) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("j, lam, n_max", [(0.5, 1.3, 1), (1.0, 1.3, 3), (2.5, 0.7, 8)])
+    def test_small_sector_spanned_before_first_check(self, j, lam, n_max):
+        # Even sectors of 2, 6 and 27 states: Lanczos stops on breakdown or
+        # on spanning the sector, before or between its Ritz checks.
+        params = ModelParams(lam=lam, j=j, n_max=n_max)
+        ops = build_operators(params)
+        even = np.flatnonzero(ops.parity > 0)
+        ref = np.linalg.eigvalsh(ops.h_dicke.to_dense()[np.ix_(even, even)])[0]
+        gs = ground_state(params, ops=ops)
+        assert abs(gs.expectation(ops.h_dicke) - ref) <= 1e-12 * abs(ref)
+        assert np.all(gs.amplitudes[ops.parity < 0] == 0.0)
+
+    def test_unconverged_lanczos_raises(self, monkeypatch):
+        monkeypatch.setattr("rotdicke.quantum._LANCZOS_MAX_ITER", 20)
+        with pytest.raises(RuntimeError, match="ground-state eigensolve failed"):
+            ground_state(ModelParams(lam=1.3, j=6.0, n_max=100))
+
     def test_uncoupled_ground_state_exact(self):
         params = ModelParams(lam=0.0, j=1.5, n_max=6)
         state = ground_state(params)
