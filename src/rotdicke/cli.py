@@ -196,21 +196,6 @@ def _build_schemas() -> dict[str, dict[str, KeySpec]]:
 
 SCHEMAS = _build_schemas()
 
-# Which config keys feed each ProtocolSpec field.
-PROTOCOL_KEY_MAP = {
-    "params": ("lambda", "omega", "omega0", "delta_phi", "j", "n_max"),
-    "engine": ("engine",),
-    "initial": ("initial",),
-    "epsilon": ("epsilon",),
-    "rtol": ("rtol",),
-    "alpha": ("alpha_re", "alpha_im"),
-    "zeta": ("zeta_re", "zeta_im"),
-    "driven": ("driven",),
-    "n_revolutions": ("n_revolutions",),
-    "sample_count": ("sample_count",),
-    "observables": ("observables",),
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -6,12 +6,16 @@ t=0.  The final time is always t_f = n_revolutions * 2 pi / delta_phi;
 undriven comparison runs keep the same t_f, using delta_phi only to fix it.
 Sweeps repeat a protocol over parameter grids, recording final-time and
 time-averaged observables per cell; a failed cell is tagged with its error
-instead of aborting the grid.  The excitation spectrum tabulates the
-closed-form energy branches and critical lines over a coupling grid.
+instead of aborting the grid.  The coupling sweep, the velocity sweep and
+the phase diagram share one grid loop over the product of their axes, last
+axis fastest; the phase diagram adds only the region tags and overlays.
+The excitation spectrum tabulates the closed-form energy branches and
+critical lines over a coupling grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -161,14 +165,18 @@ class SweepResult:
             )
 
     def values(self, observable: str, kind: str = "average") -> np.ndarray:
-        """Grid of one observable, NaN where a cell failed."""
+        """Grid of one observable, NaN where a cell failed.
+
+        ``kind`` is ``"average"`` (time average) or ``"final"`` (final time).
+        """
+        if kind not in ("average", "final"):
+            raise ValueError(f"kind must be 'average' or 'final', got {kind!r}")
         shape = tuple(len(values) for _, values in self.axes)
         out = np.full(shape, np.nan)
         flat = out.reshape(-1)
         for i, cell in enumerate(self.cells):
-            record = cell.average if kind == "average" else cell.final
             if cell.error is None:
-                flat[i] = record[observable]
+                flat[i] = getattr(cell, kind)[observable]
         return out
 
 
@@ -221,11 +229,13 @@ def resolve_n_max(
 ) -> int:
     """Boson truncation for a quantum run when the parameters leave it open.
 
-    Grown from the floor of 100 until the initial state carries less than
-    1e-10 truncation loss; for the ground state the occupation of the top
-    Fock row stands in for the loss, and the ground state solved at the
+    Grown by x1.5 from the floor of 100 until the initial state carries less
+    than 1e-10 truncation loss; for the ground state the occupation of the
+    top Fock row stands in for the loss, and the ground state solved at the
     returned n_max is appended to ``solved`` when a list is given, so that
-    the caller does not solve it again.
+    the caller does not solve it again.  Growth stops with the ValueError
+    of :func:`quantum.checked_dim` before the basis dimension would exceed
+    ``quantum.DEFAULT_DIM_CAP``.
     """
     if spec.params.n_max is not None:
         return spec.params.n_max
@@ -243,6 +253,7 @@ def resolve_n_max(
             n_max = int(math.ceil(n_max * 1.5))
     alpha, zeta = _initial_labels(spec)
     while True:
+        quantum.checked_dim(spec.params.two_j, n_max)
         try:
             quantum.coherent_state(alpha, zeta, spec.params.j, n_max)
             return n_max
@@ -299,17 +310,32 @@ def _validated_axis(name: str, values) -> np.ndarray:
         raise ValueError(f"{name} values must form a nonempty 1-D grid")
     if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
         raise ValueError(f"{name} values must be strictly increasing")
+    if name == "delta_phi" and arr[0] <= 0.0:
+        raise ValueError("delta_phi values must be positive")
     return arr
+
+
+# Sweep axis name of each swept ModelParams field.
+_AXIS_NAMES = {"lam": "lambda", "delta_phi": "delta_phi"}
+
+
+def _sweep(spec: ProtocolSpec, **grids) -> SweepResult:
+    """Run the protocol on every point of the product of the ``grids``.
+
+    Each keyword names the swept ModelParams field; cells run in
+    lexicographic order, last axis fastest.
+    """
+    axes = tuple((_AXIS_NAMES[key], _validated_axis(_AXIS_NAMES[key], v)) for key, v in grids.items())
+    cells = []
+    for point in itertools.product(*(values.tolist() for _, values in axes)):
+        params = replace(spec.params, **dict(zip(grids, point)))
+        cells.append(_run_cell(replace(spec, params=params), point))
+    return SweepResult(axes=axes, cells=tuple(cells), spec=spec)
 
 
 def sweep_lambda(spec: ProtocolSpec, lambda_values) -> SweepResult:
     """Repeat the protocol across couplings."""
-    values = _validated_axis("lambda", lambda_values)
-    cells = []
-    for lam in values:
-        cell_spec = replace(spec, params=replace(spec.params, lam=float(lam)))
-        cells.append(_run_cell(cell_spec, (float(lam),)))
-    return SweepResult(axes=(("lambda", values),), cells=tuple(cells), spec=spec)
+    return _sweep(spec, lam=lambda_values)
 
 
 def sweep_velocity(spec: ProtocolSpec, delta_phi_values) -> SweepResult:
@@ -318,14 +344,7 @@ def sweep_velocity(spec: ProtocolSpec, delta_phi_values) -> SweepResult:
     delta_phi = 0 is not a sweep point: t_f = n_R*2pi/delta_phi diverges
     there, the undriven branch covers it.
     """
-    values = _validated_axis("delta_phi", delta_phi_values)
-    if values[0] <= 0.0:
-        raise ValueError("delta_phi sweep values must be positive")
-    cells = []
-    for dphi in values:
-        cell_spec = replace(spec, params=replace(spec.params, delta_phi=float(dphi)))
-        cells.append(_run_cell(cell_spec, (float(dphi),)))
-    return SweepResult(axes=(("delta_phi", values),), cells=tuple(cells), spec=spec)
+    return _sweep(spec, delta_phi=delta_phi_values)
 
 
 def phase_diagram(spec: ProtocolSpec, lambda_values, delta_phi_values) -> SweepResult:
@@ -336,41 +355,21 @@ def phase_diagram(spec: ProtocolSpec, lambda_values, delta_phi_values) -> SweepR
     photon number; the overlays carry the rotated critical coupling and the
     empirical dynamical fit per velocity for downstream plotting.
     """
-    lam_values = _validated_axis("lambda", lambda_values)
-    dphi_values = _validated_axis("delta_phi", delta_phi_values)
-    if dphi_values[0] <= 0.0:
-        raise ValueError("delta_phi grid values must be positive")
+    result = _sweep(spec, lam=lambda_values, delta_phi=delta_phi_values)
     cells = []
-    for lam in lam_values:
-        for dphi in dphi_values:
-            cell_spec = replace(
-                spec,
-                params=replace(spec.params, lam=float(lam), delta_phi=float(dphi)),
-            )
-            cell = _run_cell(cell_spec, (float(lam), float(dphi)))
-            if cell.error is None and "mean_photon_scaled" in cell.average:
-                region = (
-                    "nonzero"
-                    if cell.average["mean_photon_scaled"] > NONZERO_THRESHOLD
-                    else "zero"
-                )
-                cell = replace(cell, region=region)
-            cells.append(cell)
+    for cell in result.cells:
+        if cell.error is None and "mean_photon_scaled" in cell.average:
+            photons = cell.average["mean_photon_scaled"]
+            cell = replace(cell, region="nonzero" if photons > NONZERO_THRESHOLD else "zero")
+        cells.append(cell)
+    dphi_values = result.axes[1][1]
     overlays = {
         "lambda_c_rot": np.array(
-            [
-                rotated_critical_coupling(spec.params.omega, spec.params.omega0, d)
-                for d in dphi_values
-            ]
+            [rotated_critical_coupling(spec.params.omega, spec.params.omega0, d) for d in dphi_values]
         ),
         "lambda_c_dyn": np.array([dynamical_critical_fit(d) for d in dphi_values]),
     }
-    return SweepResult(
-        axes=(("lambda", lam_values), ("delta_phi", dphi_values)),
-        cells=tuple(cells),
-        spec=spec,
-        overlays=overlays,
-    )
+    return replace(result, cells=tuple(cells), overlays=overlays)
 
 
 def spectrum(omega: float, omega0: float, delta_phi: float, lambda_values) -> Spectrum:

@@ -3,7 +3,11 @@
 CSV output is RFC-4180 style: comma delimiter, ``.`` decimal point, a
 mandatory header row, LF line endings, one record per row.  Numbers are
 written with 17 significant digits by default so a reparse reproduces the
-doubles exactly; byte output is deterministic for identical inputs.
+doubles exactly; byte output is deterministic for identical inputs.  Every
+table goes through one writer, ``CHUNK`` rows per write and one
+``%``-template per row: float columns by ``%.<precision>g``, all other
+cells as text, empty for None and quoted as Python 3.11's ``csv.writer``
+quotes them (see :func:`_text`).
 
 Trajectories emit ``t`` plus one column per observable.  One-dimensional
 sweeps emit the axis value, then ``<observable>_final`` and
@@ -20,9 +24,8 @@ result is derived from the dataclass fields, in field order, after a
 ``[re, im]`` pairs and tuples lists.  :func:`load_result_json` rebuilds the
 result from the fields' type annotations, so every field round-trips
 exactly.  The layout is that of ``json.dump(payload, fh, indent=1)``, byte
-for byte, but float arrays are written ``CHUNK`` values at a time, and
-trajectory CSV rows ``CHUNK`` rows at a time, so no whole-file string or
-per-value object list is ever held.
+for byte, but float arrays are written ``CHUNK`` values at a time, so no
+whole-file string or per-value object list is ever held.
 
 Quantum state snapshots are text: header lines ``j=`` (the exact float
 ``repr``, whatever the amplitude precision), ``n_max=``,
@@ -32,7 +35,6 @@ amplitude in basis order.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import typing
@@ -45,7 +47,6 @@ from .quantum import QuantumState
 
 __all__ = [
     "emit",
-    "emit_table",
     "load_result_json",
     "save_state",
     "load_state",
@@ -61,14 +62,6 @@ RESULT_KINDS = {"trajectory": Trajectory, "sweep": SweepResult, "spectrum": Spec
 # large enough to amortise the per-chunk calls, small enough that the
 # chunk's strings stay far below the size of the arrays being written.
 CHUNK = 4096
-
-
-def _fmt(value, precision: int) -> str:
-    if isinstance(value, float):
-        return f"{value:.{precision}g}"
-    if value is None:
-        return ""
-    return str(value)
 
 
 def _encode(value, keep_arrays: bool = False):
@@ -145,14 +138,6 @@ def _decode(tp, value):
     return value  # scalars, strings and None
 
 
-def _trajectory_columns(traj: Trajectory) -> tuple[list[str], list[np.ndarray]]:
-    names = list(traj.observables) if traj.observables else [
-        k for k in traj.data if k not in ("q1", "p1", "q2", "p2")
-    ]
-    columns = [traj.times] + [traj.data[name] for name in names]
-    return ["t"] + names, [np.asarray(c, dtype=float) for c in columns]
-
-
 def _write_rows(fh, template: str, columns: list[np.ndarray]) -> None:
     """Write ``template % row`` for each row of ``columns``, ``CHUNK`` rows per write."""
     for start in range(0, len(columns[0]), CHUNK):
@@ -160,64 +145,68 @@ def _write_rows(fh, template: str, columns: list[np.ndarray]) -> None:
         fh.write("".join(map(template.__mod__, rows)))
 
 
-def _sweep_rows(result: SweepResult) -> tuple[list[str], list[list]]:
-    axis_names = [name for name, _ in result.axes]
-    obs = list(result.spec.observables)
-    header = list(axis_names)
-    for name in obs:
-        header += [f"{name}_final", f"{name}_timeavg"]
-    two_d = len(result.axes) == 2
-    if two_d:
-        header += ["lambda_c_rot", "lambda_c_dyn", "region"]
-    header.append("error")
-    n_minor = len(result.axes[-1][1])
-    rows = []
-    for i, cell in enumerate(result.cells):
-        row: list = [float(c) for c in cell.coords]
-        for name in obs:
-            if cell.error is None:
-                row += [cell.final[name], cell.average[name]]
-            else:
-                row += [None, None]
-        if two_d:
-            k = i % n_minor
-            row += [
-                float(result.overlays["lambda_c_rot"][k]),
-                float(result.overlays["lambda_c_dyn"][k]),
-                cell.region,
-            ]
-        row.append(cell.error)
-        rows.append(row)
-    return header, rows
+def _table(result) -> tuple[list[str], list]:
+    """Header and columns of the CSV table of a result.
 
-
-def emit_table(result) -> tuple[list[str], list[list]]:
-    """Header and rows of the CSV representation of a result."""
+    A column is a float64 ndarray, or a list of values (floats, None and
+    text) that :func:`emit` spells as text cells.
+    """
     if isinstance(result, Trajectory):
-        header, columns = _trajectory_columns(result)
-        return header, np.array(columns).T.tolist()
+        names = list(result.observables) or [k for k in result.data if k not in ("q1", "p1", "q2", "p2")]
+        columns = [result.times] + [result.data[name] for name in names]
+        return ["t"] + names, [np.asarray(c, dtype=float) for c in columns]
     if isinstance(result, SweepResult):
-        return _sweep_rows(result)
+        cells = result.cells
+        header = [name for name, _ in result.axes]
+        columns = [np.array([c.coords[k] for c in cells], dtype=float) for k in range(len(header))]
+        for name in result.spec.observables:
+            header += [f"{name}_final", f"{name}_timeavg"]
+            columns += [
+                [c.final[name] if c.error is None else None for c in cells],
+                [c.average[name] if c.error is None else None for c in cells],
+            ]
+        if len(result.axes) == 2:
+            # Overlays run along the minor (velocity) axis: one copy per major value.
+            n_major = len(result.axes[0][1])
+            for name in ("lambda_c_rot", "lambda_c_dyn"):
+                header.append(name)
+                columns.append(np.tile(np.asarray(result.overlays[name], dtype=float), n_major))
+            header.append("region")
+            columns.append([c.region for c in cells])
+        return header + ["error"], columns + [[c.error for c in cells]]
     if isinstance(result, Spectrum):
-        return list(result.header), [list(row) for row in result.rows]
+        header = list(result.header)
+        return header, [[row[k] for row in result.rows] for k in range(len(header))]
     raise TypeError(f"cannot emit {type(result).__name__}")
+
+
+def _text(value, precision: int, lone: bool = False) -> str:
+    r"""``value`` as one CSV text cell, quoted as Python 3.11's
+    ``csv.writer(lineterminator="\n")`` quotes it: in double quotes, inner
+    quotes doubled, when it holds ``,``, ``"`` or ``\n``; a bare ``\r``
+    stays unquoted.  An empty cell of a one-column table (``lone``) is
+    ``""``, as csv.writer spells a record of one empty field.
+    """
+    text = "" if value is None else f"{value:.{precision}g}" if isinstance(value, float) else str(value)
+    if "," in text or '"' in text or "\n" in text or (lone and not text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def emit(result, fmt: str, path, precision: int = 17, config: dict | None = None) -> None:
     """Write a trajectory, sweep or spectrum result to ``path`` as CSV or JSON."""
     if fmt == "csv":
-        trajectory = isinstance(result, Trajectory)
-        header, body = _trajectory_columns(result) if trajectory else emit_table(result)
+        header, columns = _table(result)
+        lone = len(header) == 1
+        columns = [
+            c if isinstance(c, np.ndarray) else np.array([_text(v, precision, lone) for v in c], dtype=object)
+            for c in columns
+        ]
+        # One %-template per row: floats by %g, text cells as they are.
+        template = ",".join(f"%.{precision}g" if c.dtype == np.float64 else "%s" for c in columns) + "\n"
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            if trajectory:
-                # Floats only: one %-template per row, straight from the columns.
-                _write_rows(fh, ",".join([f"%.{precision}g"] * len(body)) + "\n", body)
-            else:
-                # Sweep and spectrum rows hold strings with commas, and None.
-                for row in body:
-                    writer.writerow([_fmt(v, precision) for v in row])
+            fh.write(",".join(_text(name, precision, lone) for name in header) + "\n")
+            _write_rows(fh, template, columns)
     elif fmt == "json":
         kind = next((k for k, cls in RESULT_KINDS.items() if type(result) is cls), None)
         if kind is None:

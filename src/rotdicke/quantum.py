@@ -40,6 +40,7 @@ __all__ = [
     "Hamiltonian",
     "OperatorSet",
     "basis_index",
+    "checked_dim",
     "build_operators",
     "spectral_bounds",
     "chebyshev_order",
@@ -216,6 +217,16 @@ class OperatorSet:
     h_rot: Hamiltonian
 
 
+def checked_dim(two_j: int, n_max: int, dim_cap: int = DEFAULT_DIM_CAP) -> int:
+    """Basis dimension (n_max+1)(2j+1); ValueError when it exceeds ``dim_cap``."""
+    dim = (two_j + 1) * (n_max + 1)
+    if dim > dim_cap:
+        raise ValueError(
+            f"basis dimension (n_max+1)(2j+1) = {dim} exceeds the cap {dim_cap}"
+        )
+    return dim
+
+
 def build_operators(params: ModelParams, dim_cap: int = DEFAULT_DIM_CAP) -> OperatorSet:
     """Build the operators for ``params`` (n_max must be set)."""
     if params.n_max is None:
@@ -225,11 +236,7 @@ def build_operators(params: ModelParams, dim_cap: int = DEFAULT_DIM_CAP) -> Oper
     two_j = params.two_j
     dim_spin = two_j + 1
     dim_field = n_max + 1
-    dim = dim_spin * dim_field
-    if dim > dim_cap:
-        raise ValueError(
-            f"basis dimension (n_max+1)(2j+1) = {dim} exceeds the cap {dim_cap}"
-        )
+    dim = checked_dim(two_j, n_max, dim_cap)
 
     n_vals = np.arange(dim_field, dtype=float)
     m_vals = np.arange(dim_spin, dtype=float) - j

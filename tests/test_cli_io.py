@@ -27,7 +27,6 @@ from rotdicke import (
     phase_diagram,
 )
 from rotdicke.cli import (
-    PROTOCOL_KEY_MAP,
     SCHEMAS,
     ConfigError,
     RunConfig,
@@ -170,17 +169,38 @@ class TestParseConfig:
                 },
             )
 
+    # Two configurations that differ in every key of every run subcommand.
+    CONFIG_A = {
+        "engine": "meanfield", "initial": "nearly_fock", "omega": "1.0", "omega0": "1.0",
+        "j": "6.0", "n_max": "", "epsilon": "3.0", "alpha_re": "0.0", "alpha_im": "0.0",
+        "zeta_re": "0.0", "zeta_im": "0.0", "driven": "true", "n_revolutions": "1",
+        "sample_count": "1000", "observables": "mean_photon_scaled", "rtol": "1e-12",
+        "format": "csv", "precision": "17", "lambda": "0.5", "delta_phi": "1.0",
+        "lambda_min": "0.1", "lambda_max": "0.3", "lambda_step": "0.1",
+        "delta_phi_min": "0.5", "delta_phi_max": "1.5", "delta_phi_step": "0.5",
+    }
+    CONFIG_B = {
+        "engine": "quantum", "initial": "explicit", "omega": "2.0", "omega0": "0.5",
+        "j": "2.5", "n_max": "40", "epsilon": "4.5", "alpha_re": "0.3", "alpha_im": "-0.2",
+        "zeta_re": "0.1", "zeta_im": "0.05", "driven": "false", "n_revolutions": "3",
+        "sample_count": "77", "observables": "parity", "rtol": "1e-9",
+        "format": "json", "precision": "5", "lambda": "1.2", "delta_phi": "2.0",
+        "lambda_min": "0.2", "lambda_max": "0.8", "lambda_step": "0.2",
+        "delta_phi_min": "1.0", "delta_phi_max": "3.0", "delta_phi_step": "1.0",
+    }
+
     def test_schema_covers_every_protocol_field(self):
-        spec_fields = {f.name for f in fields(ProtocolSpec)}
-        assert set(PROTOCOL_KEY_MAP) == spec_fields
         for subcommand in ("trajectory", "sweep-lambda", "sweep-velocity", "phase-diagram"):
-            schema = set(SCHEMAS[subcommand])
-            for field_name, keys in PROTOCOL_KEY_MAP.items():
-                if field_name == "params":
-                    continue
-                assert any(k in schema for k in keys), (subcommand, field_name)
-        # every params field is reachable on the trajectory schema
-        assert set(PROTOCOL_KEY_MAP["params"]) <= set(SCHEMAS["trajectory"])
+            schema = SCHEMAS[subcommand]
+            assert set(schema) <= set(self.CONFIG_A)
+            a, b = (
+                config_to_spec(parse_config(subcommand, overrides={k: c[k] for k in schema}))
+                for c in (self.CONFIG_A, self.CONFIG_B)
+            )
+            for f in fields(ProtocolSpec):
+                assert getattr(a, f.name) != getattr(b, f.name), (subcommand, f.name)
+            for f in fields(ModelParams):
+                assert getattr(a.params, f.name) != getattr(b.params, f.name), (subcommand, f.name)
 
     def test_config_to_spec_round_trip_values(self):
         config = parse_config(

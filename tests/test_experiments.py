@@ -1,6 +1,7 @@
 """Protocols, sweeps, and phase diagrams."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +164,25 @@ class TestRunProtocol:
         assert len(calls) == 2
         assert traj == fixed
 
+    def test_adaptive_n_max_stops_at_the_dimension_cap(self):
+        # |alpha|^2 = 160000 needs n_max ~ 162000, dim 2.1e6 at j=6: growth must
+        # stop at the cap rather than build ever larger coherent states.
+        spec = mf_spec(
+            engine="quantum",
+            initial="explicit",
+            alpha=400,
+            params=ModelParams(lam=1.0, j=6.0, delta_phi=1.0),
+            observables=("parity",),
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                run_protocol(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     def test_quantum_sweep_smoke(self):
         spec = mf_spec(
             engine="quantum",
@@ -243,6 +263,15 @@ class TestSweeps:
         assert by_lam[0.3].error is None
         assert by_lam[0.9].error is not None
         assert "scaled parity" in by_lam[0.9].error
+
+    def test_values_kind_is_average_or_final(self):
+        result = sweep_lambda(mf_spec(initial="stationary_dicke", sample_count=100), [1.5])
+        final, average = (result.values("mean_photon_scaled", kind)[0] for kind in ("final", "average"))
+        assert final != average
+        assert final == result.cells[0].final["mean_photon_scaled"]
+        assert average == result.values("mean_photon_scaled")[0] == result.cells[0].average["mean_photon_scaled"]
+        with pytest.raises(ValueError, match="kind"):
+            result.values("mean_photon_scaled", "avg")
 
     def test_determinism(self):
         spec = mf_spec(sample_count=150)

@@ -8,6 +8,7 @@ run an engine, on small bases.
 
 import csv
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -28,6 +29,7 @@ from rotdicke.experiments import (
     ProtocolSpec,
     Spectrum,
     SweepCell,
+    SweepResult,
 )
 from rotdicke.meanfield import Trajectory, coherent_from_point, point_from_coherent
 from rotdicke.model import ModelParams
@@ -286,6 +288,113 @@ def test_trajectory_csv_matches_per_value_rows(traj, precision):
         text = path.read_bytes().decode("utf-8")
     columns = [traj.times] + [traj.data[name] for name in traj.observables]
     assert_same_text(text, per_value_csv(["t", *traj.observables], columns, precision))
+
+
+def emit_csv(result, precision):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "result.csv"
+        rio.emit(result, "csv", path, precision=precision)
+        return path.read_bytes().decode("utf-8")
+
+
+def per_value_table_csv(header, rows, precision):
+    """Sweep or spectrum CSV as written one csv.writer row and one format call per value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.{precision}g}" if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+# emit quotes text as Python 3.11's csv.writer does, which leaves a bare
+# "\r" unquoted; "\r" is drawn only where the reference writer agrees, and
+# test_bare_carriage_return_stays_unquoted pins it everywhere.
+CR_UNQUOTED = per_value_table_csv(["\r"], [], 17) == "\r\n"
+CSV_TEXT = st.text(alphabet=st.sampled_from(["a", "Z", ",", '"', "\n", "%"] + ["\r"] * CR_UNQUOTED), max_size=6)
+
+
+def seam_indices(n):
+    """Indices worth a special value: the ends, the chunk seam, and any other."""
+    return st.sampled_from([0, n - 1, min(rio.CHUNK, n - 1)]) | st.integers(min_value=0, max_value=n - 1)
+
+
+def scaled_normals(rng, shape):
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+
+
+@st.composite
+def sweep_results(draw):
+    """1-D and 2-D sweeps, some seam-crossing, with failed cells whose error
+    text needs quoting, holds "%" or is empty, and regions None or set."""
+    shape = draw(st.sampled_from([(1,), (3,), (rio.CHUNK + 1,), (1, 1), (2, 3), (rio.CHUNK // 3 + 1, 3)]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    names = ("lambda", "delta_phi") if len(shape) == 2 else (draw(st.sampled_from(["lambda", "delta_phi"])),)
+    axes = tuple((name, np.cumsum(rng.uniform(0.1, 1.0, n))) for name, n in zip(names, shape))
+    observables = tuple(draw(st.lists(st.sampled_from(OBSERVABLES), min_size=1, unique=True)))
+    size = math.prod(shape)
+    values = scaled_normals(rng, (size, 2 * len(observables)))
+    values[draw(seam_indices(size)), 0] = draw(any_float)
+    errors = draw(st.dictionaries(seam_indices(size), CSV_TEXT, max_size=4))
+    regions = [(None, "zero", "nonzero")[k] for k in rng.integers(0, 3, size)] if len(shape) == 2 else [None] * size
+    cells = []
+    for i, (coords, row) in enumerate(zip(itertools.product(*(v.tolist() for _, v in axes)), values.tolist())):
+        if i in errors:
+            cells.append(SweepCell(coords=coords, region=regions[i], error=errors[i]))
+        else:
+            final = dict(zip(observables, row[: len(observables)]))
+            average = dict(zip(observables, row[len(observables) :]))
+            cells.append(SweepCell(coords=coords, final=final, average=average, region=regions[i]))
+    overlays = {}
+    if len(shape) == 2:
+        overlays = {name: scaled_normals(rng, shape[1]) for name in ("lambda_c_rot", "lambda_c_dyn")}
+    spec = ProtocolSpec(ModelParams(lam=1.0, delta_phi=1.0), observables=observables)
+    return SweepResult(axes=axes, cells=tuple(cells), spec=spec, overlays=overlays)
+
+
+@SETTINGS
+@given(result=sweep_results(), precision=st.integers(min_value=1, max_value=17))
+def test_sweep_csv_matches_per_value_rows(result, precision):
+    header = [name for name, _ in result.axes]
+    for name in result.spec.observables:
+        header += [f"{name}_final", f"{name}_timeavg"]
+    two_d = len(result.axes) == 2
+    if two_d:
+        header += ["lambda_c_rot", "lambda_c_dyn", "region"]
+    n_minor = len(result.axes[-1][1])
+    rows = []
+    for i, cell in enumerate(result.cells):
+        row = list(cell.coords)
+        for name in result.spec.observables:
+            row += [None, None] if cell.error is not None else [cell.final[name], cell.average[name]]
+        if two_d:
+            row += [float(result.overlays[name][i % n_minor]) for name in ("lambda_c_rot", "lambda_c_dyn")]
+            row.append(cell.region)
+        rows.append(row + [cell.error])
+    assert_same_text(emit_csv(result, precision), per_value_table_csv(header + ["error"], rows, precision))
+
+
+@st.composite
+def text_spectra(draw):
+    """Spectra with text headers, None branches, 0 to seam-crossing rows."""
+    header = tuple(draw(st.lists(CSV_TEXT, min_size=1, max_size=4)))
+    n = draw(st.sampled_from((0, 1, 5, rio.CHUNK + 1)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    missing = (rng.random((n, len(header))) < 0.3).tolist()
+    values = scaled_normals(rng, (n, len(header))).tolist()
+    rows = tuple(tuple(None if m else v for v, m in zip(*pair)) for pair in zip(values, missing))
+    return Spectrum(header=header, rows=rows)
+
+
+@SETTINGS
+@given(result=text_spectra(), precision=st.integers(min_value=1, max_value=17))
+def test_spectrum_csv_matches_per_value_rows(result, precision):
+    assert_same_text(emit_csv(result, precision), per_value_table_csv(result.header, result.rows, precision))
+
+
+def test_bare_carriage_return_stays_unquoted():
+    result = Spectrum(header=("a\rb", "c,d"), rows=(("x\ry", None), ('"', 1.5)))
+    assert emit_csv(result, 3) == 'a\rb,"c,d"\nx\ry,\n"""",1.5\n'
 
 
 @SETTINGS
