@@ -14,7 +14,12 @@ The coherent-state labels map onto phase space as
 :func:`integrate` steps the flow with Dormand-Prince 8(5,3) (DOP853) on
 plain Python floats, one run at a time: on a 4-vector the per-call cost of
 array operations outweighs the arithmetic.  Single runs and every sweep
-cell go through this one integrator.
+cell go through this one integrator.  Its step is written out as
+straight-line float code, one local per stage and component, with the
+tableau entries that are exactly 0.0 left out and every other combination
+added left to right.  No ``sum()`` is on the stepping path, so its bits do
+not depend on how a Python version's ``sum()`` of floats rounds (it is
+compensated from 3.12 on).
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass, fields
-from operator import mul
 
 import numpy as np
 
@@ -297,7 +301,11 @@ def integrate(
 
 
 def _rms(values) -> float:
-    return math.sqrt(sum(v * v for v in values)) / math.sqrt(len(values))
+    # Added left to right: sum() of floats is compensated from Python 3.12 on.
+    total = 0.0
+    for v in values:
+        total += v * v
+    return math.sqrt(total) / math.sqrt(len(values))
 
 
 def _initial_step(f, y, fy, t_end, rtol, atol) -> float:
@@ -316,24 +324,6 @@ def _initial_step(f, y, fy, t_end, rtol, atol) -> float:
     return min(100.0 * h0, h1, t_end)
 
 
-def _run_stages(rows, f, t, h, y, stages) -> None:
-    """Append f at t + c h, y + h sum_k a_k K_k to ``stages`` for each (a, c)."""
-    q1, p1, q2, p2 = y
-    K1, K2, K3, K4 = stages
-    for a, c in rows:
-        k1, k2, k3, k4 = f(
-            t + c * h,
-            q1 + sum(map(mul, a, K1)) * h,
-            p1 + sum(map(mul, a, K2)) * h,
-            q2 + sum(map(mul, a, K3)) * h,
-            p2 + sum(map(mul, a, K4)) * h,
-        )
-        K1.append(k1)
-        K2.append(k2)
-        K3.append(k3)
-        K4.append(k4)
-
-
 def _dop853(f, y, t_grid, rtol, atol):
     """Sample (q1, p1, q2, p2)' = f(t, q1, p1, q2, p2) on ``t_grid``.
 
@@ -345,13 +335,54 @@ def _dop853(f, y, t_grid, rtol, atol):
     as a rejected step.  Each step that holds grid times keeps its
     7th-order interpolant; the grid is evaluated from those after the last
     step, one coefficient at a time.  Returns one array per component.
+
+    A step is straight-line float code.  The tableau is unpacked into
+    locals once per call, stage s is held as k<s>_1..k<s>_4 (one local per
+    component), and the entries that are exactly 0.0 are skipped.  Every
+    other combination is summed left to right in tableau order, as
+    y + (sum a k) h, y + h (sum b k), (sum e k) / scale and h (sum d k), so
+    the bits are those of summing each full tableau row in a loop.
     """
+    # The tableau as locals named by place: a<s>_<i> is _A[s][i], and row 12
+    # holds the weights b<i>.  Entries unpacked into _ are exactly 0.0; c0 and
+    # c12 are not needed, since stages 0 and 12 are f at t and at t + h.
+    _, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _, c13, c14, c15 = _C
+    (
+        _,
+        (a1_0,),
+        (a2_0, a2_1),
+        (a3_0, _, a3_2),
+        (a4_0, _, a4_2, a4_3),
+        (a5_0, _, _, a5_3, a5_4),
+        (a6_0, _, _, a6_3, a6_4, a6_5),
+        (a7_0, _, _, a7_3, a7_4, a7_5, a7_6),
+        (a8_0, _, _, a8_3, a8_4, a8_5, a8_6, a8_7),
+        (a9_0, _, _, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
+        (a10_0, _, _, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
+        (a11_0, _, _, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
+        (b0, _, _, _, _, b5, b6, b7, b8, b9, b10, b11),
+        (a13_0, _, _, _, _, _, a13_6, a13_7, a13_8, a13_9, a13_10, a13_11, a13_12),
+        (a14_0, _, _, _, _, a14_5, a14_6, a14_7, _, _, a14_10, a14_11, a14_12, a14_13),
+        (a15_0, _, _, _, _, a15_5, a15_6, a15_7, a15_8, _, _, _, a15_12, a15_13, a15_14),
+    ) = _A
+    e5_0, _, _, _, _, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, _ = _E5
+    e3_0, _, _, _, _, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11, _ = _E3
+    (
+        (d0_0, _, _, _, _, d0_5, d0_6, d0_7, d0_8, d0_9, d0_10, d0_11, d0_12, d0_13, d0_14,
+         d0_15),
+        (d1_0, _, _, _, _, d1_5, d1_6, d1_7, d1_8, d1_9, d1_10, d1_11, d1_12, d1_13, d1_14,
+         d1_15),
+        (d2_0, _, _, _, _, d2_5, d2_6, d2_7, d2_8, d2_9, d2_10, d2_11, d2_12, d2_13, d2_14,
+         d2_15),
+        (d3_0, _, _, _, _, d3_5, d3_6, d3_7, d3_8, d3_9, d3_10, d3_11, d3_12, d3_13, d3_14,
+         d3_15),
+    ) = _D
     grid = t_grid.tolist()
     t_end = grid[-1]
     t = 0.0
     q1, p1, q2, p2 = y
-    f1, f2, f3, f4 = f(t, q1, p1, q2, p2)
-    h_abs = _initial_step(f, y, (f1, f2, f3, f4), t_end, rtol, atol)
+    k0_1, k0_2, k0_3, k0_4 = f(t, q1, p1, q2, p2)
+    h_abs = _initial_step(f, y, (k0_1, k0_2, k0_3, k0_4), t_end, rtol, atol)
     dense = []  # per step holding samples: t, h, then (y, F0..F6) per component
     counts = []  # samples per such step
     next_sample = 0
@@ -371,28 +402,144 @@ def _dop853(f, y, t_grid, rtol, atol):
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = h
-            K1, K2, K3, K4 = [f1], [f2], [f3], [f4]
-            _run_stages(_STAGES, f, t, h, (q1, p1, q2, p2), (K1, K2, K3, K4))
-            n1 = q1 + h * sum(map(mul, _B, K1))
-            n2 = p1 + h * sum(map(mul, _B, K2))
-            n3 = q2 + h * sum(map(mul, _B, K3))
-            n4 = p2 + h * sum(map(mul, _B, K4))
-            g1, g2, g3, g4 = f(t + h, n1, n2, n3, n4)
-            K1.append(g1)
-            K2.append(g2)
-            K3.append(g3)
-            K4.append(g4)
-            e5 = e3 = 0.0
-            for yc, nc, kc in ((q1, n1, K1), (p1, n2, K2), (q2, n3, K3), (p2, n4, K4)):
-                scale = atol + max(abs(yc), abs(nc)) * rtol
-                x5 = sum(map(mul, _E5, kc)) / scale
-                x3 = sum(map(mul, _E3, kc)) / scale
-                e5 += x5 * x5
-                e3 += x3 * x3
-            if e5 == 0.0 and e3 == 0.0:
+            k1_1, k1_2, k1_3, k1_4 = f(
+                t + c1 * h,
+                q1 + a1_0 * k0_1 * h,
+                p1 + a1_0 * k0_2 * h,
+                q2 + a1_0 * k0_3 * h,
+                p2 + a1_0 * k0_4 * h,
+            )
+            k2_1, k2_2, k2_3, k2_4 = f(
+                t + c2 * h,
+                q1 + (a2_0 * k0_1 + a2_1 * k1_1) * h,
+                p1 + (a2_0 * k0_2 + a2_1 * k1_2) * h,
+                q2 + (a2_0 * k0_3 + a2_1 * k1_3) * h,
+                p2 + (a2_0 * k0_4 + a2_1 * k1_4) * h,
+            )
+            k3_1, k3_2, k3_3, k3_4 = f(
+                t + c3 * h,
+                q1 + (a3_0 * k0_1 + a3_2 * k2_1) * h,
+                p1 + (a3_0 * k0_2 + a3_2 * k2_2) * h,
+                q2 + (a3_0 * k0_3 + a3_2 * k2_3) * h,
+                p2 + (a3_0 * k0_4 + a3_2 * k2_4) * h,
+            )
+            k4_1, k4_2, k4_3, k4_4 = f(
+                t + c4 * h,
+                q1 + (a4_0 * k0_1 + a4_2 * k2_1 + a4_3 * k3_1) * h,
+                p1 + (a4_0 * k0_2 + a4_2 * k2_2 + a4_3 * k3_2) * h,
+                q2 + (a4_0 * k0_3 + a4_2 * k2_3 + a4_3 * k3_3) * h,
+                p2 + (a4_0 * k0_4 + a4_2 * k2_4 + a4_3 * k3_4) * h,
+            )
+            k5_1, k5_2, k5_3, k5_4 = f(
+                t + c5 * h,
+                q1 + (a5_0 * k0_1 + a5_3 * k3_1 + a5_4 * k4_1) * h,
+                p1 + (a5_0 * k0_2 + a5_3 * k3_2 + a5_4 * k4_2) * h,
+                q2 + (a5_0 * k0_3 + a5_3 * k3_3 + a5_4 * k4_3) * h,
+                p2 + (a5_0 * k0_4 + a5_3 * k3_4 + a5_4 * k4_4) * h,
+            )
+            k6_1, k6_2, k6_3, k6_4 = f(
+                t + c6 * h,
+                q1 + (a6_0 * k0_1 + a6_3 * k3_1 + a6_4 * k4_1 + a6_5 * k5_1) * h,
+                p1 + (a6_0 * k0_2 + a6_3 * k3_2 + a6_4 * k4_2 + a6_5 * k5_2) * h,
+                q2 + (a6_0 * k0_3 + a6_3 * k3_3 + a6_4 * k4_3 + a6_5 * k5_3) * h,
+                p2 + (a6_0 * k0_4 + a6_3 * k3_4 + a6_4 * k4_4 + a6_5 * k5_4) * h,
+            )
+            k7_1, k7_2, k7_3, k7_4 = f(
+                t + c7 * h,
+                q1 + (a7_0 * k0_1 + a7_3 * k3_1 + a7_4 * k4_1 + a7_5 * k5_1 + a7_6 * k6_1) * h,
+                p1 + (a7_0 * k0_2 + a7_3 * k3_2 + a7_4 * k4_2 + a7_5 * k5_2 + a7_6 * k6_2) * h,
+                q2 + (a7_0 * k0_3 + a7_3 * k3_3 + a7_4 * k4_3 + a7_5 * k5_3 + a7_6 * k6_3) * h,
+                p2 + (a7_0 * k0_4 + a7_3 * k3_4 + a7_4 * k4_4 + a7_5 * k5_4 + a7_6 * k6_4) * h,
+            )
+            k8_1, k8_2, k8_3, k8_4 = f(
+                t + c8 * h,
+                q1 + (a8_0 * k0_1 + a8_3 * k3_1 + a8_4 * k4_1 + a8_5 * k5_1 + a8_6 * k6_1
+                     + a8_7 * k7_1) * h,
+                p1 + (a8_0 * k0_2 + a8_3 * k3_2 + a8_4 * k4_2 + a8_5 * k5_2 + a8_6 * k6_2
+                     + a8_7 * k7_2) * h,
+                q2 + (a8_0 * k0_3 + a8_3 * k3_3 + a8_4 * k4_3 + a8_5 * k5_3 + a8_6 * k6_3
+                     + a8_7 * k7_3) * h,
+                p2 + (a8_0 * k0_4 + a8_3 * k3_4 + a8_4 * k4_4 + a8_5 * k5_4 + a8_6 * k6_4
+                     + a8_7 * k7_4) * h,
+            )
+            k9_1, k9_2, k9_3, k9_4 = f(
+                t + c9 * h,
+                q1 + (a9_0 * k0_1 + a9_3 * k3_1 + a9_4 * k4_1 + a9_5 * k5_1 + a9_6 * k6_1
+                     + a9_7 * k7_1 + a9_8 * k8_1) * h,
+                p1 + (a9_0 * k0_2 + a9_3 * k3_2 + a9_4 * k4_2 + a9_5 * k5_2 + a9_6 * k6_2
+                     + a9_7 * k7_2 + a9_8 * k8_2) * h,
+                q2 + (a9_0 * k0_3 + a9_3 * k3_3 + a9_4 * k4_3 + a9_5 * k5_3 + a9_6 * k6_3
+                     + a9_7 * k7_3 + a9_8 * k8_3) * h,
+                p2 + (a9_0 * k0_4 + a9_3 * k3_4 + a9_4 * k4_4 + a9_5 * k5_4 + a9_6 * k6_4
+                     + a9_7 * k7_4 + a9_8 * k8_4) * h,
+            )
+            k10_1, k10_2, k10_3, k10_4 = f(
+                t + c10 * h,
+                q1 + (a10_0 * k0_1 + a10_3 * k3_1 + a10_4 * k4_1 + a10_5 * k5_1 + a10_6 * k6_1
+                     + a10_7 * k7_1 + a10_8 * k8_1 + a10_9 * k9_1) * h,
+                p1 + (a10_0 * k0_2 + a10_3 * k3_2 + a10_4 * k4_2 + a10_5 * k5_2 + a10_6 * k6_2
+                     + a10_7 * k7_2 + a10_8 * k8_2 + a10_9 * k9_2) * h,
+                q2 + (a10_0 * k0_3 + a10_3 * k3_3 + a10_4 * k4_3 + a10_5 * k5_3 + a10_6 * k6_3
+                     + a10_7 * k7_3 + a10_8 * k8_3 + a10_9 * k9_3) * h,
+                p2 + (a10_0 * k0_4 + a10_3 * k3_4 + a10_4 * k4_4 + a10_5 * k5_4 + a10_6 * k6_4
+                     + a10_7 * k7_4 + a10_8 * k8_4 + a10_9 * k9_4) * h,
+            )
+            k11_1, k11_2, k11_3, k11_4 = f(
+                t + c11 * h,
+                q1 + (a11_0 * k0_1 + a11_3 * k3_1 + a11_4 * k4_1 + a11_5 * k5_1 + a11_6 * k6_1
+                     + a11_7 * k7_1 + a11_8 * k8_1 + a11_9 * k9_1 + a11_10 * k10_1) * h,
+                p1 + (a11_0 * k0_2 + a11_3 * k3_2 + a11_4 * k4_2 + a11_5 * k5_2 + a11_6 * k6_2
+                     + a11_7 * k7_2 + a11_8 * k8_2 + a11_9 * k9_2 + a11_10 * k10_2) * h,
+                q2 + (a11_0 * k0_3 + a11_3 * k3_3 + a11_4 * k4_3 + a11_5 * k5_3 + a11_6 * k6_3
+                     + a11_7 * k7_3 + a11_8 * k8_3 + a11_9 * k9_3 + a11_10 * k10_3) * h,
+                p2 + (a11_0 * k0_4 + a11_3 * k3_4 + a11_4 * k4_4 + a11_5 * k5_4 + a11_6 * k6_4
+                     + a11_7 * k7_4 + a11_8 * k8_4 + a11_9 * k9_4 + a11_10 * k10_4) * h,
+            )
+            n1 = q1 + h * (b0 * k0_1 + b5 * k5_1 + b6 * k6_1 + b7 * k7_1 + b8 * k8_1 + b9 * k9_1
+                          + b10 * k10_1 + b11 * k11_1)
+            n2 = p1 + h * (b0 * k0_2 + b5 * k5_2 + b6 * k6_2 + b7 * k7_2 + b8 * k8_2 + b9 * k9_2
+                          + b10 * k10_2 + b11 * k11_2)
+            n3 = q2 + h * (b0 * k0_3 + b5 * k5_3 + b6 * k6_3 + b7 * k7_3 + b8 * k8_3 + b9 * k9_3
+                          + b10 * k10_3 + b11 * k11_3)
+            n4 = p2 + h * (b0 * k0_4 + b5 * k5_4 + b6 * k6_4 + b7 * k7_4 + b8 * k8_4 + b9 * k9_4
+                          + b10 * k10_4 + b11 * k11_4)
+            k12_1, k12_2, k12_3, k12_4 = f(t + h, n1, n2, n3, n4)
+            scale = atol + max(abs(q1), abs(n1)) * rtol
+            x5 = (e5_0 * k0_1 + e5_5 * k5_1 + e5_6 * k6_1 + e5_7 * k7_1 + e5_8 * k8_1 + e5_9 * k9_1
+                 + e5_10 * k10_1 + e5_11 * k11_1) / scale
+            x3 = (e3_0 * k0_1 + e3_5 * k5_1 + e3_6 * k6_1 + e3_7 * k7_1 + e3_8 * k8_1 + e3_9 * k9_1
+                 + e3_10 * k10_1 + e3_11 * k11_1) / scale
+            err5 = x5 * x5
+            err3 = x3 * x3
+            scale = atol + max(abs(p1), abs(n2)) * rtol
+            x5 = (e5_0 * k0_2 + e5_5 * k5_2 + e5_6 * k6_2 + e5_7 * k7_2 + e5_8 * k8_2 + e5_9 * k9_2
+                 + e5_10 * k10_2 + e5_11 * k11_2) / scale
+            x3 = (e3_0 * k0_2 + e3_5 * k5_2 + e3_6 * k6_2 + e3_7 * k7_2 + e3_8 * k8_2 + e3_9 * k9_2
+                 + e3_10 * k10_2 + e3_11 * k11_2) / scale
+            err5 += x5 * x5
+            err3 += x3 * x3
+            scale = atol + max(abs(q2), abs(n3)) * rtol
+            x5 = (e5_0 * k0_3 + e5_5 * k5_3 + e5_6 * k6_3 + e5_7 * k7_3 + e5_8 * k8_3 + e5_9 * k9_3
+                 + e5_10 * k10_3 + e5_11 * k11_3) / scale
+            x3 = (e3_0 * k0_3 + e3_5 * k5_3 + e3_6 * k6_3 + e3_7 * k7_3 + e3_8 * k8_3 + e3_9 * k9_3
+                 + e3_10 * k10_3 + e3_11 * k11_3) / scale
+            err5 += x5 * x5
+            err3 += x3 * x3
+            scale = atol + max(abs(p2), abs(n4)) * rtol
+            x5 = (e5_0 * k0_4 + e5_5 * k5_4 + e5_6 * k6_4 + e5_7 * k7_4 + e5_8 * k8_4 + e5_9 * k9_4
+                 + e5_10 * k10_4 + e5_11 * k11_4) / scale
+            x3 = (e3_0 * k0_4 + e3_5 * k5_4 + e3_6 * k6_4 + e3_7 * k7_4 + e3_8 * k8_4 + e3_9 * k9_4
+                 + e3_10 * k10_4 + e3_11 * k11_4) / scale
+            err5 += x5 * x5
+            err3 += x3 * x3
+            if k12_1 != k12_1:
+                # f is NaN at the new point (past the boundary guard).  Both
+                # error sums weight that stage by 0.0, so reject it here.
+                err = math.nan
+            elif err5 == 0.0 and err3 == 0.0:
                 err = 0.0
             else:  # RMS over the four components
-                err = h * e5 / math.sqrt((e5 + 0.01 * e3) * 4.0)
+                err = h * err5 / math.sqrt((err5 + 0.01 * err3) * 4.0)
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_EXPONENT)
                 h_abs *= min(1.0, factor) if rejected else factor
@@ -401,19 +548,103 @@ def _dop853(f, y, t_grid, rtol, atol):
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)
             rejected = True
         if grid[next_sample] <= t_new:
-            _run_stages(_DENSE_STAGES, f, t, h, (q1, p1, q2, p2), (K1, K2, K3, K4))
-            dense += (t, h)
-            for yc, nc, fo, fn, kc in (
-                (q1, n1, f1, g1, K1), (p1, n2, f2, g2, K2), (q2, n3, f3, g3, K3), (p2, n4, f4, g4, K4)
-            ):
-                delta = nc - yc
-                dense += (yc, delta, h * fo - delta, 2.0 * delta - h * (fn + fo))
-                dense += [h * sum(map(mul, d, kc)) for d in _D]
+            k13_1, k13_2, k13_3, k13_4 = f(
+                t + c13 * h,
+                q1 + (a13_0 * k0_1 + a13_6 * k6_1 + a13_7 * k7_1 + a13_8 * k8_1 + a13_9 * k9_1
+                     + a13_10 * k10_1 + a13_11 * k11_1 + a13_12 * k12_1) * h,
+                p1 + (a13_0 * k0_2 + a13_6 * k6_2 + a13_7 * k7_2 + a13_8 * k8_2 + a13_9 * k9_2
+                     + a13_10 * k10_2 + a13_11 * k11_2 + a13_12 * k12_2) * h,
+                q2 + (a13_0 * k0_3 + a13_6 * k6_3 + a13_7 * k7_3 + a13_8 * k8_3 + a13_9 * k9_3
+                     + a13_10 * k10_3 + a13_11 * k11_3 + a13_12 * k12_3) * h,
+                p2 + (a13_0 * k0_4 + a13_6 * k6_4 + a13_7 * k7_4 + a13_8 * k8_4 + a13_9 * k9_4
+                     + a13_10 * k10_4 + a13_11 * k11_4 + a13_12 * k12_4) * h,
+            )
+            k14_1, k14_2, k14_3, k14_4 = f(
+                t + c14 * h,
+                q1 + (a14_0 * k0_1 + a14_5 * k5_1 + a14_6 * k6_1 + a14_7 * k7_1 + a14_10 * k10_1
+                     + a14_11 * k11_1 + a14_12 * k12_1 + a14_13 * k13_1) * h,
+                p1 + (a14_0 * k0_2 + a14_5 * k5_2 + a14_6 * k6_2 + a14_7 * k7_2 + a14_10 * k10_2
+                     + a14_11 * k11_2 + a14_12 * k12_2 + a14_13 * k13_2) * h,
+                q2 + (a14_0 * k0_3 + a14_5 * k5_3 + a14_6 * k6_3 + a14_7 * k7_3 + a14_10 * k10_3
+                     + a14_11 * k11_3 + a14_12 * k12_3 + a14_13 * k13_3) * h,
+                p2 + (a14_0 * k0_4 + a14_5 * k5_4 + a14_6 * k6_4 + a14_7 * k7_4 + a14_10 * k10_4
+                     + a14_11 * k11_4 + a14_12 * k12_4 + a14_13 * k13_4) * h,
+            )
+            k15_1, k15_2, k15_3, k15_4 = f(
+                t + c15 * h,
+                q1 + (a15_0 * k0_1 + a15_5 * k5_1 + a15_6 * k6_1 + a15_7 * k7_1 + a15_8 * k8_1
+                     + a15_12 * k12_1 + a15_13 * k13_1 + a15_14 * k14_1) * h,
+                p1 + (a15_0 * k0_2 + a15_5 * k5_2 + a15_6 * k6_2 + a15_7 * k7_2 + a15_8 * k8_2
+                     + a15_12 * k12_2 + a15_13 * k13_2 + a15_14 * k14_2) * h,
+                q2 + (a15_0 * k0_3 + a15_5 * k5_3 + a15_6 * k6_3 + a15_7 * k7_3 + a15_8 * k8_3
+                     + a15_12 * k12_3 + a15_13 * k13_3 + a15_14 * k14_3) * h,
+                p2 + (a15_0 * k0_4 + a15_5 * k5_4 + a15_6 * k6_4 + a15_7 * k7_4 + a15_8 * k8_4
+                     + a15_12 * k12_4 + a15_13 * k13_4 + a15_14 * k14_4) * h,
+            )
+            delta1 = n1 - q1
+            delta2 = n2 - p1
+            delta3 = n3 - q2
+            delta4 = n4 - p2
+            dense += (
+                t, h,
+                q1, delta1, h * k0_1 - delta1, 2.0 * delta1 - h * (k12_1 + k0_1),
+                h * (d0_0 * k0_1 + d0_5 * k5_1 + d0_6 * k6_1 + d0_7 * k7_1 + d0_8 * k8_1
+                    + d0_9 * k9_1 + d0_10 * k10_1 + d0_11 * k11_1 + d0_12 * k12_1 + d0_13 * k13_1
+                    + d0_14 * k14_1 + d0_15 * k15_1),
+                h * (d1_0 * k0_1 + d1_5 * k5_1 + d1_6 * k6_1 + d1_7 * k7_1 + d1_8 * k8_1
+                    + d1_9 * k9_1 + d1_10 * k10_1 + d1_11 * k11_1 + d1_12 * k12_1 + d1_13 * k13_1
+                    + d1_14 * k14_1 + d1_15 * k15_1),
+                h * (d2_0 * k0_1 + d2_5 * k5_1 + d2_6 * k6_1 + d2_7 * k7_1 + d2_8 * k8_1
+                    + d2_9 * k9_1 + d2_10 * k10_1 + d2_11 * k11_1 + d2_12 * k12_1 + d2_13 * k13_1
+                    + d2_14 * k14_1 + d2_15 * k15_1),
+                h * (d3_0 * k0_1 + d3_5 * k5_1 + d3_6 * k6_1 + d3_7 * k7_1 + d3_8 * k8_1
+                    + d3_9 * k9_1 + d3_10 * k10_1 + d3_11 * k11_1 + d3_12 * k12_1 + d3_13 * k13_1
+                    + d3_14 * k14_1 + d3_15 * k15_1),
+                p1, delta2, h * k0_2 - delta2, 2.0 * delta2 - h * (k12_2 + k0_2),
+                h * (d0_0 * k0_2 + d0_5 * k5_2 + d0_6 * k6_2 + d0_7 * k7_2 + d0_8 * k8_2
+                    + d0_9 * k9_2 + d0_10 * k10_2 + d0_11 * k11_2 + d0_12 * k12_2 + d0_13 * k13_2
+                    + d0_14 * k14_2 + d0_15 * k15_2),
+                h * (d1_0 * k0_2 + d1_5 * k5_2 + d1_6 * k6_2 + d1_7 * k7_2 + d1_8 * k8_2
+                    + d1_9 * k9_2 + d1_10 * k10_2 + d1_11 * k11_2 + d1_12 * k12_2 + d1_13 * k13_2
+                    + d1_14 * k14_2 + d1_15 * k15_2),
+                h * (d2_0 * k0_2 + d2_5 * k5_2 + d2_6 * k6_2 + d2_7 * k7_2 + d2_8 * k8_2
+                    + d2_9 * k9_2 + d2_10 * k10_2 + d2_11 * k11_2 + d2_12 * k12_2 + d2_13 * k13_2
+                    + d2_14 * k14_2 + d2_15 * k15_2),
+                h * (d3_0 * k0_2 + d3_5 * k5_2 + d3_6 * k6_2 + d3_7 * k7_2 + d3_8 * k8_2
+                    + d3_9 * k9_2 + d3_10 * k10_2 + d3_11 * k11_2 + d3_12 * k12_2 + d3_13 * k13_2
+                    + d3_14 * k14_2 + d3_15 * k15_2),
+                q2, delta3, h * k0_3 - delta3, 2.0 * delta3 - h * (k12_3 + k0_3),
+                h * (d0_0 * k0_3 + d0_5 * k5_3 + d0_6 * k6_3 + d0_7 * k7_3 + d0_8 * k8_3
+                    + d0_9 * k9_3 + d0_10 * k10_3 + d0_11 * k11_3 + d0_12 * k12_3 + d0_13 * k13_3
+                    + d0_14 * k14_3 + d0_15 * k15_3),
+                h * (d1_0 * k0_3 + d1_5 * k5_3 + d1_6 * k6_3 + d1_7 * k7_3 + d1_8 * k8_3
+                    + d1_9 * k9_3 + d1_10 * k10_3 + d1_11 * k11_3 + d1_12 * k12_3 + d1_13 * k13_3
+                    + d1_14 * k14_3 + d1_15 * k15_3),
+                h * (d2_0 * k0_3 + d2_5 * k5_3 + d2_6 * k6_3 + d2_7 * k7_3 + d2_8 * k8_3
+                    + d2_9 * k9_3 + d2_10 * k10_3 + d2_11 * k11_3 + d2_12 * k12_3 + d2_13 * k13_3
+                    + d2_14 * k14_3 + d2_15 * k15_3),
+                h * (d3_0 * k0_3 + d3_5 * k5_3 + d3_6 * k6_3 + d3_7 * k7_3 + d3_8 * k8_3
+                    + d3_9 * k9_3 + d3_10 * k10_3 + d3_11 * k11_3 + d3_12 * k12_3 + d3_13 * k13_3
+                    + d3_14 * k14_3 + d3_15 * k15_3),
+                p2, delta4, h * k0_4 - delta4, 2.0 * delta4 - h * (k12_4 + k0_4),
+                h * (d0_0 * k0_4 + d0_5 * k5_4 + d0_6 * k6_4 + d0_7 * k7_4 + d0_8 * k8_4
+                    + d0_9 * k9_4 + d0_10 * k10_4 + d0_11 * k11_4 + d0_12 * k12_4 + d0_13 * k13_4
+                    + d0_14 * k14_4 + d0_15 * k15_4),
+                h * (d1_0 * k0_4 + d1_5 * k5_4 + d1_6 * k6_4 + d1_7 * k7_4 + d1_8 * k8_4
+                    + d1_9 * k9_4 + d1_10 * k10_4 + d1_11 * k11_4 + d1_12 * k12_4 + d1_13 * k13_4
+                    + d1_14 * k14_4 + d1_15 * k15_4),
+                h * (d2_0 * k0_4 + d2_5 * k5_4 + d2_6 * k6_4 + d2_7 * k7_4 + d2_8 * k8_4
+                    + d2_9 * k9_4 + d2_10 * k10_4 + d2_11 * k11_4 + d2_12 * k12_4 + d2_13 * k13_4
+                    + d2_14 * k14_4 + d2_15 * k15_4),
+                h * (d3_0 * k0_4 + d3_5 * k5_4 + d3_6 * k6_4 + d3_7 * k7_4 + d3_8 * k8_4
+                    + d3_9 * k9_4 + d3_10 * k10_4 + d3_11 * k11_4 + d3_12 * k12_4 + d3_13 * k13_4
+                    + d3_14 * k14_4 + d3_15 * k15_4),
+            )
             end = bisect.bisect_right(grid, t_new, next_sample)
             counts.append(end - next_sample)
             next_sample = end
         t, q1, p1, q2, p2 = t_new, n1, n2, n3, n4
-        f1, f2, f3, f4 = g1, g2, g3, g4
+        k0_1, k0_2, k0_3, k0_4 = k12_1, k12_2, k12_3, k12_4
     table = np.array(dense).reshape(len(counts), -1).T
     seg = np.repeat(np.arange(len(counts)), counts)
     x = (t_grid - table[0][seg]) / table[1][seg]
@@ -511,7 +742,7 @@ def coherent_from_point(point: PhasePoint, j: float) -> tuple[complex, complex]:
 # stages, row 12 the weights _B, rows 13-15 the extra stages of the dense
 # output, whose coefficients beyond the first three are _D.  _E5 and _E3
 # weight the 13 stages (the last is f at the new point) into the 5th- and
-# 3rd-order error estimates.
+# 3rd-order error estimates.  _dop853 unpacks these tuples into locals.
 _C = (
     0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
     0.118350341907227396726757197510, 0.281649658092772603273242802490,
@@ -593,10 +824,7 @@ _A = (
         -9.15095847217987001081870187138,
     ),
 )
-_N_STAGES = 12
-_B = _A[_N_STAGES]
-_STAGES = tuple(zip(_A[1:_N_STAGES], _C[1:_N_STAGES]))
-_DENSE_STAGES = tuple(zip(_A[_N_STAGES + 1 :], _C[_N_STAGES + 1 :]))
+_B = _A[12]
 _E5 = (
     0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
     -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,

@@ -1,5 +1,7 @@
 """Mean-field flow, integration quality, and phase-space observables."""
 
+import bisect
+import itertools
 import math
 from dataclasses import replace
 
@@ -37,6 +39,93 @@ def random_domain_point(rng, j, fill=0.9):
     return PhasePoint(
         r * math.cos(th), r * math.sin(th), rng.normal(0, 1.5), rng.normal(0, 1.5)
     )
+
+
+def dot(coeffs, values):
+    """sum(a * v) over a full tableau row, added left to right from 0.0."""
+    total = 0.0
+    for a, v in zip(coeffs, values):
+        total += a * v
+    return total
+
+
+def reference_dop853(f, y, t_grid, rtol, atol, rejections):
+    """DOP853 driven by the tableau: every row summed in full, zeros included.
+
+    Same scheme, step control and dense output as ``meanfield._dop853``,
+    which writes the same arithmetic out as straight-line code; the two must
+    agree bit for bit.  Appends the number of rejected steps to
+    ``rejections``.
+    """
+    A, C, B, E5, E3, D = (meanfield._A, meanfield._C, meanfield._B, meanfield._E5,
+                          meanfield._E3, meanfield._D)
+
+    def stage(s, t, h, y, K):
+        return f(t + C[s] * h, *[y[c] + dot(A[s], [k[c] for k in K]) * h for c in range(4)])
+
+    grid = t_grid.tolist()
+    t_end = grid[-1]
+    t = 0.0
+    fy = f(t, *y)
+    h_abs = meanfield._initial_step(f, y, fy, t_end, rtol, atol)
+    dense, counts, next_sample, rejected_steps = [], [], 0, 0
+    while t < t_end:
+        min_step = 10.0 * math.ulp(t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                rejections.append(rejected_steps)
+                raise IntegrationError(t, "step fell below 10 ulp: 4j boundary")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = h
+            K = [fy]
+            for s in range(1, 12):
+                K.append(stage(s, t, h, y, K))
+            new = tuple(y[c] + h * dot(B, [k[c] for k in K]) for c in range(4))
+            K.append(f(t + h, *new))
+            e5 = e3 = 0.0
+            for c in range(4):
+                scale = atol + max(abs(y[c]), abs(new[c])) * rtol
+                x5 = dot(E5, [k[c] for k in K]) / scale
+                x3 = dot(E3, [k[c] for k in K]) / scale
+                e5 += x5 * x5
+                e3 += x3 * x3
+            err = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * 4.0)
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** (-1 / 8))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** (-1 / 8))
+            rejected = True
+            rejected_steps += 1
+        if grid[next_sample] <= t_new:
+            for s in range(13, 16):
+                K.append(stage(s, t, h, y, K))
+            dense += (t, h)
+            for c in range(4):
+                delta = new[c] - y[c]
+                dense += (y[c], delta, h * fy[c] - delta, 2.0 * delta - h * (K[12][c] + fy[c]))
+                dense += [h * dot(d, [k[c] for k in K]) for d in D]
+            end = bisect.bisect_right(grid, t_new, next_sample)
+            counts.append(end - next_sample)
+            next_sample = end
+        t, y, fy = t_new, new, K[12]
+    rejections.append(rejected_steps)
+    table = np.array(dense).reshape(len(counts), -1).T
+    seg = np.repeat(np.arange(len(counts)), counts)
+    x = (t_grid - table[0][seg]) / table[1][seg]
+    out = []
+    for base in range(2, 34, 8):
+        yc = table[base + 7][seg] * x
+        for i, row in enumerate(range(base + 6, base, -1), start=1):
+            yc += table[row][seg]
+            yc *= (1.0 - x) if i % 2 else x
+        yc += table[base][seg]
+        out.append(yc)
+    return out
 
 
 class TestEomRhs:
@@ -341,6 +430,81 @@ class TestDop853:
             traj = run_protocol(replace(spec, params=replace(spec.params, lam=lam)))
             assert cell.final == {name: traj.final(name) for name in spec.observables}
             assert cell.average == {name: traj.average(name) for name in spec.observables}
+
+    @staticmethod
+    def integrate_both(monkeypatch, *args, **kwargs):
+        """integrate() as is and with reference_dop853 in place of _dop853:
+        both results (or the errors they raised) and the reference's
+        rejected-step count."""
+
+        def run():
+            try:
+                return integrate(*args, **kwargs)
+            except IntegrationError as exc:
+                return exc
+
+        ours = run()
+        rejections = []
+        with monkeypatch.context() as patch:
+            patch.setattr(meanfield, "_dop853", lambda *a: reference_dop853(*a, rejections))
+            ref = run()
+        return ours, ref, rejections[0]
+
+    @staticmethod
+    def assert_same_bits(ours, ref):
+        for name in ("q1", "p1", "q2", "p2"):
+            assert ours.data[name].tobytes() == ref.data[name].tobytes(), name
+
+    def test_bit_identical_to_tableau_loop(self, monkeypatch):
+        # Every rtol with every sample count, driven and undriven, from
+        # random starts over a few periods.
+        rng = np.random.default_rng(2024)
+        grid = itertools.product((1e-6, 1e-9, 1e-12), (2, 17, 1200), (True, False))
+        for rtol, count, driven in itertools.chain(grid, [(1e-9, 300, True)] * 4):
+            j = float(rng.choice([0.5, 1.0, 3.0]))
+            params = ModelParams(
+                lam=float(rng.uniform(0.0, 1.8)), j=j, delta_phi=float(rng.uniform(0.3, 3.0))
+            )
+            start = random_domain_point(rng, j, fill=0.95)
+            t_end = float(rng.uniform(1.0, 15.0))
+            ours, ref, _ = self.integrate_both(
+                monkeypatch, start, params, t_end, sample_count=count, tol=rtol, driven=driven
+            )
+            self.assert_same_bits(ours, ref)
+
+    def test_rejected_steps_bit_identical(self, monkeypatch):
+        # A start 1.9e-4 inside q1^2+p1^2 = 4j.  Driven, one trial step has
+        # finite stages but an end point past the boundary guard, so only
+        # f at t + h is NaN; both error sums weight it by 0.0, and the step
+        # must still be rejected.
+        params = ModelParams(lam=1.7937745040710111, j=0.5, delta_phi=0.636331583157467)
+        start = PhasePoint(0.0025490479612444296, -1.414145207989694, -0.6499561948012956,
+                           -0.9771454371346897)
+        for driven in (True, False):
+            ours, ref, rejected = self.integrate_both(
+                monkeypatch, start, params, 4.0, sample_count=60, tol=1e-6, driven=driven
+            )
+            assert rejected > 0
+            self.assert_same_bits(ours, ref)
+
+    def test_failure_time_identical(self, monkeypatch):
+        params = ModelParams(lam=3.0, j=0.5, delta_phi=1.0)
+        start = PhasePoint(0.0, -math.sqrt(4 * params.j - 1e-6), 1.0, 0.0)
+        ours, ref, _ = self.integrate_both(monkeypatch, start, params, 5.0, 50, tol=1e-6)
+        assert isinstance(ours, IntegrationError) and isinstance(ref, IntegrationError)
+        assert ours.t == ref.t
+
+    def test_stepping_calls_no_sum(self, monkeypatch):
+        # sum() of floats is compensated from Python 3.12 on, so a sum() on
+        # the stepping path would give other bits there than on 3.10/3.11.
+        def no_sum(*args):
+            raise AssertionError("sum() called on the stepping path")
+
+        monkeypatch.setattr(meanfield, "sum", no_sum, raising=False)
+        params = ModelParams(lam=0.9, j=1.0, delta_phi=1.3)
+        for driven in (True, False):
+            traj = integrate(PhasePoint(0.4, -0.7, 0.5, 0.2), params, 8.0, 100, driven=driven)
+            assert np.all(np.isfinite(traj.data["q1"]))
 
     @pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0, 0.0])
     def test_rejects_bad_t_end(self, t_end):

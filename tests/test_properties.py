@@ -219,13 +219,20 @@ json_scalars = (
 json_keys = (
     st.text() | st.sampled_from(['"', "\\", "\u00fc"]) | st.integers() | st.booleans() | st.none() | any_float
 )
-json_payloads = st.recursive(
-    json_scalars | float_arrays(),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(json_keys, inner, max_size=4),
-    max_leaves=12,
-)
+
+
+def json_containers(inner):
+    """Lists, tuples and dicts of ``inner``.  A named function, because
+    hypothesis reads the source of ``extend`` to check that it uses its
+    argument, and cannot see it in a lambda split over several lines."""
+    return (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(json_keys, inner, max_size=4)
+    )
+
+
+json_payloads = st.recursive(json_scalars | float_arrays(), json_containers, max_leaves=12)
 
 
 def assert_same_text(got, want):
