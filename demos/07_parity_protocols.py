@@ -9,7 +9,7 @@ coupling crosses lambda_c, tending to a step function.
 
 import numpy as np
 
-from rotdicke import ModelParams, ProtocolSpec, parity_meanfield, initial_state_params, run_protocol
+from rotdicke import ModelParams, ProtocolSpec, run_protocol
 
 print("finite size, Fock start: parity along 2 revolutions")
 for lam in (0.3, 0.7, 1.1):
@@ -28,6 +28,12 @@ for lam in (0.3, 0.7, 1.1):
 print("\nthermodynamic limit, stationary Dicke state: initial parity vs coupling")
 for lam in np.arange(0.3, 1.31, 0.2):
     lam = round(float(lam), 10)
-    params = ModelParams(lam=lam, j=10.0, delta_phi=1.0)
-    alpha, zeta = initial_state_params("stationary_dicke", params)
-    print(f"  lambda={lam:4.2f}: parity = {parity_meanfield(alpha, zeta, params.j):.6f}")
+    spec = ProtocolSpec(
+        params=ModelParams(lam=lam, j=10.0, delta_phi=1.0),
+        engine="meanfield",
+        initial="stationary_dicke",
+        sample_count=2,
+        observables=("parity",),
+    )
+    parity = run_protocol(spec).data["parity"][0]
+    print(f"  lambda={lam:4.2f}: parity = {parity:.6f}")

@@ -30,10 +30,7 @@ from .meanfield import (
     hp_rhs,
     integrate,
     jacobi_integral,
-    mean_photon_scaled,
-    parity_meanfield,
     point_from_coherent,
-    scaled_parity_meanfield,
     time_average,
 )
 from .quantum import (

@@ -34,6 +34,7 @@ from .experiments import (
     sweep_lambda,
     sweep_velocity,
 )
+from .meanfield import _OBSERVABLES
 from .model import ModelParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "config_to_spec", "main"]
@@ -329,8 +330,10 @@ def _validate_cross(subcommand: str, values: dict) -> None:
                 raise ConfigError(
                     f"({hi_key} - {lo_key}) must be an integer multiple of {step_key}"
                 )
-    if values.get("engine") == "quantum" and "scaled_parity" in values.get("observables", ()):
-        raise ConfigError("scaled_parity is only available with engine = meanfield")
+    if values.get("engine") == "quantum":
+        for name in values["observables"]:
+            if _OBSERVABLES[name].quantum is None:
+                raise ConfigError(f"{name} is only available with engine = meanfield")
 
 
 def _axis_values(values: dict, axis: str) -> np.ndarray:

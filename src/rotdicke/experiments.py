@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import meanfield, quantum
-from .meanfield import Trajectory
+from .meanfield import _OBSERVABLES, Trajectory
 from .model import (
     ModelParams,
     critical_coupling,
@@ -58,7 +58,7 @@ INITIAL_KINDS = (
     "ground_state",
     "explicit",
 )
-OBSERVABLES = ("mean_photon_scaled", "parity", "scaled_parity")
+OBSERVABLES = tuple(_OBSERVABLES)
 
 # Time-averaged scaled photon number above this counts as a macroscopic
 # ("nonzero") phase-diagram region; separates integrator noise from
@@ -114,11 +114,13 @@ class ProtocolSpec:
             raise ValueError(f"unknown observables: {sorted(bad)}")
         if not self.observables:
             raise ValueError("at least one observable is required")
-        if self.engine == "quantum" and "scaled_parity" in self.observables:
-            raise ValueError(
-                "scaled_parity is a mean-field (rescaled phase space) observable; "
-                "the quantum engine reports parity"
-            )
+        if self.engine == "quantum":
+            for name in self.observables:
+                if _OBSERVABLES[name].quantum is None:
+                    raise ValueError(
+                        f"{name} is a mean-field only observable; "
+                        "the quantum engine has no counterpart"
+                    )
 
     @property
     def t_final(self) -> float:
@@ -199,31 +201,6 @@ def _initial_labels(spec: ProtocolSpec) -> tuple[complex, complex]:
     return complex(alpha), complex(zeta)
 
 
-def _meanfield_observables(traj: Trajectory, names: tuple[str, ...]) -> Trajectory:
-    j = traj.params.j
-    two_j = traj.params.two_j
-    q1, p1 = traj.data["q1"], traj.data["p1"]
-    q2, p2 = traj.data["q2"], traj.data["p2"]
-    r2 = q1**2 + p1**2
-    field2 = q2**2 + p2**2
-    data = dict(traj.data)
-    for name in names:
-        if name == "mean_photon_scaled":
-            data[name] = field2 / (2.0 * j)
-        elif name == "parity":
-            # exp(-2|alpha|^2) ((1-|zeta|^2)/(1+|zeta|^2))^(2j) in phase space.
-            data[name] = np.exp(-field2) * (1.0 - r2 / (2.0 * j)) ** two_j
-        elif name == "scaled_parity":
-            base = 1.0 - r2 / (2.0 * j * j)
-            if np.any(base < 0.0):
-                raise ValueError(
-                    "q1^2+p1^2 exceeded 2j^2 along the trajectory; "
-                    "scaled parity undefined"
-                )
-            data[name] = np.exp(-field2 / j) * base**two_j
-    return replace(traj, data=data, observables=names)
-
-
 def resolve_n_max(
     spec: ProtocolSpec, solved: list[quantum.QuantumState] | None = None
 ) -> int:
@@ -274,7 +251,12 @@ def run_protocol(spec: ProtocolSpec) -> Trajectory:
             tol=spec.rtol,
             driven=spec.driven,
         )
-        return _meanfield_observables(traj, spec.observables)
+        data = dict(traj.data)
+        for name in spec.observables:
+            data[name] = _OBSERVABLES[name].meanfield(
+                data["q1"], data["p1"], data["q2"], data["p2"], spec.params.j
+            )
+        return replace(traj, data=data, observables=spec.observables)
 
     solved: list[quantum.QuantumState] = []
     params = replace(spec.params, n_max=resolve_n_max(spec, solved))

@@ -1,4 +1,5 @@
-"""Thermodynamic-limit engine: mean-field equations of motion and observables.
+"""Thermodynamic-limit engine: mean-field equations of motion, and the
+observable table of both engines.
 
 The flow lives on (q1, p1, q2, p2) with the spin sector confined to
 q1^2 + p1^2 < 4j.  The drive enters through phi(t) = delta_phi * t; an
@@ -20,6 +21,10 @@ tableau entries that are exactly 0.0 left out and every other combination
 added left to right.  No ``sum()`` is on the stepping path, so its bits do
 not depend on how a Python version's ``sum()`` of floats rounds (it is
 compensated from 3.12 on).
+
+``_OBSERVABLES`` defines each observable once: its mean-field form on the
+sampled coordinate arrays and its quantum expectation value, or None where
+only the mean field reports it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,9 +47,6 @@ __all__ = [
     "integrate",
     "classical_hamiltonian",
     "jacobi_integral",
-    "mean_photon_scaled",
-    "parity_meanfield",
-    "scaled_parity_meanfield",
     "time_average",
     "point_from_coherent",
     "coherent_from_point",
@@ -130,14 +133,59 @@ class Trajectory:
             if len(col) != t.size:
                 raise ValueError(f"column {name!r} has {len(col)} samples, expected {t.size}")
 
-    def column(self, name: str) -> np.ndarray:
-        return self.data[name]
-
     def final(self, name: str) -> float:
         return float(self.data[name][-1])
 
     def average(self, name: str) -> float:
         return time_average(self.times, self.data[name])
+
+
+def _meanfield_photon(q1, p1, q2, p2, j):
+    """(q2^2 + p2^2)/(2j), the scaled photon number |alpha|^2/j."""
+    return (q2**2 + p2**2) / (2.0 * j)
+
+
+def _meanfield_parity(q1, p1, q2, p2, j):
+    """exp(-2|alpha|^2) ((1-|zeta|^2)/(1+|zeta|^2))^(2j), written in phase space."""
+    return np.exp(-(q2**2 + p2**2)) * (1.0 - (q1**2 + p1**2) / (2.0 * j)) ** int(round(2.0 * j))
+
+
+def _meanfield_scaled_parity(q1, p1, q2, p2, j):
+    """Parity with every coordinate rescaled by sqrt(j):
+    exp(-(q2^2+p2^2)/j) (1 - (q1^2+p1^2)/(2j^2))^(2j).
+
+    The base must be nonnegative; a base in [-1e-12, 0) is floating residue
+    on the edge q1^2 + p1^2 = 2j^2 and counts as 0.
+    """
+    base = 1.0 - (q1**2 + p1**2) / (2.0 * j * j)
+    if np.any(base < -1e-12):
+        raise ValueError("q1^2+p1^2 exceeded 2j^2 along the trajectory; scaled parity undefined")
+    base = np.maximum(base, 0.0)
+    return np.exp(-(q2**2 + p2**2) / j) * base ** int(round(2.0 * j))
+
+
+def _quantum_photon(ops, state) -> float:
+    return state.expectation(ops.adag_a) / ops.j
+
+
+def _quantum_parity(ops, state) -> float:
+    return state.expectation(ops.parity)
+
+
+class _Observable(NamedTuple):
+    meanfield: Callable  # (q1, p1, q2, p2, j) -> value, elementwise on arrays
+    quantum: Callable | None  # (OperatorSet, QuantumState) -> float; None: mean-field only
+
+
+# Every observable, defined once.  The names, and which engine reports which,
+# are read from here by ProtocolSpec, the CLI and quantum.evolve.  The
+# quantum values of a^dag a and of the parity are invariant under the frame
+# rotation, so the co-rotating-frame expectation is the laboratory one.
+_OBSERVABLES = {
+    "mean_photon_scaled": _Observable(_meanfield_photon, _quantum_photon),
+    "parity": _Observable(_meanfield_parity, _quantum_parity),
+    "scaled_parity": _Observable(_meanfield_scaled_parity, None),
+}
 
 
 def _flow(params: ModelParams, drive: float):
@@ -659,42 +707,6 @@ def _dop853(f, y, t_grid, rtol, atol):
         yc += table[base][seg]
         out.append(yc)
     return out
-
-
-def mean_photon_scaled(point: PhasePoint, j: float) -> float:
-    """Scaled mean photon number (q2^2 + p2^2)/(2j)."""
-    return (point.q2**2 + point.p2**2) / (2.0 * j)
-
-
-def parity_meanfield(alpha: complex, zeta: complex, j: float) -> float:
-    """Parity expectation in the product coherent state |alpha>|zeta>.
-
-    exp(-2|alpha|^2) * ((1-|zeta|^2)/(1+|zeta|^2))^(2j), with e^(i pi) - 1
-    taken as exactly -2 so no imaginary dust is reported.
-    """
-    aa = abs(alpha) ** 2
-    zz = abs(zeta) ** 2
-    if not math.isfinite(zz):
-        raise ValueError("zeta must be finite")
-    base = (1.0 - zz) / (1.0 + zz)
-    return math.exp(-2.0 * aa) * base ** int(round(2.0 * j))
-
-
-def scaled_parity_meanfield(point: PhasePoint, j: float) -> float:
-    """Parity with all phase-space coordinates rescaled by sqrt(j).
-
-    exp(-(q2^2+p2^2)/j) * (1 - (q1^2+p1^2)/(2 j^2))^(2j); the base of the
-    power must be nonnegative.
-    """
-    r2 = point.q1**2 + point.p1**2
-    base = 1.0 - r2 / (2.0 * j * j)
-    if base < 0.0:
-        if base < -1e-12:
-            raise ValueError(
-                f"q1^2+p1^2 = {r2} exceeds 2j^2 = {2.0 * j * j}; scaled parity undefined"
-            )
-        base = 0.0  # floating residue exactly on the edge
-    return math.exp(-(point.q2**2 + point.p2**2) / j) * base ** int(round(2.0 * j))
 
 
 def time_average(times, values) -> float:

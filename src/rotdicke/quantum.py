@@ -2,14 +2,14 @@
 
 Basis ordering is m-major, n-minor: the amplitude of |n>|j,m> sits at flat
 index (m+j)*(n_max+1) + n, with m = -j..j and n = 0..n_max.  Operators are
-real symmetric and never stored as matrices: the number operators are
+real symmetric and never stored as matrices: a^dag a and the parity are
 diagonals, and a Hamiltonian is its diagonal plus the tridiagonal factors
-of its coupling term, applied to a vector in O(dim) (see
-:class:`Hamiltonian`).  Propagation approximates exp(-i H dt) by a Chebyshev
-expansion of the spectrally rescaled Hamiltonian with Bessel-function
-coefficients (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), within
-Gershgorin bounds on the spectrum; the Bessel values come from Miller's
-backward recurrence (:func:`_bessel_j`).  In the driven case H is the
+of its coupling term, applied to a vector by ``Hamiltonian.apply`` in
+O(dim) (see :class:`Hamiltonian`).  Propagation approximates exp(-i H dt)
+by a Chebyshev expansion of the spectrally rescaled Hamiltonian with
+Bessel-function coefficients (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+(1984)), within Gershgorin bounds on the spectrum; the Bessel values come
+from Miller's backward recurrence (:func:`_bessel_j`).  In the driven case H is the
 co-rotating-frame Hamiltonian
 
     H_rot = (omega0 + delta_phi) J_z + omega a^dag a
@@ -17,6 +17,8 @@ co-rotating-frame Hamiltonian
 
 whose expectation values of a^dag a and of the parity Pi = exp(i pi N)
 coincide with the laboratory-frame ones (both commute with J_z).
+:func:`evolve` records them through the quantum entries of the observable
+table in :mod:`rotdicke.meanfield`, which also holds their mean-field forms.
 
 The ground state is the lowest eigenvector of the undriven Hamiltonian in
 the even-parity sector, found by Lanczos on the matrix-free operator
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import Trajectory
+from .meanfield import _OBSERVABLES, Trajectory
 from .model import ModelParams
 
 __all__ = [
@@ -107,11 +109,10 @@ class QuantumState:
         return float(np.linalg.norm(self.amplitudes))
 
     def expectation(self, op) -> float:
-        """<psi|op|psi> for a Hermitian matrix, Hamiltonian or 1-D diagonal."""
+        """<psi|op|psi> for a :class:`Hamiltonian` or a diagonal given as a 1-D array."""
         psi = self.amplitudes
-        if isinstance(op, np.ndarray) and op.ndim == 1:
-            return float(np.real(np.vdot(psi, op * psi)))
-        return float(np.real(np.vdot(psi, op @ psi)))
+        applied = op * psi if isinstance(op, np.ndarray) else op.apply(psi)
+        return float(np.real(np.vdot(psi, applied)))
 
     def overlap(self, other: "QuantumState") -> complex:
         return complex(np.vdot(other.amplitudes, self.amplitudes))
@@ -123,9 +124,9 @@ class Hamiltonian:
     Stored in O(dim) numbers: the diagonal ``d`` over the product basis, the
     off-diagonals of the two tridiagonal factors (``spin_offdiag[k]`` =
     <m+1|J_+|m> at m = k - j, ``field_offdiag[n-1]`` = <n-1|a|n> = sqrt(n))
-    and the scalar coupling ``c``.  ``h @ v`` is a handful of shifted-slice
-    products on v reshaped to (2j+1, n_max+1).  ``to_dense()`` builds the
-    explicit matrix, as a test reference.
+    and the scalar coupling ``c``.  ``h.apply(v)`` is a handful of
+    shifted-slice products on v reshaped to (2j+1, n_max+1).  ``to_dense()``
+    builds the explicit matrix, as a test reference.
     """
 
     def __init__(
@@ -175,9 +176,6 @@ class Hamiltonian:
         res[1:] += spin * y[:-1]
         return out
 
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self.apply(v)
-
     def row_radii(self) -> np.ndarray:
         """Gershgorin radii: the off-diagonal absolute row sums of H."""
         spin = np.zeros(self.grid[0])
@@ -199,8 +197,8 @@ class Hamiltonian:
 class OperatorSet:
     """Operators on the truncated basis for one parameter set.
 
-    ``adag_a``, ``jz``, ``ntot`` and ``parity`` are diagonal and stored as
-    1-D arrays of their diagonals; ``h_dicke`` (undriven) and ``h_rot``
+    ``adag_a`` and ``parity`` are diagonal and stored as 1-D arrays of
+    their diagonals; ``h_dicke`` (undriven) and ``h_rot``
     (co-rotating frame) are matrix-free :class:`Hamiltonian` objects that
     share their two tridiagonal factors.  Nothing is O(dim^2).
     """
@@ -210,24 +208,22 @@ class OperatorSet:
     n_max: int
     dim: int
     adag_a: np.ndarray
-    jz: np.ndarray
-    ntot: np.ndarray
     parity: np.ndarray
     h_dicke: Hamiltonian
     h_rot: Hamiltonian
 
 
-def checked_dim(two_j: int, n_max: int, dim_cap: int = DEFAULT_DIM_CAP) -> int:
-    """Basis dimension (n_max+1)(2j+1); ValueError when it exceeds ``dim_cap``."""
+def checked_dim(two_j: int, n_max: int) -> int:
+    """Basis dimension (n_max+1)(2j+1); ValueError when it exceeds ``DEFAULT_DIM_CAP``."""
     dim = (two_j + 1) * (n_max + 1)
-    if dim > dim_cap:
+    if dim > DEFAULT_DIM_CAP:
         raise ValueError(
-            f"basis dimension (n_max+1)(2j+1) = {dim} exceeds the cap {dim_cap}"
+            f"basis dimension (n_max+1)(2j+1) = {dim} exceeds the cap {DEFAULT_DIM_CAP}"
         )
     return dim
 
 
-def build_operators(params: ModelParams, dim_cap: int = DEFAULT_DIM_CAP) -> OperatorSet:
+def build_operators(params: ModelParams) -> OperatorSet:
     """Build the operators for ``params`` (n_max must be set)."""
     if params.n_max is None:
         raise ValueError("params.n_max must be set to build operators")
@@ -236,7 +232,7 @@ def build_operators(params: ModelParams, dim_cap: int = DEFAULT_DIM_CAP) -> Oper
     two_j = params.two_j
     dim_spin = two_j + 1
     dim_field = n_max + 1
-    dim = checked_dim(two_j, n_max, dim_cap)
+    dim = checked_dim(two_j, n_max)
 
     n_vals = np.arange(dim_field, dtype=float)
     m_vals = np.arange(dim_spin, dtype=float) - j
@@ -268,30 +264,21 @@ def build_operators(params: ModelParams, dim_cap: int = DEFAULT_DIM_CAP) -> Oper
         n_max=n_max,
         dim=dim,
         adag_a=adag_a,
-        jz=jz,
-        ntot=ntot,
         parity=parity,
         h_dicke=h_dicke,
         h_rot=h_rot,
     )
 
 
-def spectral_bounds(h, hermitian_tol: float = 1e-12) -> tuple[float, float]:
-    """Gershgorin bounds (E_min, E_max) enclosing the spectrum of a real symmetric H.
+def spectral_bounds(h: Hamiltonian) -> tuple[float, float]:
+    """Gershgorin bounds (E_min, E_max) enclosing the spectrum of ``h``.
 
     min(d_i - r_i) and max(d_i + r_i) over the diagonal d and the
-    off-diagonal absolute row sums r, in O(dim) for a :class:`Hamiltonian`
-    and exact when its coupling is zero.  An explicit dense matrix (ndarray)
-    is checked for symmetry first.
+    off-diagonal absolute row sums r, in O(dim); exact when the coupling is
+    zero.
     """
-    if isinstance(h, Hamiltonian):
-        diagonal, radii = h.diagonal, h.row_radii()
-    else:
-        if h.size and np.max(np.abs(h - h.T)) > hermitian_tol:
-            raise ValueError("spectral_bounds requires a symmetric matrix")
-        diagonal = np.diag(h)
-        radii = np.abs(h).sum(axis=1) - np.abs(diagonal)
-    return float(np.min(diagonal - radii)), float(np.max(diagonal + radii))
+    radii = h.row_radii()
+    return float(np.min(h.diagonal - radii)), float(np.max(h.diagonal + radii))
 
 
 def chebyshev_order(dt: float, e_min: float, e_max: float) -> int:
@@ -397,7 +384,7 @@ def chebyshev_step(
     t_prev = psi.amplitudes.astype(complex)
     out = coefficients[0] * t_prev
     if order >= 1:
-        t_cur = doubled @ t_prev
+        t_cur = doubled.apply(t_prev)
         t_cur *= 0.5
         out += coefficients[1] * t_cur
         scratch = np.empty_like(t_prev)
@@ -428,9 +415,9 @@ def evolve(
 ) -> Trajectory:
     """Propagate ``psi0`` on a uniform time grid and record expectation values.
 
-    Supported observables: ``mean_photon_scaled`` (<a^dag a>/j) and
-    ``parity`` (<Pi>); both are invariant under the frame rotation, so the
-    co-rotating-frame expectation equals the laboratory-frame one.
+    ``observables`` are the names with a quantum evaluator in the observable
+    table of :mod:`rotdicke.meanfield`: ``mean_photon_scaled`` (<a^dag a>/j)
+    and ``parity`` (<Pi>).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or t[0] != 0.0:
@@ -441,7 +428,9 @@ def evolve(
             raise ValueError("t_grid must be strictly increasing")
         if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
             raise ValueError("t_grid must be uniform")
-    unknown = set(observables) - {"mean_photon_scaled", "parity"}
+    unknown = {
+        name for name in observables if name not in _OBSERVABLES or _OBSERVABLES[name].quantum is None
+    }
     if unknown:
         raise ValueError(f"unsupported quantum observables: {sorted(unknown)}")
 
@@ -453,18 +442,14 @@ def evolve(
     h = ops.h_rot if driven else ops.h_dicke
     bounds = spectral_bounds(h)
 
-    def measure(state: QuantumState) -> dict[str, float]:
-        rec = {}
-        if "mean_photon_scaled" in observables:
-            rec["mean_photon_scaled"] = state.expectation(ops.adag_a) / ops.j
-        if "parity" in observables:
-            rec["parity"] = state.expectation(ops.parity)
-        return rec
-
     columns: dict[str, list[float]] = {name: [] for name in observables}
+
+    def measure(state: QuantumState) -> None:
+        for name, column in columns.items():
+            column.append(_OBSERVABLES[name].quantum(ops, state))
+
     psi = psi0
-    for name, value in measure(psi).items():
-        columns[name].append(value)
+    measure(psi)
     if t.size > 1:
         dt = float(t[1] - t[0])
         order = chebyshev_order(dt, *bounds)
@@ -473,8 +458,7 @@ def evolve(
             psi = chebyshev_step(
                 ops, psi, dt, driven=driven, bounds=bounds, order=order, coefficients=coeffs
             )
-            for name, value in measure(psi).items():
-                columns[name].append(value)
+            measure(psi)
 
     return Trajectory(
         params=params,
@@ -491,19 +475,13 @@ def _log_factorial(values: np.ndarray) -> np.ndarray:
     return np.array([math.lgamma(v + 1.0) for v in values.tolist()])
 
 
-def coherent_state(
-    alpha: complex,
-    zeta: complex,
-    j: float,
-    n_max: int,
-    loss_tol: float = TRUNCATION_TOL,
-) -> QuantumState:
+def coherent_state(alpha: complex, zeta: complex, j: float, n_max: int) -> QuantumState:
     """Product coherent state |alpha>|zeta> on the truncated basis.
 
     Amplitudes kappa_{n,m} = [e^(-|alpha|^2/2) alpha^n / sqrt(n!)]
     * [zeta^(m+j) sqrt(C(2j, m+j)) / (1+|zeta|^2)^j], renormalized after
     truncation.  The pre-normalization truncation loss 1 - sum |kappa|^2
-    must stay below ``loss_tol`` or a larger n_max is demanded.
+    must stay below ``TRUNCATION_TOL`` or a larger n_max is demanded.
     """
     alpha = complex(alpha)
     zeta = complex(zeta)
@@ -533,9 +511,9 @@ def coherent_state(
     amplitudes = np.kron(spin, field)
     total = float(np.sum(np.abs(amplitudes) ** 2))
     loss = max(1.0 - total, 0.0)
-    if loss >= loss_tol:
+    if loss >= TRUNCATION_TOL:
         raise ValueError(
-            f"truncation loss {loss:.3e} >= {loss_tol:.1e} at n_max={n_max}; "
+            f"truncation loss {loss:.3e} >= {TRUNCATION_TOL:.1e} at n_max={n_max}; "
             f"increase n_max (|alpha|^2 = {abs(alpha)**2:.3g})"
         )
     return QuantumState(amplitudes / math.sqrt(total), j, n_max)

@@ -26,12 +26,13 @@ from rotdicke import (
     ground_state,
     hp_rhs,
     integrate,
-    mean_photon_scaled,
     run_protocol,
     spectral_bounds,
     sweep_lambda,
     sweep_velocity,
 )
+
+from closed_forms import mean_photon_scaled
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -90,7 +91,8 @@ def test_c03_frame_change_oracle():
         jp[k + 1, k] = math.sqrt((params.j - m_vals[k]) * (params.j + m_vals[k] + 1))
     a_small = np.diag(np.sqrt(np.arange(1, params.n_max + 1)), k=1)
     x_small = a_small + a_small.T
-    diag = np.diag(params.omega0 * ops.jz + params.omega * ops.adag_a)
+    jz = np.repeat(m_vals, params.n_max + 1)
+    diag = np.diag(params.omega0 * jz + params.omega * ops.adag_a)
 
     psi = psi0.amplitudes.copy()
     direct = [float(np.real(np.vdot(psi, ops.adag_a * psi))) / params.j]

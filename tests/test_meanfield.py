@@ -20,17 +20,16 @@ from rotdicke import (
     hp_rhs,
     integrate,
     jacobi_integral,
-    mean_photon_scaled,
-    parity_meanfield,
     point_from_coherent,
     rotated_critical_coupling,
     run_protocol,
-    scaled_parity_meanfield,
     stationary_photon_scaled,
     sweep_lambda,
     time_average,
 )
-from rotdicke import meanfield
+from rotdicke import build_operators, coherent_state, meanfield
+
+from closed_forms import mean_photon_scaled, parity_meanfield, scaled_parity_meanfield
 
 
 def random_domain_point(rng, j, fill=0.9):
@@ -520,47 +519,97 @@ class TestDop853:
             integrate(PhasePoint(*coords), ModelParams(lam=1.0, j=1.0), 1.0)
 
 
+def table_value(name, point, j):
+    """The observable table's mean-field value at one phase-space point."""
+    coords = (np.array([c]) for c in (point.q1, point.p1, point.q2, point.p2))
+    return float(meanfield._OBSERVABLES[name].meanfield(*coords, j)[0])
+
+
 class TestObservables:
     def test_mean_photon_scaled(self):
-        assert mean_photon_scaled(PhasePoint(0, 0, 0, 0), 3.0) == 0.0
-        assert mean_photon_scaled(PhasePoint(0, 0, 1.0, 2.0), 1.0) == pytest.approx(2.5)
         c2 = fixed_points(ModelParams(lam=1.0, j=1.0, delta_phi=0.0))[1]
-        assert mean_photon_scaled(c2.point, 1.0) == pytest.approx(1.875)
+        for point, j, expected in (
+            (PhasePoint(0, 0, 0, 0), 3.0, 0.0),
+            (PhasePoint(0, 0, 1.0, 2.0), 1.0, 2.5),
+            (c2.point, 1.0, 1.875),
+        ):
+            value = table_value("mean_photon_scaled", point, j)
+            assert value == mean_photon_scaled(point, j)
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_parity_vacuum(self):
-        assert parity_meanfield(0j, 0j, 5.0) == 1.0
+        for j in (0.5, 5.0):
+            assert table_value("parity", point_from_coherent(0j, 0j, j), j) == 1.0
+            assert parity_meanfield(0j, 0j, j) == 1.0
 
     def test_parity_field_factor(self):
-        assert parity_meanfield(1.0 + 0j, 0j, 2.0) == pytest.approx(math.exp(-2.0))
+        for alpha, j in ((1.0 + 0j, 2.0), (0.6 - 0.8j, 1.5)):
+            value = table_value("parity", point_from_coherent(alpha, 0j, j), j)
+            assert value == pytest.approx(math.exp(-2.0), rel=1e-14)
+            assert parity_meanfield(alpha, 0j, j) == pytest.approx(math.exp(-2.0), rel=1e-15)
 
     def test_parity_equatorial_spin(self):
-        assert parity_meanfield(0j, 1.0 + 0j, 1.0) == 0.0
+        # |zeta| = 1 puts the spin on the equator, where q1^2+p1^2 = 2j: the
+        # base is 0 up to the rounding of point_from_coherent.
+        for zeta, j in ((1.0 + 0j, 1.0), (0.6 + 0.8j, 2.0), (-1.0 + 0j, 0.5)):
+            assert table_value("parity", point_from_coherent(0j, zeta, j), j) == pytest.approx(
+                0.0, abs=1e-15
+            )
+            assert parity_meanfield(0j, zeta, j) == pytest.approx(0.0, abs=1e-15)
 
     def test_parity_generic_cross_check(self):
-        # Second, independent spelling of the same expression.
-        alpha, zeta, j = 0.3 + 0.4j, -0.5 + 0.2j, 3.0
-        direct = math.exp(-2 * abs(alpha) ** 2) * (
-            (1 - abs(zeta) ** 2) / (1 + abs(zeta) ** 2)
-        ) ** int(2 * j)
-        assert parity_meanfield(alpha, zeta, j) == pytest.approx(direct, rel=1e-15)
+        # The table in phase space against the closed form in (alpha, zeta).
+        for alpha, zeta, j in (
+            (0.3 + 0.4j, -0.5 + 0.2j, 3.0),
+            (1.1 - 0.2j, 0.7j, 1.5),
+            (-0.2j, 2.5 + 1.0j, 4.0),
+        ):
+            value = table_value("parity", point_from_coherent(alpha, zeta, j), j)
+            assert value == pytest.approx(parity_meanfield(alpha, zeta, j), rel=1e-13)
 
     def test_scaled_parity_origin_and_edge(self):
-        assert scaled_parity_meanfield(PhasePoint(0, 0, 0, 0), 4.0) == 1.0
+        assert table_value("scaled_parity", PhasePoint(0, 0, 0, 0), 4.0) == 1.0
+        # On the edge q1^2+p1^2 = 2j^2 the base rounds to -2.2e-16: floating
+        # residue inside [-1e-12, 0), counted as 0, also inside a trajectory.
         j = 2.0
-        edge = PhasePoint(math.sqrt(2 * j * j), 0.0, 0.0, 0.0)
-        assert scaled_parity_meanfield(edge, j) == 0.0
+        q1 = np.array([1.0, math.sqrt(2 * j * j), 0.5])
+        assert 1.0 - q1[1] ** 2 / (2 * j * j) < 0.0
+        zeros = np.zeros(3)
+        values = meanfield._OBSERVABLES["scaled_parity"].meanfield(q1, zeros, zeros, zeros, j)
+        assert values[1] == 0.0
+        for k in (0, 2):
+            expected = scaled_parity_meanfield(PhasePoint(q1[k], 0.0, 0.0, 0.0), j)
+            assert values[k] == pytest.approx(expected, rel=1e-15)
 
     def test_scaled_parity_generic_dual_evaluation(self):
-        j = 3.0
-        pt = PhasePoint(1.2, -0.7, 0.4, 0.9)
-        expected = math.exp(-(0.4**2 + 0.9**2) / j) * (
-            1 - (1.2**2 + 0.7**2) / (2 * j * j)
-        ) ** int(2 * j)
-        assert scaled_parity_meanfield(pt, j) == pytest.approx(expected, rel=1e-15)
+        for pt, j in (
+            (PhasePoint(1.2, -0.7, 0.4, 0.9), 3.0),
+            (PhasePoint(-0.3, 0.5, -1.1, 0.2), 1.5),
+        ):
+            expected = scaled_parity_meanfield(pt, j)
+            assert table_value("scaled_parity", pt, j) == pytest.approx(expected, rel=1e-15)
 
     def test_scaled_parity_domain_error(self):
-        with pytest.raises(ValueError, match="2j\\^2"):
-            scaled_parity_meanfield(PhasePoint(1.9, 0, 0, 0), 1.0)
+        j = 2.0
+        # A base of -1.5e-12, just beyond the floating residue the edge allows.
+        beyond = math.sqrt(2 * j * j * (1 + 1.5e-12))
+        for q1, j in ((1.9, 1.0), (beyond, j)):
+            with pytest.raises(ValueError, match="2j\\^2"):
+                table_value("scaled_parity", PhasePoint(q1, 0, 0, 0), j)
+
+    def test_quantum_entries_match_meanfield_on_coherent_states(self):
+        # <O> in |alpha>|zeta> equals the mean-field value at the point the
+        # pair labels, for every observable both engines report.
+        n_max = 60
+        for alpha, zeta, j in ((0.3 + 0.4j, -0.5 + 0.2j, 3.0), (1.1 - 0.2j, 0.7j, 1.5), (0j, 0.4, 0.5)):
+            ops = build_operators(ModelParams(lam=0.5, j=j, n_max=n_max))
+            state = coherent_state(alpha, zeta, j, n_max)
+            point = point_from_coherent(alpha, zeta, j)
+            names = [name for name, entry in meanfield._OBSERVABLES.items() if entry.quantum]
+            assert names == ["mean_photon_scaled", "parity"]
+            for name in names:
+                quantum = meanfield._OBSERVABLES[name].quantum(ops, state)
+                assert abs(quantum - table_value(name, point, j)) < 1e-10, (name, alpha, zeta, j)
 
 
 class TestTimeAverage:

@@ -246,7 +246,7 @@ class TestStationaryPhotonClosedForm:
         assert stationary_photon_scaled(1.0, 1.0, 0.85, 3.0) == 0.0
 
     def test_matches_fixed_point_photon_number(self):
-        from rotdicke import mean_photon_scaled
+        from closed_forms import mean_photon_scaled
 
         params = ModelParams(lam=1.2, j=5.0, delta_phi=0.8)
         c2 = fixed_points(params)[1]

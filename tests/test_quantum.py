@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from rotdicke import (
@@ -35,6 +34,11 @@ def factor_matrices(ops):
     jpm = np.kron(jp + jp.T, np.eye(h.grid[1]))
     x = np.kron(np.eye(h.grid[0]), a + a.T)
     return jpm, x
+
+
+def jz_diagonal(j, n_max):
+    """The diagonal of J_z over the m-major, n-minor product basis."""
+    return np.repeat(np.arange(int(round(2 * j)) + 1) - j, n_max + 1)
 
 
 def kron_hamiltonian(j, n_max, lam, omega0_eff, omega=1.0):
@@ -73,19 +77,21 @@ class TestBuildOperators:
     def test_smallest_algebra(self):
         params = ModelParams(lam=0.7, j=0.5, delta_phi=0.0, n_max=1)
         ops = build_operators(params)
+        jz = jz_diagonal(0.5, 1)
         # m-major blocks: diag(-1/2, -1/2, +1/2, +1/2)
-        assert np.allclose(ops.jz, [-0.5, -0.5, 0.5, 0.5])
+        assert np.allclose(jz, [-0.5, -0.5, 0.5, 0.5])
+        assert np.array_equal(ops.h_dicke.diagonal, jz + ops.adag_a)
         jpm, _ = factor_matrices(ops)
         jp = np.triu(jpm).T  # J_+ is the lower triangle in the m-major basis
         jm = jp.T
         comm = jp @ jm - jm @ jp
-        assert np.allclose(comm, 2 * np.diag(ops.jz))
+        assert np.allclose(comm, 2 * np.diag(jz))
 
     def test_su2_commutators_larger_spin(self):
         params = ModelParams(lam=0.3, j=2.0, n_max=2)
         ops = build_operators(params)
         jpm, _ = factor_matrices(ops)
-        jz = np.diag(ops.jz)
+        jz = np.diag(jz_diagonal(2.0, 2))
         # [J_z, J_+ + J_-] = J_+ - J_-, hence [[J_z, J_pm], J_z] = -J_pm.
         inner = jz @ jpm - jpm @ jz
         assert np.allclose(inner @ jz - jz @ inner, -jpm)
@@ -112,7 +118,8 @@ class TestBuildOperators:
         # one field excitation on the lowest-weight spin state is odd
         idx = basis_index(1.0, 3, n=1, m=-1.0)
         assert ops.parity[idx] == -1.0
-        assert np.allclose(ops.parity, (-1.0) ** np.round(ops.ntot))
+        ntot = ops.adag_a + jz_diagonal(1.0, 3) + 1.0
+        assert np.allclose(ops.parity, (-1.0) ** np.round(ntot))
 
     def test_hamiltonians_hermitian_and_commute_with_parity(self):
         params = ModelParams(lam=1.0, j=1.5, delta_phi=0.7, n_max=6)
@@ -129,12 +136,13 @@ class TestBuildOperators:
         ops2 = build_operators(driven)
         assert np.allclose(ops0.h_dicke.to_dense(), ops2.h_dicke.to_dense())
         diff = ops2.h_rot.to_dense() - ops2.h_dicke.to_dense()
-        assert np.allclose(diff, 2.0 * np.diag(ops2.jz))
+        assert np.allclose(diff, 2.0 * np.diag(jz_diagonal(1.0, 4)))
 
     def test_dimension_cap(self):
-        params = ModelParams(lam=1.0, j=10.0, n_max=200)
-        with pytest.raises(ValueError, match="cap"):
-            build_operators(params, dim_cap=1000)
+        # dim 21 * 10001 = 210021 > 200000: refused before anything is allocated.
+        params = ModelParams(lam=1.0, j=10.0, n_max=10_000)
+        with pytest.raises(ValueError, match="210021 exceeds the cap 200000"):
+            build_operators(params)
 
     def test_matrix_free_apply_matches_kron_reference(self):
         rng = np.random.default_rng(16)
@@ -145,7 +153,7 @@ class TestBuildOperators:
                     ref = kron_hamiltonian(j, n_max, 1.3, omega0_eff)
                     v = rng.normal(size=ref.shape[0]) + 1j * rng.normal(size=ref.shape[0])
                     v /= np.linalg.norm(v)
-                    assert np.max(np.abs(h @ v - ref @ v)) < 1e-13, (j, n_max, omega0_eff)
+                    assert np.max(np.abs(h.apply(v) - ref @ v)) < 1e-13, (j, n_max, omega0_eff)
                     assert np.max(np.abs(h.to_dense() - ref)) < 1e-13, (j, n_max, omega0_eff)
 
     def test_large_basis_is_matrix_free(self):
@@ -162,7 +170,7 @@ class TestBuildOperators:
         again = ground_state(params, ops=ops)
         assert np.array_equal(gs.amplitudes, again.amplitudes)
         energy = gs.expectation(ops.h_dicke)
-        residual = ops.h_dicke @ gs.amplitudes - energy * gs.amplitudes
+        residual = ops.h_dicke.apply(gs.amplitudes) - energy * gs.amplitudes
         assert np.linalg.norm(residual) < 1e-6
         out = chebyshev_step(ops, gs, 0.1)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
@@ -170,7 +178,8 @@ class TestBuildOperators:
 
 class TestSpectralBounds:
     def test_diagonal_example(self):
-        h = np.diag([-1.0, 0.0, 2.0])
+        # Three spin states, one Fock state, no coupling: H = diag(-1, 0, 2).
+        h = Hamiltonian(np.array([-1.0, 0.0, 2.0]), np.ones(2), np.zeros(0), 0.0)
         assert spectral_bounds(h) == (-1.0, 2.0)
 
     def test_uncoupled_closed_form(self):
@@ -182,20 +191,19 @@ class TestSpectralBounds:
         assert e_max == pytest.approx(7.0 + 1.5, rel=1e-12)
 
     def test_widened_bounds_contain_spectrum(self):
+        # A random diagonal under the model's coupling factors (dim 2121).
         rng = np.random.default_rng(11)
-        m = rng.normal(size=(2100, 4))
-        h = scipy.sparse.diags(
-            [m[:-1, 0], m[:, 1], m[:-1, 0]], offsets=[-1, 0, 1], format="csr"
+        ops = build_operators(ModelParams(lam=1.3, j=10.0, n_max=100))
+        h = Hamiltonian(
+            rng.normal(scale=20.0, size=ops.dim),
+            ops.h_rot.spin_offdiag,
+            ops.h_rot.field_offdiag,
+            ops.h_rot.coupling,
         )
-        e_min, e_max = spectral_bounds(h.toarray())
-        true_vals = np.linalg.eigvalsh(h.toarray())
+        e_min, e_max = spectral_bounds(h)
+        true_vals = np.linalg.eigvalsh(h.to_dense())
         assert e_min <= true_vals[0]
         assert e_max >= true_vals[-1]
-
-    def test_non_symmetric_rejected(self):
-        h = np.array([[0.0, 1.0], [0.5, 0.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            spectral_bounds(h)
 
     def test_gershgorin_encloses_kron_reference_spectrum(self):
         for j in (0.5, 1.0, 2.5, 6.0):
@@ -426,18 +434,16 @@ class TestCoherentState:
 
     def test_spin_jz_expectation_closed_form(self):
         zeta, j = 0.5, 4.0
-        params = ModelParams(lam=0.1, j=j, n_max=2)
-        ops = build_operators(params)
         state = coherent_state(0.0, zeta, j, 2)
         expected = -j * (1 - zeta**2) / (1 + zeta**2)
-        assert state.expectation(np.diag(ops.jz)) == pytest.approx(expected, rel=1e-12)
+        assert state.expectation(jz_diagonal(j, 2)) == pytest.approx(expected, rel=1e-12)
 
     def test_field_photon_expectation(self):
         alpha, j = 1.2 + 0.5j, 1.0
         params = ModelParams(lam=0.1, j=j, n_max=40)
         ops = build_operators(params)
         state = coherent_state(alpha, 0.0, j, 40)
-        assert state.expectation(np.diag(ops.adag_a)) == pytest.approx(
+        assert state.expectation(ops.adag_a) == pytest.approx(
             abs(alpha) ** 2, rel=1e-12
         )
 
@@ -531,7 +537,7 @@ class TestGroundState:
         params = ModelParams(lam=1.3, j=6.0, n_max=100)
         state = ground_state(params)
         ops = build_operators(params)
-        photon = state.expectation(np.diag(ops.adag_a)) / params.j
+        photon = state.expectation(ops.adag_a) / params.j
         closed = stationary_photon_scaled(1.0, 1.0, 1.3, 0.0)
         assert photon == pytest.approx(closed, abs=0.25)
 
@@ -604,7 +610,7 @@ class TestFrameInvariance:
             jp[k + 1, k] = math.sqrt((params.j - m_vals[k]) * (params.j + m_vals[k] + 1))
         a_small = np.diag(np.sqrt(np.arange(1, params.n_max + 1)), k=1)
         x_small = a_small + a_small.T
-        diag = np.diag(params.omega0 * ops.jz + params.omega * ops.adag_a)
+        diag = np.diag(params.omega0 * jz_diagonal(params.j, params.n_max) + params.omega * ops.adag_a)
 
         def h_lab(t):
             phase = np.exp(1j * params.delta_phi * t)
