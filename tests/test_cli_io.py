@@ -468,18 +468,22 @@ class TestMainExitCodes:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
-        code = main(
-            [
-                "trajectory",
-                "--engine", "meanfield",
-                "--initial", "fock",
-                "--lambda", "1.0",
-                "--j", "0.75",
-                "--out", str(tmp_path / "x.csv"),
-            ]
-        )
-        assert code == 1
-        assert "half-integer" in capsys.readouterr().err
+        # Both fail in parse_config, before the configuration is echoed.
+        for flags, message in (
+            (["--engine", "meanfield", "--j", "0.75"], "half-integer"),
+            (
+                ["--engine", "quantum", "--observables", "parity,scaled_parity"],
+                "scaled_parity is only available with engine = meanfield",
+            ),
+        ):
+            code = main(
+                ["trajectory", "--initial", "fock", "--lambda", "1.0", *flags]
+                + ["--out", str(tmp_path / "x.csv")]
+            )
+            assert code == 1
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert captured.out == ""
 
     @pytest.mark.parametrize(
         "key",

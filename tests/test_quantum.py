@@ -382,8 +382,9 @@ class TestEvolve:
             evolve(psi0, params, np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="uniform"):
             evolve(psi0, params, np.array([0.0, 1.0, 3.0]))
-        with pytest.raises(ValueError, match="observables"):
-            evolve(psi0, params, np.array([0.0, 1.0]), observables=("scaled_parity",))
+        for names in (("scaled_parity",), ("parity", "bogus")):
+            with pytest.raises(ValueError, match="unsupported quantum observables"):
+                evolve(psi0, params, np.array([0.0, 1.0]), observables=names)
 
     @pytest.mark.parametrize("driven", [False, True], ids=["undriven", "driven"])
     def test_energy_conserved_over_many_steps(self, driven):
