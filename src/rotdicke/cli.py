@@ -259,6 +259,8 @@ def _parse_value(subcommand: str, key: str, text: str):
             raise ConfigError(f"observables must be among {OBSERVABLES}, got {sorted(bad)}")
         if not value:
             raise ConfigError("observables must not be empty")
+        if len(set(value)) != len(value):
+            raise ConfigError(f"observables must not repeat a name, got {','.join(value)}")
     check = _CHECKS.get(key)
     if check is not None and value is not None:
         check(value)

@@ -114,6 +114,9 @@ class ProtocolSpec:
             raise ValueError(f"unknown observables: {sorted(bad)}")
         if not self.observables:
             raise ValueError("at least one observable is required")
+        repeated = sorted({name for name in self.observables if self.observables.count(name) > 1})
+        if repeated:
+            raise ValueError(f"repeated observables: {repeated}")
         if self.engine == "quantum":
             for name in self.observables:
                 if _OBSERVABLES[name].quantum is None:

@@ -4,13 +4,19 @@ Basis ordering is m-major, n-minor: the amplitude of |n>|j,m> sits at flat
 index (m+j)*(n_max+1) + n, with m = -j..j and n = 0..n_max.  Operators are
 real symmetric and never stored as matrices: a^dag a and the parity are
 diagonals, and a Hamiltonian is its diagonal plus the tridiagonal factors
-of its coupling term, applied to a vector by ``Hamiltonian.apply`` in
-O(dim) (see :class:`Hamiltonian`).  Propagation approximates exp(-i H dt)
-by a Chebyshev expansion of the spectrally rescaled Hamiltonian with
-Bessel-function coefficients (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
-(1984)), within Gershgorin bounds on the spectrum; the Bessel values come
-from Miller's backward recurrence (:func:`_bessel_j`).  In the driven case H is the
-co-rotating-frame Hamiltonian
+of its coupling term (see :class:`Hamiltonian`).  Every product H v runs
+through one stencil (:class:`_Stencil`) on a ghost-padded copy of the
+grid: (k, n) sits at flat index (k+1)*(n_max+2) + n, behind a zero row
+above and below and a zero column after each row, so each neighbour is a
+fixed shift (+-1 along the Fock axis, +-(n_max+2) along the spin axis) and
+H v is a few ufunc calls on contiguous 1-D slices, in O(dim).
+
+Propagation approximates exp(-i H dt) by a Chebyshev expansion of the
+spectrally rescaled Hamiltonian with Bessel-function coefficients
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), within Gershgorin
+bounds on the spectrum; the Bessel values come from Miller's backward
+recurrence (:func:`_bessel_j`).  In the driven case H is the co-rotating-frame
+Hamiltonian
 
     H_rot = (omega0 + delta_phi) J_z + omega a^dag a
             + (lam/sqrt(2j)) (a + a^dag)(J_+ + J_-),
@@ -63,11 +69,12 @@ TRUNCATION_TOL = 1e-10
 _NORM_DRIFT_TOL = 1e-8
 
 # ground_state's Lanczos iteration (_lowest_eigenvector): seed of the start
-# vector, iteration cap, Ritz-pair check interval, relative residual and
-# relative breakdown thresholds.
+# vector, iteration cap, Ritz-pair check interval, rows by which the Krylov
+# block grows, relative residual and relative breakdown thresholds.
 _LANCZOS_SEED = 764853
 _LANCZOS_MAX_ITER = 1000
 _LANCZOS_CHECK = 10
+_LANCZOS_CHUNK = 50
 _LANCZOS_RTOL = 1e-13
 _LANCZOS_BREAKDOWN = 1e-12
 
@@ -124,9 +131,11 @@ class Hamiltonian:
     Stored in O(dim) numbers: the diagonal ``d`` over the product basis, the
     off-diagonals of the two tridiagonal factors (``spin_offdiag[k]`` =
     <m+1|J_+|m> at m = k - j, ``field_offdiag[n-1]`` = <n-1|a|n> = sqrt(n))
-    and the scalar coupling ``c``.  ``h.apply(v)`` is a handful of
-    shifted-slice products on v reshaped to (2j+1, n_max+1).  ``to_dense()``
-    builds the explicit matrix, as a test reference.
+    and the scalar coupling ``c``.  ``h.apply(v)`` pads v onto the
+    ghost-padded grid, runs the :class:`_Stencil` of ``h`` once and unpads
+    the result; repeated products (the Chebyshev recurrence, Lanczos) build
+    one stencil and stay on the padded grid.  ``to_dense()`` builds the
+    explicit matrix, as a test reference.
     """
 
     def __init__(
@@ -148,33 +157,11 @@ class Hamiltonian:
         """Bytes held by the stored arrays."""
         return self.diagonal.nbytes + self.spin_offdiag.nbytes + self.field_offdiag.nbytes
 
-    def shifted(self, shift: float, factor: float) -> "Hamiltonian":
-        """The operator factor * (H - shift)."""
-        return Hamiltonian(
-            (self.diagonal - shift) * factor,
-            self.spin_offdiag,
-            self.field_offdiag,
-            self.coupling * factor,
-        )
-
     def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """H v, written into ``out`` when given (it must not alias ``v``)."""
-        if out is None:
-            out = np.empty_like(v, dtype=np.result_type(v, float))
-        psi = v.reshape(self.grid)
-        field = self.field_offdiag
-        # (a + a^dag) acts on the minor (Fock) axis ...
-        y = np.empty_like(psi)
-        np.multiply(psi[:, 1:], field, out=y[:, :-1])
-        y[:, -1] = 0.0
-        y[:, 1:] += psi[:, :-1] * field
-        # ... and (J_+ + J_-), scaled by the coupling, on the major (m) axis.
-        spin = (self.coupling * self.spin_offdiag)[:, None]
-        res = out.reshape(self.grid)
-        np.multiply(self.diagonal.reshape(self.grid), psi, out=res)
-        res[:-1] += spin * y[1:]
-        res[1:] += spin * y[:-1]
-        return out
+        """H v, written into ``out`` when given."""
+        stencil = _Stencil(self, np.result_type(v, float))
+        padded = stencil.apply(stencil.pad(v), stencil.zeros())
+        return stencil.unpad(padded, out)
 
     def row_radii(self) -> np.ndarray:
         """Gershgorin radii: the off-diagonal absolute row sums of H."""
@@ -191,6 +178,95 @@ class Hamiltonian:
         spin = np.diag(self.spin_offdiag, k=-1)
         field = np.diag(self.field_offdiag, k=1)
         return np.diag(self.diagonal) + self.coupling * np.kron(spin + spin.T, field + field.T)
+
+
+class _Stencil:
+    """factor * (H - shift) as one stencil on the ghost-padded grid, in one dtype.
+
+    Point (k, n) of the (2j+1) x (n_max+1) grid sits at flat index
+    (k+1)*w + n, w = n_max + 2, of a padded vector of length (2j+3)*w.  The
+    row above the grid, the row below it and the last column of every row
+    are ghosts holding zeros, so every neighbour is a fixed shift (+-1 along
+    the Fock axis, +-w along the spin axis) and :meth:`apply` is eight ufunc
+    calls on contiguous 1-D slices of the interior rows.  The factors are
+    held over those rows in the vector's dtype, so no call casts:
+
+    * ``diagonal``: factor * (d - shift), zero in the ghost column;
+    * ``field_up``: the bond sqrt(n+1) from (k, n) to (k, n+1), zero at
+      n = n_max and in the ghost column; ``field_down`` is the same bonds
+      one point earlier, the bond from each point's lower neighbour;
+    * ``spin_up``: the bond factor * c * <m+1|J_+|m> from row k to row k+1,
+      zero on the last row; ``spin_down`` is the same bonds one row
+      earlier, behind the ghost row's zeros.
+
+    Each sum is added in the order of the products on the unpadded grid, so
+    a padded product carries the same bits.  A stencil is per-call scratch
+    (it owns its work buffers); nothing keeps it.
+    """
+
+    def __init__(self, h: Hamiltonian, dtype, shift: float = 0.0, factor: float = 1.0):
+        rows, cols = h.grid
+        self.grid = h.grid
+        self.width = width = cols + 1
+        self.size = (rows + 2) * width
+        self.dtype = dtype
+        diagonal = np.zeros((rows, width), dtype)
+        diagonal[:, :cols] = ((h.diagonal - shift) * factor).reshape(h.grid)
+        self.diagonal = diagonal.ravel()
+        field = np.zeros(rows * width + 1, dtype)
+        field[1:].reshape(rows, width)[:, : cols - 1] = h.field_offdiag
+        self.field_up, self.field_down = field[1:], field[:-1]
+        spin = np.zeros((rows + 1, width), dtype)
+        spin[1:rows, :cols] = ((h.coupling * factor) * h.spin_offdiag)[:, None]
+        self.spin_up, self.spin_down = spin.ravel()[width:], spin.ravel()[:-width]
+        # The field part (a + a^dag) v, zero on the ghost rows, and one
+        # product's worth of scratch.
+        self._field_part = np.zeros(self.size, dtype)
+        self._product = np.empty(rows * width, dtype)
+
+    def zeros(self) -> np.ndarray:
+        """A padded vector of zeros."""
+        return np.zeros(self.size, self.dtype)
+
+    def _grid_view(self, padded: np.ndarray) -> np.ndarray:
+        """The grid points of a padded vector, as a (2j+1, n_max+1) view."""
+        return padded[self.width : self.size - self.width].reshape(-1, self.width)[:, :-1]
+
+    def pad(self, v: np.ndarray) -> np.ndarray:
+        """``v`` (over the unpadded basis) on the padded grid."""
+        padded = self.zeros()
+        self._grid_view(padded)[...] = v.reshape(self.grid)
+        return padded
+
+    def unpad(self, padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The grid points of ``padded`` in basis order, written into ``out`` when given."""
+        if out is None:
+            out = np.empty(math.prod(self.grid), self.dtype)
+        out.reshape(self.grid)[...] = self._grid_view(padded)
+        return out
+
+    def apply(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` = factor * (H - shift) ``v`` on the interior rows of two padded vectors.
+
+        ``v``'s ghosts must be finite (they meet only zero factors) and
+        ``out``'s ghost rows are left as they are; ``out`` must not alias ``v``.
+        """
+        w = self.width
+        lo, hi = w, self.size - w
+        y, product = self._field_part, self._product
+        # (a + a^dag) along the Fock axis ...
+        inner = y[lo:hi]
+        np.multiply(v[lo + 1 : hi + 1], self.field_up, out=inner)
+        np.multiply(v[lo - 1 : hi - 1], self.field_down, out=product)
+        inner += product
+        # ... then the diagonal and (J_+ + J_-), scaled by the coupling, along the spin axis.
+        res = out[lo:hi]
+        np.multiply(self.diagonal, v[lo:hi], out=res)
+        np.multiply(self.spin_up, y[lo + w : hi + w], out=product)
+        res += product
+        np.multiply(self.spin_down, y[lo - w : hi - w], out=product)
+        res += product
+        return out
 
 
 @dataclass(frozen=True)
@@ -376,24 +452,26 @@ def chebyshev_step(
 
     # The recurrence T_k = 2 h T_(k-1) - T_(k-2) with h = (H - center)/half_span
     # applies 2h each term, so the centre and span are folded into one
-    # operator; T_1 = h T_0 is half of its first product.
+    # stencil; T_1 = h T_0 is half of its first product.  The recurrence
+    # runs on the padded grid: psi is padded once and the sum unpadded once.
     center = 0.5 * (e_max + e_min)
     half_span = 0.5 * (e_max - e_min)
-    doubled = h.shifted(center, 2.0 / half_span)
+    doubled = _Stencil(h, complex, center, 2.0 / half_span)
 
-    t_prev = psi.amplitudes.astype(complex)
+    t_prev = doubled.pad(psi.amplitudes)
     out = coefficients[0] * t_prev
     if order >= 1:
-        t_cur = doubled.apply(t_prev)
+        t_cur = doubled.apply(t_prev, doubled.zeros())
         t_cur *= 0.5
         out += coefficients[1] * t_cur
-        scratch = np.empty_like(t_prev)
+        scratch = doubled.zeros()
         for k in range(2, order + 1):
             doubled.apply(t_cur, out=scratch)
             np.subtract(scratch, t_prev, out=t_prev)
             t_prev, t_cur = t_cur, t_prev
             np.multiply(t_cur, coefficients[k], out=scratch)
             out += scratch
+    out = doubled.unpad(out)
 
     in_norm = psi.norm()
     drift = abs(float(np.linalg.norm(out)) - in_norm)
@@ -433,6 +511,9 @@ def evolve(
     }
     if unknown:
         raise ValueError(f"unsupported quantum observables: {sorted(unknown)}")
+    repeated = sorted({name for name in observables if observables.count(name) > 1})
+    if repeated:
+        raise ValueError(f"repeated observables: {repeated}")
 
     if ops is None:
         ops = build_operators(params)
@@ -533,8 +614,10 @@ def _lowest_eigenvector(h: Hamiltonian, sector: np.ndarray) -> np.ndarray:
 
     Lanczos with full reorthogonalisation (Golub & Van Loan, *Matrix
     Computations*, 4th ed., sec. 10.1) from a seeded start vector, the
-    Krylov vectors kept as the rows of one preallocated block over the
-    sector alone.  Every ``_LANCZOS_CHECK`` iterations the lowest Ritz pair
+    Krylov vectors kept as the rows of one block over the sector alone,
+    grown ``_LANCZOS_CHUNK`` rows at a time.  The products come from one
+    real :class:`_Stencil`, on a padded vector that is zero off the sector.
+    Every ``_LANCZOS_CHECK`` iterations the lowest Ritz pair
     of the tridiagonal matrix T is taken; the run stops when its residual
     estimate |beta_k s_k| falls to ``_LANCZOS_RTOL`` * ||T||, on a breakdown
     beta_k <= ``_LANCZOS_BREAKDOWN`` * max |alpha_i| (the Krylov space is
@@ -543,16 +626,19 @@ def _lowest_eigenvector(h: Hamiltonian, sector: np.ndarray) -> np.ndarray:
     """
     size = sector.size
     limit = min(size, _LANCZOS_MAX_ITER)
-    basis = np.empty((limit, size))
+    basis = np.empty((min(limit, _LANCZOS_CHUNK), size))
     alphas = np.empty(limit)
     betas = np.empty(limit)
     start = np.random.default_rng(_LANCZOS_SEED).normal(size=size)
     basis[0] = start / np.linalg.norm(start)
-    full = np.zeros(h.shape[0])
+    stencil = _Stencil(h, float)
+    # Flat index i = k*(n_max+1) + n lies at i + k + w on the padded grid.
+    padded = sector + sector // h.grid[1] + stencil.width
+    full, image = stencil.zeros(), stencil.zeros()
     alpha_max = 0.0
     for k in range(limit):
-        full[sector] = basis[k]
-        w = h.apply(full)[sector]
+        full[padded] = basis[k]
+        w = stencil.apply(full, image)[padded]
         alphas[k] = basis[k] @ w
         alpha_max = max(alpha_max, abs(alphas[k]))
         block = basis[: k + 1]
@@ -568,6 +654,10 @@ def _lowest_eigenvector(h: Hamiltonian, sector: np.ndarray) -> np.ndarray:
                 vec = vecs[:, 0] @ block
                 return vec / np.linalg.norm(vec)
         if k + 1 < limit:
+            if k + 1 == len(basis):
+                grown = np.empty((min(limit, k + 1 + _LANCZOS_CHUNK), size))
+                grown[: k + 1] = basis
+                basis = grown
             basis[k + 1] = w / beta
     raise RuntimeError(
         f"ground-state eigensolve failed: Lanczos residual {residual:.3e} after {limit} iterations"

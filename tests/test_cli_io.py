@@ -486,6 +486,27 @@ class TestMainExitCodes:
             assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trajectory", "--lambda", "0.5"],
+            ["sweep-lambda", "--lambda-min", "0.5", "--lambda-max", "1.0", "--lambda-step", "0.5"],
+        ],
+        ids=["trajectory", "sweep-lambda"],
+    )
+    def test_repeated_observable_is_validation_error(self, tmp_path, capsys, argv):
+        # Once written "t,parity,parity" (and a sweep's parity columns twice).
+        out = tmp_path / "x.csv"
+        code = main(
+            argv + ["--engine", "meanfield", "--initial", "fock", "--sample-count", "3"]
+            + ["--observables", "parity,parity", "--out", str(out)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "observables must not repeat a name, got parity,parity" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "key",
         ["lambda", "omega", "omega0", "delta_phi", "j", "epsilon", "rtol", "alpha_re", "zeta_im"],
     )

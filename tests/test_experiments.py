@@ -62,6 +62,17 @@ class TestProtocolSpecValidation:
         with pytest.raises(ValueError, match="scaled_parity"):
             mf_spec(engine="quantum", observables=("scaled_parity",))
 
+    def test_rejects_repeated_observables(self):
+        # A sweep derives every cell from its spec, so the spec is where a
+        # repeated name must stop, before any cell writes a column twice.
+        with pytest.raises(ValueError, match=r"repeated observables: \['parity'\]"):
+            mf_spec(observables=("parity", "mean_photon_scaled", "parity"))
+        spec = mf_spec(observables=("parity",))
+        with pytest.raises(ValueError, match="repeated observables"):
+            replace(spec, observables=("parity", "parity"))
+        with pytest.raises(ValueError, match="repeated observables"):
+            mf_spec(engine="quantum", initial="fock", observables=("parity", "parity"))
+
     def test_t_final(self):
         spec = mf_spec(n_revolutions=3)
         assert spec.t_final == pytest.approx(3 * 2 * math.pi / 1.0)

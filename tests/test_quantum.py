@@ -145,15 +145,24 @@ class TestBuildOperators:
             build_operators(params)
 
     def test_matrix_free_apply_matches_kron_reference(self):
+        # The smallest grids (a single Fock column at n_max = 0, two at
+        # n_max = 1) are all ghost boundary on the padded grid.  Real input
+        # stays real; ``out`` (NaN-filled) must be written in full.
         rng = np.random.default_rng(16)
         for j in (0.5, 1.0, 2.5, 6.0):
             for n_max in (0, 1, 8, 100):
                 h_dicke, h_rot = operators_or_bare(j, n_max, 1.3, 2.0)
                 for h, omega0_eff in ((h_dicke, 1.0), (h_rot, 3.0)):
                     ref = kron_hamiltonian(j, n_max, 1.3, omega0_eff)
-                    v = rng.normal(size=ref.shape[0]) + 1j * rng.normal(size=ref.shape[0])
-                    v /= np.linalg.norm(v)
-                    assert np.max(np.abs(h.apply(v) - ref @ v)) < 1e-13, (j, n_max, omega0_eff)
+                    real = rng.normal(size=ref.shape[0])
+                    for v in (real, real + 1j * rng.normal(size=ref.shape[0])):
+                        v /= np.linalg.norm(v)
+                        got = h.apply(v)
+                        assert got.dtype == v.dtype, (j, n_max, omega0_eff)
+                        assert np.max(np.abs(got - ref @ v)) < 1e-13, (j, n_max, omega0_eff)
+                        out = np.full_like(v, np.nan)
+                        assert h.apply(v, out=out) is out
+                        assert np.array_equal(out, got), (j, n_max, omega0_eff)
                     assert np.max(np.abs(h.to_dense() - ref)) < 1e-13, (j, n_max, omega0_eff)
 
     def test_large_basis_is_matrix_free(self):
@@ -328,6 +337,29 @@ class TestChebyshevStep:
                     worst = max(worst, float(np.max(np.abs(out.amplitudes - u @ psi.amplitudes))))
         assert worst < 1e-10
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("j, n_max", [(0.5, 1), (2.5, 1), (1.0, 8)])
+    def test_low_orders_match_dense_chebyshev_sum(self, j, n_max, order):
+        # sum_k a_k T_k(h) psi with h = (H - center)/half_span, from the dense
+        # kron reference.  The coefficients are arbitrary, scaled so that the
+        # sum keeps the norm and passes the drift check.
+        rng = np.random.default_rng(18 + order)
+        params = ModelParams(lam=1.3, j=j, delta_phi=2.0, n_max=n_max)
+        ops = build_operators(params)
+        bounds = spectral_bounds(ops.h_rot)
+        center, half_span = 0.5 * (bounds[1] + bounds[0]), 0.5 * (bounds[1] - bounds[0])
+        eye = np.eye(ops.dim)
+        h = (kron_hamiltonian(j, n_max, 1.3, 3.0) - center * eye) / half_span
+        terms = [eye, h, 2.0 * h @ h - eye][: order + 1]
+        psi = random_state(rng, j, n_max)
+        coefficients = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        dense = sum(a * (t @ psi.amplitudes) for a, t in zip(coefficients, terms))
+        coefficients /= np.linalg.norm(dense)
+        out = chebyshev_step(
+            ops, psi, 0.1, bounds=bounds, order=order, coefficients=coefficients
+        )
+        assert np.max(np.abs(out.amplitudes - dense / np.linalg.norm(dense))) < 1e-13
+
     def test_semigroup_property(self):
         rng = np.random.default_rng(13)
         params = ModelParams(lam=1.0, j=1.0, delta_phi=1.0, n_max=8)
@@ -385,6 +417,8 @@ class TestEvolve:
         for names in (("scaled_parity",), ("parity", "bogus")):
             with pytest.raises(ValueError, match="unsupported quantum observables"):
                 evolve(psi0, params, np.array([0.0, 1.0]), observables=names)
+        with pytest.raises(ValueError, match=r"repeated observables: \['parity'\]"):
+            evolve(psi0, params, np.array([0.0, 1.0]), observables=("parity", "mean_photon_scaled", "parity"))
 
     @pytest.mark.parametrize("driven", [False, True], ids=["undriven", "driven"])
     def test_energy_conserved_over_many_steps(self, driven):
