@@ -36,6 +36,13 @@ __all__ = [
 _CRIT_WINDOW = 32.0 * sys.float_info.epsilon
 
 
+def check_spin(j: float) -> None:
+    """ValueError unless ``j`` is a positive half-integer (2j an integer to within 1e-9)."""
+    two_j = 2.0 * j
+    if not (0.0 < j < math.inf and abs(two_j - round(two_j)) <= 1e-9):
+        raise ValueError(f"j must be a positive half-integer (2j a positive integer), got {j}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of one run.
@@ -58,11 +65,7 @@ class ModelParams:
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
         if not self.lam >= 0.0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        two_j = 2.0 * self.j
-        if not (0.0 < self.j < math.inf and abs(two_j - round(two_j)) <= 1e-9):
-            raise ValueError(
-                f"j must be a positive half-integer (2j a positive integer), got {self.j}"
-            )
+        check_spin(self.j)
         if self.n_max is not None and not self.n_max >= 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         for name in ("lam", "omega0", "omega", "delta_phi"):

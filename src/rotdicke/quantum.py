@@ -27,8 +27,12 @@ coincide with the laboratory-frame ones (both commute with J_z).
 table in :mod:`rotdicke.meanfield`, which also holds their mean-field forms.
 
 The ground state is the lowest eigenvector of the undriven Hamiltonian in
-the even-parity sector, found by Lanczos on the matrix-free operator
-(:func:`ground_state`).  Nothing here imports scipy.
+the even-parity sector, found by Lanczos on the matrix-free operator from
+the deterministic Perron start (-1)^k (:func:`ground_state`).  The Ritz
+pairs of its tridiagonal matrix come from Laguerre's iteration inside a
+Sturm-sequence bracket and from inverse iteration, in O(k) Python
+arithmetic (:func:`_ritz_pair`).  Nothing here imports scipy or
+numpy.random, or calls a LAPACK eigensolver.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meanfield import _OBSERVABLES, Trajectory
-from .model import ModelParams
+from .model import ModelParams, check_spin
 
 __all__ = [
     "PropagationError",
@@ -68,10 +72,9 @@ TRUNCATION_TOL = 1e-10
 # bad spectral bounds); drift is checked, never silently renormalized away.
 _NORM_DRIFT_TOL = 1e-8
 
-# ground_state's Lanczos iteration (_lowest_eigenvector): seed of the start
-# vector, iteration cap, Ritz-pair check interval, rows by which the Krylov
-# block grows, relative residual and relative breakdown thresholds.
-_LANCZOS_SEED = 764853
+# ground_state's Lanczos iteration (_lowest_eigenvector): iteration cap,
+# Ritz-pair check interval, rows by which the Krylov block grows, relative
+# residual and relative breakdown thresholds.
 _LANCZOS_MAX_ITER = 1000
 _LANCZOS_CHECK = 10
 _LANCZOS_CHUNK = 50
@@ -90,6 +93,8 @@ class PropagationError(RuntimeError):
 def basis_index(j: float, n_max: int, n: int, m: float) -> int:
     """Flat index of |n>|j,m> under the m-major, n-minor ordering."""
     k = int(round(m + j))
+    if abs(m + j - k) > 1e-9:
+        raise ValueError(f"m={m} is not on the ladder -j, -j+1, ..., j for j={j}")
     if not 0 <= n <= n_max:
         raise ValueError(f"n={n} outside 0..{n_max}")
     if not 0 <= k <= int(round(2 * j)):
@@ -106,6 +111,7 @@ class QuantumState:
     n_max: int
 
     def __post_init__(self) -> None:
+        check_spin(self.j)
         dim = (self.n_max + 1) * int(round(2 * self.j + 1))
         if self.amplitudes.shape != (dim,):
             raise ValueError(
@@ -609,33 +615,149 @@ def basis_state(j: float, n_max: int, n: int = 0, m: float | None = None) -> Qua
     return QuantumState(amplitudes, j, n_max)
 
 
+def _trace_sums(alphas: list, squares: list, x: float) -> tuple[float, float] | None:
+    """tr (T - x)^-1 and tr (T - x)^-2 when T - x is positive definite, else None.
+
+    T is the symmetric tridiagonal matrix with diagonal ``alphas`` and
+    squared off-diagonals ``squares[1:]`` (``squares[0]`` is 0).  The pivots
+    q_i = alpha_i - x - beta_(i-1)^2 / q_(i-1) of T - x = L D L^T are a Sturm
+    sequence: all are positive iff x lies below the lowest eigenvalue.  The
+    sums are then -(log det(T - x))' and -(log det(T - x))'', carried through
+    the same recurrence as q_i'/q_i and q_i''/q_i.  O(k) in the size k of T.
+    """
+    pivot, ratio, curvature = 1.0, 0.0, 0.0
+    first = second = 0.0
+    for alpha, square in zip(alphas, squares):
+        c = square / pivot
+        slope = c * ratio - 1.0
+        bend = c * (curvature - 2.0 * ratio * ratio)
+        pivot = alpha - x - c
+        if not pivot > 0.0:
+            return None
+        ratio = slope / pivot
+        curvature = bend / pivot
+        first -= ratio
+        second += ratio * ratio - curvature
+    return first, second
+
+
+def _lowest_eigenvalue(
+    alphas: np.ndarray, betas: np.ndarray, upper: float = math.inf
+) -> tuple[float, float]:
+    """Lowest eigenvalue theta of the symmetric tridiagonal T and a shift just below it.
+
+    T has diagonal ``alphas`` and off-diagonal ``betas``; ``upper`` is any
+    known upper bound on theta.  Laguerre's iteration on det(T - x) inside a
+    bracket [lo, hi] kept by the Sturm test of :func:`_trace_sums` (Li &
+    Zeng, SIAM J. Sci. Comput. 15, 1145 (1994)).  lo starts at the
+    Gershgorin lower bound and hi at min(``upper``, min alpha_i).  The first
+    probe lies one tolerance below hi, where a converged Lanczos run leaves
+    theta; after it, midpoints until one passes the test.  From any x below
+    theta the Laguerre step lands in (x, theta], so the iterates rise to
+    theta monotonically, cubically for a simple theta.  A step that lands at
+    or above hi, or a point that fails the test (only rounding puts a step
+    there: it carries an error of a few ulp * ||T||), is followed by a probe
+    4, 16, 64, ... tolerances below hi, or at the midpoint when that is
+    higher.  The iteration stops on a step below the tolerance, or on one
+    taken within four tolerances of hi.  The tolerance is 4 ulp of the
+    Gershgorin bound on ||T||.  Returns (theta, shift): T - shift is
+    positive definite and theta - shift is within the tolerance.
+    """
+    n = alphas.size
+    radii = np.zeros(n)
+    radii[:-1] += np.abs(betas)
+    radii[1:] += np.abs(betas)
+    lower = float(np.min(alphas - radii))
+    # 2^-50 is 4 ulp of 1; a zero T (its one eigenvalue 0) takes any tolerance.
+    tol = 2.0**-50 * max(abs(lower), float(np.max(alphas + radii))) or 1.0
+    values = alphas.tolist()
+    squares = [0.0] + (betas * betas).tolist()
+    lo, hi = lower - tol, min(upper, min(values))
+    x, backoff = hi - tol, math.inf
+    while hi - lo > tol:
+        sums = _trace_sums(values, squares, x)
+        if sums is not None:
+            first, second = sums
+            step = n / (first + math.sqrt(max((n - 1) * (n * second - first * first), 0.0)))
+            if step <= tol or hi - x <= 4.0 * tol:
+                return min(x + step, hi), x
+            lo, backoff = x, tol
+            x += step
+            if x < hi:
+                continue
+        hi = min(hi, x)
+        backoff *= 4.0
+        x = max(hi - backoff, 0.5 * (lo + hi))
+    return hi, lo
+
+
+def _ritz_pair(
+    alphas: np.ndarray, betas: np.ndarray, upper: float = math.inf
+) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair (theta, s) of the symmetric tridiagonal T, with ||s|| = 1.
+
+    theta comes from :func:`_lowest_eigenvalue` and s from two steps of
+    inverse iteration with T - shift = L D L^T, positive definite and as
+    close to singular as the Sturm test resolves.  The start is the Perron
+    sign pattern of T: conjugated by it, T has no positive off-diagonal
+    entry, so within its block the lowest eigenvector has this sign pattern
+    wherever it is nonzero, and the start's overlap with it is
+    sum_i |s_i| >= 1.  Each step damps every other eigenvector by
+    ~ulp * ||T|| / gap.
+    """
+    theta, shift = _lowest_eigenvalue(alphas, betas, upper)
+    values = alphas.tolist()
+    pivots = [values[0] - shift]
+    multipliers = []
+    for alpha, beta in zip(values[1:], betas.tolist()):
+        multipliers.append(beta / pivots[-1])
+        pivots.append(alpha - shift - beta * beta / pivots[-1])
+    vec = [1.0] + np.cumprod(np.where(betas < 0.0, 1.0, -1.0)).tolist()
+    for _ in range(2):
+        for i, mult in enumerate(multipliers):
+            vec[i + 1] -= mult * vec[i]
+        vec[-1] /= pivots[-1]
+        for i in range(len(multipliers) - 1, -1, -1):
+            vec[i] = vec[i] / pivots[i] - multipliers[i] * vec[i + 1]
+        norm = math.hypot(*vec)
+        vec = [v / norm for v in vec]
+    return theta, np.array(vec)
+
+
 def _lowest_eigenvector(h: Hamiltonian, sector: np.ndarray) -> np.ndarray:
     """Lowest eigenvector of ``h`` restricted to the invariant index set ``sector``.
 
     Lanczos with full reorthogonalisation (Golub & Van Loan, *Matrix
-    Computations*, 4th ed., sec. 10.1) from a seeded start vector, the
-    Krylov vectors kept as the rows of one block over the sector alone,
-    grown ``_LANCZOS_CHUNK`` rows at a time.  The products come from one
-    real :class:`_Stencil`, on a padded vector that is zero off the sector.
-    Every ``_LANCZOS_CHECK`` iterations the lowest Ritz pair
-    of the tridiagonal matrix T is taken; the run stops when its residual
-    estimate |beta_k s_k| falls to ``_LANCZOS_RTOL`` * ||T||, on a breakdown
-    beta_k <= ``_LANCZOS_BREAKDOWN`` * max |alpha_i| (the Krylov space is
-    invariant) or when it spans the sector.  Returns the normalised Ritz
-    vector over the sector.
+    Computations*, 4th ed., sec. 10.1) from the Perron start (-1)^k, k the
+    spin index, the Krylov vectors kept as the rows of one block over the
+    sector alone, grown ``_LANCZOS_CHUNK`` rows at a time.  With a coupling
+    c >= 0 every off-diagonal entry of ``h`` is >= 0, so diag((-1)^k) ``h``
+    diag((-1)^k) has none above 0, and the lowest eigenvector has the sign
+    pattern (-1)^k wherever it is nonzero: the start can never be orthogonal
+    to it.  The products come from one real :class:`_Stencil`, on a padded
+    vector that is zero off the sector.  Every ``_LANCZOS_CHECK``
+    iterations the lowest Ritz pair of the tridiagonal matrix T is taken by
+    :func:`_ritz_pair`, warm-started from the previous check's value (an
+    upper bound, by Cauchy interlacing); no LAPACK call is made.  The run
+    stops when the residual estimate |beta_k s_k| falls to
+    ``_LANCZOS_RTOL`` times the largest eigenvalue magnitude of T, on a
+    breakdown beta_k <= ``_LANCZOS_BREAKDOWN`` * max |alpha_i| (the Krylov
+    space is invariant) or when it spans the sector.  Returns the
+    normalised Ritz vector over the sector.
     """
     size = sector.size
     limit = min(size, _LANCZOS_MAX_ITER)
     basis = np.empty((min(limit, _LANCZOS_CHUNK), size))
     alphas = np.empty(limit)
     betas = np.empty(limit)
-    start = np.random.default_rng(_LANCZOS_SEED).normal(size=size)
-    basis[0] = start / np.linalg.norm(start)
+    spin = sector // h.grid[1]
+    basis[0] = (1.0 - 2.0 * (spin % 2)) / math.sqrt(size)
     stencil = _Stencil(h, float)
     # Flat index i = k*(n_max+1) + n lies at i + k + w on the padded grid.
-    padded = sector + sector // h.grid[1] + stencil.width
+    padded = sector + spin + stencil.width
     full, image = stencil.zeros(), stencil.zeros()
     alpha_max = 0.0
+    theta = math.inf
     for k in range(limit):
         full[padded] = basis[k]
         w = stencil.apply(full, image)[padded]
@@ -647,11 +769,19 @@ def _lowest_eigenvector(h: Hamiltonian, sector: np.ndarray) -> np.ndarray:
         betas[k] = beta = float(np.linalg.norm(w))
         exhausted = beta <= _LANCZOS_BREAKDOWN * alpha_max or k + 1 == size
         if exhausted or (k + 1) % _LANCZOS_CHECK == 0 or k + 1 == limit:
-            tri = np.diag(alphas[: k + 1]) + np.diag(betas[:k], 1) + np.diag(betas[:k], -1)
-            ritz, vecs = np.linalg.eigh(tri)
-            residual = beta * abs(vecs[-1, 0])
-            if exhausted or residual <= _LANCZOS_RTOL * max(abs(ritz[0]), abs(ritz[-1])):
-                vec = vecs[:, 0] @ block
+            theta, ritz = _ritz_pair(alphas[: k + 1], betas[:k], theta)
+            residual = beta * abs(ritz[-1])
+            # The scale max(|theta|, top eigenvalue of T) is at most
+            # max |alpha_i| + 2 max beta_i; the top eigenvalue is found only
+            # when that bound does not already fail the test.
+            bound = alpha_max + 2.0 * float(np.max(betas[:k], initial=0.0))
+            if exhausted or (
+                residual <= _LANCZOS_RTOL * bound
+                and residual
+                <= _LANCZOS_RTOL
+                * max(abs(theta), -_lowest_eigenvalue(-alphas[: k + 1], betas[:k])[0])
+            ):
+                vec = ritz @ block
                 return vec / np.linalg.norm(vec)
         if k + 1 < limit:
             if k + 1 == len(basis):

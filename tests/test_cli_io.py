@@ -425,6 +425,15 @@ class TestStateSnapshot:
         expected = [complex(float(f"{z.real:.1g}"), float(f"{z.imag:.1g}")) for z in state.amplitudes]
         assert np.array_equal(back.amplitudes, expected)
 
+    def test_non_half_integer_j_rejected(self, tmp_path):
+        # j=1.3, n_max=1, dim=8 once loaded as a state with j=1.3: the shape
+        # check rounds 2j + 1 = 3.6 to 4.
+        path = tmp_path / "state.txt"
+        save_state(path, basis_state(1.5, 1))
+        path.write_text(path.read_text().replace("j=1.5\n", "j=1.3\n"))
+        with pytest.raises(ValueError, match="half-integer"):
+            load_state(path)
+
     def test_cut_short_header_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
         path.write_text("j=0.5\n")
@@ -674,11 +683,14 @@ class TestMainExitCodes:
         assert isinstance(load_result_json(out), (Trajectory, SweepResult, Spectrum))
 
 
-def scipy_modules_after(code):
-    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+def modules_after(code, package):
+    """The modules of ``package`` loaded once ``code`` has run in a fresh interpreter."""
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code += "\nimport json, sys; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+    code += (
+        "\nimport json, sys; print(json.dumps("
+        f"[m for m in sys.modules if (m + '.').startswith({package + '.'!r})]))"
+    )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -687,10 +699,10 @@ def scipy_modules_after(code):
 def test_cli_import_leaves_out_scipy_integrate():
     # Importing scipy cost every command ~0.4 s of start-up; the CLI loads
     # no scipy module at all.
-    assert scipy_modules_after("import rotdicke.cli") == []
+    assert modules_after("import rotdicke.cli", "scipy") == []
 
 
-@pytest.mark.parametrize(
+RUN_FLAGS = pytest.mark.parametrize(
     "flags",
     [
         ["--engine", "meanfield", "--initial", "stationary_circle"],
@@ -699,9 +711,25 @@ def test_cli_import_leaves_out_scipy_integrate():
     ],
     ids=["meanfield", "coherent-state", "ground-state"],
 )
+
+
+def run_code(tmp_path, flags):
+    """Python source that runs one small trajectory through ``rotdicke.cli.main``."""
+    argv = ["trajectory", "--lambda", "1.2", "--j", "1", "--delta-phi", "1",
+            "--sample-count", "5", "--out", str(tmp_path / "out.csv")] + flags
+    return f"from rotdicke.cli import main; assert main({argv!r}) == 0"
+
+
+@RUN_FLAGS
 def test_only_the_ground_state_loads_scipy(tmp_path, flags):
     # No run loads scipy, the ground state included: its Lanczos solver is
     # in-house, and scipy is a test-only dependency.
-    argv = ["trajectory", "--lambda", "1.2", "--j", "1", "--delta-phi", "1",
-            "--sample-count", "5", "--out", str(tmp_path / "out.csv")] + flags
-    assert scipy_modules_after(f"from rotdicke.cli import main; assert main({argv!r}) == 0") == []
+    assert modules_after(run_code(tmp_path, flags), "scipy") == []
+
+
+@RUN_FLAGS
+def test_no_run_imports_numpy_random(tmp_path, flags):
+    # numpy.random's extension modules cost ~6 MB of RSS and ~20 ms on first
+    # use; the ground state's Lanczos start is the deterministic Perron
+    # vector, so no run loads them.
+    assert modules_after(run_code(tmp_path, flags), "numpy.random") == []

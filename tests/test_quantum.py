@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,7 +24,7 @@ from rotdicke import (
     spectral_bounds,
     stationary_photon_scaled,
 )
-from rotdicke.quantum import Hamiltonian, _bessel_j, basis_index
+from rotdicke.quantum import Hamiltonian, _bessel_j, _lowest_eigenvalue, _ritz_pair, basis_index
 
 
 def factor_matrices(ops):
@@ -167,7 +168,7 @@ class TestBuildOperators:
 
     def test_large_basis_is_matrix_free(self):
         # dim 5250: the operator is stored in O(dim) numbers, and the ground
-        # state comes from seeded Lanczos on it, never from a dense matrix.
+        # state comes from Lanczos on it, never from a dense matrix.
         params = ModelParams(lam=1.0, j=10.0, delta_phi=1.0, n_max=249)
         ops = build_operators(params)
         assert ops.dim == 5250
@@ -550,6 +551,21 @@ class TestGroundState:
         assert abs(gs.expectation(ops.h_dicke) - ref) <= 1e-12 * abs(ref)
         assert np.all(gs.amplitudes[ops.parity < 0] == 0.0)
 
+    @pytest.mark.parametrize("lam", [0.3, 1.3])
+    def test_perron_sign_pattern(self, lam):
+        # With c = lam/sqrt(2j) >= 0, diag((-1)^k) h_dicke diag((-1)^k) has no
+        # positive off-diagonal entry (k = m + j), so the ground state has the
+        # sign (-1)^k wherever it is nonzero, and the Lanczos start (-1)^k can
+        # never be orthogonal to it.
+        params = ModelParams(lam=lam, j=4.0, n_max=60)
+        amplitudes = ground_state(params).amplitudes
+        assert np.all(amplitudes.imag == 0.0)
+        k = np.arange(amplitudes.size) // (params.n_max + 1)
+        large = np.abs(amplitudes) > 1e-12 * np.max(np.abs(amplitudes))
+        assert set(k[large] % 2) == {0, 1}
+        signed = amplitudes.real[large] * (-1.0) ** k[large]
+        assert np.all(signed > 0.0) or np.all(signed < 0.0)
+
     def test_unconverged_lanczos_raises(self, monkeypatch):
         monkeypatch.setattr("rotdicke.quantum._LANCZOS_MAX_ITER", 20)
         with pytest.raises(RuntimeError, match="ground-state eigensolve failed"):
@@ -583,6 +599,106 @@ class TestGroundState:
         alpha, zeta = initial_state_params("stationary_dicke", params)
         cs = coherent_state(alpha, zeta, params.j, params.n_max)
         assert gs.expectation(ops.h_dicke) <= cs.expectation(ops.h_dicke) + 1e-12
+
+
+def tridiagonal(alphas, betas):
+    """The symmetric tridiagonal matrix with diagonal ``alphas`` and off-diagonal ``betas``."""
+    return np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+
+
+def random_tridiagonal(size, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=size), rng.normal(size=size - 1)
+
+
+def wilkinson_plus(size):
+    """Wilkinson's W+: diagonal |i - (size-1)/2|, unit off-diagonal.
+
+    At size 21 its top eigenvalues come in pairs that agree to ~1e-13.
+    """
+    return np.abs(np.arange(size) - (size - 1) // 2).astype(float), np.ones(size - 1)
+
+
+def split_tridiagonal():
+    """Two blocks joined by a zero beta, the lowest eigenvalue in the second."""
+    alphas, betas = random_tridiagonal(40, 7)
+    alphas[25:] -= 3.0
+    betas[24] = 0.0
+    return alphas, betas
+
+
+RITZ_CASES = {
+    "size1": (np.array([0.7]), np.array([])),
+    "size2": random_tridiagonal(2, 2),
+    "size3": random_tridiagonal(3, 3),
+    "size50": random_tridiagonal(50, 50),
+    "size300": random_tridiagonal(300, 300),
+    "wilkinson21": wilkinson_plus(21),
+    # Negated, the clustered pairs sit at the bottom of the spectrum.
+    "wilkinson21-negated": (-wilkinson_plus(21)[0], wilkinson_plus(21)[1]),
+    "split": split_tridiagonal(),
+    # The lowest eigenvector is antisymmetric: orthogonal to the all-ones vector.
+    "uniform4": (np.ones(4), np.ones(3)),
+}
+
+
+def bisected_lowest(alphas, betas, bits=160):
+    """The lowest eigenvalue by Sturm bisection in ``bits``-bit arithmetic."""
+    with mpmath.workprec(bits):
+        diagonal = [mpmath.mpf(float(a)) for a in alphas]
+        squares = [mpmath.mpf(float(b)) ** 2 for b in betas]
+        radius = float(np.max(np.abs(alphas)) + 2.0 * np.max(np.abs(betas), initial=0.0))
+        lo, hi = mpmath.mpf(-radius), mpmath.mpf(radius)
+        for _ in range(bits):
+            mid = (lo + hi) / 2
+            pivot = diagonal[0] - mid
+            for alpha, square in zip(diagonal[1:], squares):
+                if pivot <= 0:
+                    break
+                pivot = alpha - mid - square / pivot
+            lo, hi = (mid, hi) if pivot > 0 else (lo, mid)
+        return float(lo)
+
+
+class TestRitzPair:
+    @pytest.mark.parametrize("case", list(RITZ_CASES))
+    def test_matches_eigh(self, case):
+        alphas, betas = RITZ_CASES[case]
+        t = tridiagonal(alphas, betas)
+        ref = np.linalg.eigvalsh(t)
+        norm = np.max(np.abs(ref))
+        ulp = np.finfo(float).eps * norm
+        theta, vec = _ritz_pair(alphas, betas)
+        assert abs(theta - ref[0]) <= 8 * ulp
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(t @ vec - theta * vec) <= 1e-13 * norm
+        # eigh's own top eigenvalue of "size50" is 11.5 ulp off a 160-bit
+        # bisection; this routine's is 0.3 ulp off.
+        top = -_lowest_eigenvalue(-alphas, betas)[0]
+        assert abs(top - ref[-1]) <= 16 * ulp
+
+    @pytest.mark.parametrize("case", ["size50", "size300", "split"])
+    def test_within_an_ulp_of_extended_precision(self, case):
+        alphas, betas = RITZ_CASES[case]
+        norm = np.max(np.abs(np.linalg.eigvalsh(tridiagonal(alphas, betas))))
+        theta, _ = _ritz_pair(alphas, betas)
+        assert abs(theta - bisected_lowest(alphas, betas)) <= np.finfo(float).eps * norm
+
+    @pytest.mark.parametrize("case", ["size50", "size300", "wilkinson21-negated", "split"])
+    def test_warm_start(self, case):
+        # By Cauchy interlacing the lowest eigenvalue of a leading block is an
+        # upper bound; warm-started from it, or from the answer itself, the
+        # solve lands where a cold one does.
+        alphas, betas = RITZ_CASES[case]
+        t = tridiagonal(alphas, betas)
+        norm = np.max(np.abs(np.linalg.eigvalsh(t)))
+        cold, _ = _ritz_pair(alphas, betas)
+        size = alphas.size - 10
+        block, _ = _ritz_pair(alphas[:size], betas[: size - 1])
+        for upper in (block, cold):
+            theta, vec = _ritz_pair(alphas, betas, upper)
+            assert abs(theta - cold) <= 2 * np.finfo(float).eps * norm
+            assert np.linalg.norm(t @ vec - theta * vec) <= 1e-13 * norm
 
 
 class TestInitialStateParams:
@@ -678,6 +794,22 @@ class TestStateBasics:
             basis_index(1.0, 4, n=5, m=0.0)
         with pytest.raises(ValueError):
             basis_index(1.0, 4, n=0, m=2.0)
+
+    def test_off_ladder_m_rejected(self):
+        # m = 0.3 once gave the m = 0 index and m = -1.4 the m = -1 one, so
+        # basis_state built a state other than the one asked for.
+        for m in (0.3, -1.4, 0.5):
+            with pytest.raises(ValueError, match="ladder"):
+                basis_index(1.0, 5, 0, m)
+        with pytest.raises(ValueError, match="ladder"):
+            basis_state(1.0, 5, m=0.3)
+        assert basis_index(1.5, 5, 0, -0.5) == 6
+        assert basis_index(1.0, 5, 0, 1e-12) == 6
+
+    def test_non_half_integer_j_rejected(self):
+        # j = 1.3 passed the shape check, whose 2j + 1 = 3.6 rounds to 4.
+        with pytest.raises(ValueError, match="half-integer"):
+            QuantumState(np.zeros(8, dtype=complex), 1.3, 1)
 
     def test_state_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
