@@ -35,7 +35,7 @@ from .experiments import (
     sweep_velocity,
 )
 from .meanfield import _OBSERVABLES
-from .model import ModelParams
+from .model import ModelParams, check_spin
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "config_to_spec", "main"]
 
@@ -71,12 +71,12 @@ def _nonnegative(key):
     return check
 
 
-def _half_integer(key):
-    def check(v):
-        if not (v > 0 and math.isfinite(v) and abs(2 * v - round(2 * v)) <= 1e-9):
-            raise ConfigError(f"{key} must be a positive half-integer (2*{key} an integer), got {v}")
-
-    return check
+def _half_integer(v):
+    """The library's spin rule, ``model.check_spin``, as a ConfigError."""
+    try:
+        check_spin(v)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _at_least(key, bound):
@@ -100,7 +100,7 @@ _CHECKS = {
     "omega": _positive("omega"),
     "omega0": _positive("omega0"),
     "delta_phi": _positive("delta_phi"),
-    "j": _half_integer("j"),
+    "j": _half_integer,
     "n_max": _at_least("n_max", 1),
     "epsilon": _positive("epsilon"),
     "n_revolutions": _at_least("n_revolutions", 1),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import meanfield, quantum
-from .meanfield import _OBSERVABLES, Trajectory
+from .meanfield import _OBSERVABLES, CHUNK, Trajectory
 from .model import (
     ModelParams,
     critical_coupling,
@@ -255,10 +255,14 @@ def run_protocol(spec: ProtocolSpec) -> Trajectory:
             driven=spec.driven,
         )
         data = dict(traj.data)
+        coords = [data[name] for name in ("q1", "p1", "q2", "p2")]
         for name in spec.observables:
-            data[name] = _OBSERVABLES[name].meanfield(
-                data["q1"], data["p1"], data["q2"], data["p2"], spec.params.j
-            )
+            observable = _OBSERVABLES[name].meanfield
+            column = np.empty(spec.sample_count)
+            for start in range(0, spec.sample_count, CHUNK):
+                part = slice(start, start + CHUNK)
+                column[part] = observable(*(c[part] for c in coords), spec.params.j)
+            data[name] = column
         return replace(traj, data=data, observables=spec.observables)
 
     solved: list[quantum.QuantumState] = []

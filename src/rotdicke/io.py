@@ -42,7 +42,7 @@ import typing
 import numpy as np
 
 from .experiments import Spectrum, SweepResult
-from .meanfield import Trajectory
+from .meanfield import CHUNK, Trajectory
 from .quantum import QuantumState
 
 __all__ = [
@@ -57,11 +57,6 @@ _STATE_HEADER = ("j", "n_max", "ordering", "dim")
 
 # JSON ``kind`` tag of each result type.
 RESULT_KINDS = {"trajectory": Trajectory, "sweep": SweepResult, "spectrum": Spectrum}
-
-# Values (JSON arrays, CSV rows, snapshot amplitudes) formatted per write:
-# large enough to amortise the per-chunk calls, small enough that the
-# chunk's strings stay far below the size of the arrays being written.
-CHUNK = 4096
 
 
 def _encode(value, keep_arrays: bool = False):

@@ -22,6 +22,15 @@ added left to right.  No ``sum()`` is on the stepping path, so its bits do
 not depend on how a Python version's ``sum()`` of floats rounds (it is
 compensated from 3.12 on).
 
+A run holds its output arrays plus O(``CHUNK``) scratch.  The stepper reads
+the sample grid through a memoryview, not a list of floats, and keeps each
+step's dense-output coefficients in one flat ``array('d')``.  The
+interpolant, :func:`integrate`'s boundary check and the observable columns
+of ``experiments.run_protocol`` are evaluated ``CHUNK`` samples at a time
+into preallocated arrays; every element goes through the same operations
+in the same order as in a whole-grid pass, so the bits do not depend on
+where the chunks fall.
+
 ``_OBSERVABLES`` defines each observable once: its mean-field form on the
 sampled coordinate arrays and its quantum expectation value, or None where
 only the mean field reports it.
@@ -32,6 +41,8 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import struct
+from array import array
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -71,6 +82,13 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _EXPONENT = -1.0 / 8.0
+
+# Samples handled per pass wherever a run walks its whole sample grid: the
+# dense-output evaluation, the boundary check and the observable columns
+# here, and every CSV, JSON and snapshot write in ``io``.  Large enough to
+# amortise the per-chunk calls, small enough that a chunk's scratch stays
+# far below the size of the arrays being filled or written.
+CHUNK = 4096
 
 
 class IntegrationError(RuntimeError):
@@ -332,13 +350,15 @@ def integrate(
     drive = params.delta_phi if driven else 0.0
     t_grid = np.linspace(0.0, t_end, sample_count)
     q1, p1, q2, p2 = _dop853(_flow(params, drive), y0, t_grid, tol, DEFAULT_ATOL)
-    # NaN counts as a violation: a dense-output stage can cross the guard.
-    bad = np.nonzero(~(q1**2 + p1**2 <= four_j))[0]
-    if bad.size:
-        raise IntegrationError(
-            float(t_grid[bad[0]]),
-            "sampled point violates q1^2+p1^2 <= 4j; step control failed",
-        )
+    for start in range(0, sample_count, CHUNK):
+        part = slice(start, start + CHUNK)
+        # NaN counts as a violation: a dense-output stage can cross the guard.
+        bad = np.nonzero(~(q1[part] ** 2 + p1[part] ** 2 <= four_j))[0]
+        if bad.size:
+            raise IntegrationError(
+                float(t_grid[start + bad[0]]),
+                "sampled point violates q1^2+p1^2 <= 4j; step control failed",
+            )
     return Trajectory(
         params=params,
         engine="meanfield",
@@ -380,9 +400,18 @@ def _dop853(f, y, t_grid, rtol, atol):
     Solving ODEs I, II.5 and II.10), with the step control of the DOP853
     code: safety 0.9, step factors 0.2-10, the blended 5th/3rd-order error
     norm, a minimum step of 10 ulp of t, and a NaN right-hand side taken
-    as a rejected step.  Each step that holds grid times keeps its
-    7th-order interpolant; the grid is evaluated from those after the last
-    step, one coefficient at a time.  Returns one array per component.
+    as a rejected step.  Returns one array per component.
+
+    The grid is read through ``memoryview(t_grid)``, whose items are Python
+    floats, so ``bisect`` finds the samples a step covers without a copy of
+    the grid.  Each step that holds grid times appends its 7th-order
+    interpolant to one flat ``array('d')``, 34 doubles a step (t, h, then
+    y and F0..F6 per component), and records the index one past its last
+    sample.  After the last step that buffer is read back with
+    ``np.frombuffer`` and the grid is evaluated ``CHUNK`` samples at a time,
+    straight into the four output arrays: ``np.searchsorted`` over the
+    recorded ends gives each sample its step, and the Horner scheme runs
+    one coefficient at a time.
 
     A step is straight-line float code.  The tableau is unpacked into
     locals once per call, stage s is held as k<s>_1..k<s>_4 (one local per
@@ -425,14 +454,18 @@ def _dop853(f, y, t_grid, rtol, atol):
         (d3_0, _, _, _, _, d3_5, d3_6, d3_7, d3_8, d3_9, d3_10, d3_11, d3_12, d3_13, d3_14,
          d3_15),
     ) = _D
-    grid = t_grid.tolist()
+    grid = memoryview(t_grid)  # items are Python floats; bisect reads it in place
     t_end = grid[-1]
     t = 0.0
     q1, p1, q2, p2 = y
     k0_1, k0_2, k0_3, k0_4 = f(t, q1, p1, q2, p2)
     h_abs = _initial_step(f, y, (k0_1, k0_2, k0_3, k0_4), t_end, rtol, atol)
-    dense = []  # per step holding samples: t, h, then (y, F0..F6) per component
-    counts = []  # samples per such step
+    # Per step holding samples: t, h, then (y, F0..F6) per component, packed
+    # by one struct call (array.extend converts a tuple item by item, ~8x
+    # slower per step).
+    dense = array("d")
+    pack = struct.Struct("34d").pack
+    ends = []  # per such step, the index one past its last sample
     next_sample = 0
     while t < t_end:
         min_step = 10.0 * math.ulp(t)
@@ -633,7 +666,7 @@ def _dop853(f, y, t_grid, rtol, atol):
             delta2 = n2 - p1
             delta3 = n3 - q2
             delta4 = n4 - p2
-            dense += (
+            dense.frombytes(pack(
                 t, h,
                 q1, delta1, h * k0_1 - delta1, 2.0 * delta1 - h * (k12_1 + k0_1),
                 h * (d0_0 * k0_1 + d0_5 * k5_1 + d0_6 * k6_1 + d0_7 * k7_1 + d0_8 * k8_1
@@ -687,25 +720,27 @@ def _dop853(f, y, t_grid, rtol, atol):
                 h * (d3_0 * k0_4 + d3_5 * k5_4 + d3_6 * k6_4 + d3_7 * k7_4 + d3_8 * k8_4
                     + d3_9 * k9_4 + d3_10 * k10_4 + d3_11 * k11_4 + d3_12 * k12_4 + d3_13 * k13_4
                     + d3_14 * k14_4 + d3_15 * k15_4),
-            )
-            end = bisect.bisect_right(grid, t_new, next_sample)
-            counts.append(end - next_sample)
-            next_sample = end
+            ))
+            next_sample = bisect.bisect_right(grid, t_new, next_sample)
+            ends.append(next_sample)
         t, q1, p1, q2, p2 = t_new, n1, n2, n3, n4
         k0_1, k0_2, k0_3, k0_4 = k12_1, k12_2, k12_3, k12_4
-    table = np.array(dense).reshape(len(counts), -1).T
-    seg = np.repeat(np.arange(len(counts)), counts)
-    x = (t_grid - table[0][seg]) / table[1][seg]
-    x1 = 1.0 - x
-    out = []
-    for base in range(2, 34, 8):
-        # y + x (F0 + (1-x) (F1 + x (F2 + ... + x F6))), innermost first.
-        yc = table[base + 7][seg] * x
-        for i, row in enumerate(range(base + 6, base, -1), start=1):
-            yc += table[row][seg]
-            yc *= x1 if i % 2 else x
-        yc += table[base][seg]
-        out.append(yc)
+    table = np.frombuffer(dense).reshape(len(ends), 34)
+    ends = np.array(ends)
+    out = [np.empty(len(grid)) for _ in range(4)]
+    for start in range(0, len(grid), CHUNK):
+        stop = min(start + CHUNK, len(grid))
+        seg = np.searchsorted(ends, np.arange(start, stop), side="right")
+        x = (t_grid[start:stop] - table[seg, 0]) / table[seg, 1]
+        x1 = 1.0 - x
+        for base, column in zip(range(2, 34, 8), out):
+            # y + x (F0 + (1-x) (F1 + x (F2 + ... + x F6))), innermost first.
+            yc = column[start:stop]
+            np.multiply(table[seg, base + 7], x, out=yc)
+            for i, row in enumerate(range(base + 6, base, -1), start=1):
+                yc += table[seg, row]
+                yc *= x1 if i % 2 else x
+            yc += table[seg, base]
     return out
 
 

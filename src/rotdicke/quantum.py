@@ -112,6 +112,8 @@ class QuantumState:
 
     def __post_init__(self) -> None:
         check_spin(self.j)
+        if self.n_max < 0:
+            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         dim = (self.n_max + 1) * int(round(2 * self.j + 1))
         if self.amplitudes.shape != (dim,):
             raise ValueError(

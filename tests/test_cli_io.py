@@ -36,6 +36,7 @@ from rotdicke.cli import (
 )
 from rotdicke.experiments import Spectrum, SweepResult, spectrum
 from rotdicke.meanfield import Trajectory
+from rotdicke.model import check_spin
 
 DATA = Path(__file__).parent / "data"
 
@@ -90,6 +91,15 @@ class TestParseConfig:
                     "j": "0.75",
                 },
             )
+
+    def test_infinite_j_runs_through_the_model_rule(self):
+        # One half-integer rule: the CLI re-raises model.check_spin's error.
+        with pytest.raises(ValueError) as expected:
+            check_spin(float("inf"))
+        with pytest.raises(ConfigError, match="half-integer") as excinfo:
+            parse_config("trajectory", overrides={"initial": "fock", "lambda": "1.0", "j": "inf"})
+        assert str(excinfo.value) == str(expected.value)
+        assert type(excinfo.value.__cause__) is ValueError
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="frobnicate"):
@@ -432,6 +442,13 @@ class TestStateSnapshot:
         save_state(path, basis_state(1.5, 1))
         path.write_text(path.read_text().replace("j=1.5\n", "j=1.3\n"))
         with pytest.raises(ValueError, match="half-integer"):
+            load_state(path)
+
+    def test_negative_n_max_rejected(self, tmp_path):
+        # j=0.5, n_max=-1, dim=0 once loaded as an empty state with norm 0.
+        path = tmp_path / "state.txt"
+        path.write_text("j=0.5\nn_max=-1\nordering=m-major,n-minor\ndim=0\n")
+        with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
             load_state(path)
 
     def test_cut_short_header_rejected(self, tmp_path):

@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -493,6 +494,43 @@ class TestDop853:
         assert isinstance(ours, IntegrationError) and isinstance(ref, IntegrationError)
         assert ours.t == ref.t
 
+    def test_chunk_edges_bit_identical(self, monkeypatch):
+        # The dense output is evaluated CHUNK samples at a time: grids that
+        # end just short of, on and just past a chunk edge, and a third
+        # chunk of one sample, against the reference's whole-grid pass.
+        params = ModelParams(lam=1.1, j=1.0, delta_phi=0.8)
+        start = PhasePoint(0.6, -0.3, 0.9, -0.4)
+        chunk = meanfield.CHUNK
+        for count in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            for driven in (True, False):
+                ours, ref, _ = self.integrate_both(
+                    monkeypatch, start, params, 6.0, sample_count=count, tol=1e-9, driven=driven
+                )
+                self.assert_same_bits(ours, ref)
+
+    def test_boundary_failure_in_a_later_chunk(self, monkeypatch):
+        # Poison samples past the first chunk: the error carries the time of
+        # the first violating sample, as the whole-grid check gave it, with
+        # NaN counted as a violation.
+        chunk = meanfield.CHUNK
+        real = meanfield._dop853
+        params = ModelParams(lam=0.9, j=1.0, delta_phi=1.3)
+        start = PhasePoint(0.4, -0.7, 0.5, 0.2)
+        for poison in ((chunk + 5, math.nan), (2 * chunk, 2.5), (chunk + 7, -2.01)):
+
+            def poisoned(*args):
+                q1, p1, q2, p2 = real(*args)
+                q1[poison[0]] = poison[1]
+                q1[2 * chunk + 3] = 10.0
+                return q1, p1, q2, p2
+
+            monkeypatch.setattr(meanfield, "_dop853", poisoned)
+            with pytest.raises(IntegrationError, match="4j") as excinfo:
+                integrate(start, params, 8.0, 3 * chunk)
+            monkeypatch.undo()
+            times = np.linspace(0.0, 8.0, 3 * chunk)
+            assert excinfo.value.t == times[poison[0]]
+
     def test_stepping_calls_no_sum(self, monkeypatch):
         # sum() of floats is compensated from Python 3.12 on, so a sum() on
         # the stepping path would give other bits there than on 3.10/3.11.
@@ -597,6 +635,24 @@ class TestObservables:
             with pytest.raises(ValueError, match="2j\\^2"):
                 table_value("scaled_parity", PhasePoint(q1, 0, 0, 0), j)
 
+    def test_scaled_parity_domain_error_in_a_later_chunk(self):
+        # run_protocol fills the observable columns CHUNK samples at a time;
+        # an offending sample past the first chunk still raises.
+        chunk = meanfield.CHUNK
+        spec = ProtocolSpec(
+            params=ModelParams(lam=1.3, j=1.0, delta_phi=0.3),
+            initial="nearly_fock",
+            epsilon=3.0,
+            sample_count=3 * chunk,
+            observables=("parity",),
+        )
+        traj = run_protocol(spec)
+        r2 = traj.data["q1"] ** 2 + traj.data["p1"] ** 2
+        first = np.nonzero(1.0 - r2 / 2.0 < -1e-12)[0][0]
+        assert chunk < first < 2 * chunk
+        with pytest.raises(ValueError, match="2j\\^2"):
+            run_protocol(replace(spec, observables=("parity", "scaled_parity")))
+
     def test_quantum_entries_match_meanfield_on_coherent_states(self):
         # <O> in |alpha>|zeta> equals the mean-field value at the point the
         # pair labels, for every observable both engines report.
@@ -610,6 +666,43 @@ class TestObservables:
             for name in names:
                 quantum = meanfield._OBSERVABLES[name].quantum(ops, state)
                 assert abs(quantum - table_value(name, point, j)) < 1e-10, (name, alpha, zeta, j)
+
+
+class TestSampleMemory:
+    """A run holds its output arrays plus scratch of a few CHUNK samples.
+
+    One revolution at 100k samples: tracemalloc slows every float the
+    stepping loop makes, and the whole-grid temporaries this bound rules out
+    scale with the samples, not the steps.
+    """
+
+    @staticmethod
+    def traced_peak_ratio(run):
+        run()  # first call: imports and caches
+        tracemalloc.start()
+        try:
+            traj = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = traj.times.nbytes + sum(column.nbytes for column in traj.data.values())
+        return peak / returned
+
+    def test_integrate_peak(self):
+        params = ModelParams(lam=1.0, j=1.0, delta_phi=1.0)
+        start = PhasePoint(0.4, -0.7, 0.5, 0.2)
+        ratio = self.traced_peak_ratio(lambda: integrate(start, params, 2 * math.pi, 100_000))
+        assert ratio <= 1.5, f"integrate peaked at {ratio:.2f}x the bytes it returned"
+
+    def test_run_protocol_peak(self):
+        spec = ProtocolSpec(
+            params=ModelParams(lam=1.0, j=1.0, delta_phi=1.0),
+            initial="stationary_circle",
+            sample_count=100_000,
+            observables=("mean_photon_scaled", "parity", "scaled_parity"),
+        )
+        ratio = self.traced_peak_ratio(lambda: run_protocol(spec))
+        assert ratio <= 1.5, f"run_protocol peaked at {ratio:.2f}x the bytes it returned"
 
 
 class TestTimeAverage:
