@@ -15,6 +15,7 @@ critical lines over a coupling grid.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import meanfield, quantum
-from .meanfield import _OBSERVABLES, CHUNK, Trajectory
+from .meanfield import _OBSERVABLES, CHUNK, Trajectory, _check_observables
 from .model import (
     ModelParams,
     critical_coupling,
@@ -93,6 +94,13 @@ class ProtocolSpec:
             )
         if self.initial == "nearly_fock" and self.epsilon is None:
             raise ValueError("initial=nearly_fock requires epsilon")
+        if self.epsilon is not None and not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        # Checked here, not left to coherent_state: resolve_n_max reads its
+        # ValueError as truncation loss and would grow n_max to the cap.
+        for name, label in (("alpha", self.alpha), ("zeta", self.zeta)):
+            if not cmath.isfinite(complex(label)):
+                raise ValueError(f"{name} must be finite, got {label}")
         if self.initial == "ground_state" and self.engine != "quantum":
             raise ValueError(
                 "initial=ground_state requires the quantum engine; the "
@@ -107,23 +115,9 @@ class ProtocolSpec:
             raise ValueError(f"n_revolutions must be >= 1, got {self.n_revolutions}")
         if not self.sample_count >= 2:
             raise ValueError(f"sample_count must be >= 2, got {self.sample_count}")
-        if not self.rtol > 0.0:
-            raise ValueError(f"rtol must be positive, got {self.rtol}")
-        bad = set(self.observables) - set(OBSERVABLES)
-        if bad:
-            raise ValueError(f"unknown observables: {sorted(bad)}")
-        if not self.observables:
-            raise ValueError("at least one observable is required")
-        repeated = sorted({name for name in self.observables if self.observables.count(name) > 1})
-        if repeated:
-            raise ValueError(f"repeated observables: {repeated}")
-        if self.engine == "quantum":
-            for name in self.observables:
-                if _OBSERVABLES[name].quantum is None:
-                    raise ValueError(
-                        f"{name} is a mean-field only observable; "
-                        "the quantum engine has no counterpart"
-                    )
+        if not (self.rtol > 0.0 and math.isfinite(self.rtol)):
+            raise ValueError(f"rtol must be positive and finite, got {self.rtol}")
+        _check_observables(self.observables, self.engine)
 
     @property
     def t_final(self) -> float:

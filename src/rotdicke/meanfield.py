@@ -15,21 +15,17 @@ The coherent-state labels map onto phase space as
 :func:`integrate` steps the flow with Dormand-Prince 8(5,3) (DOP853) on
 plain Python floats, one run at a time: on a 4-vector the per-call cost of
 array operations outweighs the arithmetic.  Single runs and every sweep
-cell go through this one integrator.  Its step is written out as
-straight-line float code, one local per stage and component, with the
-tableau entries that are exactly 0.0 left out and every other combination
-added left to right.  No ``sum()`` is on the stepping path, so its bits do
-not depend on how a Python version's ``sum()`` of floats rounds (it is
-compensated from 3.12 on).
+cell go through this one integrator.  Its loop only steps, in straight-line
+float code, and keeps the stages of each step that holds samples in one
+flat ``array('d')``; one tableau-driven pass after the loop builds their
+dense output.  Both skip the tableau entries that are exactly 0.0 and add
+the rest left to right, with no ``sum()``, whose rounding of floats
+changed in Python 3.12 (it is compensated from then on).
 
-A run holds its output arrays plus O(``CHUNK``) scratch.  The stepper reads
-the sample grid through a memoryview, not a list of floats, and keeps each
-step's dense-output coefficients in one flat ``array('d')``.  The
-interpolant, :func:`integrate`'s boundary check and the observable columns
-of ``experiments.run_protocol`` are evaluated ``CHUNK`` samples at a time
-into preallocated arrays; every element goes through the same operations
-in the same order as in a whole-grid pass, so the bits do not depend on
-where the chunks fall.
+The interpolant, :func:`integrate`'s boundary check and the observable
+columns of ``experiments.run_protocol`` are evaluated ``CHUNK`` samples at
+a time into preallocated arrays, with the operations and order of a
+whole-grid pass, so the bits do not depend on where the chunks fall.
 
 ``_OBSERVABLES`` defines each observable once: its mean-field form on the
 sampled coordinate arrays and its quantum expectation value, or None where
@@ -150,6 +146,9 @@ class Trajectory:
         for name, col in self.data.items():
             if len(col) != t.size:
                 raise ValueError(f"column {name!r} has {len(col)} samples, expected {t.size}")
+        missing = [name for name in self.observables if name not in self.data]
+        if missing:
+            raise ValueError(f"observables {missing} have no column in data")
 
     def final(self, name: str) -> float:
         return float(self.data[name][-1])
@@ -196,7 +195,7 @@ class _Observable(NamedTuple):
 
 
 # Every observable, defined once.  The names, and which engine reports which,
-# are read from here by ProtocolSpec, the CLI and quantum.evolve.  The
+# are read from here by _check_observables and the CLI.  The
 # quantum values of a^dag a and of the parity are invariant under the frame
 # rotation, so the co-rotating-frame expectation is the laboratory one.
 _OBSERVABLES = {
@@ -204,6 +203,20 @@ _OBSERVABLES = {
     "parity": _Observable(_meanfield_parity, _quantum_parity),
     "scaled_parity": _Observable(_meanfield_scaled_parity, None),
 }
+
+
+def _check_observables(names, engine: str) -> None:
+    """ProtocolSpec's and quantum.evolve's rule on observable names: at least
+    one, each reported by ``engine``, none repeated."""
+    reported = [name for name, row in _OBSERVABLES.items() if engine == "meanfield" or row.quantum]
+    unsupported = sorted(set(names) - set(reported))
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if unsupported:
+        raise ValueError(f"unsupported {engine} observables: {unsupported}, not in {reported}")
+    if not names:
+        raise ValueError("at least one observable is required")
+    if repeated:
+        raise ValueError(f"repeated observables: {repeated}")
 
 
 def _flow(params: ModelParams, drive: float):
@@ -392,6 +405,37 @@ def _initial_step(f, y, fy, t_end, rtol, atol) -> float:
     return min(100.0 * h0, h1, t_end)
 
 
+def _tableau_sum(row, k):
+    """sum(a_i k_i) over the a_i of ``row`` that are not exactly 0.0, added
+    left to right as the straight-line step adds them; the k_i are arrays."""
+    total = None
+    for a, stage in zip(row, k):
+        if a != 0.0:
+            total = a * stage if total is None else total + a * stage
+    return total
+
+
+def _dense_table(f, packed):
+    """t, h, then y and F0..F6 per component (34 columns) for every step
+    recorded in ``packed``: the 7th-order interpolants of Hairer, Norsett &
+    Wanner, Solving ODEs I, II.6.  Stages 13-15 and F0..F6 are computed
+    elementwise across the steps, with the bits of a step-by-step pass."""
+    rows = np.frombuffer(packed).reshape(-1, 46).T
+    t, h, y, new = rows[0], rows[1], rows[2:6], rows[6:10]
+    # Stage s as a (component, step) array; stages 1-4 are not recorded.
+    k = [rows[10:14], None, None, None, None, *rows[14:].reshape(8, 4, -1)]
+    for s in range(13, 16):
+        # f at t + c_s h and y + (sum a_s,i k_i) h, on Python floats as in the loop.
+        args = (t + _C[s] * h).tolist(), *(y + _tableau_sum(_A[s], k) * h).tolist()
+        k.append(np.array(list(map(f, *args))).T)
+    delta = new - y
+    coeffs = np.stack([
+        y, delta, h * k[0] - delta, 2.0 * delta - h * (k[12] + k[0]),
+        *(h * _tableau_sum(row, k) for row in _D),
+    ])  # (coefficient, component, step)
+    return np.column_stack([t, h, coeffs.transpose(2, 1, 0).reshape(len(t), 32)])
+
+
 def _dop853(f, y, t_grid, rtol, atol):
     """Sample (q1, p1, q2, p2)' = f(t, q1, p1, q2, p2) on ``t_grid``.
 
@@ -404,12 +448,11 @@ def _dop853(f, y, t_grid, rtol, atol):
 
     The grid is read through ``memoryview(t_grid)``, whose items are Python
     floats, so ``bisect`` finds the samples a step covers without a copy of
-    the grid.  Each step that holds grid times appends its 7th-order
-    interpolant to one flat ``array('d')``, 34 doubles a step (t, h, then
-    y and F0..F6 per component), and records the index one past its last
-    sample.  After the last step that buffer is read back with
-    ``np.frombuffer`` and the grid is evaluated ``CHUNK`` samples at a time,
-    straight into the four output arrays: ``np.searchsorted`` over the
+    the grid.  The loop only steps: an accepted step that holds grid times
+    appends 46 doubles to one flat ``array('d')`` and records the index one
+    past its last sample.  After the loop, :func:`_dense_table` turns the
+    records into interpolants, and the grid is evaluated ``CHUNK`` samples
+    at a time into the four output arrays: ``np.searchsorted`` over the
     recorded ends gives each sample its step, and the Horner scheme runs
     one coefficient at a time.
 
@@ -417,13 +460,14 @@ def _dop853(f, y, t_grid, rtol, atol):
     locals once per call, stage s is held as k<s>_1..k<s>_4 (one local per
     component), and the entries that are exactly 0.0 are skipped.  Every
     other combination is summed left to right in tableau order, as
-    y + (sum a k) h, y + h (sum b k), (sum e k) / scale and h (sum d k), so
-    the bits are those of summing each full tableau row in a loop.
+    y + (sum a k) h, y + h (sum b k) and (sum e k) / scale, so the bits are
+    those of summing each full tableau row in a loop.
     """
     # The tableau as locals named by place: a<s>_<i> is _A[s][i], and row 12
     # holds the weights b<i>.  Entries unpacked into _ are exactly 0.0; c0 and
     # c12 are not needed, since stages 0 and 12 are f at t and at t + h.
-    _, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _, c13, c14, c15 = _C
+    # Rows 13-15 and _D belong to the dense output, built by _dense_table.
+    _, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, *_ = _C
     (
         _,
         (a1_0,),
@@ -438,33 +482,20 @@ def _dop853(f, y, t_grid, rtol, atol):
         (a10_0, _, _, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
         (a11_0, _, _, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
         (b0, _, _, _, _, b5, b6, b7, b8, b9, b10, b11),
-        (a13_0, _, _, _, _, _, a13_6, a13_7, a13_8, a13_9, a13_10, a13_11, a13_12),
-        (a14_0, _, _, _, _, a14_5, a14_6, a14_7, _, _, a14_10, a14_11, a14_12, a14_13),
-        (a15_0, _, _, _, _, a15_5, a15_6, a15_7, a15_8, _, _, _, a15_12, a15_13, a15_14),
+        *_,
     ) = _A
     e5_0, _, _, _, _, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, _ = _E5
     e3_0, _, _, _, _, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11, _ = _E3
-    (
-        (d0_0, _, _, _, _, d0_5, d0_6, d0_7, d0_8, d0_9, d0_10, d0_11, d0_12, d0_13, d0_14,
-         d0_15),
-        (d1_0, _, _, _, _, d1_5, d1_6, d1_7, d1_8, d1_9, d1_10, d1_11, d1_12, d1_13, d1_14,
-         d1_15),
-        (d2_0, _, _, _, _, d2_5, d2_6, d2_7, d2_8, d2_9, d2_10, d2_11, d2_12, d2_13, d2_14,
-         d2_15),
-        (d3_0, _, _, _, _, d3_5, d3_6, d3_7, d3_8, d3_9, d3_10, d3_11, d3_12, d3_13, d3_14,
-         d3_15),
-    ) = _D
     grid = memoryview(t_grid)  # items are Python floats; bisect reads it in place
     t_end = grid[-1]
     t = 0.0
     q1, p1, q2, p2 = y
     k0_1, k0_2, k0_3, k0_4 = f(t, q1, p1, q2, p2)
     h_abs = _initial_step(f, y, (k0_1, k0_2, k0_3, k0_4), t_end, rtol, atol)
-    # Per step holding samples: t, h, then (y, F0..F6) per component, packed
-    # by one struct call (array.extend converts a tuple item by item, ~8x
-    # slower per step).
+    # One record per step holding samples, packed by one struct call
+    # (array.extend converts a tuple item by item, ~8x slower per step).
     dense = array("d")
-    pack = struct.Struct("34d").pack
+    pack = struct.Struct("46d").pack
     ends = []  # per such step, the index one past its last sample
     next_sample = 0
     while t < t_end:
@@ -629,103 +660,20 @@ def _dop853(f, y, t_grid, rtol, atol):
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)
             rejected = True
         if grid[next_sample] <= t_new:
-            k13_1, k13_2, k13_3, k13_4 = f(
-                t + c13 * h,
-                q1 + (a13_0 * k0_1 + a13_6 * k6_1 + a13_7 * k7_1 + a13_8 * k8_1 + a13_9 * k9_1
-                     + a13_10 * k10_1 + a13_11 * k11_1 + a13_12 * k12_1) * h,
-                p1 + (a13_0 * k0_2 + a13_6 * k6_2 + a13_7 * k7_2 + a13_8 * k8_2 + a13_9 * k9_2
-                     + a13_10 * k10_2 + a13_11 * k11_2 + a13_12 * k12_2) * h,
-                q2 + (a13_0 * k0_3 + a13_6 * k6_3 + a13_7 * k7_3 + a13_8 * k8_3 + a13_9 * k9_3
-                     + a13_10 * k10_3 + a13_11 * k11_3 + a13_12 * k12_3) * h,
-                p2 + (a13_0 * k0_4 + a13_6 * k6_4 + a13_7 * k7_4 + a13_8 * k8_4 + a13_9 * k9_4
-                     + a13_10 * k10_4 + a13_11 * k11_4 + a13_12 * k12_4) * h,
-            )
-            k14_1, k14_2, k14_3, k14_4 = f(
-                t + c14 * h,
-                q1 + (a14_0 * k0_1 + a14_5 * k5_1 + a14_6 * k6_1 + a14_7 * k7_1 + a14_10 * k10_1
-                     + a14_11 * k11_1 + a14_12 * k12_1 + a14_13 * k13_1) * h,
-                p1 + (a14_0 * k0_2 + a14_5 * k5_2 + a14_6 * k6_2 + a14_7 * k7_2 + a14_10 * k10_2
-                     + a14_11 * k11_2 + a14_12 * k12_2 + a14_13 * k13_2) * h,
-                q2 + (a14_0 * k0_3 + a14_5 * k5_3 + a14_6 * k6_3 + a14_7 * k7_3 + a14_10 * k10_3
-                     + a14_11 * k11_3 + a14_12 * k12_3 + a14_13 * k13_3) * h,
-                p2 + (a14_0 * k0_4 + a14_5 * k5_4 + a14_6 * k6_4 + a14_7 * k7_4 + a14_10 * k10_4
-                     + a14_11 * k11_4 + a14_12 * k12_4 + a14_13 * k13_4) * h,
-            )
-            k15_1, k15_2, k15_3, k15_4 = f(
-                t + c15 * h,
-                q1 + (a15_0 * k0_1 + a15_5 * k5_1 + a15_6 * k6_1 + a15_7 * k7_1 + a15_8 * k8_1
-                     + a15_12 * k12_1 + a15_13 * k13_1 + a15_14 * k14_1) * h,
-                p1 + (a15_0 * k0_2 + a15_5 * k5_2 + a15_6 * k6_2 + a15_7 * k7_2 + a15_8 * k8_2
-                     + a15_12 * k12_2 + a15_13 * k13_2 + a15_14 * k14_2) * h,
-                q2 + (a15_0 * k0_3 + a15_5 * k5_3 + a15_6 * k6_3 + a15_7 * k7_3 + a15_8 * k8_3
-                     + a15_12 * k12_3 + a15_13 * k13_3 + a15_14 * k14_3) * h,
-                p2 + (a15_0 * k0_4 + a15_5 * k5_4 + a15_6 * k6_4 + a15_7 * k7_4 + a15_8 * k8_4
-                     + a15_12 * k12_4 + a15_13 * k13_4 + a15_14 * k14_4) * h,
-            )
-            delta1 = n1 - q1
-            delta2 = n2 - p1
-            delta3 = n3 - q2
-            delta4 = n4 - p2
+            # t, h, y, the new y, then stages 0 and 5-12: rows 13-15 of _A
+            # and every row of _D weight stages 1-4 by exactly 0.0.
             dense.frombytes(pack(
-                t, h,
-                q1, delta1, h * k0_1 - delta1, 2.0 * delta1 - h * (k12_1 + k0_1),
-                h * (d0_0 * k0_1 + d0_5 * k5_1 + d0_6 * k6_1 + d0_7 * k7_1 + d0_8 * k8_1
-                    + d0_9 * k9_1 + d0_10 * k10_1 + d0_11 * k11_1 + d0_12 * k12_1 + d0_13 * k13_1
-                    + d0_14 * k14_1 + d0_15 * k15_1),
-                h * (d1_0 * k0_1 + d1_5 * k5_1 + d1_6 * k6_1 + d1_7 * k7_1 + d1_8 * k8_1
-                    + d1_9 * k9_1 + d1_10 * k10_1 + d1_11 * k11_1 + d1_12 * k12_1 + d1_13 * k13_1
-                    + d1_14 * k14_1 + d1_15 * k15_1),
-                h * (d2_0 * k0_1 + d2_5 * k5_1 + d2_6 * k6_1 + d2_7 * k7_1 + d2_8 * k8_1
-                    + d2_9 * k9_1 + d2_10 * k10_1 + d2_11 * k11_1 + d2_12 * k12_1 + d2_13 * k13_1
-                    + d2_14 * k14_1 + d2_15 * k15_1),
-                h * (d3_0 * k0_1 + d3_5 * k5_1 + d3_6 * k6_1 + d3_7 * k7_1 + d3_8 * k8_1
-                    + d3_9 * k9_1 + d3_10 * k10_1 + d3_11 * k11_1 + d3_12 * k12_1 + d3_13 * k13_1
-                    + d3_14 * k14_1 + d3_15 * k15_1),
-                p1, delta2, h * k0_2 - delta2, 2.0 * delta2 - h * (k12_2 + k0_2),
-                h * (d0_0 * k0_2 + d0_5 * k5_2 + d0_6 * k6_2 + d0_7 * k7_2 + d0_8 * k8_2
-                    + d0_9 * k9_2 + d0_10 * k10_2 + d0_11 * k11_2 + d0_12 * k12_2 + d0_13 * k13_2
-                    + d0_14 * k14_2 + d0_15 * k15_2),
-                h * (d1_0 * k0_2 + d1_5 * k5_2 + d1_6 * k6_2 + d1_7 * k7_2 + d1_8 * k8_2
-                    + d1_9 * k9_2 + d1_10 * k10_2 + d1_11 * k11_2 + d1_12 * k12_2 + d1_13 * k13_2
-                    + d1_14 * k14_2 + d1_15 * k15_2),
-                h * (d2_0 * k0_2 + d2_5 * k5_2 + d2_6 * k6_2 + d2_7 * k7_2 + d2_8 * k8_2
-                    + d2_9 * k9_2 + d2_10 * k10_2 + d2_11 * k11_2 + d2_12 * k12_2 + d2_13 * k13_2
-                    + d2_14 * k14_2 + d2_15 * k15_2),
-                h * (d3_0 * k0_2 + d3_5 * k5_2 + d3_6 * k6_2 + d3_7 * k7_2 + d3_8 * k8_2
-                    + d3_9 * k9_2 + d3_10 * k10_2 + d3_11 * k11_2 + d3_12 * k12_2 + d3_13 * k13_2
-                    + d3_14 * k14_2 + d3_15 * k15_2),
-                q2, delta3, h * k0_3 - delta3, 2.0 * delta3 - h * (k12_3 + k0_3),
-                h * (d0_0 * k0_3 + d0_5 * k5_3 + d0_6 * k6_3 + d0_7 * k7_3 + d0_8 * k8_3
-                    + d0_9 * k9_3 + d0_10 * k10_3 + d0_11 * k11_3 + d0_12 * k12_3 + d0_13 * k13_3
-                    + d0_14 * k14_3 + d0_15 * k15_3),
-                h * (d1_0 * k0_3 + d1_5 * k5_3 + d1_6 * k6_3 + d1_7 * k7_3 + d1_8 * k8_3
-                    + d1_9 * k9_3 + d1_10 * k10_3 + d1_11 * k11_3 + d1_12 * k12_3 + d1_13 * k13_3
-                    + d1_14 * k14_3 + d1_15 * k15_3),
-                h * (d2_0 * k0_3 + d2_5 * k5_3 + d2_6 * k6_3 + d2_7 * k7_3 + d2_8 * k8_3
-                    + d2_9 * k9_3 + d2_10 * k10_3 + d2_11 * k11_3 + d2_12 * k12_3 + d2_13 * k13_3
-                    + d2_14 * k14_3 + d2_15 * k15_3),
-                h * (d3_0 * k0_3 + d3_5 * k5_3 + d3_6 * k6_3 + d3_7 * k7_3 + d3_8 * k8_3
-                    + d3_9 * k9_3 + d3_10 * k10_3 + d3_11 * k11_3 + d3_12 * k12_3 + d3_13 * k13_3
-                    + d3_14 * k14_3 + d3_15 * k15_3),
-                p2, delta4, h * k0_4 - delta4, 2.0 * delta4 - h * (k12_4 + k0_4),
-                h * (d0_0 * k0_4 + d0_5 * k5_4 + d0_6 * k6_4 + d0_7 * k7_4 + d0_8 * k8_4
-                    + d0_9 * k9_4 + d0_10 * k10_4 + d0_11 * k11_4 + d0_12 * k12_4 + d0_13 * k13_4
-                    + d0_14 * k14_4 + d0_15 * k15_4),
-                h * (d1_0 * k0_4 + d1_5 * k5_4 + d1_6 * k6_4 + d1_7 * k7_4 + d1_8 * k8_4
-                    + d1_9 * k9_4 + d1_10 * k10_4 + d1_11 * k11_4 + d1_12 * k12_4 + d1_13 * k13_4
-                    + d1_14 * k14_4 + d1_15 * k15_4),
-                h * (d2_0 * k0_4 + d2_5 * k5_4 + d2_6 * k6_4 + d2_7 * k7_4 + d2_8 * k8_4
-                    + d2_9 * k9_4 + d2_10 * k10_4 + d2_11 * k11_4 + d2_12 * k12_4 + d2_13 * k13_4
-                    + d2_14 * k14_4 + d2_15 * k15_4),
-                h * (d3_0 * k0_4 + d3_5 * k5_4 + d3_6 * k6_4 + d3_7 * k7_4 + d3_8 * k8_4
-                    + d3_9 * k9_4 + d3_10 * k10_4 + d3_11 * k11_4 + d3_12 * k12_4 + d3_13 * k13_4
-                    + d3_14 * k14_4 + d3_15 * k15_4),
+                t, h, q1, p1, q2, p2, n1, n2, n3, n4,
+                k0_1, k0_2, k0_3, k0_4, k5_1, k5_2, k5_3, k5_4, k6_1, k6_2, k6_3, k6_4,
+                k7_1, k7_2, k7_3, k7_4, k8_1, k8_2, k8_3, k8_4, k9_1, k9_2, k9_3, k9_4,
+                k10_1, k10_2, k10_3, k10_4, k11_1, k11_2, k11_3, k11_4,
+                k12_1, k12_2, k12_3, k12_4,
             ))
             next_sample = bisect.bisect_right(grid, t_new, next_sample)
             ends.append(next_sample)
         t, q1, p1, q2, p2 = t_new, n1, n2, n3, n4
         k0_1, k0_2, k0_3, k0_4 = k12_1, k12_2, k12_3, k12_4
-    table = np.frombuffer(dense).reshape(len(ends), 34)
+    table = _dense_table(f, dense)
     ends = np.array(ends)
     out = [np.empty(len(grid)) for _ in range(4)]
     for start in range(0, len(grid), CHUNK):
@@ -789,7 +737,8 @@ def coherent_from_point(point: PhasePoint, j: float) -> tuple[complex, complex]:
 # stages, row 12 the weights _B, rows 13-15 the extra stages of the dense
 # output, whose coefficients beyond the first three are _D.  _E5 and _E3
 # weight the 13 stages (the last is f at the new point) into the 5th- and
-# 3rd-order error estimates.  _dop853 unpacks these tuples into locals.
+# 3rd-order error estimates.  _dop853 unpacks rows 1-12, _E5 and _E3 into
+# locals; _dense_table reads rows 13-15 and _D as they are.
 _C = (
     0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
     0.118350341907227396726757197510, 0.281649658092772603273242802490,

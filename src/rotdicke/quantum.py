@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import _OBSERVABLES, Trajectory
+from .meanfield import _OBSERVABLES, Trajectory, _check_observables
 from .model import ModelParams, check_spin
 
 __all__ = [
@@ -514,14 +514,7 @@ def evolve(
             raise ValueError("t_grid must be strictly increasing")
         if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
             raise ValueError("t_grid must be uniform")
-    unknown = {
-        name for name in observables if name not in _OBSERVABLES or _OBSERVABLES[name].quantum is None
-    }
-    if unknown:
-        raise ValueError(f"unsupported quantum observables: {sorted(unknown)}")
-    repeated = sorted({name for name in observables if observables.count(name) > 1})
-    if repeated:
-        raise ValueError(f"repeated observables: {repeated}")
+    _check_observables(observables, "quantum")
 
     if ops is None:
         ops = build_operators(params)
@@ -574,6 +567,8 @@ def coherent_state(alpha: complex, zeta: complex, j: float, n_max: int) -> Quant
     """
     alpha = complex(alpha)
     zeta = complex(zeta)
+    if not (cmath.isfinite(alpha) and cmath.isfinite(zeta)):
+        raise ValueError(f"alpha and zeta must be finite, got alpha={alpha}, zeta={zeta}")
     two_j = int(round(2 * j))
 
     n = np.arange(n_max + 1, dtype=float)

@@ -259,6 +259,17 @@ class TestEmit:
         for key in traj.data:
             assert np.array_equal(back.data[key], traj.data[key])
 
+    def test_trajectory_json_observable_without_column_rejected(self, tmp_path):
+        # Such a file once loaded, and emit(..., "csv") or average() then
+        # failed with a KeyError.
+        out = tmp_path / "t.json"
+        emit(run_protocol(small_spec()), "json", out)
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        del payload["result"]["data"]["parity"]
+        out.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"observables \['parity'\] have no column"):
+            load_result_json(out)
+
     def test_sweep_json_round_trip(self, tmp_path):
         result = sweep_lambda(small_spec(), [0.5, 1.0])
         out = tmp_path / "s.json"

@@ -18,6 +18,7 @@ from rotdicke import (
     sweep_lambda,
     sweep_velocity,
 )
+from rotdicke.experiments import ENGINES
 
 
 def mf_spec(**kwargs):
@@ -43,6 +44,26 @@ class TestProtocolSpecValidation:
     def test_rejects_nan_rtol(self):
         with pytest.raises(ValueError, match="rtol"):
             mf_spec(rtol=math.nan)
+
+    def test_rejects_infinite_rtol(self):
+        with pytest.raises(ValueError, match="rtol"):
+            mf_spec(rtol=math.inf)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_bad_epsilon(self, epsilon):
+        for initial in ("nearly_fock", "stationary_circle"):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                mf_spec(initial=initial, epsilon=epsilon)
+
+    @pytest.mark.parametrize("label", ["alpha", "zeta"])
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf), math.nan])
+    def test_rejects_non_finite_labels(self, label, bad):
+        # A NaN alpha once ran a quantum trajectory to NaN observables with
+        # only a RuntimeWarning.  The spec must stop it: resolve_n_max reads
+        # coherent_state's ValueError as truncation loss and grows n_max.
+        for engine in ENGINES:
+            with pytest.raises(ValueError, match=f"{label} must be finite"):
+                mf_spec(engine=engine, initial="explicit", **{label: bad})
 
     def test_rejects_unknown_engine_and_initial(self):
         with pytest.raises(ValueError, match="engine"):

@@ -11,6 +11,7 @@ import scipy.sparse.linalg
 from rotdicke import (
     ModelParams,
     PropagationError,
+    ProtocolSpec,
     QuantumState,
     basis_state,
     build_operators,
@@ -421,6 +422,18 @@ class TestEvolve:
         with pytest.raises(ValueError, match=r"repeated observables: \['parity'\]"):
             evolve(psi0, params, np.array([0.0, 1.0]), observables=("parity", "mean_photon_scaled", "parity"))
 
+    def test_same_name_rule_as_protocol_spec(self):
+        # ProtocolSpec and evolve read one rule on observable names, so they
+        # reject the same names with the same message.
+        params = ModelParams(lam=1.0, j=0.5, n_max=4, delta_phi=1.0)
+        psi0 = basis_state(0.5, 4)
+        for names in ((), ("scaled_parity",), ("parity", "bogus"), ("parity", "parity")):
+            with pytest.raises(ValueError) as spec_error:
+                ProtocolSpec(params=params, engine="quantum", initial="fock", observables=names)
+            with pytest.raises(ValueError) as evolve_error:
+                evolve(psi0, params, np.array([0.0, 1.0]), observables=names)
+            assert str(spec_error.value) == str(evolve_error.value), names
+
     @pytest.mark.parametrize("driven", [False, True], ids=["undriven", "driven"])
     def test_energy_conserved_over_many_steps(self, driven):
         # exp(-i H t) commutes with H: <H_rot> (driven) or <H_dicke>
@@ -486,6 +499,15 @@ class TestCoherentState:
     def test_truncation_loss_raises(self):
         with pytest.raises(ValueError, match="increase n_max"):
             coherent_state(4.0, 0.0, 1.0, 20)
+
+    @pytest.mark.parametrize(
+        "alpha, zeta",
+        [(complex(math.nan, 0.0), 0.0), (math.inf, 0.0), (0.0, complex(0.0, math.nan)), (0.5, math.inf)],
+    )
+    def test_rejects_non_finite_labels(self, alpha, zeta):
+        # A NaN total made the truncation loss NaN, which passed the check.
+        with pytest.raises(ValueError, match="must be finite"):
+            coherent_state(alpha, zeta, 1.0, 20)
 
     def test_complex_labels_normalized(self):
         state = coherent_state(0.8 - 0.3j, 0.2 + 0.6j, 1.5, 60)
