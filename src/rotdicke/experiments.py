@@ -111,6 +111,12 @@ class ProtocolSpec:
                 "delta_phi must be positive: it defines t_f = n_R*2pi/delta_phi "
                 "(undriven runs use it for t_f only)"
             )
+        # np.linspace and range need an integer count, and a failure there
+        # would escape _run_cell and abort a whole sweep.
+        for name in ("n_revolutions", "sample_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not self.n_revolutions >= 1:
             raise ValueError(f"n_revolutions must be >= 1, got {self.n_revolutions}")
         if not self.sample_count >= 2:

@@ -18,9 +18,13 @@ array operations outweighs the arithmetic.  Single runs and every sweep
 cell go through this one integrator.  Its loop only steps, in straight-line
 float code, and keeps the stages of each step that holds samples in one
 flat ``array('d')``; one tableau-driven pass after the loop builds their
-dense output.  Both skip the tableau entries that are exactly 0.0 and add
-the rest left to right, with no ``sum()``, whose rounding of floats
-changed in Python 3.12 (it is compensated from then on).
+dense output as whole-array operations across those steps: the extra
+stages 13-15 through the array form of the right-hand side (one call per
+stage, bit-equal to the float form), and the four rows of interpolant
+weights summed side by side.  Both skip the tableau entries that are
+exactly 0.0 and add the rest left to right, with no ``sum()``, whose
+rounding of floats changed in Python 3.12 (it is compensated from then
+on).
 
 The interpolant, :func:`integrate`'s boundary check and the observable
 columns of ``experiments.run_protocol`` are evaluated ``CHUNK`` samples at
@@ -141,8 +145,12 @@ class Trajectory:
             raise ValueError("times must be a nonempty 1-D array")
         if t[0] != 0.0:
             raise ValueError(f"first sample must be at t=0, got {t[0]}")
-        if t.size > 1 and not np.all(np.diff(t) > 0.0):
-            raise ValueError("sample times must be strictly increasing")
+        # CHUNK pairs at a time, so the check allocates no whole-grid
+        # temporaries; a NaN fails the comparison and is rejected.
+        for start in range(0, t.size - 1, CHUNK):
+            part = t[start:start + CHUNK + 1]
+            if not np.all(part[1:] > part[:-1]):
+                raise ValueError("sample times must be strictly increasing")
         for name, col in self.data.items():
             if len(col) != t.size:
                 raise ValueError(f"column {name!r} has {len(col)} samples, expected {t.size}")
@@ -225,6 +233,13 @@ def _flow(params: ModelParams, drive: float):
     ``drive`` is the rotation velocity (0 for the undriven flow).  Within
     _BOUNDARY_GUARD of the sphere the derivatives are NaN, which the stepper
     treats as a rejected step.
+
+    ``f.array`` is the same right-hand side elementwise on float64 arrays
+    (one lane per element), returning a (component, lane) array with the
+    bits of f on every lane: the same operations in the same order, numpy's
+    + - * / and sqrt rounding as Python's do, and cos and sin taken from
+    ``math`` lane by lane, since numpy's are not bit-equal to libm's.  Lanes
+    where f returns NaN are NaN, with no RuntimeWarning.
     """
     omega0 = params.omega0
     omega = params.omega
@@ -254,6 +269,28 @@ def _flow(params: ModelParams, drive: float):
             -omega * q2 - two_lam * root * proj,
         )
 
+    def f_array(t, q1, p1, q2, p2):
+        phi = (drive * t).tolist()
+        cos_phi = np.fromiter(map(cos, phi), float, len(phi))
+        sin_phi = np.fromiter(map(sin, phi), float, len(phi))
+        # Lanes inside the guard may take sqrt of a negative or divide by 0;
+        # they are overwritten with NaN below, as f returns _NANS there.
+        with np.errstate(all="ignore"):
+            rem = four_j - (q1 * q1 + p1 * p1)
+            proj = cos_phi * q1 + sin_phi * p1
+            root = np.sqrt(rem / four_j)
+            denom = np.sqrt(four_j * rem)
+            g = two_lam * q2
+            out = np.array((
+                omega0 * p1 - g * proj * p1 / denom + g * root * sin_phi,
+                -omega0 * q1 + g * proj * q1 / denom - g * root * cos_phi,
+                omega * p2,
+                -omega * q2 - two_lam * root * proj,
+            ))
+            out[:, rem < guard] = math.nan
+        return out
+
+    f.array = f_array
     return f
 
 
@@ -418,20 +455,33 @@ def _tableau_sum(row, k):
 def _dense_table(f, packed):
     """t, h, then y and F0..F6 per component (34 columns) for every step
     recorded in ``packed``: the 7th-order interpolants of Hairer, Norsett &
-    Wanner, Solving ODEs I, II.6.  Stages 13-15 and F0..F6 are computed
-    elementwise across the steps, with the bits of a step-by-step pass."""
+    Wanner, Solving ODEs I, II.6.
+
+    Everything is computed elementwise across the steps, with the bits of a
+    step-by-step pass.  Each of stages 13-15 is one ``f.array`` call over
+    all recorded steps.  The four _D rows are summed side by side, as one
+    (row, component, step) array that gains one stage at a time, left to
+    right, over the stages where _D is nonzero: each row adds the terms it
+    would add alone.  Each component's 8 interpolant columns are then
+    gathered once per chunk of samples by :func:`_dop853`.
+    """
     rows = np.frombuffer(packed).reshape(-1, 46).T
     t, h, y, new = rows[0], rows[1], rows[2:6], rows[6:10]
     # Stage s as a (component, step) array; stages 1-4 are not recorded.
     k = [rows[10:14], None, None, None, None, *rows[14:].reshape(8, 4, -1)]
     for s in range(13, 16):
-        # f at t + c_s h and y + (sum a_s,i k_i) h, on Python floats as in the loop.
-        args = (t + _C[s] * h).tolist(), *(y + _tableau_sum(_A[s], k) * h).tolist()
-        k.append(np.array(list(map(f, *args))).T)
+        # f at t + c_s h and y + (sum a_s,i k_i) h.
+        k.append(f.array(t + _C[s] * h, *(y + _tableau_sum(_A[s], k) * h)))
+    d_sums = None
+    for s, weights in _D_COLUMNS:
+        if d_sums is None:
+            d_sums = weights * k[s]
+        else:
+            d_sums += weights * k[s]
+    d_sums *= h
     delta = new - y
     coeffs = np.stack([
-        y, delta, h * k[0] - delta, 2.0 * delta - h * (k[12] + k[0]),
-        *(h * _tableau_sum(row, k) for row in _D),
+        y, delta, h * k[0] - delta, 2.0 * delta - h * (k[12] + k[0]), *d_sums,
     ])  # (coefficient, component, step)
     return np.column_stack([t, h, coeffs.transpose(2, 1, 0).reshape(len(t), 32)])
 
@@ -451,10 +501,13 @@ def _dop853(f, y, t_grid, rtol, atol):
     the grid.  The loop only steps: an accepted step that holds grid times
     appends 46 doubles to one flat ``array('d')`` and records the index one
     past its last sample.  After the loop, :func:`_dense_table` turns the
-    records into interpolants, and the grid is evaluated ``CHUNK`` samples
-    at a time into the four output arrays: ``np.searchsorted`` over the
-    recorded ends gives each sample its step, and the Horner scheme runs
-    one coefficient at a time.
+    records into interpolants (stages 13-15 from ``f.array``, the _D sums
+    side by side), and the grid is evaluated ``CHUNK`` samples at a time
+    into the four output arrays: ``np.searchsorted`` over the recorded ends
+    gives each sample its step, each component's 8 interpolant columns are
+    gathered for the chunk with one index, and the Horner scheme runs one
+    coefficient at a time.  Gathering whole 34-column rows instead would
+    hold four times the scratch per chunk.
 
     A step is straight-line float code.  The tableau is unpacked into
     locals once per call, stage s is held as k<s>_1..k<s>_4 (one local per
@@ -674,6 +727,7 @@ def _dop853(f, y, t_grid, rtol, atol):
         t, q1, p1, q2, p2 = t_new, n1, n2, n3, n4
         k0_1, k0_2, k0_3, k0_4 = k12_1, k12_2, k12_3, k12_4
     table = _dense_table(f, dense)
+    del dense  # the records are in table now; free them before the outputs are filled
     ends = np.array(ends)
     out = [np.empty(len(grid)) for _ in range(4)]
     for start in range(0, len(grid), CHUNK):
@@ -682,13 +736,15 @@ def _dop853(f, y, t_grid, rtol, atol):
         x = (t_grid[start:stop] - table[seg, 0]) / table[seg, 1]
         x1 = 1.0 - x
         for base, column in zip(range(2, 34, 8), out):
-            # y + x (F0 + (1-x) (F1 + x (F2 + ... + x F6))), innermost first.
+            # y + x (F0 + (1-x) (F1 + x (F2 + ... + x F6))), innermost first,
+            # from one gather of the component's 8 columns.
+            coeff = table[seg, base:base + 8]
             yc = column[start:stop]
-            np.multiply(table[seg, base + 7], x, out=yc)
-            for i, row in enumerate(range(base + 6, base, -1), start=1):
-                yc += table[seg, row]
+            np.multiply(coeff[:, 7], x, out=yc)
+            for i in range(1, 7):
+                yc += coeff[:, 7 - i]
                 yc *= x1 if i % 2 else x
-            yc += table[seg, base]
+            yc += coeff[:, 0]
     return out
 
 
@@ -871,3 +927,12 @@ _D = (
         -0.14972683625798562581422125276e+3,
     ),
 )
+
+# _dense_table sums the four _D rows side by side over the stages where any
+# row is nonzero.  That adds each row's terms as a sum of its own nonzero
+# entries would only if every row is nonzero on exactly those stages.
+_D_STAGES = [s for s in range(len(_D[0])) if any(row[s] != 0.0 for row in _D)]
+if any(row[s] == 0.0 for row in _D for s in _D_STAGES):
+    raise RuntimeError("the rows of _D must share their zero entries")
+# Per such stage s: s and the four rows' weights as a (row, 1, 1) array.
+_D_COLUMNS = [(s, np.array([row[s] for row in _D])[:, None, None]) for s in _D_STAGES]

@@ -65,6 +65,22 @@ class TestProtocolSpecValidation:
             with pytest.raises(ValueError, match=f"{label} must be finite"):
                 mf_spec(engine=engine, initial="explicit", **{label: bad})
 
+    @pytest.mark.parametrize("name", ["sample_count", "n_revolutions"])
+    @pytest.mark.parametrize("bad", [10.5, 3.0, True, "300", np.float64(3.0)])
+    def test_rejects_non_integer_counts(self, name, bad):
+        # A float sample_count once built, then aborted sweep_lambda with a
+        # TypeError from np.linspace that _run_cell does not catch.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sweep_lambda(mf_spec(**{name: bad}), [0.5, 1.0])
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            replace(mf_spec(), **{name: bad})
+
+    def test_accepts_numpy_integer_counts(self):
+        spec = mf_spec(sample_count=np.int64(50), n_revolutions=np.int32(2))
+        result = sweep_lambda(spec, [0.5, 1.0])
+        assert [cell.error for cell in result.cells] == [None, None]
+        assert result.cells == sweep_lambda(mf_spec(sample_count=50, n_revolutions=2), [0.5, 1.0]).cells
+
     def test_rejects_unknown_engine_and_initial(self):
         with pytest.raises(ValueError, match="engine"):
             mf_spec(engine="exact")

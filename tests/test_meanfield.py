@@ -4,7 +4,7 @@ import bisect
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -387,6 +387,13 @@ class TestDop853:
                 calls.append(args)
                 return flow(*args)
 
+            def counted_array(t, *y):
+                # One call per lane: the dense-output stages cost what
+                # scipy's per-step evaluations of them cost.
+                calls.extend(zip(t.tolist(), *(c.tolist() for c in y)))
+                return flow.array(t, *y)
+
+            counted.array = counted_array
             monkeypatch.setattr(meanfield, "_flow", lambda p, d: counted)
             traj = integrate(start, params, 2 * math.pi, sample_count=200, driven=driven)
             monkeypatch.undo()
@@ -402,6 +409,33 @@ class TestDop853:
             assert len(calls) == ref.nfev
             ours = np.array([traj.data[name] for name in ("q1", "p1", "q2", "p2")])
             assert np.max(np.abs(ours - ref.y)) < 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_array_form_bit_identical_to_flow(self):
+        # Random domain points, lanes just inside and just outside the
+        # boundary guard, lanes past the sphere and NaN coordinates: every
+        # lane of f.array has the bits of f on that lane, NaN included.
+        rng = np.random.default_rng(7)
+        for j, lam, drive in ((0.5, 1.7, 0.6), (1.0, 0.0, 1.3), (3.0, 0.9, 0.0)):
+            f = meanfield._flow(ModelParams(lam=lam, j=j, delta_phi=1.0), drive)
+            guard = meanfield._BOUNDARY_GUARD * 4 * j
+            lanes = [astuple(random_domain_point(rng, j, fill=0.99))[:4] for _ in range(200)]
+            for rem in (2 * guard, 1.01 * guard, guard, 0.99 * guard, 0.0, -1.0):
+                th = rng.uniform(0, 2 * math.pi)
+                r = math.sqrt(4 * j - rem)
+                lanes.append((r * math.cos(th), r * math.sin(th), 0.7, -0.2))
+            for index in range(4):
+                lane = [0.3, -0.4, 0.5, 0.1]
+                lane[index] = math.nan
+                lanes.append(tuple(lane))
+            t = rng.uniform(0.0, 50.0, len(lanes))
+            y = np.array(lanes).T
+            expected = np.array([f(*args) for args in zip(t.tolist(), *y.tolist())]).T
+            got = f.array(t, *y)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            near = got[:, -10:-4]  # the lanes around the guard take both sides
+            assert np.isfinite(near).all(axis=0).any() and np.isnan(near).all(axis=0).any()
 
     def test_uncoupled_flow_is_closed_form_rotation(self):
         # At lambda = 0 both sectors rotate rigidly, drive or no drive.
@@ -736,6 +770,37 @@ class TestTrajectoryInvariants:
             Trajectory(
                 params, "meanfield", True, np.array([0.0, 1.0]), {"q1": np.zeros(3)}
             )
+
+    def test_times_checked_across_chunk_edges(self):
+        from rotdicke import Trajectory
+
+        params = ModelParams(lam=1.0, j=1.0)
+        chunk = meanfield.CHUNK
+        good = np.linspace(0.0, 1.0, 2 * chunk + 2)
+        Trajectory(params, "meanfield", True, good, {})
+        for index in (1, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1):
+            for bad in (math.nan, good[index - 1]):  # NaN, then a repeated time
+                times = good.copy()
+                times[index] = bad
+                with pytest.raises(ValueError, match="increasing"):
+                    Trajectory(params, "meanfield", True, times, {})
+
+    def test_times_check_traced_peak(self):
+        # Whole-grid temporaries (np.diff and a bool array) cost 0.9 MB at
+        # 100k samples, and a mean-field run_protocol builds its Trajectory
+        # twice.
+        from rotdicke import Trajectory
+
+        params = ModelParams(lam=1.0, j=1.0)
+        times = np.linspace(0.0, 1.0, 100_000)
+        Trajectory(params, "meanfield", True, times, {})
+        tracemalloc.start()
+        try:
+            Trajectory(params, "meanfield", True, times, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, f"Trajectory construction peaked at {peak} bytes"
 
     def test_equality_compares_arrays_by_value(self):
         from rotdicke import Trajectory
