@@ -317,7 +317,12 @@ def parse_config(
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     _validate_cross(subcommand, values)
-    return RunConfig(subcommand=subcommand, values=values, provenance=provenance)
+    config = RunConfig(subcommand=subcommand, values=values, provenance=provenance)
+    if subcommand != "spectrum":
+        # The library's own rules (ProtocolSpec, ModelParams) reject a value
+        # here, before main echoes the configuration.
+        config_to_spec(config)
+    return config
 
 
 def _validate_cross(subcommand: str, values: dict) -> None:

@@ -94,10 +94,9 @@ def _write_json(fh, value, level: int = 0) -> None:
     if isinstance(value, np.ndarray):
         fh.write("[")
         for start in range(0, value.size, CHUNK):
-            chunk = value[start : start + CHUNK]
-            # float.__repr__ is json's spelling of every finite float.
-            spell = float.__repr__ if np.isfinite(chunk).all() else json.dumps
-            fh.write(("," if start else "") + pad + ("," + pad).join(map(spell, chunk.tolist())))
+            # The chunk as json spells a list, brackets dropped, indented by its separator.
+            items = json.dumps(value[start : start + CHUNK].tolist(), separators=("," + pad, ": "))
+            fh.write(("," if start else "") + pad + items[1:-1])
     elif isinstance(value, dict):
         fh.write("{")
         for i, (key, item) in enumerate(value.items()):

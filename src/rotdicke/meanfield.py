@@ -15,16 +15,14 @@ The coherent-state labels map onto phase space as
 :func:`integrate` steps the flow with Dormand-Prince 8(5,3) (DOP853) on
 plain Python floats, one run at a time: on a 4-vector the per-call cost of
 array operations outweighs the arithmetic.  Single runs and every sweep
-cell go through this one integrator.  Its loop only steps, in straight-line
-float code, and keeps the stages of each step that holds samples in one
-flat ``array('d')``; one tableau-driven pass after the loop builds their
-dense output as whole-array operations across those steps: the extra
-stages 13-15 through the array form of the right-hand side (one call per
-stage, bit-equal to the float form), and the four rows of interpolant
-weights summed side by side.  Both skip the tableau entries that are
-exactly 0.0 and add the rest left to right, with no ``sum()``, whose
-rounding of floats changed in Python 3.12 (it is compensated from then
-on).
+cell go through this one integrator.  Its step loop is straight-line float
+code generated from the tableau at import, and keeps the stages of each
+step that holds samples in one flat ``array('d')``; one pass after the loop
+builds their dense output as whole-array operations across those steps
+(stages 13-15 through the array form of the right-hand side, bit-equal to
+the float form).  Every tableau sum skips the entries that are exactly 0.0
+and adds the rest left to right, with no ``sum()``, whose rounding of floats
+changed in Python 3.12 (it is compensated from then on).
 
 The interpolant, :func:`integrate`'s boundary check and the observable
 columns of ``experiments.run_protocol`` are evaluated ``CHUNK`` samples at
@@ -38,8 +36,9 @@ only the mean field reports it.
 
 from __future__ import annotations
 
-import bisect
+import bisect  # bisect, struct and array: used by the generated _steps
 import cmath
+import linecache
 import math
 import struct
 from array import array
@@ -465,10 +464,12 @@ def _dense_table(f, packed):
     would add alone.  Each component's 8 interpolant columns are then
     gathered once per chunk of samples by :func:`_dop853`.
     """
-    rows = np.frombuffer(packed).reshape(-1, 46).T
+    rows = np.frombuffer(packed).reshape(-1, _RECORD_WIDTH).T
     t, h, y, new = rows[0], rows[1], rows[2:6], rows[6:10]
-    # Stage s as a (component, step) array; stages 1-4 are not recorded.
-    k = [rows[10:14], None, None, None, None, *rows[14:].reshape(8, 4, -1)]
+    # Stage s as a (component, step) array; the others are not recorded.
+    k = [None] * 13
+    for s, stage in zip(_RECORDED_STAGES, rows[10:].reshape(len(_RECORDED_STAGES), 4, -1)):
+        k[s] = stage
     for s in range(13, 16):
         # f at t + c_s h and y + (sum a_s,i k_i) h.
         k.append(f.array(t + _C[s] * h, *(y + _tableau_sum(_A[s], k) * h)))
@@ -498,234 +499,20 @@ def _dop853(f, y, t_grid, rtol, atol):
 
     The grid is read through ``memoryview(t_grid)``, whose items are Python
     floats, so ``bisect`` finds the samples a step covers without a copy of
-    the grid.  The loop only steps: an accepted step that holds grid times
-    appends 46 doubles to one flat ``array('d')`` and records the index one
-    past its last sample.  After the loop, :func:`_dense_table` turns the
-    records into interpolants (stages 13-15 from ``f.array``, the _D sums
-    side by side), and the grid is evaluated ``CHUNK`` samples at a time
+    the grid.  The step loop :func:`_steps`, generated from the tableau by
+    :func:`_steps_source`, records the steps that hold grid times.
+    :func:`_dense_table` turns the records into interpolants, and the grid
+    is evaluated ``CHUNK`` samples at a time
     into the four output arrays: ``np.searchsorted`` over the recorded ends
     gives each sample its step, each component's 8 interpolant columns are
     gathered for the chunk with one index, and the Horner scheme runs one
     coefficient at a time.  Gathering whole 34-column rows instead would
     hold four times the scratch per chunk.
-
-    A step is straight-line float code.  The tableau is unpacked into
-    locals once per call, stage s is held as k<s>_1..k<s>_4 (one local per
-    component), and the entries that are exactly 0.0 are skipped.  Every
-    other combination is summed left to right in tableau order, as
-    y + (sum a k) h, y + h (sum b k) and (sum e k) / scale, so the bits are
-    those of summing each full tableau row in a loop.
     """
-    # The tableau as locals named by place: a<s>_<i> is _A[s][i], and row 12
-    # holds the weights b<i>.  Entries unpacked into _ are exactly 0.0; c0 and
-    # c12 are not needed, since stages 0 and 12 are f at t and at t + h.
-    # Rows 13-15 and _D belong to the dense output, built by _dense_table.
-    _, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, *_ = _C
-    (
-        _,
-        (a1_0,),
-        (a2_0, a2_1),
-        (a3_0, _, a3_2),
-        (a4_0, _, a4_2, a4_3),
-        (a5_0, _, _, a5_3, a5_4),
-        (a6_0, _, _, a6_3, a6_4, a6_5),
-        (a7_0, _, _, a7_3, a7_4, a7_5, a7_6),
-        (a8_0, _, _, a8_3, a8_4, a8_5, a8_6, a8_7),
-        (a9_0, _, _, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
-        (a10_0, _, _, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
-        (a11_0, _, _, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
-        (b0, _, _, _, _, b5, b6, b7, b8, b9, b10, b11),
-        *_,
-    ) = _A
-    e5_0, _, _, _, _, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, _ = _E5
-    e3_0, _, _, _, _, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11, _ = _E3
     grid = memoryview(t_grid)  # items are Python floats; bisect reads it in place
-    t_end = grid[-1]
-    t = 0.0
-    q1, p1, q2, p2 = y
-    k0_1, k0_2, k0_3, k0_4 = f(t, q1, p1, q2, p2)
-    h_abs = _initial_step(f, y, (k0_1, k0_2, k0_3, k0_4), t_end, rtol, atol)
-    # One record per step holding samples, packed by one struct call
-    # (array.extend converts a tuple item by item, ~8x slower per step).
-    dense = array("d")
-    pack = struct.Struct("46d").pack
-    ends = []  # per such step, the index one past its last sample
-    next_sample = 0
-    while t < t_end:
-        min_step = 10.0 * math.ulp(t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if not h_abs >= min_step:
-                raise IntegrationError(
-                    t,
-                    "integration failed (required step fell below 10 ulp of t); "
-                    "step rejection this hard flags an approach to the "
-                    "q1^2+p1^2 -> 4j boundary",
-                )
-            t_new = min(t + h_abs, t_end)
-            h = t_new - t
-            h_abs = h
-            k1_1, k1_2, k1_3, k1_4 = f(
-                t + c1 * h,
-                q1 + a1_0 * k0_1 * h,
-                p1 + a1_0 * k0_2 * h,
-                q2 + a1_0 * k0_3 * h,
-                p2 + a1_0 * k0_4 * h,
-            )
-            k2_1, k2_2, k2_3, k2_4 = f(
-                t + c2 * h,
-                q1 + (a2_0 * k0_1 + a2_1 * k1_1) * h,
-                p1 + (a2_0 * k0_2 + a2_1 * k1_2) * h,
-                q2 + (a2_0 * k0_3 + a2_1 * k1_3) * h,
-                p2 + (a2_0 * k0_4 + a2_1 * k1_4) * h,
-            )
-            k3_1, k3_2, k3_3, k3_4 = f(
-                t + c3 * h,
-                q1 + (a3_0 * k0_1 + a3_2 * k2_1) * h,
-                p1 + (a3_0 * k0_2 + a3_2 * k2_2) * h,
-                q2 + (a3_0 * k0_3 + a3_2 * k2_3) * h,
-                p2 + (a3_0 * k0_4 + a3_2 * k2_4) * h,
-            )
-            k4_1, k4_2, k4_3, k4_4 = f(
-                t + c4 * h,
-                q1 + (a4_0 * k0_1 + a4_2 * k2_1 + a4_3 * k3_1) * h,
-                p1 + (a4_0 * k0_2 + a4_2 * k2_2 + a4_3 * k3_2) * h,
-                q2 + (a4_0 * k0_3 + a4_2 * k2_3 + a4_3 * k3_3) * h,
-                p2 + (a4_0 * k0_4 + a4_2 * k2_4 + a4_3 * k3_4) * h,
-            )
-            k5_1, k5_2, k5_3, k5_4 = f(
-                t + c5 * h,
-                q1 + (a5_0 * k0_1 + a5_3 * k3_1 + a5_4 * k4_1) * h,
-                p1 + (a5_0 * k0_2 + a5_3 * k3_2 + a5_4 * k4_2) * h,
-                q2 + (a5_0 * k0_3 + a5_3 * k3_3 + a5_4 * k4_3) * h,
-                p2 + (a5_0 * k0_4 + a5_3 * k3_4 + a5_4 * k4_4) * h,
-            )
-            k6_1, k6_2, k6_3, k6_4 = f(
-                t + c6 * h,
-                q1 + (a6_0 * k0_1 + a6_3 * k3_1 + a6_4 * k4_1 + a6_5 * k5_1) * h,
-                p1 + (a6_0 * k0_2 + a6_3 * k3_2 + a6_4 * k4_2 + a6_5 * k5_2) * h,
-                q2 + (a6_0 * k0_3 + a6_3 * k3_3 + a6_4 * k4_3 + a6_5 * k5_3) * h,
-                p2 + (a6_0 * k0_4 + a6_3 * k3_4 + a6_4 * k4_4 + a6_5 * k5_4) * h,
-            )
-            k7_1, k7_2, k7_3, k7_4 = f(
-                t + c7 * h,
-                q1 + (a7_0 * k0_1 + a7_3 * k3_1 + a7_4 * k4_1 + a7_5 * k5_1 + a7_6 * k6_1) * h,
-                p1 + (a7_0 * k0_2 + a7_3 * k3_2 + a7_4 * k4_2 + a7_5 * k5_2 + a7_6 * k6_2) * h,
-                q2 + (a7_0 * k0_3 + a7_3 * k3_3 + a7_4 * k4_3 + a7_5 * k5_3 + a7_6 * k6_3) * h,
-                p2 + (a7_0 * k0_4 + a7_3 * k3_4 + a7_4 * k4_4 + a7_5 * k5_4 + a7_6 * k6_4) * h,
-            )
-            k8_1, k8_2, k8_3, k8_4 = f(
-                t + c8 * h,
-                q1 + (a8_0 * k0_1 + a8_3 * k3_1 + a8_4 * k4_1 + a8_5 * k5_1 + a8_6 * k6_1
-                     + a8_7 * k7_1) * h,
-                p1 + (a8_0 * k0_2 + a8_3 * k3_2 + a8_4 * k4_2 + a8_5 * k5_2 + a8_6 * k6_2
-                     + a8_7 * k7_2) * h,
-                q2 + (a8_0 * k0_3 + a8_3 * k3_3 + a8_4 * k4_3 + a8_5 * k5_3 + a8_6 * k6_3
-                     + a8_7 * k7_3) * h,
-                p2 + (a8_0 * k0_4 + a8_3 * k3_4 + a8_4 * k4_4 + a8_5 * k5_4 + a8_6 * k6_4
-                     + a8_7 * k7_4) * h,
-            )
-            k9_1, k9_2, k9_3, k9_4 = f(
-                t + c9 * h,
-                q1 + (a9_0 * k0_1 + a9_3 * k3_1 + a9_4 * k4_1 + a9_5 * k5_1 + a9_6 * k6_1
-                     + a9_7 * k7_1 + a9_8 * k8_1) * h,
-                p1 + (a9_0 * k0_2 + a9_3 * k3_2 + a9_4 * k4_2 + a9_5 * k5_2 + a9_6 * k6_2
-                     + a9_7 * k7_2 + a9_8 * k8_2) * h,
-                q2 + (a9_0 * k0_3 + a9_3 * k3_3 + a9_4 * k4_3 + a9_5 * k5_3 + a9_6 * k6_3
-                     + a9_7 * k7_3 + a9_8 * k8_3) * h,
-                p2 + (a9_0 * k0_4 + a9_3 * k3_4 + a9_4 * k4_4 + a9_5 * k5_4 + a9_6 * k6_4
-                     + a9_7 * k7_4 + a9_8 * k8_4) * h,
-            )
-            k10_1, k10_2, k10_3, k10_4 = f(
-                t + c10 * h,
-                q1 + (a10_0 * k0_1 + a10_3 * k3_1 + a10_4 * k4_1 + a10_5 * k5_1 + a10_6 * k6_1
-                     + a10_7 * k7_1 + a10_8 * k8_1 + a10_9 * k9_1) * h,
-                p1 + (a10_0 * k0_2 + a10_3 * k3_2 + a10_4 * k4_2 + a10_5 * k5_2 + a10_6 * k6_2
-                     + a10_7 * k7_2 + a10_8 * k8_2 + a10_9 * k9_2) * h,
-                q2 + (a10_0 * k0_3 + a10_3 * k3_3 + a10_4 * k4_3 + a10_5 * k5_3 + a10_6 * k6_3
-                     + a10_7 * k7_3 + a10_8 * k8_3 + a10_9 * k9_3) * h,
-                p2 + (a10_0 * k0_4 + a10_3 * k3_4 + a10_4 * k4_4 + a10_5 * k5_4 + a10_6 * k6_4
-                     + a10_7 * k7_4 + a10_8 * k8_4 + a10_9 * k9_4) * h,
-            )
-            k11_1, k11_2, k11_3, k11_4 = f(
-                t + c11 * h,
-                q1 + (a11_0 * k0_1 + a11_3 * k3_1 + a11_4 * k4_1 + a11_5 * k5_1 + a11_6 * k6_1
-                     + a11_7 * k7_1 + a11_8 * k8_1 + a11_9 * k9_1 + a11_10 * k10_1) * h,
-                p1 + (a11_0 * k0_2 + a11_3 * k3_2 + a11_4 * k4_2 + a11_5 * k5_2 + a11_6 * k6_2
-                     + a11_7 * k7_2 + a11_8 * k8_2 + a11_9 * k9_2 + a11_10 * k10_2) * h,
-                q2 + (a11_0 * k0_3 + a11_3 * k3_3 + a11_4 * k4_3 + a11_5 * k5_3 + a11_6 * k6_3
-                     + a11_7 * k7_3 + a11_8 * k8_3 + a11_9 * k9_3 + a11_10 * k10_3) * h,
-                p2 + (a11_0 * k0_4 + a11_3 * k3_4 + a11_4 * k4_4 + a11_5 * k5_4 + a11_6 * k6_4
-                     + a11_7 * k7_4 + a11_8 * k8_4 + a11_9 * k9_4 + a11_10 * k10_4) * h,
-            )
-            n1 = q1 + h * (b0 * k0_1 + b5 * k5_1 + b6 * k6_1 + b7 * k7_1 + b8 * k8_1 + b9 * k9_1
-                          + b10 * k10_1 + b11 * k11_1)
-            n2 = p1 + h * (b0 * k0_2 + b5 * k5_2 + b6 * k6_2 + b7 * k7_2 + b8 * k8_2 + b9 * k9_2
-                          + b10 * k10_2 + b11 * k11_2)
-            n3 = q2 + h * (b0 * k0_3 + b5 * k5_3 + b6 * k6_3 + b7 * k7_3 + b8 * k8_3 + b9 * k9_3
-                          + b10 * k10_3 + b11 * k11_3)
-            n4 = p2 + h * (b0 * k0_4 + b5 * k5_4 + b6 * k6_4 + b7 * k7_4 + b8 * k8_4 + b9 * k9_4
-                          + b10 * k10_4 + b11 * k11_4)
-            k12_1, k12_2, k12_3, k12_4 = f(t + h, n1, n2, n3, n4)
-            scale = atol + max(abs(q1), abs(n1)) * rtol
-            x5 = (e5_0 * k0_1 + e5_5 * k5_1 + e5_6 * k6_1 + e5_7 * k7_1 + e5_8 * k8_1 + e5_9 * k9_1
-                 + e5_10 * k10_1 + e5_11 * k11_1) / scale
-            x3 = (e3_0 * k0_1 + e3_5 * k5_1 + e3_6 * k6_1 + e3_7 * k7_1 + e3_8 * k8_1 + e3_9 * k9_1
-                 + e3_10 * k10_1 + e3_11 * k11_1) / scale
-            err5 = x5 * x5
-            err3 = x3 * x3
-            scale = atol + max(abs(p1), abs(n2)) * rtol
-            x5 = (e5_0 * k0_2 + e5_5 * k5_2 + e5_6 * k6_2 + e5_7 * k7_2 + e5_8 * k8_2 + e5_9 * k9_2
-                 + e5_10 * k10_2 + e5_11 * k11_2) / scale
-            x3 = (e3_0 * k0_2 + e3_5 * k5_2 + e3_6 * k6_2 + e3_7 * k7_2 + e3_8 * k8_2 + e3_9 * k9_2
-                 + e3_10 * k10_2 + e3_11 * k11_2) / scale
-            err5 += x5 * x5
-            err3 += x3 * x3
-            scale = atol + max(abs(q2), abs(n3)) * rtol
-            x5 = (e5_0 * k0_3 + e5_5 * k5_3 + e5_6 * k6_3 + e5_7 * k7_3 + e5_8 * k8_3 + e5_9 * k9_3
-                 + e5_10 * k10_3 + e5_11 * k11_3) / scale
-            x3 = (e3_0 * k0_3 + e3_5 * k5_3 + e3_6 * k6_3 + e3_7 * k7_3 + e3_8 * k8_3 + e3_9 * k9_3
-                 + e3_10 * k10_3 + e3_11 * k11_3) / scale
-            err5 += x5 * x5
-            err3 += x3 * x3
-            scale = atol + max(abs(p2), abs(n4)) * rtol
-            x5 = (e5_0 * k0_4 + e5_5 * k5_4 + e5_6 * k6_4 + e5_7 * k7_4 + e5_8 * k8_4 + e5_9 * k9_4
-                 + e5_10 * k10_4 + e5_11 * k11_4) / scale
-            x3 = (e3_0 * k0_4 + e3_5 * k5_4 + e3_6 * k6_4 + e3_7 * k7_4 + e3_8 * k8_4 + e3_9 * k9_4
-                 + e3_10 * k10_4 + e3_11 * k11_4) / scale
-            err5 += x5 * x5
-            err3 += x3 * x3
-            if k12_1 != k12_1:
-                # f is NaN at the new point (past the boundary guard).  Both
-                # error sums weight that stage by 0.0, so reject it here.
-                err = math.nan
-            elif err5 == 0.0 and err3 == 0.0:
-                err = 0.0
-            else:  # RMS over the four components
-                err = h * err5 / math.sqrt((err5 + 0.01 * err3) * 4.0)
-            if err < 1.0:
-                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_EXPONENT)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            # max() keeps MIN_FACTOR for a NaN error: the step is rejected.
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)
-            rejected = True
-        if grid[next_sample] <= t_new:
-            # t, h, y, the new y, then stages 0 and 5-12: rows 13-15 of _A
-            # and every row of _D weight stages 1-4 by exactly 0.0.
-            dense.frombytes(pack(
-                t, h, q1, p1, q2, p2, n1, n2, n3, n4,
-                k0_1, k0_2, k0_3, k0_4, k5_1, k5_2, k5_3, k5_4, k6_1, k6_2, k6_3, k6_4,
-                k7_1, k7_2, k7_3, k7_4, k8_1, k8_2, k8_3, k8_4, k9_1, k9_2, k9_3, k9_4,
-                k10_1, k10_2, k10_3, k10_4, k11_1, k11_2, k11_3, k11_4,
-                k12_1, k12_2, k12_3, k12_4,
-            ))
-            next_sample = bisect.bisect_right(grid, t_new, next_sample)
-            ends.append(next_sample)
-        t, q1, p1, q2, p2 = t_new, n1, n2, n3, n4
-        k0_1, k0_2, k0_3, k0_4 = k12_1, k12_2, k12_3, k12_4
+    k0 = f(0.0, *y)
+    h_abs = _initial_step(f, y, k0, grid[-1], rtol, atol)
+    dense, ends = _steps(f, y, k0, h_abs, grid, rtol, atol)
     table = _dense_table(f, dense)
     del dense  # the records are in table now; free them before the outputs are filled
     ends = np.array(ends)
@@ -793,8 +580,8 @@ def coherent_from_point(point: PhasePoint, j: float) -> tuple[complex, complex]:
 # stages, row 12 the weights _B, rows 13-15 the extra stages of the dense
 # output, whose coefficients beyond the first three are _D.  _E5 and _E3
 # weight the 13 stages (the last is f at the new point) into the 5th- and
-# 3rd-order error estimates.  _dop853 unpacks rows 1-12, _E5 and _E3 into
-# locals; _dense_table reads rows 13-15 and _D as they are.
+# 3rd-order error estimates.  The step loop _steps is generated from rows
+# 1-12, _E5 and _E3 below; _dense_table reads rows 13-15 and _D as they are.
 _C = (
     0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
     0.118350341907227396726757197510, 0.281649658092772603273242802490,
@@ -936,3 +723,114 @@ if any(row[s] == 0.0 for row in _D for s in _D_STAGES):
     raise RuntimeError("the rows of _D must share their zero entries")
 # Per such stage s: s and the four rows' weights as a (row, 1, 1) array.
 _D_COLUMNS = [(s, np.array([row[s] for row in _D])[:, None, None]) for s in _D_STAGES]
+
+# A step records t, h, y, the new y and the stages up to 12 that _D weights.
+# _dense_table also reads stages 0 and 12 and those that rows 13-15 weight.
+_RECORDED_STAGES = [s for s in _D_STAGES if s <= 12]
+_UNRECORDED = [s for s in range(13) if s not in _RECORDED_STAGES]
+if {0, 12} & set(_UNRECORDED) or any(row[s] != 0.0 for row in _A[13:] for s in _UNRECORDED):
+    raise RuntimeError("the dense output needs stages that a step does not record")
+_RECORD_WIDTH = 10 + 4 * len(_RECORDED_STAGES)
+
+# The step loop of _dop853, with the lines of one step attempt in {step}.
+_STEPS_TEMPLATE = '''\
+def _steps(f, y, k0, h_abs, grid, rtol, atol):
+    """Step from y at t = 0, where f is k0, to grid[-1]; return the packed
+    records of the steps that hold grid times and, per such step, the index
+    one past its last sample.  Generated by meanfield._steps_source."""
+    t_end = grid[-1]
+    t = 0.0
+    q1, p1, q2, p2 = y
+    k0_1, k0_2, k0_3, k0_4 = k0
+    # One record per step holding samples, packed by one struct call
+    # (array.extend converts a tuple item by item, ~8x slower per step).
+    dense = array("d")
+    pack = struct.Struct("{width}d").pack
+    ends = []
+    next_sample = 0
+    while t < t_end:
+        min_step = 10.0 * math.ulp(t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise IntegrationError(
+                    t,
+                    "integration failed (required step fell below 10 ulp of t); "
+                    "step rejection this hard flags an approach to the "
+                    "q1^2+p1^2 -> 4j boundary",
+                )
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = h
+{step}
+            if k12_1 != k12_1:
+                # f is NaN at the new point (past the boundary guard).  Both
+                # error sums weight that stage by 0.0, so reject it here.
+                err = math.nan
+            elif err5 == 0.0 and err3 == 0.0:
+                err = 0.0
+            else:  # RMS over the four components
+                err = h * err5 / math.sqrt((err5 + 0.01 * err3) * 4.0)
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            # max() keeps MIN_FACTOR for a NaN error: the step is rejected.
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)
+            rejected = True
+        if grid[next_sample] <= t_new:
+            dense.frombytes(pack(t, h, q1, p1, q2, p2, n1, n2, n3, n4, {stages}))
+            next_sample = bisect.bisect_right(grid, t_new, next_sample)
+            ends.append(next_sample)
+        t, q1, p1, q2, p2 = t_new, n1, n2, n3, n4
+        k0_1, k0_2, k0_3, k0_4 = k12_1, k12_2, k12_3, k12_4
+    return dense, ends
+'''
+
+
+def _combination(row, c):
+    """sum(a_i k_i) for component c as source text, as :func:`_tableau_sum`
+    adds it; ``repr`` spells each a_i exactly."""
+    return " + ".join(f"{a!r} * k{i}_{c}" for i, a in enumerate(row) if a != 0.0)
+
+
+def _steps_source() -> str:
+    """Source text of :func:`_steps`.  Stage s is held as k<s>_1..k<s>_4,
+    one local per component: stages 1-11 are f(t + c_s h, y + (sum a k) h),
+    the new point n1..n4 is y + h (sum b k), stage 12 is f there, and each
+    component adds its (sum e k) / scale to both error estimates."""
+    names = ("q1", "p1", "q2", "p2")
+    step = []
+    for s in range(1, 12):
+        step.append(f"k{s}_1, k{s}_2, k{s}_3, k{s}_4 = f(")
+        step.append(f"    t + {_C[s]!r} * h,")
+        step += [f"    {y} + ({_combination(_A[s], c)}) * h," for c, y in enumerate(names, 1)]
+        step.append(")")
+    step += [f"n{c} = {y} + h * ({_combination(_B, c)})" for c, y in enumerate(names, 1)]
+    step.append("k12_1, k12_2, k12_3, k12_4 = f(t + h, n1, n2, n3, n4)")
+    for c, y in enumerate(names, 1):
+        add = "=" if c == 1 else "+="
+        step += [
+            f"scale = atol + max(abs({y}), abs(n{c})) * rtol",
+            f"x5 = ({_combination(_E5, c)}) / scale",
+            f"x3 = ({_combination(_E3, c)}) / scale",
+            f"err5 {add} x5 * x5",
+            f"err3 {add} x3 * x3",
+        ]
+    return _STEPS_TEMPLATE.format(
+        width=_RECORD_WIDTH,
+        step="\n".join(" " * 12 + line for line in step),
+        stages=", ".join(f"k{s}_{c}" for s in _RECORDED_STAGES for c in range(1, 5)),
+    )
+
+
+# Compiled into this module's namespace, so _steps reads the module's globals
+# as hand-written code would, and registered with linecache, so tracebacks,
+# profiles and inspect.getsource show its lines.
+_STEPS_FILENAME = "<rotdicke.meanfield._steps>"
+_source = _steps_source()
+linecache.cache[_STEPS_FILENAME] = (len(_source), None, _source.splitlines(True), _STEPS_FILENAME)
+exec(compile(_source, _STEPS_FILENAME, "exec"), globals())
+del _source

@@ -522,6 +522,20 @@ class TestMainExitCodes:
             assert message in captured.err
             assert captured.out == ""
 
+    def test_library_rule_rejects_before_echo(self, tmp_path, capsys):
+        # ProtocolSpec's rule, not one the CLI restates: ground_state needs
+        # the quantum engine.  Nothing is echoed and nothing is written.
+        out = tmp_path / "x.csv"
+        code = main(
+            ["trajectory", "--engine", "meanfield", "--initial", "ground_state"]
+            + ["--lambda", "1", "--out", str(out)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "initial=ground_state requires the quantum engine" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

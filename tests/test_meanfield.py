@@ -1,8 +1,10 @@
 """Mean-field flow, integration quality, and phase-space observables."""
 
 import bisect
+import inspect
 import itertools
 import math
+import traceback
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -589,6 +591,55 @@ class TestDop853:
         coords[index] = bad
         with pytest.raises(ValueError, match="finite"):
             integrate(PhasePoint(*coords), ModelParams(lam=1.0, j=1.0), 1.0)
+
+
+class TestGeneratedSteps:
+    """The step loop ``meanfield._steps``, generated from the tableau."""
+
+    def test_pinned_text(self):
+        source = meanfield._steps_source()
+        assert inspect.getsource(meanfield._steps) == source
+        stage_1 = (
+            "            k1_1, k1_2, k1_3, k1_4 = f(\n"
+            "                t + 0.05260015195876773 * h,\n"
+            "                q1 + (0.05260015195876773 * k0_1) * h,\n"
+            "                p1 + (0.05260015195876773 * k0_2) * h,\n"
+            "                q2 + (0.05260015195876773 * k0_3) * h,\n"
+            "                p2 + (0.05260015195876773 * k0_4) * h,\n"
+            "            )\n"
+        )
+        error_5_of_q1 = (
+            "            x5 = (0.01312004499419488 * k0_1 + -1.2251564463762044 * k5_1"
+            " + -0.4957589496572502 * k6_1 + 1.6643771824549864 * k7_1"
+            " + -0.35032884874997366 * k8_1 + 0.3341791187130175 * k9_1"
+            " + 0.08192320648511571 * k10_1 + -0.022355307863886294 * k11_1) / scale\n"
+        )
+        assert stage_1 in source
+        assert error_5_of_q1 in source
+
+    def test_runs_in_module_globals(self):
+        # Monkeypatching a name of the module (as test_stepping_calls_no_sum
+        # does with sum) must reach the generated code.
+        assert meanfield._steps.__globals__ is vars(meanfield)
+
+    def test_traceback_shows_generated_line(self):
+        flow = meanfield._flow(ModelParams(lam=0.9, j=1.0, delta_phi=1.3), 1.3)
+        calls = []
+
+        def failing(*args):
+            # Calls 1 and 2 are f at t = 0 and the initial-step probe; the
+            # 4th is the first attempt's stage 2.
+            calls.append(args)
+            if len(calls) == 4:
+                raise ZeroDivisionError("raised by f")
+            return flow(*args)
+
+        with pytest.raises(ZeroDivisionError) as excinfo:
+            meanfield._dop853(failing, (0.4, -0.7, 0.5, 0.2), np.linspace(0.0, 1.0, 5), 1e-9, 1e-12)
+        frames = [frame for frame in traceback.extract_tb(excinfo.tb) if frame.name == "_steps"]
+        assert len(frames) == 1
+        assert frames[0].filename == "<rotdicke.meanfield._steps>"
+        assert frames[0].line == "k2_1, k2_2, k2_3, k2_4 = f("
 
 
 def table_value(name, point, j):

@@ -424,10 +424,11 @@ def trajectory_overrides(draw):
     engine = draw(st.sampled_from(ENGINES))
     allowed = [o for o in OBSERVABLES if engine == "meanfield" or o != "scaled_parity"]
     observables = draw(st.lists(st.sampled_from(allowed), min_size=1, unique=True))
+    initials = [i for i in INITIAL_KINDS if engine == "quantum" or i != "ground_state"]
     n_max = draw(st.none() | st.integers(min_value=1, max_value=10_000))
     values = {
         "engine": engine,
-        "initial": draw(st.sampled_from(INITIAL_KINDS)),
+        "initial": draw(st.sampled_from(initials)),
         "lambda": draw(st.floats(min_value=0.0, max_value=1e9)),
         "omega": draw(positive),
         "omega0": draw(positive),
