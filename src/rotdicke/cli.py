@@ -10,6 +10,12 @@ configuration is echoed to stdout with the provenance of every value, in a
 form that re-parses to the same configuration.  Keys follow a closed
 per-subcommand schema: unknown keys are errors.
 
+Values are checked by the library's rules (``ModelParams``, ``ProtocolSpec``,
+the spectrum's closed forms) before anything is echoed; their errors name the
+CLI key (``lambda``, ``lambda_min``, ``delta_phi_min``).  The CLI itself
+checks only the file syntax, the value types (a float must be finite),
+``precision`` and the axis grids.
+
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O error.
 """
 
@@ -24,9 +30,6 @@ import numpy as np
 
 from . import io as rio
 from .experiments import (
-    ENGINES,
-    INITIAL_KINDS,
-    OBSERVABLES,
     ProtocolSpec,
     phase_diagram,
     run_protocol,
@@ -34,8 +37,7 @@ from .experiments import (
     sweep_lambda,
     sweep_velocity,
 )
-from .meanfield import _OBSERVABLES
-from .model import ModelParams, check_spin
+from .model import ModelParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "config_to_spec", "main"]
 
@@ -55,69 +57,10 @@ class KeySpec:
     optional: bool = False  # empty value allowed, parsed as None
 
 
-def _positive(key):
-    def check(v):
-        if not v > 0:
-            raise ConfigError(f"{key} must be positive, got {v}")
-
-    return check
-
-
-def _nonnegative(key):
-    def check(v):
-        if not v >= 0:
-            raise ConfigError(f"{key} must be nonnegative, got {v}")
-
-    return check
-
-
-def _half_integer(v):
-    """The library's spin rule, ``model.check_spin``, as a ConfigError."""
-    try:
-        check_spin(v)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _at_least(key, bound):
-    def check(v):
-        if v is not None and not v >= bound:
-            raise ConfigError(f"{key} must be >= {bound}, got {v}")
-
-    return check
-
-
-def _in_range(key, lo, hi):
-    def check(v):
-        if not lo <= v <= hi:
-            raise ConfigError(f"{key} must be in [{lo}, {hi}], got {v}")
-
-    return check
-
-
-_CHECKS = {
-    "lambda": _nonnegative("lambda"),
-    "omega": _positive("omega"),
-    "omega0": _positive("omega0"),
-    "delta_phi": _positive("delta_phi"),
-    "j": _half_integer,
-    "n_max": _at_least("n_max", 1),
-    "epsilon": _positive("epsilon"),
-    "n_revolutions": _at_least("n_revolutions", 1),
-    "rtol": _positive("rtol"),
-    "sample_count": _at_least("sample_count", 2),
-    "precision": _in_range("precision", 1, 17),
-    "lambda_min": _nonnegative("lambda_min"),
-    "lambda_step": _positive("lambda_step"),
-    "delta_phi_min": _positive("delta_phi_min"),
-    "delta_phi_step": _positive("delta_phi_step"),
-}
-
-
 def _model_keys(n_revolutions_default: int) -> dict[str, KeySpec]:
     return {
-        "engine": KeySpec("str", _REQUIRED, "evolution engine", ENGINES),
-        "initial": KeySpec("str", _REQUIRED, "initial-state preparation", INITIAL_KINDS),
+        "engine": KeySpec("str", _REQUIRED, "evolution engine"),
+        "initial": KeySpec("str", _REQUIRED, "initial-state preparation"),
         "omega": KeySpec("float", 1.0, "field frequency"),
         "omega0": KeySpec("float", 1.0, "atomic level splitting"),
         "j": KeySpec("float", 6.0, "pseudo-spin length, half-integer"),
@@ -143,11 +86,11 @@ def _output_keys() -> dict[str, KeySpec]:
 
 
 def _lambda_axis_keys(required: bool) -> dict[str, KeySpec]:
-    default = _REQUIRED if required else None
+    lo, hi, step = (_REQUIRED,) * 3 if required else (0.0, 1.5, 0.01)
     return {
-        "lambda_min": KeySpec("float", default if required else 0.0, "first coupling"),
-        "lambda_max": KeySpec("float", default if required else 1.5, "last coupling"),
-        "lambda_step": KeySpec("float", default if required else 0.01, "coupling grid step"),
+        "lambda_min": KeySpec("float", lo, "first coupling"),
+        "lambda_max": KeySpec("float", hi, "last coupling"),
+        "lambda_step": KeySpec("float", step, "coupling grid step"),
     }
 
 
@@ -253,19 +196,10 @@ def _parse_value(subcommand: str, key: str, text: str):
         raise ConfigError(f"{key} expects a {spec.kind} value, got {text!r}") from None
     if spec.choices is not None and value not in spec.choices:
         raise ConfigError(f"{key} must be one of {spec.choices}, got {value!r}")
-    if spec.kind == "obs":
-        bad = set(value) - set(OBSERVABLES)
-        if bad:
-            raise ConfigError(f"observables must be among {OBSERVABLES}, got {sorted(bad)}")
-        if not value:
-            raise ConfigError("observables must not be empty")
-        if len(set(value)) != len(value):
-            raise ConfigError(f"observables must not repeat a name, got {','.join(value)}")
-    check = _CHECKS.get(key)
-    if check is not None and value is not None:
-        check(value)
     if spec.kind == "float" and not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {value}")
+    if key == "precision" and not 1 <= value <= 17:
+        raise ConfigError(f"precision must be in [1, 17], got {value}")
     return value
 
 
@@ -316,51 +250,65 @@ def parse_config(
     missing = [key for key in schema if key not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    _validate_cross(subcommand, values)
+    for axis in ("lambda", "delta_phi"):
+        if f"{axis}_min" in values:
+            _axis_values(values, axis)
     config = RunConfig(subcommand=subcommand, values=values, provenance=provenance)
-    if subcommand != "spectrum":
-        # The library's own rules (ProtocolSpec, ModelParams) reject a value
-        # here, before main echoes the configuration.
+    # The library's own rules reject a value here, before main echoes the
+    # configuration: ModelParams and ProtocolSpec for the run subcommands,
+    # the closed forms at the grid's smallest coupling for the spectrum.
+    if subcommand == "spectrum":
+        try:
+            spectrum(values["omega"], values["omega0"], values["delta_phi"], [values["lambda_min"]])
+        except ValueError as exc:
+            raise _config_error(exc, values) from exc
+    else:
         config_to_spec(config)
     return config
 
 
-def _validate_cross(subcommand: str, values: dict) -> None:
-    for axis in ("lambda", "delta_phi"):
-        lo_key, hi_key, step_key = f"{axis}_min", f"{axis}_max", f"{axis}_step"
-        if lo_key in values:
-            lo, hi, step = values[lo_key], values[hi_key], values[step_key]
-            if hi < lo:
-                raise ConfigError(f"{hi_key} must be >= {lo_key}")
-            count = round((hi - lo) / step)
-            if abs(lo + count * step - hi) > 1e-9 * max(1.0, abs(hi)):
-                raise ConfigError(
-                    f"({hi_key} - {lo_key}) must be an integer multiple of {step_key}"
-                )
-    if values.get("engine") == "quantum":
-        for name in values["observables"]:
-            if _OBSERVABLES[name].quantum is None:
-                raise ConfigError(f"{name} is only available with engine = meanfield")
-
-
 def _axis_values(values: dict, axis: str) -> np.ndarray:
-    lo, hi, step = values[f"{axis}_min"], values[f"{axis}_max"], values[f"{axis}_step"]
-    count = round((hi - lo) / step)
-    return lo + step * np.arange(count + 1)
+    """The grid min, min + step, ..., max; ConfigError unless it is one."""
+    lo_key, hi_key, step_key = f"{axis}_min", f"{axis}_max", f"{axis}_step"
+    lo, hi, step = values[lo_key], values[hi_key], values[step_key]
+    if not step > 0:
+        raise ConfigError(f"{step_key} must be positive, got {step}")
+    if hi < lo:
+        raise ConfigError(f"{hi_key} must be >= {lo_key}")
+    grid = lo + step * np.arange(round((hi - lo) / step) + 1)
+    if abs(grid[-1] - hi) > 1e-9 * max(1.0, abs(hi)):
+        raise ConfigError(f"({hi_key} - {lo_key}) must be an integer multiple of {step_key}")
+    return grid
+
+
+# The keys that can supply a ModelParams field: a run's own value, or else
+# the first point of the axis that sweeps it.
+_FIELD_KEYS = {"lam": ("lambda", "lambda_min"), "delta_phi": ("delta_phi", "delta_phi_min")}
+
+
+def _field_key(values: dict, field: str) -> str:
+    own, axis_min = _FIELD_KEYS[field]
+    return own if own in values else axis_min
+
+
+def _config_error(exc: ValueError, values: dict) -> ConfigError:
+    """The library's error, its leading field name replaced by the CLI key."""
+    field, sep, rest = str(exc).partition(" ")
+    if field in _FIELD_KEYS:
+        field = _field_key(values, field)
+    return ConfigError(field + sep + rest)
 
 
 def config_to_spec(config: RunConfig) -> ProtocolSpec:
     """ProtocolSpec for the run subcommands (axis cells override later)."""
     v = config.values
-    lam = v.get("lambda", v.get("lambda_min", 0.0))
-    delta_phi = v.get("delta_phi", v.get("delta_phi_min"))
     try:
         params = ModelParams(
-            lam=lam,
+            lam=v[_field_key(v, "lam")],
             omega0=v["omega0"],
             omega=v["omega"],
             j=v["j"],
-            delta_phi=delta_phi,
+            delta_phi=v[_field_key(v, "delta_phi")],
             n_max=v["n_max"],
         )
         return ProtocolSpec(
@@ -377,7 +325,7 @@ def config_to_spec(config: RunConfig) -> ProtocolSpec:
             rtol=v["rtol"],
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise _config_error(exc, v) from exc
 
 
 def _run(config: RunConfig, out_path: str) -> None:

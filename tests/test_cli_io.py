@@ -92,12 +92,16 @@ class TestParseConfig:
                 },
             )
 
-    def test_infinite_j_runs_through_the_model_rule(self):
+    def test_spin_error_is_the_model_rule(self):
         # One half-integer rule: the CLI re-raises model.check_spin's error.
+        # (j = inf stops earlier, at the CLI's own "must be finite" rule.)
         with pytest.raises(ValueError) as expected:
-            check_spin(float("inf"))
+            check_spin(2.3)
         with pytest.raises(ConfigError, match="half-integer") as excinfo:
-            parse_config("trajectory", overrides={"initial": "fock", "lambda": "1.0", "j": "inf"})
+            parse_config(
+                "trajectory",
+                overrides={"engine": "meanfield", "initial": "fock", "lambda": "1.0", "j": "2.3"},
+            )
         assert str(excinfo.value) == str(expected.value)
         assert type(excinfo.value.__cause__) is ValueError
 
@@ -510,7 +514,7 @@ class TestMainExitCodes:
             (["--engine", "meanfield", "--j", "0.75"], "half-integer"),
             (
                 ["--engine", "quantum", "--observables", "parity,scaled_parity"],
-                "scaled_parity is only available with engine = meanfield",
+                "unsupported quantum observables: ['scaled_parity'], not in ",
             ),
         ):
             code = main(
@@ -553,9 +557,74 @@ class TestMainExitCodes:
         )
         assert code == 1
         captured = capsys.readouterr()
-        assert "observables must not repeat a name, got parity,parity" in captured.err
+        assert "repeated observables: ['parity']" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    # Valid flags of each subcommand; a case overrides one of them.
+    BASE_FLAGS = {
+        "trajectory": {"engine": "meanfield", "initial": "fock", "lambda": "1.0", "sample_count": "5"},
+        "sweep-lambda": {
+            "engine": "meanfield", "initial": "fock", "sample_count": "5",
+            "lambda_min": "0.5", "lambda_max": "1.0", "lambda_step": "0.5",
+        },
+        "sweep-velocity": {
+            "engine": "meanfield", "initial": "fock", "sample_count": "5", "lambda": "1.0",
+            "delta_phi_min": "0.5", "delta_phi_max": "1.0", "delta_phi_step": "0.5",
+        },
+        "phase-diagram": {
+            "engine": "meanfield", "initial": "fock", "sample_count": "5",
+            "lambda_min": "0.5", "lambda_max": "1.0", "lambda_step": "0.5",
+            "delta_phi_min": "0.5", "delta_phi_max": "1.0", "delta_phi_step": "0.5",
+        },
+        "spectrum": {"lambda_min": "0.0", "lambda_max": "1.0", "lambda_step": "0.5"},
+    }
+
+    @pytest.mark.parametrize(
+        "subcommand, key, value, message",
+        [
+            ("trajectory", "lambda", "-1", "lambda must be nonnegative"),
+            ("trajectory", "omega", "0", "omega must be positive"),
+            ("trajectory", "omega0", "-1", "omega0 must be positive"),
+            ("trajectory", "delta_phi", "0", "delta_phi must be positive"),
+            ("trajectory", "n_max", "0", "n_max must be >= 1"),
+            ("trajectory", "epsilon", "0", "epsilon must be positive"),
+            ("trajectory", "n_revolutions", "0", "n_revolutions must be >= 1"),
+            ("trajectory", "sample_count", "1", "sample_count must be >= 2"),
+            ("trajectory", "rtol", "-1e-9", "rtol must be positive"),
+            ("trajectory", "engine", "classical", "engine must be one of"),
+            ("trajectory", "initial", "vacuum", "initial must be one of"),
+            # The observable rules' messages name no field.
+            ("trajectory", "observables", "photons", "unsupported meanfield observables: ['photons']"),
+            ("trajectory", "observables", ",", "at least one observable is required"),
+            ("sweep-lambda", "lambda_min", "-0.5", "lambda_min must be nonnegative"),
+            ("sweep-velocity", "delta_phi_min", "0", "delta_phi_min must be positive"),
+            ("phase-diagram", "lambda_min", "-0.5", "lambda_min must be nonnegative"),
+            ("spectrum", "omega", "0", "frequencies must be positive"),
+            ("spectrum", "lambda_min", "-0.5", "lambda_min must be nonnegative"),
+            ("spectrum", "delta_phi", "-0.5", "delta_phi must be nonnegative"),
+        ],
+    )
+    def test_library_rule_is_validation_error(self, tmp_path, capsys, subcommand, key, value, message):
+        # The CLI restates none of these rules: each is the library's, with
+        # its leading field named by the CLI key, and fails before the echo.
+        flags = {**self.BASE_FLAGS[subcommand], key: value}
+        out = tmp_path / "x.csv"
+        argv = [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
+        assert main([subcommand, *argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_spectrum_accepts_zero_velocity(self, tmp_path):
+        # delta_phi = 0 is the undriven model: the rotated line is the equilibrium one.
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--delta-phi", "0", "--lambda-step", "0.25", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 7
+        assert all(row["lambda_c_rot"] == row["lambda_c"] for row in rows)
 
     @pytest.mark.parametrize(
         "key",

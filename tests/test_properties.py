@@ -1,6 +1,7 @@
 """Property tests: JSON and CSV round trips, byte identity of the streaming
-writers, the configuration echo, the coherent-state phase-space maps, and
-the invariants of quantum propagation.
+writers, the configuration echo, the CLI's agreement with the library's
+rules, the coherent-state phase-space maps, and the invariants of quantum
+propagation.
 
 Every value is built directly from strategies; only the propagation tests
 run an engine, on small bases.
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotdicke import io as rio
-from rotdicke.cli import parse_config
+from rotdicke.cli import ConfigError, parse_config
 from rotdicke.experiments import (
     ENGINES,
     INITIAL_KINDS,
@@ -462,6 +463,83 @@ def test_config_echo_reparses_to_same_values(overrides):
         echo.write_text("\n".join(config.echo_lines()) + "\n", encoding="utf-8")
         reparsed = parse_config("trajectory", str(echo))
     assert reparsed.values == config.values
+
+
+_REAL = st.floats(min_value=-2.0, max_value=2.0) | st.sampled_from([0.0, -math.inf, math.inf, math.nan])
+_COUNT = st.integers(min_value=-2, max_value=12)
+
+# Each library-checked trajectory key: its in-range values, and values in
+# range or out of it (negative, zero, non-finite, non-integer, unknown,
+# empty or repeated).  Engine, initial and observables drawn in range still
+# break the cross rules: ground_state with meanfield, scaled_parity with quantum.
+TRAJECTORY_KEYS = {
+    "engine": (st.sampled_from(ENGINES), st.sampled_from([*ENGINES, "classical"])),
+    "initial": (st.sampled_from(INITIAL_KINDS), st.sampled_from([*INITIAL_KINDS, "vacuum"])),
+    "lambda": (st.floats(min_value=0.0, max_value=2.0), _REAL),
+    "omega": (positive, _REAL),
+    "omega0": (positive, _REAL),
+    "delta_phi": (positive, _REAL),
+    "j": (half_integers, st.integers(min_value=-2, max_value=10).map(lambda k: k / 4) | _REAL),
+    "n_max": (st.none() | st.integers(min_value=1, max_value=10_000), st.none() | _COUNT),
+    "epsilon": (positive, _REAL),
+    "n_revolutions": (st.integers(min_value=1, max_value=1000), _COUNT | _COUNT.map(lambda k: k + 0.5)),
+    "sample_count": (st.integers(min_value=2, max_value=1000), _COUNT | _COUNT.map(lambda k: k + 0.5)),
+    "observables": (
+        st.lists(st.sampled_from(OBSERVABLES), min_size=1, unique=True),
+        st.lists(st.sampled_from([*OBSERVABLES, "photons"]), max_size=3),
+    ),
+    "rtol": (positive, _REAL),
+}
+
+
+@st.composite
+def trajectory_values(draw):
+    """Every library-checked trajectory value; at most two drawn out of range."""
+    free = draw(st.sets(st.sampled_from(sorted(TRAJECTORY_KEYS)), max_size=2))
+    return {key: draw(TRAJECTORY_KEYS[key][key in free]) for key in TRAJECTORY_KEYS}
+
+
+def as_flag_text(value):
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ",".join(value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trajectory_values())
+def test_cli_accepts_exactly_what_the_library_accepts(values):
+    # The CLI restates none of the library's rules, so it must neither
+    # reject more (a stale copy) nor less (a key that skips the library).
+    try:
+        ProtocolSpec(
+            params=ModelParams(
+                lam=values["lambda"],
+                omega0=values["omega0"],
+                omega=values["omega"],
+                j=values["j"],
+                delta_phi=values["delta_phi"],
+                n_max=values["n_max"],
+            ),
+            engine=values["engine"],
+            initial=values["initial"],
+            epsilon=values["epsilon"],
+            n_revolutions=values["n_revolutions"],
+            sample_count=values["sample_count"],
+            observables=tuple(values["observables"]),
+            rtol=values["rtol"],
+        )
+    except ValueError:
+        library_accepts = False
+    else:
+        library_accepts = True
+    overrides = {key: as_flag_text(value) for key, value in values.items()}
+    if library_accepts:
+        parse_config("trajectory", overrides=overrides)
+    else:
+        with pytest.raises(ConfigError):
+            parse_config("trajectory", overrides=overrides)
 
 
 EPS = np.finfo(float).eps
