@@ -42,6 +42,8 @@ from .model import ModelParams
 __all__ = ["ConfigError", "RunConfig", "parse_config", "config_to_spec", "main"]
 
 _REQUIRED = object()
+# Most points per axis, checked before a grid is built whole: a mistyped step could ask for terabytes.
+_MAX_AXIS_POINTS = 10**6
 
 
 class ConfigError(ValueError):
@@ -275,6 +277,8 @@ def _axis_values(values: dict, axis: str) -> np.ndarray:
         raise ConfigError(f"{step_key} must be positive, got {step}")
     if hi < lo:
         raise ConfigError(f"{hi_key} must be >= {lo_key}")
+    if not (hi - lo) / step + 1 <= _MAX_AXIS_POINTS:
+        raise ConfigError(f"{step_key} = {step} gives over {_MAX_AXIS_POINTS} points on the {axis} axis")
     grid = lo + step * np.arange(round((hi - lo) / step) + 1)
     if abs(grid[-1] - hi) > 1e-9 * max(1.0, abs(hi)):
         raise ConfigError(f"({hi_key} - {lo_key}) must be an integer multiple of {step_key}")

@@ -15,7 +15,6 @@ critical lines over a coupling grid.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -23,9 +22,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import meanfield, quantum
-from .meanfield import _OBSERVABLES, CHUNK, Trajectory, _check_observables
+from .meanfield import _OBSERVABLES, CHUNK, Trajectory, _check_observables, check_grid
 from .model import (
     ModelParams,
+    check_count,
+    check_finite,
+    check_positive,
     critical_coupling,
     dynamical_critical_fit,
     excitation_energy_np,
@@ -94,13 +96,12 @@ class ProtocolSpec:
             )
         if self.initial == "nearly_fock" and self.epsilon is None:
             raise ValueError("initial=nearly_fock requires epsilon")
-        if self.epsilon is not None and not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if self.epsilon is not None:
+            check_positive("epsilon", self.epsilon)
         # Checked here, not left to coherent_state: resolve_n_max reads its
         # ValueError as truncation loss and would grow n_max to the cap.
-        for name, label in (("alpha", self.alpha), ("zeta", self.zeta)):
-            if not cmath.isfinite(complex(label)):
-                raise ValueError(f"{name} must be finite, got {label}")
+        check_finite("alpha", self.alpha)
+        check_finite("zeta", self.zeta)
         if self.initial == "ground_state" and self.engine != "quantum":
             raise ValueError(
                 "initial=ground_state requires the quantum engine; the "
@@ -111,18 +112,9 @@ class ProtocolSpec:
                 "delta_phi must be positive: it defines t_f = n_R*2pi/delta_phi "
                 "(undriven runs use it for t_f only)"
             )
-        # np.linspace and range need an integer count, and a failure there
-        # would escape _run_cell and abort a whole sweep.
-        for name in ("n_revolutions", "sample_count"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not self.n_revolutions >= 1:
-            raise ValueError(f"n_revolutions must be >= 1, got {self.n_revolutions}")
-        if not self.sample_count >= 2:
-            raise ValueError(f"sample_count must be >= 2, got {self.sample_count}")
-        if not (self.rtol > 0.0 and math.isfinite(self.rtol)):
-            raise ValueError(f"rtol must be positive and finite, got {self.rtol}")
+        check_count("n_revolutions", self.n_revolutions, 1)
+        check_count("sample_count", self.sample_count, 2)
+        check_positive("rtol", self.rtol)
         _check_observables(self.observables, self.engine)
 
     @property
@@ -294,11 +286,7 @@ def _run_cell(spec: ProtocolSpec, coords: tuple[float, ...]) -> SweepCell:
 
 
 def _validated_axis(name: str, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} values must form a nonempty 1-D grid")
-    if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
-        raise ValueError(f"{name} values must be strictly increasing")
+    arr = check_grid(f"{name} values", values)
     if name == "delta_phi" and arr[0] <= 0.0:
         raise ValueError("delta_phi values must be positive")
     return arr

@@ -257,4 +257,7 @@ def load_state(path) -> QuantumState:
             amplitudes[i] = complex(float(pair[0]), float(pair[1]))
         if fh.read().strip():
             raise ValueError(f"{path}: data after the dim={dim} amplitudes")
+        bad = np.flatnonzero(~np.isfinite(amplitudes))
+        if bad.size:
+            raise ValueError(f"{path}: amplitude line {bad[0] + 1} of dim={dim} is not finite")
     return QuantumState(amplitudes, float(header["j"]), int(header["n_max"]))

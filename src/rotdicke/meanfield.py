@@ -28,6 +28,8 @@ The interpolant, :func:`integrate`'s boundary check and the observable
 columns of ``experiments.run_protocol`` are evaluated ``CHUNK`` samples at
 a time into preallocated arrays, with the operations and order of a
 whole-grid pass, so the bits do not depend on where the chunks fall.
+:func:`check_grid`, the library's one rule for a sample or sweep grid
+(1-D, nonempty, finite, strictly increasing), walks its grid the same way.
 
 ``_OBSERVABLES`` defines each observable once: its mean-field form on the
 sampled coordinate arrays and its quantum expectation value, or None where
@@ -47,7 +49,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, PhasePoint
+from .model import ModelParams, PhasePoint, check_count, check_positive
 
 __all__ = [
     "IntegrationError",
@@ -120,6 +122,18 @@ def _eq_by_value(self, other) -> bool:
     return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
+def check_grid(name: str, values) -> np.ndarray:
+    """``values`` as a float array; ValueError unless a nonempty 1-D grid of finite,
+    strictly increasing points.  Checked CHUNK pairs at a time (no whole-grid
+    temporaries); a NaN fails a comparison, and finite ends bound the rest."""
+    t = np.asarray(values, dtype=float)
+    pairs = (t[start:start + CHUNK + 1] for start in range(0, t.size - 1, CHUNK))
+    if not (t.ndim == 1 and t.size and math.isfinite(t[0]) and math.isfinite(t[-1])
+            and all(np.all(p[1:] > p[:-1]) for p in pairs)):
+        raise ValueError(f"{name} must be a nonempty 1-D grid of finite, strictly increasing points")
+    return t
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled time series produced by either engine.
@@ -139,17 +153,9 @@ class Trajectory:
     __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size < 1:
-            raise ValueError("times must be a nonempty 1-D array")
+        t = check_grid("times", self.times)
         if t[0] != 0.0:
             raise ValueError(f"first sample must be at t=0, got {t[0]}")
-        # CHUNK pairs at a time, so the check allocates no whole-grid
-        # temporaries; a NaN fails the comparison and is rejected.
-        for start in range(0, t.size - 1, CHUNK):
-            part = t[start:start + CHUNK + 1]
-            if not np.all(part[1:] > part[:-1]):
-                raise ValueError("sample times must be strictly increasing")
         for name, col in self.data.items():
             if len(col) != t.size:
                 raise ValueError(f"column {name!r} has {len(col)} samples, expected {t.size}")
@@ -383,10 +389,8 @@ def integrate(
     :class:`IntegrationError` when step control fails, which in practice
     flags an approach to the q1^2+p1^2 -> 4j boundary.
     """
-    if not (t_end > 0.0 and math.isfinite(t_end)):
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    if sample_count < 2:
-        raise ValueError(f"sample_count must be >= 2, got {sample_count}")
+    check_positive("t_end", t_end)
+    check_count("sample_count", sample_count, 2)
     y0 = (start.q1, start.p1, start.q2, start.p2)
     if not all(map(math.isfinite, y0)):
         raise ValueError(f"start must be finite, got (q1, p1, q2, p2) = {y0}")
@@ -540,13 +544,10 @@ def time_average(times, values) -> float:
 
     Trapezoidal quadrature on the given samples; exact for linear data.
     """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
+    t = check_grid("times", times)
     if t.size < 2:
         raise ValueError("time average needs at least 2 samples")
-    if not np.all(np.diff(t) > 0.0):
-        raise ValueError("sample times must be strictly increasing")
-    return float(np.trapezoid(v, t) / (t[-1] - t[0]))
+    return float(np.trapezoid(values, t) / (t[-1] - t[0]))
 
 
 def point_from_coherent(alpha: complex, zeta: complex, j: float, t: float = 0.0) -> PhasePoint:

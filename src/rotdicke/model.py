@@ -7,11 +7,16 @@ Conventions (hbar = 1):
   phi(t) = delta_phi * t.  ``delta_phi = 0`` is the undriven model.
 - The equilibrium critical coupling is sqrt(omega*omega0)/2; under rotation
   it shifts to sqrt(omega*(omega0 + delta_phi))/2.
+
+Each scalar argument rule is spelled once: check_finite, check_positive,
+check_nonnegative, check_count, check_spin.  Errors lead with the argument's name.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -34,6 +39,32 @@ __all__ = [
 # Needed so the gap functions return exactly 0 at lam = fl(sqrt(Omega)/2);
 # without it, sqrt of an O(eps) residual would report a spurious ~1e-8 gap.
 _CRIT_WINDOW = 32.0 * sys.float_info.epsilon
+
+
+def check_finite(name: str, value: complex) -> None:
+    """ValueError unless ``value``, real or complex, is finite."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """ValueError unless ``value`` is finite and > 0."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_nonnegative(name: str, value: float) -> None:
+    """ValueError unless ``value`` is finite and >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
+def check_count(name: str, value: int, minimum: int) -> None:
+    """ValueError unless ``value`` is an int or numpy integer (not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def check_spin(j: float) -> None:
@@ -59,19 +90,13 @@ class ModelParams:
     n_max: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if not self.omega0 > 0.0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
-        if not self.lam >= 0.0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        check_positive("omega", self.omega)
+        check_positive("omega0", self.omega0)
+        check_nonnegative("lam", self.lam)
         check_spin(self.j)
-        if self.n_max is not None and not self.n_max >= 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        for name in ("lam", "omega0", "omega", "delta_phi"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        check_finite("delta_phi", self.delta_phi)
+        if self.n_max is not None:
+            check_count("n_max", self.n_max, 1)
 
     @property
     def two_j(self) -> int:
@@ -118,10 +143,8 @@ class FixedPoint:
 
 def critical_coupling(omega: float, omega0: float) -> float:
     """Equilibrium critical coupling sqrt(omega*omega0)/2."""
-    if omega <= 0.0 or omega0 <= 0.0:
-        raise ValueError(
-            f"frequencies must be positive, got omega={omega}, omega0={omega0}"
-        )
+    check_positive("omega", omega)
+    check_positive("omega0", omega0)
     return math.sqrt(omega * omega0) / 2.0
 
 
@@ -130,8 +153,9 @@ def rotated_critical_coupling(omega: float, omega0: float, delta_phi: float) -> 
 
     Reduces to :func:`critical_coupling` at delta_phi = 0.
     """
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    check_positive("omega", omega)
+    check_positive("omega0", omega0)
+    check_finite("delta_phi", delta_phi)
     prod = omega * (omega0 + delta_phi)
     if prod < 0.0:
         raise ValueError(
@@ -147,8 +171,9 @@ def critical_velocity(omega: float, omega0: float, lam: float) -> float:
     May be negative, in which case every nonnegative velocity leaves the
     system normal at this coupling.
     """
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    check_positive("omega", omega)
+    check_positive("omega0", omega0)
+    check_nonnegative("lam", lam)
     return 4.0 * lam * lam / omega - omega0
 
 
@@ -172,17 +197,13 @@ def excitation_energy_np(omega: float, omega0: float, lam: float) -> float:
     algebraically identical to sqrt((S - D)/2) but exact at the critical
     point, where the gap closes.
     """
-    if omega <= 0.0 or omega0 <= 0.0:
-        raise ValueError(
-            f"frequencies must be positive, got omega={omega}, omega0={omega0}"
-        )
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    check_nonnegative("lam", lam)
+    lam_c = critical_coupling(omega, omega0)  # also checks omega and omega0
     u = _supercriticality(omega, omega0, lam)
     if u > 0.0:
         raise ValueError(
             "normal-phase branch requires lam <= sqrt(omega*omega0)/2 = "
-            f"{critical_coupling(omega, omega0)!r}, got lam={lam!r}"
+            f"{lam_c!r}, got lam={lam!r}"
         )
     if u == 0.0:
         return 0.0
@@ -203,17 +224,13 @@ def excitation_energy_srp(omega: float, omega0: float, lam: float) -> float:
         eps^2 = 2*(4 lam^2 - omega*omega0)*(4 lam^2 + omega*omega0) / (S' + sqrt(f)),
         S' = 16 lam^4/omega^2 + omega^2.
     """
-    if omega <= 0.0 or omega0 <= 0.0:
-        raise ValueError(
-            f"frequencies must be positive, got omega={omega}, omega0={omega0}"
-        )
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    check_nonnegative("lam", lam)
+    lam_c = critical_coupling(omega, omega0)  # also checks omega and omega0
     u = _supercriticality(omega, omega0, lam)
     if u < 0.0:
         raise ValueError(
             "super-radiant branch requires lam >= sqrt(omega*omega0)/2 = "
-            f"{critical_coupling(omega, omega0)!r}, got lam={lam!r}"
+            f"{lam_c!r}, got lam={lam!r}"
         )
     if u == 0.0:
         return 0.0
@@ -276,8 +293,7 @@ def dynamical_critical_fit(delta_phi: float) -> float:
     A fit to the reentrant boundary of the non-equilibrium phase diagram at
     omega = omega0 = 1; a reference overlay only, it gates nothing.
     """
-    if delta_phi < 0.0:
-        raise ValueError(f"delta_phi must be nonnegative, got {delta_phi}")
+    check_nonnegative("delta_phi", delta_phi)
     return 0.5 + 0.327 * delta_phi**0.75
 
 
@@ -290,6 +306,7 @@ def stationary_photon_scaled(
     Omega = omega*(omega0+delta_phi) above the rotated critical coupling,
     0 below it.
     """
+    check_nonnegative("lam", lam)
     lam_c = rotated_critical_coupling(omega, omega0, delta_phi)
     if lam < lam_c or lam == 0.0:
         return 0.0

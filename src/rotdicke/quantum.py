@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import _OBSERVABLES, Trajectory, _check_observables
-from .model import ModelParams, check_spin
+from .meanfield import _OBSERVABLES, Trajectory, _check_observables, check_grid
+from .model import ModelParams, check_count, check_finite, check_spin
 
 __all__ = [
     "PropagationError",
@@ -112,8 +112,7 @@ class QuantumState:
 
     def __post_init__(self) -> None:
         check_spin(self.j)
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
+        check_count("n_max", self.n_max, 0)
         dim = (self.n_max + 1) * int(round(2 * self.j + 1))
         if self.amplitudes.shape != (dim,):
             raise ValueError(
@@ -426,8 +425,7 @@ def chebyshev_coefficients(dt: float, e_min: float, e_max: float, order: int) ->
     """
     if e_max <= e_min:
         raise ValueError("requires E_max > E_min")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    check_count("order", order, 0)
     k = np.arange(order + 1)
     phase = np.exp(-1j * dt * 0.5 * (e_max + e_min))
     weight = np.where(k == 0, 1.0, 2.0)
@@ -505,15 +503,12 @@ def evolve(
     table of :mod:`rotdicke.meanfield`: ``mean_photon_scaled`` (<a^dag a>/j)
     and ``parity`` (<Pi>).
     """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 1 or t[0] != 0.0:
-        raise ValueError("t_grid must be 1-D and start at 0")
-    if t.size > 1:
-        steps = np.diff(t)
-        if not np.all(steps > 0.0):
-            raise ValueError("t_grid must be strictly increasing")
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
-            raise ValueError("t_grid must be uniform")
+    t = check_grid("t_grid", t_grid)
+    if t[0] != 0.0:
+        raise ValueError(f"t_grid must start at 0, got {t[0]}")
+    steps = np.diff(t)
+    if steps.size and np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
+        raise ValueError("t_grid must be uniform")
     _check_observables(observables, "quantum")
 
     if ops is None:
@@ -567,8 +562,8 @@ def coherent_state(alpha: complex, zeta: complex, j: float, n_max: int) -> Quant
     """
     alpha = complex(alpha)
     zeta = complex(zeta)
-    if not (cmath.isfinite(alpha) and cmath.isfinite(zeta)):
-        raise ValueError(f"alpha and zeta must be finite, got alpha={alpha}, zeta={zeta}")
+    check_finite("alpha", alpha)
+    check_finite("zeta", zeta)
     two_j = int(round(2 * j))
 
     n = np.arange(n_max + 1, dtype=float)

@@ -479,6 +479,14 @@ class TestStateSnapshot:
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*dim=6"):
             load_state(path)
 
+    @pytest.mark.parametrize("line", ["nan 0", "0 inf", "-inf 0"])
+    def test_non_finite_amplitude_rejected(self, tmp_path, line):
+        # j=0.5, n_max=1, dim=4 with a "nan 0" line once loaded as a state of norm NaN.
+        path = tmp_path / "state.txt"
+        path.write_text(f"j=0.5\nn_max=1\nordering=m-major,n-minor\ndim=4\n1 0\n0 0\n{line}\n0 0\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": amplitude line 3 of dim=4 is not finite"):
+            load_state(path)
+
     def test_padded_snapshot_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
         save_state(path, basis_state(0.5, 2))
@@ -600,7 +608,7 @@ class TestMainExitCodes:
             ("sweep-lambda", "lambda_min", "-0.5", "lambda_min must be nonnegative"),
             ("sweep-velocity", "delta_phi_min", "0", "delta_phi_min must be positive"),
             ("phase-diagram", "lambda_min", "-0.5", "lambda_min must be nonnegative"),
-            ("spectrum", "omega", "0", "frequencies must be positive"),
+            ("spectrum", "omega", "0", "omega must be positive"),
             ("spectrum", "lambda_min", "-0.5", "lambda_min must be nonnegative"),
             ("spectrum", "delta_phi", "-0.5", "delta_phi must be nonnegative"),
         ],
@@ -614,6 +622,26 @@ class TestMainExitCodes:
         assert main([subcommand, *argv, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--lambda-step", "1e-12"],
+            ["spectrum", "--lambda-min=-1e308", "--lambda-max=1e308", "--lambda-step", "1"],
+        ],
+        ids=["tiny-step", "infinite-span"],
+    )
+    def test_oversized_grid_is_validation_error(self, tmp_path, capsys, argv):
+        # 1e-12 steps once asked numpy for 10.9 TiB and died with a traceback;
+        # the point count is now checked before anything is allocated or echoed.
+        out = tmp_path / "big.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        step_key = argv[-2].lstrip("-").replace("-", "_")
+        assert captured.err.startswith(f"error: {step_key} = ")
+        assert "points" in captured.err
         assert captured.out == ""
         assert not out.exists()
 

@@ -14,6 +14,7 @@ from rotdicke import (
     phase_diagram,
     rotated_critical_coupling,
     run_protocol,
+    spectrum,
     stationary_photon_scaled,
     sweep_lambda,
     sweep_velocity,
@@ -296,6 +297,12 @@ class TestSweeps:
     def test_axes_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
             sweep_lambda(mf_spec(), [1.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_spectrum_rejects_non_finite_coupling(self, bad):
+        # spectrum(1, 1, 1, [nan]) once returned a row whose lambda was NaN.
+        with pytest.raises(ValueError, match="lambda values must be .*finite"):
+            spectrum(1.0, 1.0, 1.0, [bad])
 
     def test_cell_error_isolation(self):
         # j below 2 makes scaled parity leave its domain at large spin

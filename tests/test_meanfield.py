@@ -584,6 +584,11 @@ class TestDop853:
         with pytest.raises(ValueError, match="t_end"):
             integrate(PhasePoint(0.1, 0, 0, 0), ModelParams(lam=1.0, j=1.0), t_end)
 
+    def test_rejects_non_integer_sample_count(self):
+        # A float count once reached np.linspace as a TypeError.
+        with pytest.raises(ValueError, match="sample_count must be an integer"):
+            integrate(PhasePoint(0.1, 0, 0, 0), ModelParams(lam=1.0, j=1.0), 1.0, sample_count=2.5)
+
     @pytest.mark.parametrize("index", range(4))
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_start(self, index, bad):
@@ -821,6 +826,15 @@ class TestTrajectoryInvariants:
             Trajectory(
                 params, "meanfield", True, np.array([0.0, 1.0]), {"q1": np.zeros(3)}
             )
+
+    @pytest.mark.parametrize("times", [[0.0, math.inf], [0.0, 1.0, math.inf]])
+    def test_infinite_last_time_rejected(self, times):
+        # An infinite last sample is larger than the one before it.
+        from rotdicke import Trajectory
+
+        params = ModelParams(lam=1.0, j=1.0)
+        with pytest.raises(ValueError, match="times must be .*finite"):
+            Trajectory(params, "meanfield", True, np.array(times), {})
 
     def test_times_checked_across_chunk_edges(self):
         from rotdicke import Trajectory

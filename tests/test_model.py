@@ -20,6 +20,30 @@ from rotdicke import (
     stationary_photon_scaled,
 )
 
+# Each public closed form with valid arguments, by name.
+CLOSED_FORMS = {
+    critical_coupling: {"omega": 1.0, "omega0": 1.0},
+    rotated_critical_coupling: {"omega": 1.0, "omega0": 1.0, "delta_phi": 1.0},
+    critical_velocity: {"omega": 1.0, "omega0": 1.0, "lam": 1.0},
+    excitation_energy_np: {"omega": 1.0, "omega0": 1.0, "lam": 0.3},
+    excitation_energy_srp: {"omega": 1.0, "omega0": 1.0, "lam": 1.0},
+    dynamical_critical_fit: {"delta_phi": 1.0},
+    stationary_photon_scaled: {"omega": 1.0, "omega0": 1.0, "lam": 1.0, "delta_phi": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "form, arg",
+    [(form, arg) for form, args in CLOSED_FORMS.items() for arg in args],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_closed_forms_reject_non_finite(form, arg, value):
+    # critical_coupling(nan, 1) and rotated_critical_coupling(1, 1, nan) once
+    # returned NaN: the sign tests let NaN through.
+    with pytest.raises(ValueError, match=rf"^{arg} must be [a-z ]*finite, got {value}"):
+        form(**{**CLOSED_FORMS[form], arg: value})
+
 
 class TestCriticalCoupling:
     def test_resonant(self):
@@ -277,6 +301,13 @@ class TestModelParams:
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must"):
             ModelParams(**{"lam": 1.0, name: value})
+
+    @pytest.mark.parametrize("n_max", [20.5, True, "3", 4.0])
+    def test_rejects_non_integer_n_max(self, n_max):
+        # n_max=20.5 once built, then aborted sweep_lambda with a TypeError
+        # that _run_cell does not catch; n_max=True ran as n_max = 1.
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            ModelParams(lam=1.0, n_max=n_max)
 
     def test_half_integer_spins_accepted(self):
         assert ModelParams(lam=1.0, j=0.5).two_j == 1

@@ -1,7 +1,7 @@
 """Property tests: JSON and CSV round trips, byte identity of the streaming
 writers, the configuration echo, the CLI's agreement with the library's
-rules, the coherent-state phase-space maps, and the invariants of quantum
-propagation.
+rules, the argument rules of the closed forms, the coherent-state
+phase-space maps, and the invariants of quantum propagation.
 
 Every value is built directly from strategies; only the propagation tests
 run an engine, on small bases.
@@ -33,7 +33,16 @@ from rotdicke.experiments import (
     SweepResult,
 )
 from rotdicke.meanfield import Trajectory, coherent_from_point, point_from_coherent
-from rotdicke.model import ModelParams
+from rotdicke.model import (
+    ModelParams,
+    critical_coupling,
+    critical_velocity,
+    dynamical_critical_fit,
+    excitation_energy_np,
+    excitation_energy_srp,
+    rotated_critical_coupling,
+    stationary_photon_scaled,
+)
 from rotdicke.quantum import QuantumState, build_operators, chebyshev_step, evolve
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -540,6 +549,55 @@ def test_cli_accepts_exactly_what_the_library_accepts(values):
     else:
         with pytest.raises(ConfigError):
             parse_config("trajectory", overrides=overrides)
+
+
+def positive_rule(value):
+    return value > 0.0
+
+
+def nonnegative_rule(value):
+    return value >= 0.0
+
+
+def any_finite_rule(value):
+    return True
+
+
+# The rule of each argument of each public closed form.
+FREQUENCIES = {"omega": positive_rule, "omega0": positive_rule}
+CLOSED_FORM_RULES = {
+    critical_coupling: FREQUENCIES,
+    rotated_critical_coupling: {**FREQUENCIES, "delta_phi": any_finite_rule},
+    critical_velocity: {**FREQUENCIES, "lam": nonnegative_rule},
+    excitation_energy_np: {**FREQUENCIES, "lam": nonnegative_rule},
+    excitation_energy_srp: {**FREQUENCIES, "lam": nonnegative_rule},
+    dynamical_critical_fit: {"delta_phi": nonnegative_rule},
+    stationary_photon_scaled: {**FREQUENCIES, "lam": nonnegative_rule, "delta_phi": any_finite_rule},
+}
+# Zero, and sizes from 1e-3 to 1e3 of either sign.
+magnitudes = st.floats(min_value=1e-3, max_value=1e3)
+bounded = st.just(0.0) | magnitudes | magnitudes.map(lambda v: -v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(omega=bounded, omega0=bounded, lam=bounded, delta_phi=bounded)
+def test_closed_forms_on_finite_arguments(omega, omega0, lam, delta_phi):
+    # An argument that breaks its rule raises a ValueError naming it; valid
+    # arguments give a number, never NaN, unless they leave the form's branch.
+    values = {"omega": omega, "omega0": omega0, "lam": lam, "delta_phi": delta_phi}
+    for form, rules in CLOSED_FORM_RULES.items():
+        args = {name: values[name] for name in rules}
+        broken = [name for name, rule in rules.items() if not rule(args[name])]
+        if broken:
+            with pytest.raises(ValueError, match=rf"^({'|'.join(broken)}) must be"):
+                form(**args)
+            continue
+        try:
+            result = form(**args)
+        except ValueError as exc:
+            assert str(exc).startswith(("normal-phase branch", "super-radiant branch", "no real critical"))
+        else:
+            assert not math.isnan(result), (form.__name__, args)
 
 
 EPS = np.finfo(float).eps

@@ -263,6 +263,11 @@ class TestChebyshevCoefficients:
     def test_order_rule_value(self):
         assert chebyshev_order(1.0, 0.0, 4.0) == math.ceil(math.e) + 20
 
+    def test_rejects_non_integer_order(self):
+        # A float order once reached np.zeros in _bessel_j as a TypeError.
+        with pytest.raises(ValueError, match="order must be an integer"):
+            chebyshev_coefficients(0.1, -1.0, 1.0, 2.5)
+
 
 class TestBessel:
     """The in-house J_0(x)..J_M(x) behind the Chebyshev coefficients."""
@@ -836,3 +841,8 @@ class TestStateBasics:
     def test_state_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
             QuantumState(np.zeros(7, dtype=complex), 1.0, 4)
+
+    def test_non_integer_n_max_rejected(self):
+        # n_max = 4.0 passed the shape check: (10,) == (10.0,).
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            QuantumState(np.zeros(10, dtype=complex), 0.5, 4.0)
