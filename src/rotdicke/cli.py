@@ -254,7 +254,7 @@ def parse_config(
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     for axis in ("lambda", "delta_phi"):
         if f"{axis}_min" in values:
-            _axis_values(values, axis)
+            _axis_size(values, axis)
     config = RunConfig(subcommand=subcommand, values=values, provenance=provenance)
     # The library's own rules reject a value here, before main echoes the
     # configuration: ModelParams and ProtocolSpec for the run subcommands,
@@ -269,8 +269,12 @@ def parse_config(
     return config
 
 
-def _axis_values(values: dict, axis: str) -> np.ndarray:
-    """The grid min, min + step, ..., max; ConfigError unless it is one."""
+def _axis_size(values: dict, axis: str) -> int:
+    """Point count of the grid min, min + step, ..., max; ConfigError unless it is one.
+
+    Checked on scalars, with no grid built: the last point is computed as
+    the grid computes it, min + step*(n-1), so the check sees its bits.
+    """
     lo_key, hi_key, step_key = f"{axis}_min", f"{axis}_max", f"{axis}_step"
     lo, hi, step = values[lo_key], values[hi_key], values[step_key]
     if not step > 0:
@@ -279,10 +283,15 @@ def _axis_values(values: dict, axis: str) -> np.ndarray:
         raise ConfigError(f"{hi_key} must be >= {lo_key}")
     if not (hi - lo) / step + 1 <= _MAX_AXIS_POINTS:
         raise ConfigError(f"{step_key} = {step} gives over {_MAX_AXIS_POINTS} points on the {axis} axis")
-    grid = lo + step * np.arange(round((hi - lo) / step) + 1)
-    if abs(grid[-1] - hi) > 1e-9 * max(1.0, abs(hi)):
+    size = round((hi - lo) / step) + 1
+    if abs(lo + step * (size - 1) - hi) > 1e-9 * max(1.0, abs(hi)):
         raise ConfigError(f"({hi_key} - {lo_key}) must be an integer multiple of {step_key}")
-    return grid
+    return size
+
+
+def _axis_values(values: dict, axis: str) -> np.ndarray:
+    """The grid min, min + step, ..., max of an axis that parse_config checked."""
+    return values[f"{axis}_min"] + values[f"{axis}_step"] * np.arange(_axis_size(values, axis))
 
 
 # The keys that can supply a ModelParams field: a run's own value, or else

@@ -98,8 +98,8 @@ class ProtocolSpec:
             raise ValueError("initial=nearly_fock requires epsilon")
         if self.epsilon is not None:
             check_positive("epsilon", self.epsilon)
-        # Checked here, not left to coherent_state: resolve_n_max reads its
-        # ValueError as truncation loss and would grow n_max to the cap.
+        # Checked here for both engines: the mean-field start takes a NaN
+        # label unchecked, and coherent_state sees one only inside a run.
         check_finite("alpha", self.alpha)
         check_finite("zeta", self.zeta)
         if self.initial == "ground_state" and self.engine != "quantum":
@@ -196,45 +196,49 @@ def _initial_labels(spec: ProtocolSpec) -> tuple[complex, complex]:
     return complex(alpha), complex(zeta)
 
 
-def resolve_n_max(
-    spec: ProtocolSpec, solved: list[quantum.QuantumState] | None = None
-) -> int:
-    """Boson truncation for a quantum run when the parameters leave it open.
+def _prepare(spec: ProtocolSpec) -> quantum.QuantumState:
+    """The initial state of a quantum run, built at the n_max it fixes.
 
-    Grown by x1.5 from the floor of 100 until the initial state carries less
-    than 1e-10 truncation loss; for the ground state the occupation of the
-    top Fock row stands in for the loss, and the ground state solved at the
-    returned n_max is appended to ``solved`` when a list is given, so that
-    the caller does not solve it again.  Growth stops with the ValueError
-    of :func:`quantum.checked_dim` before the basis dimension would exceed
-    ``quantum.DEFAULT_DIM_CAP``.
+    A fixed n_max is taken as given: a ground state unchecked, a coherent
+    start through the truncation check of :func:`quantum.coherent_state`.
+    Left open, n_max grows by x1.5 from ``N_MAX_FLOOR`` until a ground
+    state's top Fock row weighs under 1e-12, or a coherent start's loss is
+    under ``quantum.TRUNCATION_TOL``, and stops with the ValueError of
+    :func:`quantum.checked_dim` before the dimension passes its cap.
     """
-    if spec.params.n_max is not None:
-        return spec.params.n_max
-    n_max = N_MAX_FLOOR
-    if spec.initial == "ground_state":
-        while True:
-            params = replace(spec.params, n_max=n_max)
-            state = quantum.ground_state(params)
-            block = state.amplitudes.reshape(spec.params.two_j + 1, n_max + 1)
-            top_row = float(np.sum(np.abs(block[:, -1]) ** 2))
-            if top_row < 1e-12:
-                if solved is not None:
-                    solved.append(state)
-                return n_max
-            n_max = int(math.ceil(n_max * 1.5))
-    alpha, zeta = _initial_labels(spec)
+    fixed = spec.params.n_max is not None
+    n_max = spec.params.n_max if fixed else N_MAX_FLOOR
     while True:
         quantum.checked_dim(spec.params.two_j, n_max)
-        try:
-            quantum.coherent_state(alpha, zeta, spec.params.j, n_max)
-            return n_max
-        except ValueError:
-            n_max = int(math.ceil(n_max * 1.5))
+        if spec.initial == "ground_state":
+            state = quantum.ground_state(replace(spec.params, n_max=n_max))
+            if fixed or quantum._top_row_weight(state) < 1e-12:
+                return state
+        elif fixed:
+            return quantum.coherent_state(*_initial_labels(spec), spec.params.j, n_max)
+        else:
+            state, loss = quantum._coherent_start(*_initial_labels(spec), spec.params.j, n_max)
+            if loss < quantum.TRUNCATION_TOL:
+                return state
+        n_max = int(math.ceil(n_max * 1.5))
+
+
+def resolve_n_max(spec: ProtocolSpec, solved: list[quantum.QuantumState] | None = None) -> int:
+    """Boson truncation of a quantum run: the n_max at which :func:`_prepare` builds its start.
+
+    The start, built for a fixed n_max too, is appended to ``solved`` when given.
+    """
+    state = _prepare(spec)
+    if solved is not None:
+        solved.append(state)
+    return state.n_max
 
 
 def run_protocol(spec: ProtocolSpec) -> Trajectory:
-    """Prepare the initial state, evolve it, and attach the observables."""
+    """Prepare the initial state, evolve it, and attach the observables.
+
+    A quantum run evolves the start that :func:`resolve_n_max` built.
+    """
     if spec.engine == "meanfield":
         alpha, zeta = _initial_labels(spec)
         start = meanfield.point_from_coherent(alpha, zeta, spec.params.j)
@@ -259,20 +263,7 @@ def run_protocol(spec: ProtocolSpec) -> Trajectory:
 
     solved: list[quantum.QuantumState] = []
     params = replace(spec.params, n_max=resolve_n_max(spec, solved))
-    ops = quantum.build_operators(params)
-    if spec.initial == "ground_state":
-        psi0 = solved[0] if solved else quantum.ground_state(params, ops=ops)
-    else:
-        alpha, zeta = _initial_labels(spec)
-        psi0 = quantum.coherent_state(alpha, zeta, params.j, params.n_max)
-    return quantum.evolve(
-        psi0,
-        params,
-        spec.time_grid(),
-        observables=spec.observables,
-        driven=spec.driven,
-        ops=ops,
-    )
+    return quantum.evolve(solved[0], params, spec.time_grid(), observables=spec.observables, driven=spec.driven)
 
 
 def _run_cell(spec: ProtocolSpec, coords: tuple[float, ...]) -> SweepCell:

@@ -436,6 +436,9 @@ def _initial_step(f, y, fy, t_end, rtol, atol) -> float:
     d1 = _rms([c / s for c, s in zip(fy, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
+    if not h0 > 0.0:
+        # d1 overflowed: rates beyond the float range leave no step to take.
+        raise IntegrationError(0.0, "no first step: the flow's rates at the start overflow")
     f1 = f(h0, *[c + h0 * d for c, d in zip(y, fy)])
     d2 = _rms([(b - a) / s for a, b, s in zip(fy, f1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:

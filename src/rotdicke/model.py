@@ -10,6 +10,8 @@ Conventions (hbar = 1):
 
 Each scalar argument rule is spelled once: check_finite, check_positive,
 check_nonnegative, check_count, check_spin.  Errors lead with the argument's name.
+The closed forms run on floats where no step can over- or underflow and on
+wide-exponent Decimals elsewhere (:func:`_closed_form`).
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ __all__ = [
 # Needed so the gap functions return exactly 0 at lam = fl(sqrt(Omega)/2);
 # without it, sqrt of an O(eps) residual would report a spurious ~1e-8 gap.
 _CRIT_WINDOW = 32.0 * sys.float_info.epsilon
+
+# With every nonzero argument inside [2^-60, 2^60], no step of a closed form
+# below leaves the normal float range; outside it one may over- or underflow
+# (omega = 1e-200 makes omega*omega 0), so _closed_form evaluates the same
+# expression on Decimals with exponents up to +-10^6, which these inputs
+# cannot leave.
+_FLOAT_RANGE = (2.0**-60, 2.0**60)
 
 
 def check_finite(name: str, value: complex) -> None:
@@ -141,11 +150,37 @@ class FixedPoint:
     stable: bool
 
 
+def _closed_form(name: str, formula, **args: float) -> float:
+    """``formula(sqrt, **args)`` as a float, or a ValueError.
+
+    With every nonzero argument inside ``_FLOAT_RANGE`` the expression runs
+    on floats with :func:`math.sqrt`, so its bits stay those of the plain
+    float code.  Otherwise it runs on 40-digit Decimals with
+    ``Decimal.sqrt`` and is rounded once; a value outside the normal float
+    range is a ValueError naming the argument farthest from 1.  ``formula``
+    may return a float 0.0 or None (off its branch) from either path.
+    """
+    low, high = _FLOAT_RANGE
+    if all(v == 0.0 or low <= abs(v) <= high for v in args.values()):
+        return formula(math.sqrt, **{key: float(v) for key, v in args.items()})
+    import decimal  # only arguments outside _FLOAT_RANGE load it
+
+    with decimal.localcontext(decimal.Context(prec=40, Emin=-(10**6), Emax=10**6)):
+        wide = formula(decimal.Decimal.sqrt, **{key: decimal.Decimal(v) for key, v in args.items()})
+    value = None if wide is None else float(wide)
+    if wide and not sys.float_info.min <= abs(value) < math.inf:
+        key = max(args, key=lambda k: abs(math.frexp(args[k])[1]))
+        raise ValueError(f"{key} = {args[key]!r} puts {name} outside the float range")
+    return value
+
+
 def critical_coupling(omega: float, omega0: float) -> float:
     """Equilibrium critical coupling sqrt(omega*omega0)/2."""
     check_positive("omega", omega)
     check_positive("omega0", omega0)
-    return math.sqrt(omega * omega0) / 2.0
+    return _closed_form(
+        "critical_coupling", lambda sqrt, omega, omega0: sqrt(omega * omega0) / 2, omega=omega, omega0=omega0
+    )
 
 
 def rotated_critical_coupling(omega: float, omega0: float, delta_phi: float) -> float:
@@ -156,13 +191,19 @@ def rotated_critical_coupling(omega: float, omega0: float, delta_phi: float) -> 
     check_positive("omega", omega)
     check_positive("omega0", omega0)
     check_finite("delta_phi", delta_phi)
+    return _closed_form(
+        "rotated_critical_coupling", _rotated, omega=omega, omega0=omega0, delta_phi=delta_phi
+    )
+
+
+def _rotated(sqrt, omega, omega0, delta_phi):
     prod = omega * (omega0 + delta_phi)
-    if prod < 0.0:
+    if prod < 0:
         raise ValueError(
             "no real critical coupling: omega*(omega0+delta_phi) = "
-            f"{prod} is negative"
+            f"{float(prod)} is negative"
         )
-    return math.sqrt(prod) / 2.0
+    return sqrt(prod) / 2
 
 
 def critical_velocity(omega: float, omega0: float, lam: float) -> float:
@@ -174,14 +215,20 @@ def critical_velocity(omega: float, omega0: float, lam: float) -> float:
     check_positive("omega", omega)
     check_positive("omega0", omega0)
     check_nonnegative("lam", lam)
-    return 4.0 * lam * lam / omega - omega0
+    return _closed_form(
+        "critical_velocity",
+        lambda sqrt, omega, omega0, lam: 4 * lam * lam / omega - omega0,
+        omega=omega,
+        omega0=omega0,
+        lam=lam,
+    )
 
 
-def _supercriticality(omega: float, omega0: float, lam: float) -> float:
+def _supercriticality(omega, omega0, lam):
     """4*lam^2 - omega*omega0, clamped to 0 inside the knife-edge window."""
-    u = 4.0 * lam * lam - omega * omega0
-    scale = 4.0 * lam * lam + omega * omega0
-    if abs(u) <= _CRIT_WINDOW * scale:
+    u = 4 * lam * lam - omega * omega0
+    scale = 4 * lam * lam + omega * omega0
+    if abs(u) <= type(scale)(_CRIT_WINDOW) * scale:
         return 0.0
     return u
 
@@ -199,20 +246,24 @@ def excitation_energy_np(omega: float, omega0: float, lam: float) -> float:
     """
     check_nonnegative("lam", lam)
     lam_c = critical_coupling(omega, omega0)  # also checks omega and omega0
-    u = _supercriticality(omega, omega0, lam)
-    if u > 0.0:
+    eps = _closed_form("excitation_energy_np", _eps_np, omega=omega, omega0=omega0, lam=lam)
+    if eps is None:
         raise ValueError(
             "normal-phase branch requires lam <= sqrt(omega*omega0)/2 = "
             f"{lam_c!r}, got lam={lam!r}"
         )
-    if u == 0.0:
+    return eps
+
+
+def _eps_np(sqrt, omega, omega0, lam):
+    u = _supercriticality(omega, omega0, lam)
+    if u > 0:
+        return None
+    if u == 0:
         return 0.0
-    s = omega * omega * 1.0 + omega0 * omega0
-    d = math.sqrt(
-        (omega0 * omega0 - omega * omega) ** 2 + 16.0 * lam * lam * omega * omega0
-    )
-    eps2 = 2.0 * omega * omega0 * (-u) / (s + d)
-    return math.sqrt(eps2)
+    s = omega * omega + omega0 * omega0
+    d = sqrt((omega0 * omega0 - omega * omega) ** 2 + 16 * lam * lam * omega * omega0)
+    return sqrt(2 * omega * omega0 * (-u) / (s + d))
 
 
 def excitation_energy_srp(omega: float, omega0: float, lam: float) -> float:
@@ -226,19 +277,25 @@ def excitation_energy_srp(omega: float, omega0: float, lam: float) -> float:
     """
     check_nonnegative("lam", lam)
     lam_c = critical_coupling(omega, omega0)  # also checks omega and omega0
-    u = _supercriticality(omega, omega0, lam)
-    if u < 0.0:
+    eps = _closed_form("excitation_energy_srp", _eps_srp, omega=omega, omega0=omega0, lam=lam)
+    if eps is None:
         raise ValueError(
             "super-radiant branch requires lam >= sqrt(omega*omega0)/2 = "
             f"{lam_c!r}, got lam={lam!r}"
         )
-    if u == 0.0:
+    return eps
+
+
+def _eps_srp(sqrt, omega, omega0, lam):
+    u = _supercriticality(omega, omega0, lam)
+    if u < 0:
+        return None
+    if u == 0:
         return 0.0
-    a = 16.0 * lam**4 / (omega * omega)
+    a = 16 * lam**4 / (omega * omega)
     s = a + omega * omega
-    f = (a - omega * omega) ** 2 + 4.0 * omega * omega * omega0 * omega0
-    eps2 = 2.0 * u * (4.0 * lam * lam + omega * omega0) / (s + math.sqrt(f))
-    return math.sqrt(eps2)
+    f = (a - omega * omega) ** 2 + 4 * omega * omega * omega0 * omega0
+    return sqrt(2 * u * (4 * lam * lam + omega * omega0) / (s + sqrt(f)))
 
 
 def fixed_points(params: ModelParams, t: float = 0.0) -> tuple[FixedPoint, FixedPoint, FixedPoint]:
@@ -310,5 +367,11 @@ def stationary_photon_scaled(
     lam_c = rotated_critical_coupling(omega, omega0, delta_phi)
     if lam < lam_c or lam == 0.0:
         return 0.0
-    ratio = omega * (omega0 + delta_phi) / (4.0 * lam * lam)
-    return 0.5 * (2.0 * lam / omega) ** 2 * max(1.0 - ratio * ratio, 0.0)
+    return _closed_form(
+        "stationary_photon_scaled", _photons, omega=omega, omega0=omega0, lam=lam, delta_phi=delta_phi
+    )
+
+
+def _photons(sqrt, omega, omega0, lam, delta_phi):
+    ratio = omega * (omega0 + delta_phi) / (4 * lam * lam)
+    return (2 * lam / omega) ** 2 / 2 * max(1 - ratio * ratio, 0)

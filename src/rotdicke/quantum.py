@@ -560,8 +560,21 @@ def coherent_state(alpha: complex, zeta: complex, j: float, n_max: int) -> Quant
     truncation.  The pre-normalization truncation loss 1 - sum |kappa|^2
     must stay below ``TRUNCATION_TOL`` or a larger n_max is demanded.
     """
-    alpha = complex(alpha)
-    zeta = complex(zeta)
+    state, loss = _coherent_start(alpha, zeta, j, n_max)
+    if loss >= TRUNCATION_TOL:
+        raise ValueError(
+            f"truncation loss {loss:.3e} >= {TRUNCATION_TOL:.1e} at n_max={n_max}; "
+            f"increase n_max (|alpha|^2 = {abs(alpha)**2:.3g})"
+        )
+    return state
+
+
+def _coherent_start(alpha: complex, zeta: complex, j: float, n_max: int) -> tuple[QuantumState, float]:
+    """:func:`coherent_state` without its check, and the loss it checks.
+
+    A start that the truncation loses whole (loss 1) stays all zeros.
+    """
+    alpha, zeta = complex(alpha), complex(zeta)
     check_finite("alpha", alpha)
     check_finite("zeta", zeta)
     two_j = int(round(2 * j))
@@ -580,22 +593,17 @@ def coherent_state(alpha: complex, zeta: complex, j: float, n_max: int) -> Quant
         spin[0] = 1.0
     else:
         log_binom = math.lgamma(two_j + 1.0) - _log_factorial(k) - _log_factorial(two_j - k)
-        log_mag = (
-            k * math.log(abs(zeta))
-            + 0.5 * log_binom
-            - j * math.log1p(abs(zeta) ** 2)
-        )
+        log_mag = k * math.log(abs(zeta)) + 0.5 * log_binom - j * math.log1p(abs(zeta) ** 2)
         spin = np.exp(log_mag + 1j * k * cmath.phase(zeta))
 
     amplitudes = np.kron(spin, field)
     total = float(np.sum(np.abs(amplitudes) ** 2))
-    loss = max(1.0 - total, 0.0)
-    if loss >= TRUNCATION_TOL:
-        raise ValueError(
-            f"truncation loss {loss:.3e} >= {TRUNCATION_TOL:.1e} at n_max={n_max}; "
-            f"increase n_max (|alpha|^2 = {abs(alpha)**2:.3g})"
-        )
-    return QuantumState(amplitudes / math.sqrt(total), j, n_max)
+    return QuantumState(amplitudes / math.sqrt(total or 1.0), j, n_max), max(1.0 - total, 0.0)
+
+
+def _top_row_weight(state: QuantumState) -> float:
+    """Weight of ``state`` on the top Fock row n = n_max, summed over m."""
+    return float(np.sum(np.abs(state.amplitudes[state.n_max :: state.n_max + 1]) ** 2))
 
 
 def basis_state(j: float, n_max: int, n: int = 0, m: float | None = None) -> QuantumState:

@@ -625,6 +625,25 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1e-200", "1e-160", "1e200"])
+    @pytest.mark.parametrize("key", ["omega", "omega0"])
+    def test_extreme_frequency_writes_no_nan(self, tmp_path, capsys, key, value):
+        # spectrum --omega 1e-200 once exited 2 with "float division by
+        # zero", and --omega 1e200 wrote NaN in every eps_np cell; a
+        # mean-field start at omega = 1e-200 divided by zero in the first
+        # step's choice.  A run may fail (exit 1 or 2), but never so.
+        quantum = {"engine": "quantum", "initial": "stationary_dicke", "j": "1", "lambda": "1", "sample_count": "3"}
+        runs = [*self.BASE_FLAGS.items(), ("trajectory", quantum)]
+        for subcommand, flags in runs:
+            out = tmp_path / f"{subcommand}.csv"
+            argv = [f"--{k.replace('_', '-')}={v}" for k, v in {**flags, key: value}.items()]
+            code = main([subcommand, *argv, "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (subcommand, err)
+            assert "by zero" not in err, (subcommand, err)
+            if code == 0:
+                assert "nan" not in out.read_text().lower(), subcommand
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -644,6 +663,20 @@ class TestMainExitCodes:
         assert "points" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["spectrum", "phase-diagram"])
+    def test_axis_check_builds_no_grid(self, subcommand):
+        # parse_config once built every axis whole to check it, and _run
+        # built it again: two 8 MB grids at the 10^6-point cap.
+        overrides = {**self.BASE_FLAGS[subcommand], "lambda_min": "0", "lambda_max": "999999", "lambda_step": "1"}
+        tracemalloc.start()
+        try:
+            config = parse_config(subcommand, None, overrides)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert config.values["lambda_max"] == 999999.0
 
     def test_spectrum_accepts_zero_velocity(self, tmp_path):
         # delta_phi = 0 is the undriven model: the rotated line is the equilibrium one.

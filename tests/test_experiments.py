@@ -60,8 +60,8 @@ class TestProtocolSpecValidation:
     @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf), math.nan])
     def test_rejects_non_finite_labels(self, label, bad):
         # A NaN alpha once ran a quantum trajectory to NaN observables with
-        # only a RuntimeWarning.  The spec must stop it: resolve_n_max reads
-        # coherent_state's ValueError as truncation loss and grows n_max.
+        # only a RuntimeWarning.  The spec stops it for both engines, before
+        # any run starts: the mean-field flow takes the label unchecked.
         for engine in ENGINES:
             with pytest.raises(ValueError, match=f"{label} must be finite"):
                 mf_spec(engine=engine, initial="explicit", **{label: bad})
@@ -212,6 +212,74 @@ class TestRunProtocol:
         fixed = run_protocol(replace(spec, params=replace(spec.params, n_max=traj.params.n_max)))
         assert len(calls) == 2
         assert traj == fixed
+
+    @pytest.mark.parametrize(
+        "initial, j, lam, n_max",
+        [
+            ("stationary_dicke", 20.0, 2.0, 338),
+            ("ground_state", 20.0, 1.3, 150),
+            ("stationary_circle", 12.0, 1.5, 150),
+            ("fock", 6.0, 1.3, 100),
+            ("ground_state", 6.0, 1.3, 100),
+        ],
+    )
+    def test_adaptive_n_max_choices(self, initial, j, lam, n_max):
+        # Pinned when the coherent and ground-state loops became one; the
+        # loop must keep choosing these, or golden and benchmark outputs move.
+        from rotdicke.experiments import resolve_n_max
+
+        spec = mf_spec(
+            engine="quantum",
+            initial=initial,
+            params=ModelParams(lam=lam, j=j, delta_phi=1.0),
+            observables=("parity",),
+        )
+        assert resolve_n_max(spec) == n_max
+
+    def test_adaptive_coherent_run_builds_its_start_once(self, monkeypatch):
+        from rotdicke import quantum
+
+        build = quantum._coherent_start
+        sizes = []
+
+        def counting(alpha, zeta, j, n_max):
+            sizes.append(n_max)
+            return build(alpha, zeta, j, n_max)
+
+        monkeypatch.setattr(quantum, "_coherent_start", counting)
+        spec = mf_spec(
+            engine="quantum",
+            initial="stationary_circle",
+            params=ModelParams(lam=1.5, j=12.0, delta_phi=1.0),
+            sample_count=3,
+            observables=("mean_photon_scaled", "parity"),
+        )
+        traj = run_protocol(spec)
+        # One build per n_max tried; the one that fits is the run's start.
+        assert sizes == [100, 150]
+        # The same run with n_max given builds its start once, checked.
+        fixed = run_protocol(replace(spec, params=replace(spec.params, n_max=150)))
+        assert sizes == [100, 150, 150]
+        assert traj == fixed
+
+    def test_fixed_n_max_coherent_start_keeps_the_truncation_error(self, tmp_path, capsys):
+        from rotdicke.cli import main
+
+        message = "truncation loss 1.000e+00 >= 1.0e-10 at n_max=100; increase n_max (|alpha|^2 = 159)"
+        spec = mf_spec(
+            engine="quantum",
+            initial="stationary_dicke",
+            params=ModelParams(lam=2.0, j=20.0, delta_phi=1.0, n_max=100),
+            observables=("parity",),
+        )
+        with pytest.raises(ValueError) as excinfo:
+            run_protocol(spec)
+        assert str(excinfo.value) == message
+        out = tmp_path / "x.csv"
+        argv = ["trajectory", "--engine", "quantum", "--initial", "stationary_dicke", "--j", "20"]
+        assert main([*argv, "--lambda", "2", "--n-max", "100", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_adaptive_n_max_stops_at_the_dimension_cap(self):
         # |alpha|^2 = 160000 needs n_max ~ 162000, dim 2.1e6 at j=6: growth must

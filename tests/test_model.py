@@ -1,6 +1,8 @@
 """Closed-form critical lines, excitation energies, and fixed points."""
 
+import inspect
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -43,6 +45,61 @@ def test_closed_forms_reject_non_finite(form, arg, value):
     # returned NaN: the sign tests let NaN through.
     with pytest.raises(ValueError, match=rf"^{arg} must be [a-z ]*finite, got {value}"):
         form(**{**CLOSED_FORMS[form], arg: value})
+
+
+# Frequencies from 1e-200 to 1e200: the float expressions of the closed
+# forms over- or underflow out there (omega*omega is 0 at omega = 1e-200).
+EXTREMES = [1e-200, 1e-160, 1e-20, 1.0, 1e20, 1e160, 1e200]
+
+
+def _mp_references(omega, omega0, lam, delta_phi):
+    """Each closed form in its textbook, unsimplified form, at 1200 digits.
+
+    The differences S - D and S' - sqrt(f) cancel all but ~1e-800 of their
+    terms at these extremes; 1200 digits leave hundreds to spare.  A branch
+    that does not exist at ``lam`` maps to None.
+    """
+    with mpmath.workdps(1200):
+        w, w0, lam, dphi = map(mpmath.mpf, (omega, omega0, lam, delta_phi))
+        lam_c = mpmath.sqrt(w * w0) / 2
+        s = w**2 + w0**2
+        d = mpmath.sqrt((w0**2 - w**2) ** 2 + 16 * lam**2 * w * w0)
+        a = 16 * lam**4 / w**2
+        f = (a - w**2) ** 2 + 4 * w**2 * w0**2
+        big_omega = w * (w0 + dphi)
+        photons = 0
+        if lam > 0 and lam >= mpmath.sqrt(big_omega) / 2:
+            photons = (2 * lam / w) ** 2 * (1 - (big_omega / (4 * lam**2)) ** 2) / 2
+        return {
+            critical_coupling: lam_c,
+            rotated_critical_coupling: mpmath.sqrt(big_omega) / 2,
+            critical_velocity: 4 * lam**2 / w - w0,
+            excitation_energy_np: mpmath.sqrt((s - d) / 2) if lam <= lam_c else None,
+            excitation_energy_srp: mpmath.sqrt((a + w**2 - mpmath.sqrt(f)) / 2) if lam >= lam_c else None,
+            stationary_photon_scaled: photons,
+        }
+
+
+@pytest.mark.parametrize("omega0", EXTREMES)
+@pytest.mark.parametrize("omega", EXTREMES)
+def test_closed_forms_at_extreme_frequencies(omega, omega0):
+    # Each form is within 1e-12 of the reference, or, where the reference
+    # lies outside the normal float range, a ValueError naming an argument.
+    # --omega 1e-200 once divided by zero, 1e-160 gave eps_srp = 0 for
+    # 1e-160 and 1e200 gave eps_np = NaN for 1.
+    lam_c = math.sqrt(omega) * math.sqrt(omega0) / 2.0
+    for lam in (0.0, 0.25, 0.5 * lam_c, 2.0 * lam_c):
+        args = {"omega": omega, "omega0": omega0, "lam": lam, "delta_phi": 1.0}
+        for form, reference in _mp_references(**args).items():
+            if reference is None:
+                continue
+            kwargs = {name: args[name] for name in inspect.signature(form).parameters}
+            if reference != 0 and not sys.float_info.min <= abs(reference) <= sys.float_info.max:
+                with pytest.raises(ValueError, match=r"^(omega|omega0|lam|delta_phi) = .* outside the float range"):
+                    form(**kwargs)
+                continue
+            value = form(**kwargs)
+            assert abs(value - reference) <= 1e-12 * abs(reference), (form.__name__, args, value)
 
 
 class TestCriticalCoupling:
