@@ -37,7 +37,6 @@ from .quantum import (
     OperatorSet,
     PropagationError,
     QuantumState,
-    basis_state,
     build_operators,
     chebyshev_coefficients,
     chebyshev_order,

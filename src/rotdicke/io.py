@@ -59,22 +59,19 @@ _STATE_HEADER = ("j", "n_max", "ordering", "dim")
 RESULT_KINDS = {"trajectory": Trajectory, "sweep": SweepResult, "spectrum": Spectrum}
 
 
-def _encode(value, keep_arrays: bool = False):
+def _encode(value):
     """JSON-ready form of a dataclass, walked field by field in field order.
 
-    With ``keep_arrays`` the ndarrays are left as they are, for
-    :func:`_write_json` to stream.
+    ndarrays are left as they are, for :func:`_write_json` to stream.
     """
     if dataclasses.is_dataclass(value):
-        return {f.name: _encode(getattr(value, f.name), keep_arrays) for f in dataclasses.fields(value)}
-    if isinstance(value, np.ndarray):
-        return value if keep_arrays else value.tolist()
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, (tuple, list)):
-        return [_encode(v, keep_arrays) for v in value]
+        return [_encode(v) for v in value]
     if isinstance(value, dict):
-        return {k: _encode(v, keep_arrays) for k, v in value.items()}
+        return {k: _encode(v) for k, v in value.items()}
     return value
 
 
@@ -205,7 +202,7 @@ def emit(result, fmt: str, path, precision: int = 17, config: dict | None = None
         kind = next((k for k, cls in RESULT_KINDS.items() if type(result) is cls), None)
         if kind is None:
             raise TypeError(f"cannot emit {type(result).__name__}")
-        payload = {"config": config, "result": {"kind": kind, **_encode(result, keep_arrays=True)}}
+        payload = {"config": config, "result": {"kind": kind, **_encode(result)}}
         with open(path, "w", encoding="utf-8") as fh:
             _write_json(fh, payload)
             fh.write("\n")

@@ -385,12 +385,16 @@ def integrate(
 
     Steps adaptively with the Dormand-Prince 8(5,3) pair (DOP853, relative
     tolerance ``tol``) and reads the ``sample_count`` uniform times, t=0 and
-    ``t_end`` included, off the method's 7th-order dense output.  Raises
+    ``t_end`` included, off the method's 7th-order dense output.  The drive
+    phase is 0 at the start, so ``start.t`` must be 0: a point built for
+    another time would be integrated from the wrong phase.  Raises
     :class:`IntegrationError` when step control fails, which in practice
     flags an approach to the q1^2+p1^2 -> 4j boundary.
     """
     check_positive("t_end", t_end)
     check_count("sample_count", sample_count, 2)
+    if start.t != 0.0:
+        raise ValueError(f"start.t must be 0 (the drive phase starts at 0), got {start.t}")
     y0 = (start.q1, start.p1, start.q2, start.p2)
     if not all(map(math.isfinite, y0)):
         raise ValueError(f"start must be finite, got (q1, p1, q2, p2) = {y0}")
@@ -553,8 +557,8 @@ def time_average(times, values) -> float:
     return float(np.trapezoid(values, t) / (t[-1] - t[0]))
 
 
-def point_from_coherent(alpha: complex, zeta: complex, j: float, t: float = 0.0) -> PhasePoint:
-    """Phase-space point labelled by the coherent-state pair (alpha, zeta)."""
+def point_from_coherent(alpha: complex, zeta: complex, j: float) -> PhasePoint:
+    """Phase-space point at t = 0 labelled by the coherent-state pair (alpha, zeta)."""
     alpha = complex(alpha)
     zeta = complex(zeta)
     s = abs(zeta) ** 2
@@ -564,7 +568,6 @@ def point_from_coherent(alpha: complex, zeta: complex, j: float, t: float = 0.0)
         p1=scale * zeta.imag,
         q2=math.sqrt(2.0) * alpha.real,
         p2=math.sqrt(2.0) * alpha.imag,
-        t=t,
     )
 
 

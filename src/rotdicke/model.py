@@ -127,11 +127,6 @@ class PhasePoint:
     p2: float
     t: float = 0.0
 
-    def as_array(self):
-        import numpy as np
-
-        return np.array([self.q1, self.p1, self.q2, self.p2], dtype=float)
-
 
 @dataclass(frozen=True)
 class FixedPoint:
@@ -347,8 +342,12 @@ def fixed_points(params: ModelParams, t: float = 0.0) -> tuple[FixedPoint, Fixed
 def dynamical_critical_fit(delta_phi: float) -> float:
     """Empirical dynamical critical coupling 0.5 + 0.327*delta_phi^(3/4).
 
-    A fit to the reentrant boundary of the non-equilibrium phase diagram at
-    omega = omega0 = 1; a reference overlay only, it gates nothing.
+    A fit, at omega = omega0 = 1, to the coupling of the deepest reentrant
+    minimum of the time-averaged photon number from a stationary-Dicke
+    start (at delta_phi = 2 and 3 the minimum lies at 1.05 and 1.24, the
+    fit at 1.050 and 1.245).  At delta_phi = 0.5 that minimum is ambiguous:
+    two minima, at 0.61 and 0.68, differ by about 1% in depth, and the fit
+    gives 0.694.  A reference overlay only, it gates nothing.
     """
     check_nonnegative("delta_phi", delta_phi)
     return 0.5 + 0.327 * delta_phi**0.75

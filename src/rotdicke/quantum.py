@@ -51,7 +51,6 @@ __all__ = [
     "QuantumState",
     "Hamiltonian",
     "OperatorSet",
-    "basis_index",
     "checked_dim",
     "build_operators",
     "spectral_bounds",
@@ -60,13 +59,16 @@ __all__ = [
     "chebyshev_step",
     "evolve",
     "coherent_state",
-    "basis_state",
     "ground_state",
     "initial_state_params",
 ]
 
 DEFAULT_DIM_CAP = 200_000
 TRUNCATION_TOL = 1e-10
+
+# Largest Chebyshev expansion order (stencil products per step); see
+# chebyshev_order for the work bound it comes from.
+_CHEBYSHEV_ORDER_CAP = 10**7
 
 # Per-step norm drift above this aborts propagation (insufficient order or
 # bad spectral bounds); drift is checked, never silently renormalized away.
@@ -88,18 +90,6 @@ _BESSEL_RESCALE = 2.0**500
 
 class PropagationError(RuntimeError):
     """Chebyshev propagation failure (norm drift beyond tolerance)."""
-
-
-def basis_index(j: float, n_max: int, n: int, m: float) -> int:
-    """Flat index of |n>|j,m> under the m-major, n-minor ordering."""
-    k = int(round(m + j))
-    if abs(m + j - k) > 1e-9:
-        raise ValueError(f"m={m} is not on the ladder -j, -j+1, ..., j for j={j}")
-    if not 0 <= n <= n_max:
-        raise ValueError(f"n={n} outside 0..{n_max}")
-    if not 0 <= k <= int(round(2 * j)):
-        raise ValueError(f"m={m} outside -j..j for j={j}")
-    return k * (n_max + 1) + n
 
 
 @dataclass(frozen=True)
@@ -138,11 +128,11 @@ class Hamiltonian:
     Stored in O(dim) numbers: the diagonal ``d`` over the product basis, the
     off-diagonals of the two tridiagonal factors (``spin_offdiag[k]`` =
     <m+1|J_+|m> at m = k - j, ``field_offdiag[n-1]`` = <n-1|a|n> = sqrt(n))
-    and the scalar coupling ``c``.  ``h.apply(v)`` pads v onto the
-    ghost-padded grid, runs the :class:`_Stencil` of ``h`` once and unpads
-    the result; repeated products (the Chebyshev recurrence, Lanczos) build
-    one stencil and stay on the padded grid.  ``to_dense()`` builds the
-    explicit matrix, as a test reference.
+    and the scalar coupling ``c``.  There is no dense form: every product
+    goes through the :class:`_Stencil` of ``h``.  ``h.apply(v)`` pads v onto
+    the ghost-padded grid, runs the stencil once and unpads the result (for
+    one-off products such as <H>); repeated products (the Chebyshev
+    recurrence, Lanczos) build one stencil and stay on the padded grid.
     """
 
     def __init__(
@@ -157,18 +147,16 @@ class Hamiltonian:
         self.field_offdiag = field_offdiag
         self.coupling = float(coupling)
         self.grid = (spin_offdiag.size + 1, field_offdiag.size + 1)
-        self.shape = (diagonal.size, diagonal.size)
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the stored arrays."""
         return self.diagonal.nbytes + self.spin_offdiag.nbytes + self.field_offdiag.nbytes
 
-    def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """H v, written into ``out`` when given."""
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """H v, in the dtype of ``v`` (at least float)."""
         stencil = _Stencil(self, np.result_type(v, float))
-        padded = stencil.apply(stencil.pad(v), stencil.zeros())
-        return stencil.unpad(padded, out)
+        return stencil.unpad(stencil.apply(stencil.pad(v), stencil.zeros()))
 
     def row_radii(self) -> np.ndarray:
         """Gershgorin radii: the off-diagonal absolute row sums of H."""
@@ -179,12 +167,6 @@ class Hamiltonian:
         field[:-1] += self.field_offdiag
         field[1:] += self.field_offdiag
         return abs(self.coupling) * np.outer(spin, field).ravel()
-
-    def to_dense(self) -> np.ndarray:
-        """H as an explicit dim x dim array."""
-        spin = np.diag(self.spin_offdiag, k=-1)
-        field = np.diag(self.field_offdiag, k=1)
-        return np.diag(self.diagonal) + self.coupling * np.kron(spin + spin.T, field + field.T)
 
 
 class _Stencil:
@@ -245,12 +227,9 @@ class _Stencil:
         self._grid_view(padded)[...] = v.reshape(self.grid)
         return padded
 
-    def unpad(self, padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The grid points of ``padded`` in basis order, written into ``out`` when given."""
-        if out is None:
-            out = np.empty(math.prod(self.grid), self.dtype)
-        out.reshape(self.grid)[...] = self._grid_view(padded)
-        return out
+    def unpad(self, padded: np.ndarray) -> np.ndarray:
+        """The grid points of ``padded`` in basis order, as a new vector."""
+        return self._grid_view(padded).flatten()
 
     def apply(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out`` = factor * (H - shift) ``v`` on the interior rows of two padded vectors.
@@ -369,11 +348,25 @@ def chebyshev_order(dt: float, e_min: float, e_max: float) -> int:
 
     The Bessel tail J_k decays superexponentially past k ~ dt*(E_max-E_min)/2;
     the margin buys close-to-machine-precision truncation.
+
+    M is capped at ``_CHEBYSHEV_ORDER_CAP`` = 10^7 by a work bound of 10^7
+    stencil products per step.  Each product costs microseconds whatever
+    the basis (3 us on the smallest, dim 4, on a 2-core x86 machine), so a
+    step at the cap takes half a minute or more, and its coefficient table
+    holds 10^7 complex values (160 MB).  Past the cap (an extreme frequency
+    such as omega = 1e200 spreads the spectrum over ~omega*n_max) a
+    ValueError names dt and the spectral span.
     """
     span = e_max - e_min
     if span < 0.0:
         raise ValueError("E_max must be >= E_min")
-    return int(math.ceil(math.e * abs(dt) * span / 4.0)) + 20
+    terms = math.e * abs(dt) * span / 4.0
+    if not terms <= _CHEBYSHEV_ORDER_CAP - 20:
+        raise ValueError(
+            f"Chebyshev order for dt = {dt:.6g} over the spectral span E_max - E_min = "
+            f"{span:.6g} exceeds the cap of {_CHEBYSHEV_ORDER_CAP} terms per step"
+        )
+    return int(math.ceil(terms)) + 20
 
 
 def _bessel_j(x: float, order: int) -> np.ndarray:
@@ -575,8 +568,10 @@ def _coherent_start(alpha: complex, zeta: complex, j: float, n_max: int) -> tupl
     A start that the truncation loses whole (loss 1) stays all zeros.
     """
     alpha, zeta = complex(alpha), complex(zeta)
-    check_finite("alpha", alpha)
-    check_finite("zeta", zeta)
+    for name, label in (("alpha", alpha), ("zeta", zeta)):
+        check_finite(name, label)
+        if not math.isfinite(label.real * label.real + label.imag * label.imag):
+            raise ValueError(f"|{name}|^2 overflows the float range at {name} = {label:.6g}")
     two_j = int(round(2 * j))
 
     n = np.arange(n_max + 1, dtype=float)
@@ -604,15 +599,6 @@ def _coherent_start(alpha: complex, zeta: complex, j: float, n_max: int) -> tupl
 def _top_row_weight(state: QuantumState) -> float:
     """Weight of ``state`` on the top Fock row n = n_max, summed over m."""
     return float(np.sum(np.abs(state.amplitudes[state.n_max :: state.n_max + 1]) ** 2))
-
-
-def basis_state(j: float, n_max: int, n: int = 0, m: float | None = None) -> QuantumState:
-    """Product basis state |n>|j,m>; defaults to the Fock state |0>|j,-j>."""
-    if m is None:
-        m = -j
-    amplitudes = np.zeros((n_max + 1) * int(round(2 * j + 1)), dtype=complex)
-    amplitudes[basis_index(j, n_max, n, m)] = 1.0
-    return QuantumState(amplitudes, j, n_max)
 
 
 def _trace_sums(alphas: list, squares: list, x: float) -> tuple[float, float] | None:
@@ -803,10 +789,15 @@ def ground_state(params: ModelParams, ops: OperatorSet | None = None) -> Quantum
     <Pi> = +1, also above the critical coupling, where the lowest even and
     odd levels are split only by an exponentially small gap.  The global
     phase is deterministic: the largest-magnitude amplitude is made real
-    positive.
+    positive.  A Gershgorin bound on |E| whose square overflows (an extreme
+    frequency) is a ValueError, as the Lanczos norms would overflow.
     """
     if ops is None:
         ops = build_operators(params)
+    e_min, e_max = spectral_bounds(ops.h_dicke)
+    scale = max(-e_min, e_max)
+    if not math.isfinite(scale * scale):
+        raise ValueError(f"ground state: the Gershgorin bound |E| <= {scale:.3g} squared overflows")
     # The even checkerboard k + n = N even: (a + a^dag)(J_+ + J_-) moves
     # (k, n) by (+-1, +-1), so H maps it onto itself.
     sector = np.flatnonzero(ops.parity > 0.0)

@@ -16,7 +16,6 @@ import pytest
 from rotdicke import (
     ModelParams,
     ProtocolSpec,
-    basis_state,
     coherent_state,
     emit,
     load_result_json,
@@ -34,7 +33,7 @@ from rotdicke.cli import (
     main,
     parse_config,
 )
-from rotdicke.experiments import Spectrum, SweepResult, spectrum
+from rotdicke.experiments import INITIAL_KINDS, Spectrum, SweepResult, spectrum
 from rotdicke.meanfield import Trajectory
 from rotdicke.model import check_spin
 
@@ -427,13 +426,13 @@ class TestStateSnapshot:
 
     def test_header_documents_ordering(self, tmp_path):
         path = tmp_path / "state.txt"
-        save_state(path, basis_state(0.5, 2))
+        save_state(path, coherent_state(0, 0, 0.5, 2))
         text = path.read_text()
         assert "ordering=m-major,n-minor" in text
 
     def test_foreign_ordering_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
-        save_state(path, basis_state(0.5, 2))
+        save_state(path, coherent_state(0, 0, 0.5, 2))
         text = path.read_text().replace("m-major,n-minor", "n-major,m-minor")
         path.write_text(text)
         with pytest.raises(ValueError, match="ordering"):
@@ -454,7 +453,7 @@ class TestStateSnapshot:
         # j=1.3, n_max=1, dim=8 once loaded as a state with j=1.3: the shape
         # check rounds 2j + 1 = 3.6 to 4.
         path = tmp_path / "state.txt"
-        save_state(path, basis_state(1.5, 1))
+        save_state(path, coherent_state(0, 0, 1.5, 1))
         path.write_text(path.read_text().replace("j=1.5\n", "j=1.3\n"))
         with pytest.raises(ValueError, match="half-integer"):
             load_state(path)
@@ -474,7 +473,7 @@ class TestStateSnapshot:
 
     def test_truncated_snapshot_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
-        save_state(path, basis_state(0.5, 2))
+        save_state(path, coherent_state(0, 0, 0.5, 2))
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:-2]))
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*dim=6"):
             load_state(path)
@@ -489,7 +488,7 @@ class TestStateSnapshot:
 
     def test_padded_snapshot_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
-        save_state(path, basis_state(0.5, 2))
+        save_state(path, coherent_state(0, 0, 0.5, 2))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("0 0\n")
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*dim=6"):
@@ -625,22 +624,51 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    @staticmethod
+    def quantum_failure(key, value, initial):
+        """The error a quantum trajectory at ``key`` = ``value`` names, or None for a run."""
+        if float(value) > 1.0:
+            # The spectrum spreads over ~1e200 * n_max.
+            if initial == "ground_state":
+                return "ground state: the Gershgorin bound |E| <= 1e+20"
+            return "Chebyshev order for dt = 3.14159 over the spectral span E_max - E_min = "
+        if key == "omega" and initial.startswith("stationary_"):
+            # alpha ~ 2 lam/omega on the stationary circle.
+            return "|alpha|^2 overflows the float range at alpha = 1.41421e+"
+        if key == "omega" and initial == "ground_state":
+            # <a^dag a> ~ (lam/omega)^2 never fits: n_max grows to the cap.
+            return "basis dimension (n_max+1)(2j+1) = "
+        return None
+
     @pytest.mark.parametrize("value", ["1e-200", "1e-160", "1e200"])
     @pytest.mark.parametrize("key", ["omega", "omega0"])
-    def test_extreme_frequency_writes_no_nan(self, tmp_path, capsys, key, value):
+    def test_extreme_frequency_writes_no_nan(self, tmp_path, capsys, monkeypatch, key, value):
         # spectrum --omega 1e-200 once exited 2 with "float division by
         # zero", and --omega 1e200 wrote NaN in every eps_np cell; a
         # mean-field start at omega = 1e-200 divided by zero in the first
-        # step's choice.  A run may fail (exit 1 or 2), but never so.
-        quantum = {"engine": "quantum", "initial": "stationary_dicke", "j": "1", "lambda": "1", "sample_count": "3"}
-        runs = [*self.BASE_FLAGS.items(), ("trajectory", quantum)]
-        for subcommand, flags in runs:
+        # step's choice.  A run may fail (exit 1 or 2), but never so.  A
+        # quantum start at omega = 1e-200 once failed with "(34, 'Numerical
+        # result out of range')", and one at 1e200 with "Maximum allowed
+        # size exceeded" (a ground state after an overflow inside numpy's
+        # norm); each failure now names what overflowed.  The
+        # dimension cap is lowered so that the ground state's growing n_max
+        # reaches it in a fraction of a second.
+        monkeypatch.setattr("rotdicke.quantum.DEFAULT_DIM_CAP", 5000)
+        runs = [(subcommand, flags, None) for subcommand, flags in self.BASE_FLAGS.items()]
+        for initial in INITIAL_KINDS:
+            quantum = {"engine": "quantum", "initial": initial, "j": "1", "lambda": "1", "sample_count": "3"}
+            runs.append(("trajectory", quantum, self.quantum_failure(key, value, initial)))
+        for subcommand, flags, failure in runs:
             out = tmp_path / f"{subcommand}.csv"
             argv = [f"--{k.replace('_', '-')}={v}" for k, v in {**flags, key: value}.items()]
             code = main([subcommand, *argv, "--out", str(out)])
             err = capsys.readouterr().err
             assert code in (0, 1, 2), (subcommand, err)
             assert "by zero" not in err, (subcommand, err)
+            if failure is not None:
+                assert code == 2 and err.startswith(f"error: {failure}"), (flags, err)
+            elif flags.get("engine") == "quantum":
+                assert code == 0, (flags, err)
             if code == 0:
                 assert "nan" not in out.read_text().lower(), subcommand
 

@@ -412,7 +412,6 @@ class TestDop853:
             ours = np.array([traj.data[name] for name in ("q1", "p1", "q2", "p2")])
             assert np.max(np.abs(ours - ref.y)) < 1e-9
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_array_form_bit_identical_to_flow(self):
         # Random domain points, lanes just inside and just outside the
         # boundary guard, lanes past the sphere and NaN coordinates: every
@@ -596,6 +595,17 @@ class TestDop853:
         coords[index] = bad
         with pytest.raises(ValueError, match="finite"):
             integrate(PhasePoint(*coords), ModelParams(lam=1.0, j=1.0), 1.0)
+
+    @pytest.mark.parametrize("t0", [0.4, 1.5, -1.0, math.nan])
+    def test_rejects_start_off_time_zero(self, t0):
+        # The drive phase starts at 0, so c2 built for t0 = 0.4 was once
+        # integrated from the wrong phase: at j = lam = delta_phi = 1 its
+        # photon number swung by 0.54 over a revolution instead of staying
+        # constant.
+        params = ModelParams(lam=1.0, j=1.0, delta_phi=1.0)
+        start = fixed_points(params, t0)[1].point if math.isfinite(t0) else PhasePoint(0.1, 0, 0, 0, t0)
+        with pytest.raises(ValueError, match=rf"start\.t must be 0 .*got {t0}"):
+            integrate(start, params, 2 * math.pi)
 
 
 class TestGeneratedSteps:

@@ -13,7 +13,6 @@ from rotdicke import (
     PropagationError,
     ProtocolSpec,
     QuantumState,
-    basis_state,
     build_operators,
     chebyshev_coefficients,
     chebyshev_order,
@@ -25,7 +24,9 @@ from rotdicke import (
     spectral_bounds,
     stationary_photon_scaled,
 )
-from rotdicke.quantum import Hamiltonian, _bessel_j, _lowest_eigenvalue, _ritz_pair, basis_index
+from rotdicke.quantum import Hamiltonian, _bessel_j, _lowest_eigenvalue, _ritz_pair
+
+from dense_reference import kron_hamiltonian
 
 
 def factor_matrices(ops):
@@ -43,20 +44,9 @@ def jz_diagonal(j, n_max):
     return np.repeat(np.arange(int(round(2 * j)) + 1) - j, n_max + 1)
 
 
-def kron_hamiltonian(j, n_max, lam, omega0_eff, omega=1.0):
-    """Dense H = omega0_eff J_z + omega a^dag a + lam/sqrt(2j) (J_+ + J_-)(a + a^dag),
-    built from the single-mode matrices with np.kron."""
-    two_j = int(round(2 * j))
-    m = np.arange(two_j + 1) - j
-    jp = np.diag(np.sqrt((j - m[:-1]) * (j + m[:-1] + 1)), k=-1)
-    a = np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1)
-    eye_s, eye_f = np.eye(two_j + 1), np.eye(n_max + 1)
-    return (
-        omega0_eff * np.kron(np.diag(m), eye_f)
-        + omega * np.kron(eye_s, np.diag(np.arange(n_max + 1.0)))
-        + lam / math.sqrt(2 * j) * np.kron(jp + jp.T, a + a.T)
-    )
-
+def applied_matrix(h):
+    """The matrix of the library's operator ``h``, column by column from h.apply."""
+    return np.column_stack([h.apply(e) for e in np.eye(h.diagonal.size)])
 
 def operators_or_bare(j, n_max, lam, delta_phi):
     """(h_dicke, h_rot) from build_operators, or, for n_max = 0 (which
@@ -117,16 +107,16 @@ class TestBuildOperators:
         params = ModelParams(lam=0.5, j=1.0, n_max=3)
         ops = build_operators(params)
         assert set(np.unique(ops.parity)) == {-1.0, 1.0}
-        # one field excitation on the lowest-weight spin state is odd
-        idx = basis_index(1.0, 3, n=1, m=-1.0)
-        assert ops.parity[idx] == -1.0
+        # one field excitation on the lowest-weight spin state, at index
+        # (m+j)(n_max+1) + n = 1, is odd
+        assert ops.parity[1] == -1.0
         ntot = ops.adag_a + jz_diagonal(1.0, 3) + 1.0
         assert np.allclose(ops.parity, (-1.0) ** np.round(ntot))
 
     def test_hamiltonians_hermitian_and_commute_with_parity(self):
         params = ModelParams(lam=1.0, j=1.5, delta_phi=0.7, n_max=6)
         ops = build_operators(params)
-        for h in (ops.h_dicke.to_dense(), ops.h_rot.to_dense()):
+        for h in (applied_matrix(ops.h_dicke), applied_matrix(ops.h_rot)):
             assert np.max(np.abs(h - h.T)) < 1e-14
             comm = h * ops.parity[None, :] - ops.parity[:, None] * h
             assert np.max(np.abs(comm)) < 1e-13
@@ -136,8 +126,8 @@ class TestBuildOperators:
         driven = ModelParams(lam=0.9, j=1.0, delta_phi=2.0, n_max=4)
         ops0 = build_operators(base)
         ops2 = build_operators(driven)
-        assert np.allclose(ops0.h_dicke.to_dense(), ops2.h_dicke.to_dense())
-        diff = ops2.h_rot.to_dense() - ops2.h_dicke.to_dense()
+        assert np.allclose(applied_matrix(ops0.h_dicke), applied_matrix(ops2.h_dicke))
+        diff = applied_matrix(ops2.h_rot) - applied_matrix(ops2.h_dicke)
         assert np.allclose(diff, 2.0 * np.diag(jz_diagonal(1.0, 4)))
 
     def test_dimension_cap(self):
@@ -149,7 +139,7 @@ class TestBuildOperators:
     def test_matrix_free_apply_matches_kron_reference(self):
         # The smallest grids (a single Fock column at n_max = 0, two at
         # n_max = 1) are all ghost boundary on the padded grid.  Real input
-        # stays real; ``out`` (NaN-filled) must be written in full.
+        # stays real.
         rng = np.random.default_rng(16)
         for j in (0.5, 1.0, 2.5, 6.0):
             for n_max in (0, 1, 8, 100):
@@ -162,10 +152,7 @@ class TestBuildOperators:
                         got = h.apply(v)
                         assert got.dtype == v.dtype, (j, n_max, omega0_eff)
                         assert np.max(np.abs(got - ref @ v)) < 1e-13, (j, n_max, omega0_eff)
-                        out = np.full_like(v, np.nan)
-                        assert h.apply(v, out=out) is out
-                        assert np.array_equal(out, got), (j, n_max, omega0_eff)
-                    assert np.max(np.abs(h.to_dense() - ref)) < 1e-13, (j, n_max, omega0_eff)
+                    assert np.max(np.abs(applied_matrix(h) - ref)) < 1e-13, (j, n_max, omega0_eff)
 
     def test_large_basis_is_matrix_free(self):
         # dim 5250: the operator is stored in O(dim) numbers, and the ground
@@ -212,7 +199,8 @@ class TestSpectralBounds:
             ops.h_rot.coupling,
         )
         e_min, e_max = spectral_bounds(h)
-        true_vals = np.linalg.eigvalsh(h.to_dense())
+        # The coupling part alone (omega0_eff = omega = 0) plus the diagonal.
+        true_vals = np.linalg.eigvalsh(kron_hamiltonian(10.0, 100, 1.3, 0.0, omega=0.0) + np.diag(h.diagonal))
         assert e_min <= true_vals[0]
         assert e_max >= true_vals[-1]
 
@@ -262,6 +250,18 @@ class TestChebyshevCoefficients:
 
     def test_order_rule_value(self):
         assert chebyshev_order(1.0, 0.0, 4.0) == math.ceil(math.e) + 20
+
+    def test_order_cap(self):
+        # A span of ~1e202 (omega = 1e200) once asked numpy for a ~1e200-term
+        # coefficient array.  The cap is 10^7 terms; at and past it the
+        # order stays an integer or the error names dt and the span.
+        top = 4.0 * (10**7 - 20) / math.e
+        assert chebyshev_order(1.0, 0.0, top) <= 10**7
+        with pytest.raises(ValueError, match=r"dt = -3\.14159 over the spectral span E_max - E_min = 1e\+202 "):
+            chebyshev_order(-math.pi, -0.5e202, 0.5e202)
+        for e_max in (2.0 * top, math.inf, math.nan):
+            with pytest.raises(ValueError, match="exceeds the cap of 10000000 terms per step"):
+                chebyshev_order(1.0, 0.0, e_max)
 
     def test_rejects_non_integer_order(self):
         # A float order once reached np.zeros in _bessel_j as a TypeError.
@@ -322,10 +322,12 @@ class TestChebyshevStep:
         ops = build_operators(params)
         dt = 0.37
         for n, m in ((0, -1.0), (2, 0.0), (5, 1.0)):
-            psi = basis_state(params.j, params.n_max, n, m)
-            out = chebyshev_step(ops, psi, dt)
+            # |n>|j,m> at the m-major, n-minor index (m+j)(n_max+1) + n
+            idx = int(m + params.j) * (params.n_max + 1) + n
+            amplitudes = np.zeros(ops.dim, dtype=complex)
+            amplitudes[idx] = 1.0
+            out = chebyshev_step(ops, QuantumState(amplitudes, params.j, params.n_max), dt)
             phase = np.exp(-1j * (params.omega * n + (params.omega0 + params.delta_phi) * m) * dt)
-            idx = basis_index(params.j, params.n_max, n, m)
             assert out.amplitudes[idx] == pytest.approx(phase * 1.0, abs=1e-12)
             assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -337,7 +339,7 @@ class TestChebyshevStep:
             ops = build_operators(params)
             bounds = spectral_bounds(ops.h_rot)
             for dt in (0.01, 0.1, 1.0):
-                u = scipy.linalg.expm(-1j * ops.h_rot.to_dense() * dt)
+                u = scipy.linalg.expm(-1j * kron_hamiltonian(j, 8, 1.0, 2.0) * dt)
                 for _ in range(3):
                     psi = random_state(rng, j, 8)
                     out = chebyshev_step(ops, psi, dt, bounds=bounds)
@@ -400,7 +402,7 @@ class TestEvolve:
 
     def test_parity_conserved_from_fock(self):
         params = ModelParams(lam=1.0, j=2.0, delta_phi=1.0, n_max=40)
-        psi0 = basis_state(params.j, params.n_max)
+        psi0 = coherent_state(0, 0, params.j, params.n_max)
         grid = np.linspace(0.0, 2 * math.pi, 100)
         traj = evolve(psi0, params, grid, driven=True)
         assert np.max(np.abs(traj.data["parity"] - 1.0)) < 1e-10
@@ -408,7 +410,7 @@ class TestEvolve:
     def test_norm_conserved_over_many_steps(self):
         params = ModelParams(lam=1.0, j=1.0, delta_phi=1.0, n_max=20)
         ops = build_operators(params)
-        psi = basis_state(params.j, params.n_max)
+        psi = coherent_state(0, 0, params.j, params.n_max)
         bounds = spectral_bounds(ops.h_rot)
         for _ in range(1000):
             psi = chebyshev_step(ops, psi, 0.05, bounds=bounds)
@@ -416,7 +418,7 @@ class TestEvolve:
 
     def test_grid_validation(self):
         params = ModelParams(lam=1.0, j=0.5, n_max=4, delta_phi=1.0)
-        psi0 = basis_state(0.5, 4)
+        psi0 = coherent_state(0, 0, 0.5, 4)
         with pytest.raises(ValueError, match="start at 0"):
             evolve(psi0, params, np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="uniform"):
@@ -431,7 +433,7 @@ class TestEvolve:
         # ProtocolSpec and evolve read one rule on observable names, so they
         # reject the same names with the same message.
         params = ModelParams(lam=1.0, j=0.5, n_max=4, delta_phi=1.0)
-        psi0 = basis_state(0.5, 4)
+        psi0 = coherent_state(0, 0, 0.5, 4)
         for names in ((), ("scaled_parity",), ("parity", "bogus"), ("parity", "parity")):
             with pytest.raises(ValueError) as spec_error:
                 ProtocolSpec(params=params, engine="quantum", initial="fock", observables=names)
@@ -477,14 +479,14 @@ class TestEvolve:
 class TestCoherentState:
     def test_vacuum_lowest_weight(self):
         state = coherent_state(0.0, 0.0, 2.0, 10)
-        idx = basis_index(2.0, 10, 0, -2.0)
-        assert state.amplitudes[idx] == pytest.approx(1.0)
+        # |0>|j,-j> sits at index 0
+        assert state.amplitudes[0] == pytest.approx(1.0)
         assert state.norm() == pytest.approx(1.0, abs=1e-14)
 
     def test_tiny_label_overlap_with_fock(self):
         state = coherent_state(1e-3, 1e-3, 10.0, 100)
-        fock = basis_state(10.0, 100)
-        assert abs(state.overlap(fock)) == pytest.approx(0.99999, abs=1e-5)
+        # <0, -j|alpha, zeta> is the amplitude at index 0
+        assert abs(state.amplitudes[0]) == pytest.approx(0.99999, abs=1e-5)
 
     def test_spin_jz_expectation_closed_form(self):
         zeta, j = 0.5, 4.0
@@ -512,6 +514,15 @@ class TestCoherentState:
     def test_rejects_non_finite_labels(self, alpha, zeta):
         # A NaN total made the truncation loss NaN, which passed the check.
         with pytest.raises(ValueError, match="must be finite"):
+            coherent_state(alpha, zeta, 1.0, 20)
+
+    @pytest.mark.parametrize(
+        "alpha, zeta, name", [(1e200, 0.0, "alpha"), (0.0, complex(1e100, 1e160), "zeta")]
+    )
+    def test_rejects_labels_whose_square_overflows(self, alpha, zeta, name):
+        # abs(alpha) ** 2 at |alpha| = 1e200 once raised OverflowError
+        # "(34, 'Numerical result out of range')", which named no label.
+        with pytest.raises(ValueError, match=rf"^\|{name}\|\^2 overflows the float range at {name} = "):
             coherent_state(alpha, zeta, 1.0, 20)
 
     def test_complex_labels_normalized(self):
@@ -555,9 +566,11 @@ class TestGroundState:
         ops = build_operators(params)
         h = ops.h_dicke
         if ops.dim <= 2000:
-            ref = scipy.linalg.eigh(h.to_dense(), eigvals_only=True, subset_by_index=(0, 0))[0]
+            ref = scipy.linalg.eigh(
+                kron_hamiltonian(j, n_max, lam, 1.0), eigvals_only=True, subset_by_index=(0, 0)
+            )[0]
         else:
-            op = scipy.sparse.linalg.LinearOperator(h.shape, matvec=h.apply, dtype=float)
+            op = scipy.sparse.linalg.LinearOperator((ops.dim, ops.dim), matvec=h.apply, dtype=float)
             ref = scipy.sparse.linalg.eigsh(
                 op, k=1, which="SA", v0=np.ones(ops.dim), return_eigenvectors=False
             )[0]
@@ -573,7 +586,7 @@ class TestGroundState:
         params = ModelParams(lam=lam, j=j, n_max=n_max)
         ops = build_operators(params)
         even = np.flatnonzero(ops.parity > 0)
-        ref = np.linalg.eigvalsh(ops.h_dicke.to_dense()[np.ix_(even, even)])[0]
+        ref = np.linalg.eigvalsh(kron_hamiltonian(j, n_max, lam, 1.0)[np.ix_(even, even)])[0]
         gs = ground_state(params, ops=ops)
         assert abs(gs.expectation(ops.h_dicke) - ref) <= 1e-12 * abs(ref)
         assert np.all(gs.amplitudes[ops.parity < 0] == 0.0)
@@ -601,9 +614,9 @@ class TestGroundState:
     def test_uncoupled_ground_state_exact(self):
         params = ModelParams(lam=0.0, j=1.5, n_max=6)
         state = ground_state(params)
-        idx = basis_index(1.5, 6, 0, -1.5)
-        assert abs(state.amplitudes[idx]) == pytest.approx(1.0, abs=1e-12)
-        assert state.amplitudes[idx].real > 0  # deterministic phase
+        # |0>|j,-j> sits at index 0
+        assert abs(state.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
+        assert state.amplitudes[0].real > 0  # deterministic phase
 
     def test_parity_pure_below_critical(self):
         params = ModelParams(lam=0.3, j=2.0, n_max=30)
@@ -809,30 +822,6 @@ class TestFrameInvariance:
 
 
 class TestStateBasics:
-    def test_basis_index_ordering(self):
-        # m-major, n-minor: index (m+j)*(n_max+1) + n
-        assert basis_index(1.0, 4, n=0, m=-1.0) == 0
-        assert basis_index(1.0, 4, n=4, m=-1.0) == 4
-        assert basis_index(1.0, 4, n=0, m=0.0) == 5
-        assert basis_index(1.0, 4, n=2, m=1.0) == 12
-
-    def test_bad_indices(self):
-        with pytest.raises(ValueError):
-            basis_index(1.0, 4, n=5, m=0.0)
-        with pytest.raises(ValueError):
-            basis_index(1.0, 4, n=0, m=2.0)
-
-    def test_off_ladder_m_rejected(self):
-        # m = 0.3 once gave the m = 0 index and m = -1.4 the m = -1 one, so
-        # basis_state built a state other than the one asked for.
-        for m in (0.3, -1.4, 0.5):
-            with pytest.raises(ValueError, match="ladder"):
-                basis_index(1.0, 5, 0, m)
-        with pytest.raises(ValueError, match="ladder"):
-            basis_state(1.0, 5, m=0.3)
-        assert basis_index(1.5, 5, 0, -0.5) == 6
-        assert basis_index(1.0, 5, 0, 1e-12) == 6
-
     def test_non_half_integer_j_rejected(self):
         # j = 1.3 passed the shape check, whose 2j + 1 = 3.6 rounds to 4.
         with pytest.raises(ValueError, match="half-integer"):
