@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import meanfield, quantum
-from .meanfield import _OBSERVABLES, CHUNK, Trajectory, _check_observables, check_grid
+from .meanfield import _OBSERVABLES, Trajectory, _check_observables, check_grid
 from .model import (
     ModelParams,
     check_count,
@@ -121,9 +121,6 @@ class ProtocolSpec:
     def t_final(self) -> float:
         return self.n_revolutions * 2.0 * math.pi / self.params.delta_phi
 
-    def time_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_final, self.sample_count)
-
 
 @dataclass(frozen=True)
 class SweepCell:
@@ -204,9 +201,14 @@ def _prepare(spec: ProtocolSpec) -> quantum.QuantumState:
     Left open, n_max grows by x1.5 from ``N_MAX_FLOOR`` until a ground
     state's top Fock row weighs under 1e-12, or a coherent start's loss is
     under ``quantum.TRUNCATION_TOL``, and stops with the ValueError of
-    :func:`quantum.checked_dim` before the dimension passes its cap.
+    :func:`quantum.checked_dim` before the dimension passes its cap.  An
+    open ground state first runs that ladder on its stationary-Dicke coherent
+    counterpart, with no eigensolve, and fails with that ladder's ValueError
+    when its photon number cannot fit.
     """
     fixed = spec.params.n_max is not None
+    if spec.initial == "ground_state" and not fixed:
+        _prepare(replace(spec, initial="stationary_dicke"))
     n_max = spec.params.n_max if fixed else N_MAX_FLOOR
     while True:
         quantum.checked_dim(spec.params.two_j, n_max)
@@ -235,41 +237,28 @@ def resolve_n_max(spec: ProtocolSpec, solved: list[quantum.QuantumState] | None 
 
 
 def run_protocol(spec: ProtocolSpec) -> Trajectory:
-    """Prepare the initial state, evolve it, and attach the observables.
+    """Prepare the initial state and run it through the spec's engine.
 
     A quantum run evolves the start that :func:`resolve_n_max` built.
     """
     if spec.engine == "meanfield":
-        alpha, zeta = _initial_labels(spec)
-        start = meanfield.point_from_coherent(alpha, zeta, spec.params.j)
-        traj = meanfield.integrate(
-            start,
-            spec.params,
-            spec.t_final,
-            sample_count=spec.sample_count,
-            tol=spec.rtol,
-            driven=spec.driven,
+        start = meanfield.point_from_coherent(*_initial_labels(spec), spec.params.j)
+        return meanfield.integrate(
+            start, spec.params, spec.t_final, spec.sample_count,
+            tol=spec.rtol, driven=spec.driven, observables=spec.observables,
         )
-        data = dict(traj.data)
-        coords = [data[name] for name in ("q1", "p1", "q2", "p2")]
-        for name in spec.observables:
-            observable = _OBSERVABLES[name].meanfield
-            column = np.empty(spec.sample_count)
-            for start in range(0, spec.sample_count, CHUNK):
-                part = slice(start, start + CHUNK)
-                column[part] = observable(*(c[part] for c in coords), spec.params.j)
-            data[name] = column
-        return replace(traj, data=data, observables=spec.observables)
-
     solved: list[quantum.QuantumState] = []
     params = replace(spec.params, n_max=resolve_n_max(spec, solved))
-    return quantum.evolve(solved[0], params, spec.time_grid(), observables=spec.observables, driven=spec.driven)
+    return quantum.evolve(
+        solved[0], params, spec.t_final, spec.sample_count,
+        observables=spec.observables, driven=spec.driven,
+    )
 
 
 def _run_cell(spec: ProtocolSpec, coords: tuple[float, ...]) -> SweepCell:
     try:
         traj = run_protocol(spec)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         return SweepCell(coords=coords, error=str(exc))
     final = {name: traj.final(name) for name in spec.observables}
     average = {name: traj.average(name) for name in spec.observables}

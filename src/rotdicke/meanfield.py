@@ -24,16 +24,17 @@ the float form).  Every tableau sum skips the entries that are exactly 0.0
 and adds the rest left to right, with no ``sum()``, whose rounding of floats
 changed in Python 3.12 (it is compensated from then on).
 
-The interpolant, :func:`integrate`'s boundary check and the observable
-columns of ``experiments.run_protocol`` are evaluated ``CHUNK`` samples at
-a time into preallocated arrays, with the operations and order of a
-whole-grid pass, so the bits do not depend on where the chunks fall.
-:func:`check_grid`, the library's one rule for a sample or sweep grid
-(1-D, nonempty, finite, strictly increasing), walks its grid the same way.
+The interpolant, and :func:`integrate`'s boundary check and observable
+columns, are evaluated ``CHUNK`` samples at a time into preallocated
+arrays, with the operations and order of a whole-grid pass, so the bits do
+not depend on where the chunks fall.
+:func:`check_grid`, the library's one rule for sweep axes and stored sample
+times (1-D, nonempty, finite, strictly increasing), walks them the same way.
 
 ``_OBSERVABLES`` defines each observable once: its mean-field form on the
 sampled coordinate arrays and its quantum expectation value, or None where
-only the mean field reports it.
+only the mean field reports it.  :func:`integrate` and ``quantum.evolve``
+fill their columns from it, on the grid of :func:`_sample_grid`.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ class _Observable(NamedTuple):
 
 
 # Every observable, defined once.  The names, and which engine reports which,
-# are read from here by _check_observables and the CLI.  The
+# are read from here by _check_observables.  The
 # quantum values of a^dag a and of the parity are invariant under the frame
 # rotation, so the co-rotating-frame expectation is the laboratory one.
 _OBSERVABLES = {
@@ -219,8 +220,8 @@ _OBSERVABLES = {
 
 
 def _check_observables(names, engine: str) -> None:
-    """ProtocolSpec's and quantum.evolve's rule on observable names: at least
-    one, each reported by ``engine``, none repeated."""
+    """The rule on observable names of ProtocolSpec and of both engines: at
+    least one, each reported by ``engine``, none repeated."""
     reported = [name for name, row in _OBSERVABLES.items() if engine == "meanfield" or row.quantum]
     unsupported = sorted(set(names) - set(reported))
     repeated = sorted({name for name in names if names.count(name) > 1})
@@ -373,6 +374,14 @@ def jacobi_integral(point: PhasePoint, t: float, params: ModelParams) -> float:
     )
 
 
+def _sample_grid(t_end: float, sample_count: int) -> np.ndarray:
+    """The sample times of a run of either engine: ``sample_count`` uniform
+    times from 0 to ``t_end``, both included."""
+    check_positive("t_end", t_end)
+    check_count("sample_count", sample_count, 2)
+    return np.linspace(0.0, t_end, sample_count)
+
+
 def integrate(
     start: PhasePoint,
     params: ModelParams,
@@ -380,6 +389,7 @@ def integrate(
     sample_count: int = 1000,
     tol: float = DEFAULT_RTOL,
     driven: bool = True,
+    observables: tuple[str, ...] = (),
 ) -> Trajectory:
     """Integrate the mean-field flow and sample it on a uniform grid.
 
@@ -389,10 +399,12 @@ def integrate(
     phase is 0 at the start, so ``start.t`` must be 0: a point built for
     another time would be integrated from the wrong phase.  Raises
     :class:`IntegrationError` when step control fails, which in practice
-    flags an approach to the q1^2+p1^2 -> 4j boundary.
+    flags an approach to the q1^2+p1^2 -> 4j boundary.  The trajectory holds
+    q1, p1, q2, p2 and the mean-field column of each of the ``observables``.
     """
-    check_positive("t_end", t_end)
-    check_count("sample_count", sample_count, 2)
+    t_grid = _sample_grid(t_end, sample_count)
+    if observables:
+        _check_observables(observables, "meanfield")
     if start.t != 0.0:
         raise ValueError(f"start.t must be 0 (the drive phase starts at 0), got {start.t}")
     y0 = (start.q1, start.p1, start.q2, start.p2)
@@ -405,7 +417,6 @@ def integrate(
             f"start violates q1^2+p1^2 < 4j: {r2} >= {four_j}"
         )
     drive = params.delta_phi if driven else 0.0
-    t_grid = np.linspace(0.0, t_end, sample_count)
     q1, p1, q2, p2 = _dop853(_flow(params, drive), y0, t_grid, tol, DEFAULT_ATOL)
     for start in range(0, sample_count, CHUNK):
         part = slice(start, start + CHUNK)
@@ -416,12 +427,20 @@ def integrate(
                 float(t_grid[start + bad[0]]),
                 "sampled point violates q1^2+p1^2 <= 4j; step control failed",
             )
+    data = {"q1": q1, "p1": p1, "q2": q2, "p2": p2}
+    for name in observables:
+        observable = _OBSERVABLES[name].meanfield
+        data[name] = column = np.empty(sample_count)
+        for start in range(0, sample_count, CHUNK):
+            part = slice(start, start + CHUNK)
+            column[part] = observable(q1[part], p1[part], q2[part], p2[part], params.j)
     return Trajectory(
         params=params,
         engine="meanfield",
         driven=driven,
         times=t_grid,
-        data={"q1": q1, "p1": p1, "q2": q2, "p2": p2},
+        data=data,
+        observables=tuple(observables),
     )
 
 

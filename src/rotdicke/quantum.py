@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import _OBSERVABLES, Trajectory, _check_observables, check_grid
+from .meanfield import _OBSERVABLES, Trajectory, _check_observables, _sample_grid
 from .model import ModelParams, check_count, check_finite, check_spin
 
 __all__ = [
@@ -485,50 +485,40 @@ def chebyshev_step(
 def evolve(
     psi0: QuantumState,
     params: ModelParams,
-    t_grid,
+    t_end: float,
+    sample_count: int = 1000,
     observables: tuple[str, ...] = ("mean_photon_scaled", "parity"),
     driven: bool = True,
-    ops: OperatorSet | None = None,
 ) -> Trajectory:
-    """Propagate ``psi0`` on a uniform time grid and record expectation values.
+    """Propagate ``psi0``, one :func:`chebyshev_step` per sample interval, and
+    record expectation values at ``sample_count`` uniform times from 0 to
+    ``t_end``, as :func:`rotdicke.meanfield.integrate` samples.
 
     ``observables`` are the names with a quantum evaluator in the observable
     table of :mod:`rotdicke.meanfield`: ``mean_photon_scaled`` (<a^dag a>/j)
     and ``parity`` (<Pi>).
     """
-    t = check_grid("t_grid", t_grid)
-    if t[0] != 0.0:
-        raise ValueError(f"t_grid must start at 0, got {t[0]}")
-    steps = np.diff(t)
-    if steps.size and np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
-        raise ValueError("t_grid must be uniform")
+    t = _sample_grid(t_end, sample_count)
     _check_observables(observables, "quantum")
-
-    if ops is None:
-        ops = build_operators(params)
+    ops = build_operators(params)
     if psi0.j != ops.j or psi0.n_max != ops.n_max:
         raise ValueError("state and operator basis descriptors disagree")
 
     h = ops.h_rot if driven else ops.h_dicke
     bounds = spectral_bounds(h)
+    dt = float(t[1] - t[0])
+    order = chebyshev_order(dt, *bounds)
+    coeffs = chebyshev_coefficients(dt, *bounds, order)
 
     columns: dict[str, list[float]] = {name: [] for name in observables}
-
-    def measure(state: QuantumState) -> None:
-        for name, column in columns.items():
-            column.append(_OBSERVABLES[name].quantum(ops, state))
-
     psi = psi0
-    measure(psi)
-    if t.size > 1:
-        dt = float(t[1] - t[0])
-        order = chebyshev_order(dt, *bounds)
-        coeffs = chebyshev_coefficients(dt, *bounds, order)
-        for _ in range(t.size - 1):
+    for step in range(sample_count):
+        if step:
             psi = chebyshev_step(
                 ops, psi, dt, driven=driven, bounds=bounds, order=order, coefficients=coeffs
             )
-            measure(psi)
+        for name, column in columns.items():
+            column.append(_OBSERVABLES[name].quantum(ops, psi))
 
     return Trajectory(
         params=params,

@@ -84,8 +84,8 @@ def test_c03_frame_change_oracle():
     v = rng.normal(size=ops.dim) + 1j * rng.normal(size=ops.dim)
     v /= np.linalg.norm(v)
     psi0 = QuantumState(v, params.j, params.n_max)
-    grid = np.linspace(0.0, 2 * math.pi, 41)
-    rot = evolve(psi0, params, grid, observables=("mean_photon_scaled",), ops=ops)
+    rot = evolve(psi0, params, 2 * math.pi, 41, observables=("mean_photon_scaled",))
+    grid = rot.times
 
     jp = np.zeros((params.two_j + 1, params.two_j + 1))
     m_vals = np.arange(params.two_j + 1) - params.j
@@ -117,13 +117,11 @@ def test_c04_parity_conservation():
     worst = 0.0
     for lam in (0.3, 1.0):
         params = ModelParams(lam=lam, j=10.0, delta_phi=1.0, n_max=100)
-        ops = build_operators(params)
-        grid = np.linspace(0.0, 3 * 2 * math.pi, 121)
         for label, psi0 in (
             ("fock", coherent_state(0, 0, params.j, params.n_max)),
-            ("ground state", ground_state(params, ops=ops)),
+            ("ground state", ground_state(params)),
         ):
-            traj = evolve(psi0, params, grid, observables=("parity",), ops=ops)
+            traj = evolve(psi0, params, 3 * 2 * math.pi, 121, observables=("parity",))
             col = traj.data["parity"]
             worst = max(worst, float(np.max(np.abs(col - col[0]))))
             if label == "fock":

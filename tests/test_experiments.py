@@ -300,6 +300,34 @@ class TestRunProtocol:
             tracemalloc.stop()
         assert peak < 16e6
 
+    @pytest.mark.parametrize(
+        "omega, message",
+        [
+            (1e-200, "|alpha|^2 overflows the float range at alpha = 1.41421e+200+0j"),
+            (1e-3, "basis dimension (n_max+1)(2j+1) = 296463 exceeds the cap 200000"),
+        ],
+        ids=["overflow", "cap"],
+    )
+    def test_open_ground_state_that_cannot_fit_fails_before_lanczos(self, monkeypatch, omega, message):
+        # <a^dag a> ~ (lam/omega)^2 never fits.  Such a run once grew n_max
+        # to the dimension cap with a Lanczos run at every size (~20 s);
+        # the stationary-Dicke start's ladder refuses it with no eigensolve.
+        from rotdicke import quantum
+
+        def no_lanczos(*args):
+            raise AssertionError("Lanczos ran")
+
+        monkeypatch.setattr(quantum, "_lowest_eigenvector", no_lanczos)
+        spec = mf_spec(
+            engine="quantum",
+            initial="ground_state",
+            params=ModelParams(lam=1.0, j=1.0, delta_phi=1.0, omega=omega),
+            sample_count=3,
+        )
+        with pytest.raises(ValueError) as excinfo:
+            run_protocol(spec)
+        assert str(excinfo.value) == message
+
     def test_quantum_sweep_smoke(self):
         spec = mf_spec(
             engine="quantum",
@@ -386,6 +414,17 @@ class TestSweeps:
         assert by_lam[0.3].error is None
         assert by_lam[0.9].error is not None
         assert "scaled parity" in by_lam[0.9].error
+
+    def test_arithmetic_error_is_a_tagged_cell(self):
+        # At lam = 1e-170 and omega = omega0 = 1e-200 the stationary-Dicke
+        # labels divide Omega0 by 4 lam^2, both underflowed to 0: a
+        # ZeroDivisionError that once ended the whole sweep.
+        params = ModelParams(lam=1e-170, omega=1e-200, omega0=1e-200, delta_phi=1.0, j=1.0)
+        result = sweep_lambda(ProtocolSpec(params=params, sample_count=3), [0.0, 1e-170])
+        first, second = result.cells
+        assert first.error is None
+        assert first.final == {"mean_photon_scaled": 0.0, "parity": 1.0}
+        assert second.error == "float division by zero"
 
     def test_values_kind_is_average_or_final(self):
         result = sweep_lambda(mf_spec(initial="stationary_dicke", sample_count=100), [1.5])

@@ -30,7 +30,8 @@ from rotdicke import (
     sweep_lambda,
     time_average,
 )
-from rotdicke import build_operators, coherent_state, meanfield
+from rotdicke import build_operators, coherent_state, evolve, meanfield
+from rotdicke.model import check_count, check_positive
 
 from closed_forms import mean_photon_scaled, parity_meanfield, scaled_parity_meanfield
 
@@ -353,6 +354,27 @@ class TestIntegrate:
         with pytest.raises(IntegrationError, match="boundary") as excinfo:
             integrate(start, params, 5.0, sample_count=50, tol=1e-6)
         assert excinfo.value.t >= 0.0
+
+
+@pytest.mark.parametrize("engine", ["meanfield", "quantum"])
+def test_both_engines_reject_a_bad_run_alike(engine):
+    # Both engines build their sample grid through one helper, so a bad
+    # t_end or sample_count fails with the message of the model's own rule.
+    params = ModelParams(lam=1.0, j=0.5, delta_phi=1.0, n_max=4)
+    if engine == "meanfield":
+        def run(t_end, sample_count):
+            integrate(PhasePoint(0.1, 0, 0, 0), params, t_end, sample_count)
+    else:
+        def run(t_end, sample_count):
+            evolve(coherent_state(0, 0, 0.5, 4), params, t_end, sample_count)
+    cases = [(t_end, 2, lambda v=t_end: check_positive("t_end", v)) for t_end in (0.0, -1.0, math.nan, math.inf)]
+    cases += [(1.0, n, lambda v=n: check_count("sample_count", v, 2)) for n in (1, 2.5, True)]
+    for t_end, sample_count, rule in cases:
+        with pytest.raises(ValueError) as expected:
+            rule()
+        with pytest.raises(ValueError) as raised:
+            run(t_end, sample_count)
+        assert str(raised.value) == str(expected.value), (t_end, sample_count)
 
 
 class TestDop853:
@@ -736,7 +758,7 @@ class TestObservables:
                 table_value("scaled_parity", PhasePoint(q1, 0, 0, 0), j)
 
     def test_scaled_parity_domain_error_in_a_later_chunk(self):
-        # run_protocol fills the observable columns CHUNK samples at a time;
+        # integrate fills the observable columns CHUNK samples at a time;
         # an offending sample past the first chunk still raises.
         chunk = meanfield.CHUNK
         spec = ProtocolSpec(
@@ -752,6 +774,22 @@ class TestObservables:
         assert chunk < first < 2 * chunk
         with pytest.raises(ValueError, match="2j\\^2"):
             run_protocol(replace(spec, observables=("parity", "scaled_parity")))
+
+    def test_integrate_columns_are_the_table_on_its_coordinates(self):
+        # integrate evaluates its columns CHUNK samples at a time; each is
+        # bit-equal to the table row evaluated once on the whole returned
+        # coordinate arrays.  At j = 2 the domain 4j of the flow lies inside
+        # the 2j^2 of the scaled parity.
+        names = tuple(meanfield._OBSERVABLES)
+        params = ModelParams(lam=1.0, j=2.0, delta_phi=1.0)
+        samples = 3 * meanfield.CHUNK + 1
+        traj = integrate(PhasePoint(1.2, -0.7, 0.5, 0.2), params, 8.0, samples, observables=names)
+        assert traj.observables == names
+        assert list(traj.data) == ["q1", "p1", "q2", "p2", *names]
+        coords = [traj.data[name] for name in ("q1", "p1", "q2", "p2")]
+        for name in names:
+            whole = meanfield._OBSERVABLES[name].meanfield(*coords, params.j)
+            assert traj.data[name].tobytes() == whole.tobytes(), name
 
     def test_quantum_entries_match_meanfield_on_coherent_states(self):
         # <O> in |alpha>|zeta> equals the mean-field value at the point the

@@ -663,6 +663,5 @@ def test_evolve_conserves_norm_and_parity(driven, run):
         after = chebyshev_step(ops, state, dt, driven=driven)
         assert abs(after.norm() - state.norm()) <= 1e-12
         state = after
-    grid = dt * np.arange(steps + 1)
-    parity = evolve(psi, params, grid, observables=("parity",), driven=driven, ops=ops).data["parity"]
+    parity = evolve(psi, params, dt * steps, steps + 1, observables=("parity",), driven=driven).data["parity"]
     assert np.max(np.abs(parity - parity[0])) <= 1e-10

@@ -21,6 +21,8 @@ from rotdicke import (
     evolve,
     ground_state,
     initial_state_params,
+    integrate,
+    point_from_coherent,
     spectral_bounds,
     stationary_photon_scaled,
 )
@@ -394,8 +396,7 @@ class TestEvolve:
     def test_stationary_state_constant_observables(self):
         params = ModelParams(lam=0.8, j=1.0, delta_phi=1.0, n_max=30)
         psi0 = ground_state(params)
-        grid = np.linspace(0.0, 5.0, 40)
-        traj = evolve(psi0, params, grid, driven=False)
+        traj = evolve(psi0, params, 5.0, 40, driven=False)
         for name in ("mean_photon_scaled", "parity"):
             col = traj.data[name]
             assert np.max(np.abs(col - col[0])) < 1e-9
@@ -403,8 +404,7 @@ class TestEvolve:
     def test_parity_conserved_from_fock(self):
         params = ModelParams(lam=1.0, j=2.0, delta_phi=1.0, n_max=40)
         psi0 = coherent_state(0, 0, params.j, params.n_max)
-        grid = np.linspace(0.0, 2 * math.pi, 100)
-        traj = evolve(psi0, params, grid, driven=True)
+        traj = evolve(psi0, params, 2 * math.pi, 100, driven=True)
         assert np.max(np.abs(traj.data["parity"] - 1.0)) < 1e-10
 
     def test_norm_conserved_over_many_steps(self):
@@ -419,27 +419,32 @@ class TestEvolve:
     def test_grid_validation(self):
         params = ModelParams(lam=1.0, j=0.5, n_max=4, delta_phi=1.0)
         psi0 = coherent_state(0, 0, 0.5, 4)
-        with pytest.raises(ValueError, match="start at 0"):
-            evolve(psi0, params, np.array([1.0, 2.0]))
-        with pytest.raises(ValueError, match="uniform"):
-            evolve(psi0, params, np.array([0.0, 1.0, 3.0]))
         for names in (("scaled_parity",), ("parity", "bogus")):
             with pytest.raises(ValueError, match="unsupported quantum observables"):
-                evolve(psi0, params, np.array([0.0, 1.0]), observables=names)
+                evolve(psi0, params, 1.0, 2, observables=names)
         with pytest.raises(ValueError, match=r"repeated observables: \['parity'\]"):
-            evolve(psi0, params, np.array([0.0, 1.0]), observables=("parity", "mean_photon_scaled", "parity"))
+            evolve(psi0, params, 1.0, 2, observables=("parity", "mean_photon_scaled", "parity"))
 
     def test_same_name_rule_as_protocol_spec(self):
-        # ProtocolSpec and evolve read one rule on observable names, so they
-        # reject the same names with the same message.
+        # ProtocolSpec and both engines read one rule on observable names, so
+        # they reject the same names with the same message.  No names is
+        # integrate's run of the coordinates alone, so only evolve rejects it.
         params = ModelParams(lam=1.0, j=0.5, n_max=4, delta_phi=1.0)
         psi0 = coherent_state(0, 0, 0.5, 4)
-        for names in ((), ("scaled_parity",), ("parity", "bogus"), ("parity", "parity")):
-            with pytest.raises(ValueError) as spec_error:
-                ProtocolSpec(params=params, engine="quantum", initial="fock", observables=names)
-            with pytest.raises(ValueError) as evolve_error:
-                evolve(psi0, params, np.array([0.0, 1.0]), observables=names)
-            assert str(spec_error.value) == str(evolve_error.value), names
+        start = point_from_coherent(0, 0, 0.5)
+        for engine, run in (
+            ("quantum", lambda names: evolve(psi0, params, 1.0, 2, observables=names)),
+            ("meanfield", lambda names: integrate(start, params, 1.0, 2, observables=names)),
+        ):
+            cases = [("parity", "bogus"), ("parity", "parity"), ("bogus", "bogus")]
+            if engine == "quantum":
+                cases += [(), ("scaled_parity",)]
+            for names in cases:
+                with pytest.raises(ValueError) as spec_error:
+                    ProtocolSpec(params=params, engine=engine, initial="fock", observables=names)
+                with pytest.raises(ValueError) as run_error:
+                    run(names)
+                assert str(spec_error.value) == str(run_error.value), (engine, names)
 
     @pytest.mark.parametrize("driven", [False, True], ids=["undriven", "driven"])
     def test_energy_conserved_over_many_steps(self, driven):
@@ -470,8 +475,7 @@ class TestEvolve:
             params = ModelParams(lam=1.0, j=2.0, delta_phi=1.0, n_max=n_max)
             alpha, zeta = initial_state_params("stationary_dicke", params)
             psi0 = coherent_state(alpha, zeta, params.j, params.n_max)
-            grid = np.linspace(0.0, 2 * math.pi, 120)
-            traj = evolve(psi0, params, grid, observables=("mean_photon_scaled",), driven=True)
+            traj = evolve(psi0, params, 2 * math.pi, 120, observables=("mean_photon_scaled",), driven=True)
             results[n_max] = traj.data["mean_photon_scaled"][-1]
         assert abs(results[100] - results[125]) < 1e-8
 
@@ -792,8 +796,8 @@ class TestFrameInvariance:
         ops = build_operators(params)
         rng = np.random.default_rng(42)
         psi0 = random_state(rng, params.j, params.n_max)
-        grid = np.linspace(0.0, 2 * math.pi, 41)
-        traj = evolve(psi0, params, grid, observables=("mean_photon_scaled",), ops=ops)
+        traj = evolve(psi0, params, 2 * math.pi, 41, observables=("mean_photon_scaled",))
+        grid = traj.times
 
         jp = np.zeros((params.two_j + 1, params.two_j + 1))
         m_vals = np.arange(params.two_j + 1) - params.j
