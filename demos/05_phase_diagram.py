@@ -39,11 +39,10 @@ result = phase_diagram(spec, lam_values, dphi_values)
 print("rows: lambda (down), columns: delta_phi (right); '#' nonzero, '.' zero")
 header = "        " + "".join(f"{d:6.2f}" for d in dphi_values)
 print(header)
-grid = result.values("mean_photon_scaled")
-for i, lam in enumerate(lam_values):
-    cells = "".join(
-        "     #" if grid[i, k] > 1e-3 else "     ." for k in range(len(dphi_values))
-    )
+# Cells run lambda major, delta_phi minor; each carries its region tag.
+rows = np.reshape(result.cells, (len(lam_values), len(dphi_values)))
+for lam, row in zip(lam_values, rows):
+    cells = "".join("     #" if cell.region == "nonzero" else "     ." for cell in row)
     print(f"{lam:6.2f}  {cells}")
 print("\nrotated critical coupling per velocity:",
       np.round(result.overlays["lambda_c_rot"], 3))

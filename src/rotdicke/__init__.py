@@ -18,6 +18,7 @@ from .model import (
     excitation_energy_np,
     excitation_energy_srp,
     fixed_points,
+    initial_state_params,
     rotated_critical_coupling,
     stationary_photon_scaled,
 )
@@ -44,7 +45,7 @@ from .quantum import (
     coherent_state,
     evolve,
     ground_state,
-    initial_state_params,
+    initial_state,
     spectral_bounds,
 )
 from .experiments import (

@@ -2,8 +2,11 @@
 
 A protocol picks an engine (mean-field or finite-size), one of the
 initial-state preparations, and whether the rotation is switched on at
-t=0.  The final time is always t_f = n_revolutions * 2 pi / delta_phi;
-undriven comparison runs keep the same t_f, using delta_phi only to fix it.
+t=0.  It only picks the start: the labels come from
+:func:`rotdicke.model.initial_state_params`, a quantum start and its n_max
+from :func:`rotdicke.quantum.initial_state`.  The final time is always
+t_f = n_revolutions * 2 pi / delta_phi; undriven comparison runs keep the
+same t_f, using delta_phi only to fix it.
 Sweeps repeat a protocol over parameter grids, recording final-time and
 time-averaged observables per cell; a failed cell is tagged with its error
 instead of aborting the grid.  The coupling sweep, the velocity sweep and
@@ -32,6 +35,7 @@ from .model import (
     dynamical_critical_fit,
     excitation_energy_np,
     excitation_energy_srp,
+    initial_state_params,
     rotated_critical_coupling,
 )
 
@@ -67,8 +71,6 @@ OBSERVABLES = tuple(_OBSERVABLES)
 # ("nonzero") phase-diagram region; separates integrator noise from
 # super-radiant values at desk scale.
 NONZERO_THRESHOLD = 1e-3
-
-N_MAX_FLOOR = 100
 
 
 @dataclass(frozen=True)
@@ -188,49 +190,17 @@ class Spectrum:
 
 def _initial_labels(spec: ProtocolSpec) -> tuple[complex, complex]:
     if spec.initial == "explicit":
-        return complex(spec.alpha), complex(spec.zeta)
-    alpha, zeta = quantum.initial_state_params(spec.initial, spec.params, spec.epsilon)
-    return complex(alpha), complex(zeta)
-
-
-def _prepare(spec: ProtocolSpec) -> quantum.QuantumState:
-    """The initial state of a quantum run, built at the n_max it fixes.
-
-    A fixed n_max is taken as given: a ground state unchecked, a coherent
-    start through the truncation check of :func:`quantum.coherent_state`.
-    Left open, n_max grows by x1.5 from ``N_MAX_FLOOR`` until a ground
-    state's top Fock row weighs under 1e-12, or a coherent start's loss is
-    under ``quantum.TRUNCATION_TOL``, and stops with the ValueError of
-    :func:`quantum.checked_dim` before the dimension passes its cap.  An
-    open ground state first runs that ladder on its stationary-Dicke coherent
-    counterpart, with no eigensolve, and fails with that ladder's ValueError
-    when its photon number cannot fit.
-    """
-    fixed = spec.params.n_max is not None
-    if spec.initial == "ground_state" and not fixed:
-        _prepare(replace(spec, initial="stationary_dicke"))
-    n_max = spec.params.n_max if fixed else N_MAX_FLOOR
-    while True:
-        quantum.checked_dim(spec.params.two_j, n_max)
-        if spec.initial == "ground_state":
-            state = quantum.ground_state(replace(spec.params, n_max=n_max))
-            if fixed or quantum._top_row_weight(state) < 1e-12:
-                return state
-        elif fixed:
-            return quantum.coherent_state(*_initial_labels(spec), spec.params.j, n_max)
-        else:
-            state, loss = quantum._coherent_start(*_initial_labels(spec), spec.params.j, n_max)
-            if loss < quantum.TRUNCATION_TOL:
-                return state
-        n_max = int(math.ceil(n_max * 1.5))
+        return spec.alpha, spec.zeta
+    return initial_state_params(spec.initial, spec.params, spec.epsilon)
 
 
 def resolve_n_max(spec: ProtocolSpec, solved: list[quantum.QuantumState] | None = None) -> int:
-    """Boson truncation of a quantum run: the n_max at which :func:`_prepare` builds its start.
+    """Boson truncation of a quantum run: the n_max at which :func:`quantum.initial_state` builds its start.
 
     The start, built for a fixed n_max too, is appended to ``solved`` when given.
     """
-    state = _prepare(spec)
+    labels = None if spec.initial == "ground_state" else _initial_labels(spec)
+    state = quantum.initial_state(spec.params, labels)
     if solved is not None:
         solved.append(state)
     return state.n_max

@@ -159,9 +159,9 @@ def _table(result) -> tuple[list[str], list]:
         if len(result.axes) == 2:
             # Overlays run along the minor (velocity) axis: one copy per major value.
             n_major = len(result.axes[0][1])
-            for name in ("lambda_c_rot", "lambda_c_dyn"):
+            for name, values in result.overlays.items():
                 header.append(name)
-                columns.append(np.tile(np.asarray(result.overlays[name], dtype=float), n_major))
+                columns.append(np.tile(np.asarray(values, dtype=float), n_major))
             header.append("region")
             columns.append([c.region for c in cells])
         return header + ["error"], columns + [[c.error for c in cells]]

@@ -540,6 +540,7 @@ def _dop853(f, y, t_grid, rtol, atol):
     hold four times the scratch per chunk.
     """
     grid = memoryview(t_grid)  # items are Python floats; bisect reads it in place
+    linecache.cache.setdefault(_STEPS_FILENAME, _STEPS_ENTRY)
     k0 = f(0.0, *y)
     h_abs = _initial_step(f, y, k0, grid[-1], rtol, atol)
     dense, ends = _steps(f, y, k0, h_abs, grid, rtol, atol)
@@ -854,9 +855,11 @@ def _steps_source() -> str:
 
 # Compiled into this module's namespace, so _steps reads the module's globals
 # as hand-written code would, and registered with linecache, so tracebacks,
-# profiles and inspect.getsource show its lines.
+# profiles and inspect.getsource show its lines (again at each _dop853 run:
+# linecache.clearcache() drops the entry before Python 3.13).
 _STEPS_FILENAME = "<rotdicke.meanfield._steps>"
 _source = _steps_source()
-linecache.cache[_STEPS_FILENAME] = (len(_source), None, _source.splitlines(True), _STEPS_FILENAME)
+_STEPS_ENTRY = (len(_source), None, _source.splitlines(True), _STEPS_FILENAME)
+linecache.cache[_STEPS_FILENAME] = _STEPS_ENTRY
 exec(compile(_source, _STEPS_FILENAME, "exec"), globals())
 del _source

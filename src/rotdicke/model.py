@@ -1,4 +1,4 @@
-"""Model parameters, critical lines, excitation energies and mean-field fixed points.
+"""Model parameters, critical lines, excitation energies, fixed points and start labels.
 
 Conventions (hbar = 1):
 - ``omega0`` is the atomic level splitting, ``omega`` the field frequency,
@@ -6,7 +6,8 @@ Conventions (hbar = 1):
   ``delta_phi`` the velocity of the rotation applied around the z axis,
   phi(t) = delta_phi * t.  ``delta_phi = 0`` is the undriven model.
 - The equilibrium critical coupling is sqrt(omega*omega0)/2; under rotation
-  it shifts to sqrt(omega*(omega0 + delta_phi))/2.
+  it shifts to sqrt(omega*(omega0 + delta_phi))/2.  Above it one closed form
+  (:func:`_stationary`) gives the stationary starts' labels, c2/c3 and <n>/j.
 
 Each scalar argument rule is spelled once: check_finite, check_positive,
 check_nonnegative, check_count, check_spin.  Errors lead with the argument's name.
@@ -34,6 +35,7 @@ __all__ = [
     "fixed_points",
     "dynamical_critical_fit",
     "stationary_photon_scaled",
+    "initial_state_params",
 ]
 
 # Width of the knife-edge window around the critical point: couplings with
@@ -145,15 +147,15 @@ class FixedPoint:
     stable: bool
 
 
-def _closed_form(name: str, formula, **args: float) -> float:
-    """``formula(sqrt, **args)`` as a float, or a ValueError.
+def _closed_form(name: str, formula, **args: float):
+    """``formula(sqrt, **args)`` as a float or a tuple of floats, or a ValueError.
 
     With every nonzero argument inside ``_FLOAT_RANGE`` the expression runs
     on floats with :func:`math.sqrt`, so its bits stay those of the plain
     float code.  Otherwise it runs on 40-digit Decimals with
-    ``Decimal.sqrt`` and is rounded once; a value outside the normal float
-    range is a ValueError naming the argument farthest from 1.  ``formula``
-    may return a float 0.0 or None (off its branch) from either path.
+    ``Decimal.sqrt`` and is rounded once per value; a value outside the
+    normal float range is a ValueError naming the argument farthest from 1.
+    ``formula`` may return 0.0 or None (off its branch) from either path.
     """
     low, high = _FLOAT_RANGE
     if all(v == 0.0 or low <= abs(v) <= high for v in args.values()):
@@ -162,27 +164,21 @@ def _closed_form(name: str, formula, **args: float) -> float:
 
     with decimal.localcontext(decimal.Context(prec=40, Emin=-(10**6), Emax=10**6)):
         wide = formula(decimal.Decimal.sqrt, **{key: decimal.Decimal(v) for key, v in args.items()})
-    value = None if wide is None else float(wide)
-    if wide and not sys.float_info.min <= abs(value) < math.inf:
+    parts = wide if isinstance(wide, tuple) else (wide,)
+    values = tuple(None if part is None else float(part) for part in parts)
+    if any(part and not sys.float_info.min <= abs(value) < math.inf for part, value in zip(parts, values)):
         key = max(args, key=lambda k: abs(math.frexp(args[k])[1]))
         raise ValueError(f"{key} = {args[key]!r} puts {name} outside the float range")
-    return value
+    return values if isinstance(wide, tuple) else values[0]
 
 
 def critical_coupling(omega: float, omega0: float) -> float:
-    """Equilibrium critical coupling sqrt(omega*omega0)/2."""
-    check_positive("omega", omega)
-    check_positive("omega0", omega0)
-    return _closed_form(
-        "critical_coupling", lambda sqrt, omega, omega0: sqrt(omega * omega0) / 2, omega=omega, omega0=omega0
-    )
+    """Equilibrium critical coupling sqrt(omega*omega0)/2, the rotated one at delta_phi = 0."""
+    return rotated_critical_coupling(omega, omega0, 0.0)
 
 
 def rotated_critical_coupling(omega: float, omega0: float, delta_phi: float) -> float:
-    """Critical coupling of the rotated model, sqrt(omega*(omega0+delta_phi))/2.
-
-    Reduces to :func:`critical_coupling` at delta_phi = 0.
-    """
+    """Critical coupling of the rotated model, sqrt(omega*(omega0+delta_phi))/2."""
     check_positive("omega", omega)
     check_positive("omega0", omega0)
     check_finite("delta_phi", delta_phi)
@@ -311,24 +307,22 @@ def fixed_points(params: ModelParams, t: float = 0.0) -> tuple[FixedPoint, Fixed
         stable=lam < lam_c,
     )
     if lam >= lam_c and lam > 0.0:
-        big_omega = params.omega * (params.omega0 + params.delta_phi)
-        ratio = big_omega / (4.0 * lam * lam)
-        # Clamp O(eps) negatives exactly on the critical line.
-        amp = math.sqrt(2.0 * params.j * max(1.0 - ratio, 0.0))
-        q2 = (2.0 * lam / params.omega) * math.sqrt(
-            params.j * max(1.0 - ratio * ratio, 0.0)
-        )
+        # c2 is the stationary circle's coherent start, mapped to a point as
+        # meanfield.point_from_coherent maps it and turned by phi.
+        alpha, zeta = initial_state_params("stationary_circle", params)
+        radius = 2.0 * math.sqrt(params.j / (1.0 + zeta * zeta)) * zeta
+        q2 = math.sqrt(2.0) * alpha
         cos_phi, sin_phi = math.cos(phi), math.sin(phi)
         stable = lam > lam_c
         c2 = FixedPoint(
             label="c2",
-            point=PhasePoint(-amp * cos_phi, -amp * sin_phi, q2, 0.0, t),
+            point=PhasePoint(radius * cos_phi, radius * sin_phi, q2, 0.0, t),
             real=True,
             stable=stable,
         )
         c3 = FixedPoint(
             label="c3",
-            point=PhasePoint(amp * cos_phi, amp * sin_phi, -q2, 0.0, t),
+            point=PhasePoint(-radius * cos_phi, -radius * sin_phi, -q2, 0.0, t),
             real=True,
             stable=stable,
         )
@@ -360,17 +354,50 @@ def stationary_photon_scaled(
 
     (1/2)(2 lam/omega)^2 [1 - (Omega/(4 lam^2))^2] with
     Omega = omega*(omega0+delta_phi) above the rotated critical coupling,
-    0 below it.
+    0 below it: |alpha|^2/j of the stationary circle's coherent start.
     """
     check_nonnegative("lam", lam)
     lam_c = rotated_critical_coupling(omega, omega0, delta_phi)
     if lam < lam_c or lam == 0.0:
         return 0.0
     return _closed_form(
-        "stationary_photon_scaled", _photons, omega=omega, omega0=omega0, lam=lam, delta_phi=delta_phi
+        "stationary_photon_scaled",
+        lambda sqrt, **args: _stationary(sqrt, **args, j=1)[0] ** 2,
+        omega=omega, omega0=omega0, lam=lam, delta_phi=delta_phi,
     )
 
 
-def _photons(sqrt, omega, omega0, lam, delta_phi):
-    ratio = omega * (omega0 + delta_phi) / (4 * lam * lam)
-    return (2 * lam / omega) ** 2 / 2 * max(1 - ratio * ratio, 0)
+def initial_state_params(
+    kind: str, params: ModelParams, epsilon: float | None = None
+) -> tuple[float, float]:
+    """Coherent-state labels (alpha, zeta) for the named preparation.
+
+    ``stationary_dicke`` and ``stationary_circle`` are the stationary states
+    (c2 at t = 0) of the undriven and of the rotated model, (0, 0) below its
+    critical coupling.  ``fock`` is (0, 0), ``nearly_fock`` (10^-epsilon, 10^-epsilon).
+    """
+    if kind == "fock":
+        return 0.0, 0.0
+    if kind == "nearly_fock":
+        if epsilon is None:
+            raise ValueError("nearly_fock requires epsilon")
+        return 10.0**-epsilon, 10.0**-epsilon
+    if kind not in ("stationary_dicke", "stationary_circle"):
+        raise ValueError(f"unknown initial-state kind {kind!r}")
+    delta_phi = params.delta_phi if kind == "stationary_circle" else 0.0
+    if params.lam == 0.0 or params.lam < rotated_critical_coupling(params.omega, params.omega0, delta_phi):
+        return 0.0, 0.0
+    return _closed_form(
+        f"the {kind} labels", _stationary,
+        omega=params.omega, omega0=params.omega0, lam=params.lam, delta_phi=delta_phi, j=params.j,
+    )
+
+
+def _stationary(sqrt, omega, omega0, lam, delta_phi, j):
+    """(alpha, zeta) of the stationary state, Omega = omega*(omega0+delta_phi), lam >= sqrt(Omega)/2."""
+    big_omega = omega * (omega0 + delta_phi)
+    ratio = big_omega / (4 * lam * lam)
+    # Clamp O(eps) negatives exactly on the critical line.
+    alpha = (2 * lam / omega) * sqrt(j * max(1 - ratio * ratio, 0) / 2)
+    zeta = -sqrt(max(4 * lam * lam - big_omega, 0) / (4 * lam * lam + big_omega))
+    return alpha, zeta

@@ -32,19 +32,20 @@ the deterministic Perron start (-1)^k (:func:`ground_state`).  The Ritz
 pairs of its tridiagonal matrix come from Laguerre's iteration inside a
 Sturm-sequence bracket and from inverse iteration, in O(k) Python
 arithmetic (:func:`_ritz_pair`).  Nothing here imports scipy or
-numpy.random, or calls a LAPACK eigensolver.
+numpy.random, or calls a LAPACK eigensolver.  :func:`initial_state` builds
+a run's start, ground or coherent, growing an open n_max until it fits.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .meanfield import _OBSERVABLES, Trajectory, _check_observables, _sample_grid
-from .model import ModelParams, check_count, check_finite, check_spin
+from .model import ModelParams, check_count, check_finite, check_spin, initial_state_params
 
 __all__ = [
     "PropagationError",
@@ -60,11 +61,13 @@ __all__ = [
     "evolve",
     "coherent_state",
     "ground_state",
-    "initial_state_params",
+    "initial_state",
 ]
 
 DEFAULT_DIM_CAP = 200_000
 TRUNCATION_TOL = 1e-10
+N_MAX_FLOOR = 100
+TOP_ROW_TOL = 1e-12
 
 # Largest Chebyshev expansion order (stencil products per step); see
 # chebyshev_order for the work bound it comes from.
@@ -265,7 +268,6 @@ class OperatorSet:
     share their two tridiagonal factors.  Nothing is O(dim^2).
     """
 
-    params: ModelParams
     j: float
     n_max: int
     dim: int
@@ -321,7 +323,6 @@ def build_operators(params: ModelParams) -> OperatorSet:
         coupling,
     )
     return OperatorSet(
-        params=params,
         j=j,
         n_max=n_max,
         dim=dim,
@@ -800,36 +801,34 @@ def ground_state(params: ModelParams, ops: OperatorSet | None = None) -> Quantum
     return QuantumState(vec, ops.j, ops.n_max)
 
 
-def initial_state_params(
-    kind: str, params: ModelParams, epsilon: float | None = None
-) -> tuple[float, float]:
-    """Coherent-state labels (alpha, zeta) for the named preparation.
+def initial_state(params: ModelParams, labels: tuple[complex, complex] | None) -> QuantumState:
+    """The start of a quantum run at the n_max it fixes: the ground state
+    when ``labels`` is None, else the coherent state of ``labels`` = (alpha, zeta).
 
-    ``stationary_dicke`` uses the undriven threshold Omega0 = omega*omega0,
-    ``stationary_circle`` the rotated one Omega = omega*(omega0+delta_phi);
-    both collapse to (0, 0) below threshold.  ``fock`` is (0, 0) and
-    ``nearly_fock`` is (10^-epsilon, 10^-epsilon).
+    A fixed ``params.n_max`` is taken as given: a ground state unchecked, a
+    coherent start through the truncation check of :func:`coherent_state`.
+    Left open, n_max grows by x1.5 from ``N_MAX_FLOOR`` until a ground
+    state's top Fock row weighs under ``TOP_ROW_TOL``, or a coherent start's
+    loss is under ``TRUNCATION_TOL``, and stops with the ValueError of
+    :func:`checked_dim` before the dimension passes its cap.  An open ground
+    state first runs that ladder on its stationary-Dicke coherent
+    counterpart, with no eigensolve, and fails with that ladder's ValueError
+    when its photon number cannot fit.
     """
-    if kind == "fock":
-        return 0.0, 0.0
-    if kind == "nearly_fock":
-        if epsilon is None:
-            raise ValueError("nearly_fock requires epsilon")
-        return 10.0**-epsilon, 10.0**-epsilon
-    if kind == "stationary_dicke":
-        big_omega = params.omega * params.omega0
-    elif kind == "stationary_circle":
-        big_omega = params.omega * (params.omega0 + params.delta_phi)
-    else:
-        raise ValueError(f"unknown initial-state kind {kind!r}")
-    lam = params.lam
-    if lam == 0.0 or lam < math.sqrt(big_omega) / 2.0:
-        return 0.0, 0.0
-    ratio = big_omega / (4.0 * lam * lam)
-    alpha = (2.0 * lam / params.omega) * math.sqrt(
-        0.5 * params.j * max(1.0 - ratio * ratio, 0.0)
-    )
-    zeta = -math.sqrt(
-        max(4.0 * lam * lam - big_omega, 0.0) / (4.0 * lam * lam + big_omega)
-    )
-    return alpha, zeta
+    fixed = params.n_max is not None
+    if labels is None and not fixed:
+        initial_state(params, initial_state_params("stationary_dicke", params))
+    n_max = params.n_max if fixed else N_MAX_FLOOR
+    while True:
+        checked_dim(params.two_j, n_max)
+        if labels is None:
+            state = ground_state(replace(params, n_max=n_max))
+            if fixed or _top_row_weight(state) < TOP_ROW_TOL:
+                return state
+        elif fixed:
+            return coherent_state(*labels, params.j, n_max)
+        else:
+            state, loss = _coherent_start(*labels, params.j, n_max)
+            if loss < TRUNCATION_TOL:
+                return state
+        n_max = int(math.ceil(n_max * 1.5))

@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +331,17 @@ class TestEmit:
         parsed = [float(r[k]) for r in rows[1:]]
         for value, cell in zip(parsed, result.cells):
             assert value == cell.average["mean_photon_scaled"]
+
+    def test_two_dim_csv_overlay_columns_are_the_results(self, tmp_path):
+        # One column per overlay the result carries, in its order, before "region".
+        result = phase_diagram(small_spec(), [0.5, 1.0], [1.0, 2.0])
+        extra = replace(result, overlays={"lambda_c_dyn": result.overlays["lambda_c_dyn"], "ones": np.ones(2)})
+        out = tmp_path / "pd.csv"
+        emit(extra, "csv", out)
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][-4:] == ["lambda_c_dyn", "ones", "region", "error"]
+        assert [float(r[-3]) for r in rows[1:]] == [1.0] * 4
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -281,6 +281,27 @@ class TestRunProtocol:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "engine, initial, code, err",
+        [
+            ("quantum", "ground_state", 2, "error: basis dimension (n_max+1)(2j+1) = 296463 exceeds the cap 200000\n"),
+            ("meanfield", "stationary_dicke", 0, ""),
+        ],
+        ids=["quantum", "meanfield"],
+    )
+    def test_underflowing_stationary_labels_through_main(self, tmp_path, capsys, engine, initial, code, err):
+        # The stationary-Dicke labels at these frequencies once raised
+        # "float division by zero"; an open ground state meets them in the
+        # ladder that refuses it, and a mean-field run starts from them.
+        from rotdicke.cli import main
+
+        out = tmp_path / "x.csv"
+        argv = ["trajectory", "--engine", engine, "--initial", initial, "--j", "1", "--lambda", "1e-170"]
+        argv += ["--omega", "1e-200", "--omega0", "1e-200", "--sample-count", "3", "--out", str(out)]
+        assert main(argv) == code
+        assert capsys.readouterr().err == err
+        assert out.exists() == (code == 0)
+
     def test_adaptive_n_max_stops_at_the_dimension_cap(self):
         # |alpha|^2 = 160000 needs n_max ~ 162000, dim 2.1e6 at j=6: growth must
         # stop at the cap rather than build ever larger coherent states.
@@ -415,16 +436,37 @@ class TestSweeps:
         assert by_lam[0.9].error is not None
         assert "scaled parity" in by_lam[0.9].error
 
-    def test_arithmetic_error_is_a_tagged_cell(self):
-        # At lam = 1e-170 and omega = omega0 = 1e-200 the stationary-Dicke
-        # labels divide Omega0 by 4 lam^2, both underflowed to 0: a
-        # ZeroDivisionError that once ended the whole sweep.
+    def test_arithmetic_error_is_a_tagged_cell(self, monkeypatch):
+        # An ArithmeticError inside one cell's run, here a ZeroDivisionError
+        # put into the integrator, tags that cell; it once ended the sweep.
+        from rotdicke import meanfield
+
+        integrate = meanfield.integrate
+
+        def dividing(start, params, *args, **kwargs):
+            if params.lam == 0.9:
+                raise ZeroDivisionError("float division by zero")
+            return integrate(start, params, *args, **kwargs)
+
+        monkeypatch.setattr(meanfield, "integrate", dividing)
+        result = sweep_lambda(mf_spec(), [0.4, 0.9, 1.2])
+        assert [cell.error for cell in result.cells] == [None, "float division by zero", None]
+        assert result.cells[2].final["mean_photon_scaled"] > NONZERO_THRESHOLD
+
+    def test_underflowing_stationary_labels_give_a_cell(self):
+        # At lam = 1e-170 and omega = omega0 = 1e-200, Omega0 and 4 lam^2
+        # underflow to 0 as floats; the stationary-Dicke labels once divided
+        # one by the other (ZeroDivisionError).  |alpha|^2 = 2e60 at j = 1.
         params = ModelParams(lam=1e-170, omega=1e-200, omega0=1e-200, delta_phi=1.0, j=1.0)
         result = sweep_lambda(ProtocolSpec(params=params, sample_count=3), [0.0, 1e-170])
         first, second = result.cells
         assert first.error is None
         assert first.final == {"mean_photon_scaled": 0.0, "parity": 1.0}
-        assert second.error == "float division by zero"
+        assert second.error is None
+        photons = stationary_photon_scaled(1e-200, 1e-200, 1e-170)
+        assert photons == pytest.approx(2e60, rel=1e-12)
+        assert second.final["mean_photon_scaled"] == pytest.approx(photons, rel=1e-12)
+        assert second.average["parity"] == 0.0
 
     def test_values_kind_is_average_or_final(self):
         result = sweep_lambda(mf_spec(initial="stationary_dicke", sample_count=100), [1.5])

@@ -3,6 +3,7 @@
 import bisect
 import inspect
 import itertools
+import linecache
 import math
 import traceback
 import tracemalloc
@@ -660,6 +661,18 @@ class TestGeneratedSteps:
         assert meanfield._steps.__globals__ is vars(meanfield)
 
     def test_traceback_shows_generated_line(self):
+        self._assert_traceback_shows_generated_line()
+
+    def test_generated_source_survives_a_cache_clear(self):
+        # linecache.clearcache() once dropped the generated loop's lines for
+        # good on Python 3.10-3.12: inspect.getsource raised OSError and
+        # tracebacks through _steps showed no source line.
+        linecache.clearcache()
+        self._assert_traceback_shows_generated_line()
+        assert inspect.getsource(meanfield._steps).startswith("def _steps(")
+
+    @staticmethod
+    def _assert_traceback_shows_generated_line():
         flow = meanfield._flow(ModelParams(lam=0.9, j=1.0, delta_phi=1.3), 1.3)
         calls = []
 

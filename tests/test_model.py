@@ -18,6 +18,7 @@ from rotdicke import (
     excitation_energy_np,
     excitation_energy_srp,
     fixed_points,
+    initial_state_params,
     rotated_critical_coupling,
     stationary_photon_scaled,
 )
@@ -100,6 +101,36 @@ def test_closed_forms_at_extreme_frequencies(omega, omega0):
                 continue
             value = form(**kwargs)
             assert abs(value - reference) <= 1e-12 * abs(reference), (form.__name__, args, value)
+        params = ModelParams(lam=lam, omega=omega, omega0=omega0, delta_phi=1.0, j=6.0)
+        for kind, references in _mp_labels(params).items():
+            if any(r != 0 and not sys.float_info.min <= abs(r) <= sys.float_info.max for r in references):
+                with pytest.raises(ValueError, match=r"^(omega|omega0|lam|delta_phi|j) = .* outside the float range"):
+                    initial_state_params(kind, params)
+                continue
+            labels = initial_state_params(kind, params)
+            for value, reference in zip(labels, references):
+                assert abs(value - reference) <= 1e-12 * abs(reference), (kind, args, labels)
+
+
+def _mp_labels(params):
+    """(alpha, zeta) of both stationary starts from their textbook forms, at 1200 digits."""
+    out = {}
+    with mpmath.workdps(1200):
+        w, w0, lam, j = map(mpmath.mpf, (params.omega, params.omega0, params.lam, params.j))
+        for kind, dphi in (("stationary_dicke", 0), ("stationary_circle", mpmath.mpf(params.delta_phi))):
+            big_omega = w * (w0 + dphi)
+            out[kind] = (0, 0)
+            if lam > 0 and lam >= mpmath.sqrt(big_omega) / 2:
+                ratio = big_omega / (4 * lam**2)
+                alpha = (2 * lam / w) * mpmath.sqrt(j * (1 - ratio**2) / 2)
+                out[kind] = (alpha, -mpmath.sqrt((4 * lam**2 - big_omega) / (4 * lam**2 + big_omega)))
+    return out
+
+
+def test_stationary_labels_outside_the_float_range_name_an_argument():
+    # alpha ~ 2 lam/omega = 2e400 overflows; the float code once returned (inf, nan).
+    with pytest.raises(ValueError, match=r"^lam = 1e\+200 puts the stationary_dicke labels outside the float range$"):
+        initial_state_params("stationary_dicke", ModelParams(lam=1e200, omega=1e-200))
 
 
 class TestCriticalCoupling:
