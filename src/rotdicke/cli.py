@@ -358,20 +358,36 @@ def _run(config: RunConfig, out_path: str) -> None:
     rio.emit(result, v["format"], out_path, precision=v["precision"], config=config_dict)
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments when it first parses:
+    a command builds its own subcommand's arguments, not those of all five
+    subcommands.  Help, usage and errors are formatted after the arguments
+    are added, so their text is that of a parser built whole."""
+
+    def __init__(self, *args, schema, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._schema = schema
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._schema is not None:
+            schema, self._schema = self._schema, None
+            self.add_argument("--config", default=None, help="flat key=value configuration file")
+            self.add_argument("--out", required=True, help="output path")
+            for key, spec in schema.items():
+                flag = "--" + key.replace("_", "-")
+                required_note = " [required]" if spec.default is _REQUIRED else ""
+                self.add_argument(flag, dest=key, default=None, metavar="V", help=spec.help + required_note)
+        return super().parse_known_args(args, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rotdicke",
         description="Rotationally driven Dicke model: trajectories, sweeps and phase diagrams.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_SubcommandParser)
     for name, schema in SCHEMAS.items():
-        p = sub.add_parser(name, help=f"{name} run")
-        p.add_argument("--config", default=None, help="flat key=value configuration file")
-        p.add_argument("--out", required=True, help="output path")
-        for key, spec in schema.items():
-            flag = "--" + key.replace("_", "-")
-            required_note = " [required]" if spec.default is _REQUIRED else ""
-            p.add_argument(flag, dest=key, default=None, metavar="V", help=spec.help + required_note)
+        sub.add_parser(name, help=f"{name} run", schema=schema)
     return parser
 
 

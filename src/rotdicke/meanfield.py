@@ -16,8 +16,9 @@ The coherent-state labels map onto phase space as
 plain Python floats, one run at a time: on a 4-vector the per-call cost of
 array operations outweighs the arithmetic.  Single runs and every sweep
 cell go through this one integrator.  Its step loop is straight-line float
-code generated from the tableau at import, and keeps the stages of each
-step that holds samples in one flat ``array('d')``; one pass after the loop
+code generated from the tableau on first use, with the right-hand side
+written out inline in every stage, and keeps the stages of each step that
+holds samples in one flat ``array('d')``; one pass after the loop
 builds their dense output as whole-array operations across those steps
 (stages 13-15 through the array form of the right-hand side, bit-equal to
 the float form).  Every tableau sum skips the entries that are exactly 0.0
@@ -75,7 +76,6 @@ DEFAULT_ATOL = 1e-12
 # by step rejection (NaN derivatives), so trial evaluations that overshoot
 # the domain are retried with a smaller step instead of killing the run.
 _BOUNDARY_GUARD = 1e-12
-_NANS = (math.nan,) * 4
 
 # DOP853 step control: the next step is the last one times
 # _SAFETY * err**(-1/8) (the error estimate has order 7), kept within
@@ -233,12 +233,24 @@ def _check_observables(names, engine: str) -> None:
         raise ValueError(f"repeated observables: {repeated}")
 
 
+def _constants(params: ModelParams, drive: float) -> tuple:
+    """The flow's constants (omega0, omega, 2 lam, 4j, guard, drive), in the
+    order the generated ``_scalar_flow`` and ``_steps`` take them."""
+    four_j = 4.0 * params.j
+    return (params.omega0, params.omega, 2.0 * params.lam, four_j, _BOUNDARY_GUARD * four_j, drive)
+
+
 def _flow(params: ModelParams, drive: float):
     """Right-hand side f(t, q1, p1, q2, p2) -> (dq1, dp1, dq2, dp2) on floats.
 
     ``drive`` is the rotation velocity (0 for the undriven flow).  Within
     _BOUNDARY_GUARD of the sphere the derivatives are NaN, which the stepper
     treats as a rejected step.
+
+    f is the generated ``_scalar_flow`` bound to this run's
+    :func:`_constants`, and ``f.constants`` holds them for the generated
+    step loop, which evaluates the same lines (:func:`_rhs_lines`) inline
+    instead of calling f.
 
     ``f.array`` is the same right-hand side elementwise on float64 arrays
     (one lane per element), returning a (component, lane) array with the
@@ -247,40 +259,17 @@ def _flow(params: ModelParams, drive: float):
     ``math`` lane by lane, since numpy's are not bit-equal to libm's.  Lanes
     where f returns NaN are NaN, with no RuntimeWarning.
     """
-    omega0 = params.omega0
-    omega = params.omega
-    two_lam = 2.0 * params.lam
-    four_j = 4.0 * params.j
-    guard = _BOUNDARY_GUARD * four_j
-    # Local names: a run calls f some 10^4-10^5 times.
+    constants = _constants(params, drive)
+    omega0, omega, two_lam, four_j, guard, _ = constants
     cos = math.cos
     sin = math.sin
-    sqrt = math.sqrt
-
-    def f(t, q1, p1, q2, p2):
-        rem = four_j - (q1 * q1 + p1 * p1)
-        if rem < guard:
-            return _NANS
-        phi = drive * t
-        cos_phi = cos(phi)
-        sin_phi = sin(phi)
-        proj = cos_phi * q1 + sin_phi * p1
-        root = sqrt(rem / four_j)
-        denom = sqrt(four_j * rem)
-        g = two_lam * q2
-        return (
-            omega0 * p1 - g * proj * p1 / denom + g * root * sin_phi,
-            -omega0 * q1 + g * proj * q1 / denom - g * root * cos_phi,
-            omega * p2,
-            -omega * q2 - two_lam * root * proj,
-        )
 
     def f_array(t, q1, p1, q2, p2):
         phi = (drive * t).tolist()
         cos_phi = np.fromiter(map(cos, phi), float, len(phi))
         sin_phi = np.fromiter(map(sin, phi), float, len(phi))
         # Lanes inside the guard may take sqrt of a negative or divide by 0;
-        # they are overwritten with NaN below, as f returns _NANS there.
+        # they are overwritten with NaN below, as f returns NaN there.
         with np.errstate(all="ignore"):
             rem = four_j - (q1 * q1 + p1 * p1)
             proj = cos_phi * q1 + sin_phi * p1
@@ -296,6 +285,8 @@ def _flow(params: ModelParams, drive: float):
             out[:, rem < guard] = math.nan
         return out
 
+    f = _generated("_scalar_flow")(*constants)
+    f.constants = constants
     f.array = f_array
     return f
 
@@ -309,7 +300,7 @@ def eom_rhs(point: PhasePoint, t: float, params: ModelParams) -> np.ndarray:
             f"q1^2+p1^2 = {r2} is on or outside the sphere of radius^2 4j = {four_j}; "
             "the square-root derivative diverges there"
         )
-    f = _flow(params, params.delta_phi)
+    f = _generated("_scalar_flow")(*_constants(params, params.delta_phi))
     return np.array(f(t, point.q1, point.p1, point.q2, point.p2))
 
 
@@ -527,12 +518,17 @@ def _dop853(f, y, t_grid, rtol, atol):
     norm, a minimum step of 10 ulp of t, and a NaN right-hand side taken
     as a rejected step.  Returns one array per component.
 
+    ``f`` comes from :func:`_flow`: f itself gives the first stage and the
+    first-step probe, and ``f.constants`` are passed to the step loop
+    ``_steps``, which evaluates the right-hand side inline.  The loop,
+    generated from the tableau by :func:`_steps_source` and compiled on
+    first use, records the steps that hold grid times and counts the
+    accepted and rejected step attempts.
+
     The grid is read through ``memoryview(t_grid)``, whose items are Python
     floats, so ``bisect`` finds the samples a step covers without a copy of
-    the grid.  The step loop :func:`_steps`, generated from the tableau by
-    :func:`_steps_source`, records the steps that hold grid times.
-    :func:`_dense_table` turns the records into interpolants, and the grid
-    is evaluated ``CHUNK`` samples at a time
+    the grid.  :func:`_dense_table` turns the records into interpolants, and
+    the grid is evaluated ``CHUNK`` samples at a time
     into the four output arrays: ``np.searchsorted`` over the recorded ends
     gives each sample its step, each component's 8 interpolant columns are
     gathered for the chunk with one index, and the Horner scheme runs one
@@ -540,10 +536,12 @@ def _dop853(f, y, t_grid, rtol, atol):
     hold four times the scratch per chunk.
     """
     grid = memoryview(t_grid)  # items are Python floats; bisect reads it in place
-    linecache.cache.setdefault(_STEPS_FILENAME, _STEPS_ENTRY)
     k0 = f(0.0, *y)
     h_abs = _initial_step(f, y, k0, grid[-1], rtol, atol)
-    dense, ends = _steps(f, y, k0, h_abs, grid, rtol, atol)
+    # The attempt counts are not reported yet: no stats channel takes them.
+    dense, ends, accepted, rejected = _generated("_steps")(
+        *f.constants, y, k0, h_abs, grid, rtol, atol
+    )
     table = _dense_table(f, dense)
     del dense  # the records are in table now; free them before the outputs are filled
     ends = np.array(ends)
@@ -759,12 +757,27 @@ if {0, 12} & set(_UNRECORDED) or any(row[s] != 0.0 for row in _A[13:] for s in _
     raise RuntimeError("the dense output needs stages that a step does not record")
 _RECORD_WIDTH = 10 + 4 * len(_RECORDED_STAGES)
 
-# The step loop of _dop853, with the lines of one step attempt in {step}.
-_STEPS_TEMPLATE = '''\
-def _steps(f, y, k0, h_abs, grid, rtol, atol):
-    """Step from y at t = 0, where f is k0, to grid[-1]; return the packed
-    records of the steps that hold grid times and, per such step, the index
-    one past its last sample.  Generated by meanfield._steps_source."""
+# The generated code: the scalar right-hand side that _flow binds, and the
+# step loop of _dop853, with the lines of one step attempt in {step}.
+_GENERATED_TEMPLATE = '''\
+def _scalar_flow(omega0, omega, two_lam, four_j, guard, drive):
+    """The right-hand side f(t, q1, p1, q2, p2) -> (dq1, dp1, dq2, dp2)
+    with these constants.  Generated by meanfield._steps_source."""
+{bindings}
+
+    def f(t, q1, p1, q2, p2):
+{rhs}
+        return dq1, dp1, dq2, dp2
+
+    return f
+
+
+def _steps(omega0, omega, two_lam, four_j, guard, drive, y, k0, h_abs, grid, rtol, atol):
+    """Step from y at t = 0, where the right-hand side is k0, to grid[-1];
+    return the packed records of the steps that hold grid times, per such
+    step the index one past its last sample, and the numbers of accepted
+    and rejected step attempts.  Generated by meanfield._steps_source."""
+{bindings}
     t_end = grid[-1]
     t = 0.0
     q1, p1, q2, p2 = y
@@ -775,6 +788,8 @@ def _steps(f, y, k0, h_abs, grid, rtol, atol):
     pack = struct.Struct("{width}d").pack
     ends = []
     next_sample = 0
+    accepted = 0
+    rejected_attempts = 0
     while t < t_end:
         min_step = 10.0 * math.ulp(t)
         if h_abs < min_step:
@@ -803,18 +818,63 @@ def _steps(f, y, k0, h_abs, grid, rtol, atol):
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_EXPONENT)
                 h_abs *= min(1.0, factor) if rejected else factor
+                accepted += 1
                 break
             # max() keeps MIN_FACTOR for a NaN error: the step is rejected.
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)
             rejected = True
+            rejected_attempts += 1
         if grid[next_sample] <= t_new:
             dense.frombytes(pack(t, h, q1, p1, q2, p2, n1, n2, n3, n4, {stages}))
             next_sample = bisect.bisect_right(grid, t_new, next_sample)
             ends.append(next_sample)
         t, q1, p1, q2, p2 = t_new, n1, n2, n3, n4
         k0_1, k0_2, k0_3, k0_4 = k12_1, k12_2, k12_3, k12_4
-    return dense, ends
+    return dense, ends, accepted, rejected_attempts
 '''
+
+
+# The locals that the lines of _rhs_lines read besides the constants, bound
+# once per call of each generated function.
+_RHS_BINDINGS = (
+    "cos = math.cos",
+    "sin = math.sin",
+    "sqrt = math.sqrt",
+    "nan = math.nan",
+    "neg_omega0 = -omega0",
+    "neg_omega = -omega",
+)
+
+
+def _rhs_lines(t, point, out):
+    """The right-hand side as source lines, written once for the scalar f
+    and for every stage of the step loop: at the time ``t`` and the point
+    ``point`` (four local names), into the four names ``out``, all NaN
+    within the boundary guard.  The bits are those of writing each
+    component out in full: g * proj * x and g * root * x associate to the
+    left, so g * proj and g * root can be taken once, and -omega0 * q1
+    already is (-omega0) * q1."""
+    q1, p1, q2, p2 = point
+    d1, d2, d3, d4 = out
+    return [
+        f"rem = four_j - ({q1} * {q1} + {p1} * {p1})",
+        "if rem < guard:",
+        f"    {d1} = {d2} = {d3} = {d4} = nan",
+        "else:",
+        f"    phi = drive * {t}",
+        "    cos_phi = cos(phi)",
+        "    sin_phi = sin(phi)",
+        f"    proj = cos_phi * {q1} + sin_phi * {p1}",
+        "    root = sqrt(rem / four_j)",
+        "    denom = sqrt(four_j * rem)",
+        f"    g = two_lam * {q2}",
+        "    g_proj = g * proj",
+        "    g_root = g * root",
+        f"    {d1} = omega0 * {p1} - g_proj * {p1} / denom + g_root * sin_phi",
+        f"    {d2} = neg_omega0 * {q1} + g_proj * {q1} / denom - g_root * cos_phi",
+        f"    {d3} = omega * {p2}",
+        f"    {d4} = neg_omega * {q2} - two_lam * root * proj",
+    ]
 
 
 def _combination(row, c):
@@ -824,42 +884,69 @@ def _combination(row, c):
 
 
 def _steps_source() -> str:
-    """Source text of :func:`_steps`.  Stage s is held as k<s>_1..k<s>_4,
-    one local per component: stages 1-11 are f(t + c_s h, y + (sum a k) h),
-    the new point n1..n4 is y + h (sum b k), stage 12 is f there, and each
-    component adds its (sum e k) / scale to both error estimates."""
+    """Source text of the generated ``_scalar_flow`` and ``_steps``.
+
+    Stage s of a step attempt is held as k<s>_1..k<s>_4, one local per
+    component.  Stages 1-11 bind their time ts = t + c_s h and their point
+    y1..y4 = y + (sum a k) h, then evaluate the right-hand side there
+    inline, from the lines of :func:`_rhs_lines` that also make up the
+    scalar f.  The new point n1..n4 is y + h (sum b k), stage 12 is the
+    right-hand side there at t + h, and each component adds its
+    (sum e k) / scale to both error estimates; the larger of |y| and |n|
+    in the scale is picked as max() picks it, NaN order included.
+    """
     names = ("q1", "p1", "q2", "p2")
+    stage_point = ("y1", "y2", "y3", "y4")
     step = []
     for s in range(1, 12):
-        step.append(f"k{s}_1, k{s}_2, k{s}_3, k{s}_4 = f(")
-        step.append(f"    t + {_C[s]!r} * h,")
-        step += [f"    {y} + ({_combination(_A[s], c)}) * h," for c, y in enumerate(names, 1)]
-        step.append(")")
+        step.append(f"ts = t + {_C[s]!r} * h")
+        step += [
+            f"{x} = {y} + ({_combination(_A[s], c)}) * h"
+            for c, (x, y) in enumerate(zip(stage_point, names), 1)
+        ]
+        step += _rhs_lines("ts", stage_point, [f"k{s}_{c}" for c in range(1, 5)])
     step += [f"n{c} = {y} + h * ({_combination(_B, c)})" for c, y in enumerate(names, 1)]
-    step.append("k12_1, k12_2, k12_3, k12_4 = f(t + h, n1, n2, n3, n4)")
+    step.append("ts = t + h")
+    step += _rhs_lines("ts", ("n1", "n2", "n3", "n4"), ("k12_1", "k12_2", "k12_3", "k12_4"))
     for c, y in enumerate(names, 1):
         add = "=" if c == 1 else "+="
         step += [
-            f"scale = atol + max(abs({y}), abs(n{c})) * rtol",
+            f"y_abs = abs({y})",
+            f"n_abs = abs(n{c})",
+            "scale = atol + (n_abs if n_abs > y_abs else y_abs) * rtol",
             f"x5 = ({_combination(_E5, c)}) / scale",
             f"x3 = ({_combination(_E3, c)}) / scale",
             f"err5 {add} x5 * x5",
             f"err3 {add} x3 * x3",
         ]
-    return _STEPS_TEMPLATE.format(
+    return _GENERATED_TEMPLATE.format(
+        bindings="\n".join(" " * 4 + line for line in _RHS_BINDINGS),
+        rhs="\n".join(" " * 8 + line for line in _rhs_lines("t", names, ("dq1", "dp1", "dq2", "dp2"))),
         width=_RECORD_WIDTH,
         step="\n".join(" " * 12 + line for line in step),
         stages=", ".join(f"k{s}_{c}" for s in _RECORDED_STAGES for c in range(1, 5)),
     )
 
 
-# Compiled into this module's namespace, so _steps reads the module's globals
-# as hand-written code would, and registered with linecache, so tracebacks,
-# profiles and inspect.getsource show its lines (again at each _dop853 run:
-# linecache.clearcache() drops the entry before Python 3.13).
 _STEPS_FILENAME = "<rotdicke.meanfield._steps>"
-_source = _steps_source()
-_STEPS_ENTRY = (len(_source), None, _source.splitlines(True), _STEPS_FILENAME)
-linecache.cache[_STEPS_FILENAME] = _STEPS_ENTRY
-exec(compile(_source, _STEPS_FILENAME, "exec"), globals())
-del _source
+_steps_entry = None  # the linecache entry of the generated source, once generated
+
+
+def _generated(name: str):
+    """The generated function ``name``, ``_scalar_flow`` or ``_steps``.
+
+    The source of both is written by :func:`_steps_source` and compiled on
+    the first call, so a process that never integrates never pays for it.
+    It is compiled into this module's namespace, so the generated code
+    reads the module's globals as hand-written code would, and registered
+    with linecache, so tracebacks, profiles and inspect.getsource show its
+    lines; again at each call, since linecache.clearcache() drops the
+    entry before Python 3.13.
+    """
+    global _steps_entry
+    if _steps_entry is None:
+        source = _steps_source()
+        _steps_entry = (len(source), None, source.splitlines(True), _STEPS_FILENAME)
+        exec(compile(source, _STEPS_FILENAME, "exec"), globals())
+    linecache.cache.setdefault(_STEPS_FILENAME, _steps_entry)
+    return globals()[name]

@@ -1,6 +1,9 @@
 """Configuration parsing, serialization, and the command-line surface."""
 
+import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -25,6 +28,7 @@ from rotdicke import (
     sweep_lambda,
     phase_diagram,
 )
+from rotdicke import cli
 from rotdicke.cli import (
     SCHEMAS,
     ConfigError,
@@ -890,17 +894,19 @@ class TestMainExitCodes:
         assert isinstance(load_result_json(out), (Trajectory, SweepResult, Spectrum))
 
 
-def modules_after(code, package):
-    """The modules of ``package`` loaded once ``code`` has run in a fresh interpreter."""
+def value_after(code, expression):
+    """``expression``, as JSON, once ``code`` has run in a fresh interpreter."""
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code += (
-        "\nimport json, sys; print(json.dumps("
-        f"[m for m in sys.modules if (m + '.').startswith({package + '.'!r})]))"
-    )
+    code += f"\nimport json, sys; print(json.dumps({expression}))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def modules_after(code, package):
+    """The modules of ``package`` loaded once ``code`` has run in a fresh interpreter."""
+    return value_after(code, f"[m for m in sys.modules if (m + '.').startswith({package + '.'!r})]")
 
 
 def test_cli_import_leaves_out_scipy_integrate():
@@ -940,3 +946,62 @@ def test_no_run_imports_numpy_random(tmp_path, flags):
     # use; the ground state's Lanczos start is the deterministic Perron
     # vector, so no run loads them.
     assert modules_after(run_code(tmp_path, flags), "numpy.random") == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--lambda-step", "0.5"],
+        ["trajectory", "--engine", "quantum", "--initial", "ground_state", "--lambda", "1.2",
+         "--j", "1", "--n-max", "20", "--sample-count", "5"],
+    ],
+    ids=["spectrum", "quantum-trajectory"],
+)
+def test_runs_without_meanfield_never_generate_the_step_loop(tmp_path, argv):
+    # The generated DOP853 loop is compiled on first use (~2 ms): a command
+    # that never integrates the mean field never pays for it.
+    code = f"from rotdicke.cli import main; assert main({argv + ['--out', str(tmp_path / 'out.csv')]!r}) == 0"
+    generated = "[name for name in ('_steps', '_scalar_flow') if name in vars(sys.modules['rotdicke.meanfield'])]"
+    assert value_after(code, generated) == []
+
+
+def eager_parser():
+    """The CLI's parser with every subcommand's arguments added up front."""
+    parser = argparse.ArgumentParser(
+        prog="rotdicke",
+        description="Rotationally driven Dicke model: trajectories, sweeps and phase diagrams.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, schema in SCHEMAS.items():
+        p = sub.add_parser(name, help=f"{name} run")
+        p.add_argument("--config", default=None, help="flat key=value configuration file")
+        p.add_argument("--out", required=True, help="output path")
+        for key, spec in schema.items():
+            required_note = " [required]" if spec.default is cli._REQUIRED else ""
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, metavar="V",
+                           help=spec.help + required_note)
+    return parser
+
+
+def parse_outcome(parser, argv):
+    """What parsing ``argv`` prints and returns, or the exit it asks for."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], [], ["bogus"], ["trajectory", "--out", "x", "--bogus", "1"],
+     ["phase-diagram", "--out", "x", "--lambda-min", "0.5", "--config", "c.txt"]]
+    + [[name, "-h"] for name in SCHEMAS] + [[name] for name in SCHEMAS],
+    ids=" ".join,
+)
+def test_parser_adds_arguments_on_use_with_unchanged_text(argv):
+    # Each subcommand's arguments are added only when it runs; help, usage,
+    # errors and parsed values are those of a parser built whole.
+    assert parse_outcome(cli._build_parser(), argv) == parse_outcome(eager_parser(), argv)

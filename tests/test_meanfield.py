@@ -7,6 +7,7 @@ import linecache
 import math
 import traceback
 import tracemalloc
+import types
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -53,19 +54,24 @@ def dot(coeffs, values):
     return total
 
 
-def reference_dop853(f, y, t_grid, rtol, atol, rejections):
+def reference_dop853(f, y, t_grid, rtol, atol, record):
     """DOP853 driven by the tableau: every row summed in full, zeros included.
 
     Same scheme, step control and dense output as ``meanfield._dop853``,
     which writes the same arithmetic out as straight-line code; the two must
-    agree bit for bit.  Appends the number of rejected steps to
-    ``rejections``.
+    agree bit for bit.  Sets ``record["rejected"]`` to the number of
+    rejected steps and ``record["stages"]`` to the (q1, p1) of every stage
+    1-11 evaluated, in order.
     """
     A, C, B, E5, E3, D = (meanfield._A, meanfield._C, meanfield._B, meanfield._E5,
                           meanfield._E3, meanfield._D)
+    record["stages"] = []
 
     def stage(s, t, h, y, K):
-        return f(t + C[s] * h, *[y[c] + dot(A[s], [k[c] for k in K]) * h for c in range(4)])
+        point = [y[c] + dot(A[s], [k[c] for k in K]) * h for c in range(4)]
+        if s < 12:
+            record["stages"].append((point[0], point[1]))
+        return f(t + C[s] * h, *point)
 
     grid = t_grid.tolist()
     t_end = grid[-1]
@@ -80,7 +86,7 @@ def reference_dop853(f, y, t_grid, rtol, atol, rejections):
         rejected = False
         while True:
             if not h_abs >= min_step:
-                rejections.append(rejected_steps)
+                record["rejected"] = rejected_steps
                 raise IntegrationError(t, "step fell below 10 ulp: 4j boundary")
             t_new = min(t + h_abs, t_end)
             h = t_new - t
@@ -117,7 +123,7 @@ def reference_dop853(f, y, t_grid, rtol, atol, rejections):
             counts.append(end - next_sample)
             next_sample = end
         t, y, fy = t_new, new, K[12]
-    rejections.append(rejected_steps)
+    record["rejected"] = rejected_steps
     table = np.array(dense).reshape(len(counts), -1).T
     seg = np.repeat(np.arange(len(counts)), counts)
     x = (t_grid - table[0][seg]) / table[1][seg]
@@ -393,8 +399,11 @@ class TestDop853:
         assert np.array_equal(meanfield._D, ref.D)
 
     def test_matches_scipy_dop853(self, monkeypatch):
-        # Same tableau and step control: the same right-hand-side calls, so
-        # the same accepted and rejected steps, and samples within 1e-9.
+        # Same tableau and step control: the same right-hand-side evaluations,
+        # so the same accepted and rejected steps, and samples within 1e-9.
+        # Ours are f at t = 0, the first-step probe, 12 per step attempt in
+        # the loop and one per lane of f.array: the dense-output stages cost
+        # what scipy's per-step evaluations of them cost.
         from scipy.integrate import solve_ivp
 
         rng = np.random.default_rng(12)
@@ -406,20 +415,21 @@ class TestDop853:
             start = random_domain_point(rng, j)
             driven = k % 2 == 0
             flow = meanfield._flow(params, params.delta_phi if driven else 0.0)
-            calls = []
-
-            def counted(*args):
-                calls.append(args)
-                return flow(*args)
+            lanes, attempts = [], []
+            array, steps = flow.array, meanfield._generated("_steps")
 
             def counted_array(t, *y):
-                # One call per lane: the dense-output stages cost what
-                # scipy's per-step evaluations of them cost.
-                calls.extend(zip(t.tolist(), *(c.tolist() for c in y)))
-                return flow.array(t, *y)
+                lanes.append(t.size)
+                return array(t, *y)
 
-            counted.array = counted_array
-            monkeypatch.setattr(meanfield, "_flow", lambda p, d: counted)
+            def counted_steps(*args):
+                dense, ends, accepted, rejected = steps(*args)
+                attempts.append(accepted + rejected)
+                return dense, ends, accepted, rejected
+
+            flow.array = counted_array
+            monkeypatch.setattr(meanfield, "_flow", lambda p, d: flow)
+            monkeypatch.setattr(meanfield, "_generated", lambda name: counted_steps)
             traj = integrate(start, params, 2 * math.pi, sample_count=200, driven=driven)
             monkeypatch.undo()
             ref = solve_ivp(
@@ -431,7 +441,7 @@ class TestDop853:
                 atol=1e-12,
                 t_eval=traj.times,
             )
-            assert len(calls) == ref.nfev
+            assert 2 + 12 * attempts[0] + sum(lanes) == ref.nfev
             ours = np.array([traj.data[name] for name in ("q1", "p1", "q2", "p2")])
             assert np.max(np.abs(ours - ref.y)) < 1e-9
 
@@ -492,8 +502,7 @@ class TestDop853:
     @staticmethod
     def integrate_both(monkeypatch, *args, **kwargs):
         """integrate() as is and with reference_dop853 in place of _dop853:
-        both results (or the errors they raised) and the reference's
-        rejected-step count."""
+        both results (or the errors they raised) and the reference's record."""
 
         def run():
             try:
@@ -502,11 +511,11 @@ class TestDop853:
                 return exc
 
         ours = run()
-        rejections = []
+        record = {}
         with monkeypatch.context() as patch:
-            patch.setattr(meanfield, "_dop853", lambda *a: reference_dop853(*a, rejections))
+            patch.setattr(meanfield, "_dop853", lambda *a: reference_dop853(*a, record))
             ref = run()
-        return ours, ref, rejections[0]
+        return ours, ref, record
 
     @staticmethod
     def assert_same_bits(ours, ref):
@@ -539,11 +548,50 @@ class TestDop853:
         start = PhasePoint(0.0025490479612444296, -1.414145207989694, -0.6499561948012956,
                            -0.9771454371346897)
         for driven in (True, False):
-            ours, ref, rejected = self.integrate_both(
+            ours, ref, record = self.integrate_both(
                 monkeypatch, start, params, 4.0, sample_count=60, tol=1e-6, driven=driven
             )
-            assert rejected > 0
+            assert record["rejected"] > 0
             self.assert_same_bits(ours, ref)
+
+    @pytest.mark.parametrize(
+        "lam, delta_phi, start, t_end, count, guard_per_4j, within",
+        [
+            # Stages strictly inside the guard are past the sphere (rem < 0).
+            (0.5425480476702815, 1.4945955910881326,
+             (0.07062116758014915, -1.4124452861720562, 0.20211439504395987, 0.6941719367070082),
+             4.0, 60, "0x1.3f115f8p-28", False),
+            # One stage strictly inside the guard is within the sphere
+            # (0 <= rem < guard), where only the guard makes it NaN.
+            (1.9432891648091648, 1.761410453947885,
+             (0.07932734751010073, -1.4119862016257347, -0.9543310628425734, 1.2262087701743356),
+             1.2356809107694537, 40, "0x1.126696338p-20", True),
+        ],
+        ids=["past-the-sphere", "within-the-sphere"],
+    )
+    def test_intermediate_stages_at_the_guard_bit_identical(
+        self, monkeypatch, lam, delta_phi, start, t_end, count, guard_per_4j, within
+    ):
+        # The loop evaluates stages 1-11 inline, each with its own copy of
+        # f's boundary guard.  With the guard moved onto the exact rem =
+        # 4j - (q1^2 + p1^2) of one intermediate stage (at j = 1/2 the guard
+        # is 2 * _BOUNDARY_GUARD exactly, and rem is exact near the sphere),
+        # that stage sits on the guard, where f is finite, while other
+        # intermediate stages fall strictly inside it, where f is NaN and
+        # the step is rejected.
+        params = ModelParams(lam=lam, j=0.5, delta_phi=delta_phi)
+        monkeypatch.setattr(meanfield, "_BOUNDARY_GUARD", float.fromhex(guard_per_4j))
+        guard = meanfield._BOUNDARY_GUARD * 4 * params.j
+        ours, ref, record = self.integrate_both(
+            monkeypatch, PhasePoint(*start), params, t_end, sample_count=count, tol=1e-6
+        )
+        assert record["rejected"] > 0
+        rems = [4 * params.j - (q1 * q1 + p1 * p1) for q1, p1 in record["stages"]]
+        inside = [rem for rem in rems if rem < guard]
+        assert guard in rems and inside
+        if within:
+            assert max(inside) >= 0.0
+        self.assert_same_bits(ours, ref)
 
     def test_failure_time_identical(self, monkeypatch):
         params = ModelParams(lam=3.0, j=0.5, delta_phi=1.0)
@@ -632,19 +680,38 @@ class TestDop853:
 
 
 class TestGeneratedSteps:
-    """The step loop ``meanfield._steps``, generated from the tableau."""
+    """The step loop ``meanfield._steps`` and the scalar right-hand side,
+    generated from the tableau and one text of the flow."""
 
     def test_pinned_text(self):
         source = meanfield._steps_source()
-        assert inspect.getsource(meanfield._steps) == source
+        steps = meanfield._generated("_steps")
+        assert source.endswith(inspect.getsource(steps))
+        assert inspect.getsource(meanfield._generated("_scalar_flow")) in source
         stage_1 = (
-            "            k1_1, k1_2, k1_3, k1_4 = f(\n"
-            "                t + 0.05260015195876773 * h,\n"
-            "                q1 + (0.05260015195876773 * k0_1) * h,\n"
-            "                p1 + (0.05260015195876773 * k0_2) * h,\n"
-            "                q2 + (0.05260015195876773 * k0_3) * h,\n"
-            "                p2 + (0.05260015195876773 * k0_4) * h,\n"
-            "            )\n"
+            "            ts = t + 0.05260015195876773 * h\n"
+            "            y1 = q1 + (0.05260015195876773 * k0_1) * h\n"
+            "            y2 = p1 + (0.05260015195876773 * k0_2) * h\n"
+            "            y3 = q2 + (0.05260015195876773 * k0_3) * h\n"
+            "            y4 = p2 + (0.05260015195876773 * k0_4) * h\n"
+            "            rem = four_j - (y1 * y1 + y2 * y2)\n"
+            "            if rem < guard:\n"
+            "                k1_1 = k1_2 = k1_3 = k1_4 = nan\n"
+            "            else:\n"
+            "                phi = drive * ts\n"
+            "                cos_phi = cos(phi)\n"
+            "                sin_phi = sin(phi)\n"
+            "                proj = cos_phi * y1 + sin_phi * y2\n"
+            "                root = sqrt(rem / four_j)\n"
+            "                denom = sqrt(four_j * rem)\n"
+            "                g = two_lam * y3\n"
+            "                g_proj = g * proj\n"
+            "                g_root = g * root\n"
+            "                k1_1 = omega0 * y2 - g_proj * y2 / denom + g_root * sin_phi\n"
+            "                k1_2 = neg_omega0 * y1 + g_proj * y1 / denom - g_root * cos_phi\n"
+            "                k1_3 = omega * y4\n"
+            "                k1_4 = neg_omega * y3 - two_lam * root * proj\n"
+            "            ts = t + 0.0789002279381516 * h\n"
         )
         error_5_of_q1 = (
             "            x5 = (0.01312004499419488 * k0_1 + -1.2251564463762044 * k5_1"
@@ -658,38 +725,42 @@ class TestGeneratedSteps:
     def test_runs_in_module_globals(self):
         # Monkeypatching a name of the module (as test_stepping_calls_no_sum
         # does with sum) must reach the generated code.
-        assert meanfield._steps.__globals__ is vars(meanfield)
+        for name in ("_steps", "_scalar_flow"):
+            assert meanfield._generated(name).__globals__ is vars(meanfield)
 
-    def test_traceback_shows_generated_line(self):
-        self._assert_traceback_shows_generated_line()
+    def test_traceback_shows_generated_line(self, monkeypatch):
+        self._assert_traceback_shows_generated_line(monkeypatch)
 
-    def test_generated_source_survives_a_cache_clear(self):
+    def test_generated_source_survives_a_cache_clear(self, monkeypatch):
         # linecache.clearcache() once dropped the generated loop's lines for
         # good on Python 3.10-3.12: inspect.getsource raised OSError and
         # tracebacks through _steps showed no source line.
         linecache.clearcache()
-        self._assert_traceback_shows_generated_line()
-        assert inspect.getsource(meanfield._steps).startswith("def _steps(")
+        self._assert_traceback_shows_generated_line(monkeypatch)
+        assert inspect.getsource(meanfield._generated("_steps")).startswith("def _steps(")
 
     @staticmethod
-    def _assert_traceback_shows_generated_line():
-        flow = meanfield._flow(ModelParams(lam=0.9, j=1.0, delta_phi=1.3), 1.3)
-        calls = []
+    def _assert_traceback_shows_generated_line(monkeypatch):
+        calls = itertools.count(1)
 
-        def failing(*args):
+        def cos(x):
             # Calls 1 and 2 are f at t = 0 and the initial-step probe; the
-            # 4th is the first attempt's stage 2.
-            calls.append(args)
-            if len(calls) == 4:
-                raise ZeroDivisionError("raised by f")
-            return flow(*args)
+            # 4th is the first attempt's stage 2, inline in _steps.
+            if next(calls) == 4:
+                raise ZeroDivisionError("raised by cos")
+            return math.cos(x)
 
+        monkeypatch.setattr(meanfield, "math", types.SimpleNamespace(**{**vars(math), "cos": cos}))
+        flow = meanfield._flow(ModelParams(lam=0.9, j=1.0, delta_phi=1.3), 1.3)
         with pytest.raises(ZeroDivisionError) as excinfo:
-            meanfield._dop853(failing, (0.4, -0.7, 0.5, 0.2), np.linspace(0.0, 1.0, 5), 1e-9, 1e-12)
+            meanfield._dop853(flow, (0.4, -0.7, 0.5, 0.2), np.linspace(0.0, 1.0, 5), 1e-9, 1e-12)
         frames = [frame for frame in traceback.extract_tb(excinfo.tb) if frame.name == "_steps"]
         assert len(frames) == 1
         assert frames[0].filename == "<rotdicke.meanfield._steps>"
-        assert frames[0].line == "k2_1, k2_2, k2_3, k2_4 = f("
+        assert frames[0].line == "cos_phi = cos(phi)"
+        # The stage's time is bound a fixed number of lines above its cos.
+        stage_time = linecache.getline(frames[0].filename, frames[0].lineno - 10)
+        assert stage_time.strip() == f"ts = t + {meanfield._C[2]!r} * h"
 
 
 def table_value(name, point, j):
