@@ -20,10 +20,11 @@ code generated from the tableau on first use, with the right-hand side
 written out inline in every stage, and keeps the stages of each step that
 holds samples in one flat ``array('d')``; one pass after the loop
 builds their dense output as whole-array operations across those steps
-(stages 13-15 through the array form of the right-hand side, bit-equal to
-the float form).  Every tableau sum skips the entries that are exactly 0.0
-and adds the rest left to right, with no ``sum()``, whose rounding of floats
-changed in Python 3.12 (it is compensated from then on).
+(stages 13-15 through an array form of the right-hand side, generated from
+the same lines as the float form).  Every tableau sum skips the entries
+that are exactly 0.0 and adds the rest left to right, with no ``sum()``,
+whose rounding of floats changed in Python 3.12 (it is compensated from
+then on).
 
 The interpolant, and :func:`integrate`'s boundary check and observable
 columns, are evaluated ``CHUNK`` samples at a time into preallocated
@@ -51,7 +52,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, PhasePoint, check_count, check_positive
+from .model import ModelParams, PhasePoint, check_count, check_label, check_positive
 
 __all__ = [
     "IntegrationError",
@@ -235,71 +236,27 @@ def _check_observables(names, engine: str) -> None:
 
 def _constants(params: ModelParams, drive: float) -> tuple:
     """The flow's constants (omega0, omega, 2 lam, 4j, guard, drive), in the
-    order the generated ``_scalar_flow`` and ``_steps`` take them."""
+    order the generated ``_scalar_flow``, ``_array_flow`` and ``_steps`` take
+    them.  ``drive`` is the rotation velocity (0 for the undriven flow)."""
     four_j = 4.0 * params.j
     return (params.omega0, params.omega, 2.0 * params.lam, four_j, _BOUNDARY_GUARD * four_j, drive)
 
 
-def _flow(params: ModelParams, drive: float):
-    """Right-hand side f(t, q1, p1, q2, p2) -> (dq1, dp1, dq2, dp2) on floats.
-
-    ``drive`` is the rotation velocity (0 for the undriven flow).  Within
-    _BOUNDARY_GUARD of the sphere the derivatives are NaN, which the stepper
-    treats as a rejected step.
-
-    f is the generated ``_scalar_flow`` bound to this run's
-    :func:`_constants`, and ``f.constants`` holds them for the generated
-    step loop, which evaluates the same lines (:func:`_rhs_lines`) inline
-    instead of calling f.
-
-    ``f.array`` is the same right-hand side elementwise on float64 arrays
-    (one lane per element), returning a (component, lane) array with the
-    bits of f on every lane: the same operations in the same order, numpy's
-    + - * / and sqrt rounding as Python's do, and cos and sin taken from
-    ``math`` lane by lane, since numpy's are not bit-equal to libm's.  Lanes
-    where f returns NaN are NaN, with no RuntimeWarning.
-    """
-    constants = _constants(params, drive)
-    omega0, omega, two_lam, four_j, guard, _ = constants
-    cos = math.cos
-    sin = math.sin
-
-    def f_array(t, q1, p1, q2, p2):
-        phi = (drive * t).tolist()
-        cos_phi = np.fromiter(map(cos, phi), float, len(phi))
-        sin_phi = np.fromiter(map(sin, phi), float, len(phi))
-        # Lanes inside the guard may take sqrt of a negative or divide by 0;
-        # they are overwritten with NaN below, as f returns NaN there.
-        with np.errstate(all="ignore"):
-            rem = four_j - (q1 * q1 + p1 * p1)
-            proj = cos_phi * q1 + sin_phi * p1
-            root = np.sqrt(rem / four_j)
-            denom = np.sqrt(four_j * rem)
-            g = two_lam * q2
-            out = np.array((
-                omega0 * p1 - g * proj * p1 / denom + g * root * sin_phi,
-                -omega0 * q1 + g * proj * q1 / denom - g * root * cos_phi,
-                omega * p2,
-                -omega * q2 - two_lam * root * proj,
-            ))
-            out[:, rem < guard] = math.nan
-        return out
-
-    f = _generated("_scalar_flow")(*constants)
-    f.constants = constants
-    f.array = f_array
-    return f
+def _check_off_the_boundary(point: PhasePoint, j: float) -> None:
+    """ValueError where the flow is NaN: ``point`` within _BOUNDARY_GUARD of
+    the sphere q1^2 + p1^2 = 4j or past it, by the flow's own test."""
+    four_j = 4.0 * j
+    r2 = point.q1 * point.q1 + point.p1 * point.p1
+    if four_j - r2 < _BOUNDARY_GUARD * four_j:
+        raise ValueError(
+            f"q1^2+p1^2 = {r2} is on or outside the sphere of radius^2 4j = {four_j} "
+            f"(to within a relative {_BOUNDARY_GUARD:g}); the square-root derivative diverges there"
+        )
 
 
 def eom_rhs(point: PhasePoint, t: float, params: ModelParams) -> np.ndarray:
     """Time derivative (dq1, dp1, dq2, dp2) of the driven mean-field flow."""
-    r2 = point.q1**2 + point.p1**2
-    four_j = 4.0 * params.j
-    if four_j - r2 < _BOUNDARY_GUARD * four_j:
-        raise ValueError(
-            f"q1^2+p1^2 = {r2} is on or outside the sphere of radius^2 4j = {four_j}; "
-            "the square-root derivative diverges there"
-        )
+    _check_off_the_boundary(point, params.j)
     f = _generated("_scalar_flow")(*_constants(params, params.delta_phi))
     return np.array(f(t, point.q1, point.p1, point.q2, point.p2))
 
@@ -388,10 +345,12 @@ def integrate(
     tolerance ``tol``) and reads the ``sample_count`` uniform times, t=0 and
     ``t_end`` included, off the method's 7th-order dense output.  The drive
     phase is 0 at the start, so ``start.t`` must be 0: a point built for
-    another time would be integrated from the wrong phase.  Raises
-    :class:`IntegrationError` when step control fails, which in practice
-    flags an approach to the q1^2+p1^2 -> 4j boundary.  The trajectory holds
-    q1, p1, q2, p2 and the mean-field column of each of the ``observables``.
+    another time would be integrated from the wrong phase.  A start where
+    the flow is NaN, within the boundary guard, fails as in :func:`eom_rhs`.
+    Raises :class:`IntegrationError` when step control fails, which in
+    practice flags an approach to the q1^2+p1^2 -> 4j boundary.  The
+    trajectory holds q1, p1, q2, p2 and the mean-field column of each of
+    the ``observables``.
     """
     t_grid = _sample_grid(t_end, sample_count)
     if observables:
@@ -401,14 +360,10 @@ def integrate(
     y0 = (start.q1, start.p1, start.q2, start.p2)
     if not all(map(math.isfinite, y0)):
         raise ValueError(f"start must be finite, got (q1, p1, q2, p2) = {y0}")
-    four_j = 4.0 * params.j
-    r2 = start.q1**2 + start.p1**2
-    if r2 >= four_j:
-        raise ValueError(
-            f"start violates q1^2+p1^2 < 4j: {r2} >= {four_j}"
-        )
+    _check_off_the_boundary(start, params.j)
     drive = params.delta_phi if driven else 0.0
-    q1, p1, q2, p2 = _dop853(_flow(params, drive), y0, t_grid, tol, DEFAULT_ATOL)
+    q1, p1, q2, p2 = _dop853(_constants(params, drive), y0, t_grid, tol, DEFAULT_ATOL)
+    four_j = 4.0 * params.j
     for start in range(0, sample_count, CHUNK):
         part = slice(start, start + CHUNK)
         # NaN counts as a violation: a dense-output stage can cross the guard.
@@ -478,8 +433,9 @@ def _dense_table(f, packed):
     Wanner, Solving ODEs I, II.6.
 
     Everything is computed elementwise across the steps, with the bits of a
-    step-by-step pass.  Each of stages 13-15 is one ``f.array`` call over
-    all recorded steps.  The four _D rows are summed side by side, as one
+    step-by-step pass.  Each of stages 13-15 is one call over all recorded
+    steps of ``f``, the generated ``_array_flow`` bound to the run's
+    constants.  The four _D rows are summed side by side, as one
     (row, component, step) array that gains one stage at a time, left to
     right, over the stages where _D is nonzero: each row adds the terms it
     would add alone.  Each component's 8 interpolant columns are then
@@ -493,7 +449,7 @@ def _dense_table(f, packed):
         k[s] = stage
     for s in range(13, 16):
         # f at t + c_s h and y + (sum a_s,i k_i) h.
-        k.append(f.array(t + _C[s] * h, *(y + _tableau_sum(_A[s], k) * h)))
+        k.append(f(t + _C[s] * h, *(y + _tableau_sum(_A[s], k) * h)))
     d_sums = None
     for s, weights in _D_COLUMNS:
         if d_sums is None:
@@ -508,8 +464,8 @@ def _dense_table(f, packed):
     return np.column_stack([t, h, coeffs.transpose(2, 1, 0).reshape(len(t), 32)])
 
 
-def _dop853(f, y, t_grid, rtol, atol):
-    """Sample (q1, p1, q2, p2)' = f(t, q1, p1, q2, p2) on ``t_grid``.
+def _dop853(constants, y, t_grid, rtol, atol):
+    """Sample the flow with these :func:`_constants` on ``t_grid``.
 
     Starts from ``y`` at t_grid[0] = 0; the grid must increase.
     Dormand-Prince 8(5,3) on Python floats (Hairer, Norsett & Wanner,
@@ -518,12 +474,13 @@ def _dop853(f, y, t_grid, rtol, atol):
     norm, a minimum step of 10 ulp of t, and a NaN right-hand side taken
     as a rejected step.  Returns one array per component.
 
-    ``f`` comes from :func:`_flow`: f itself gives the first stage and the
-    first-step probe, and ``f.constants`` are passed to the step loop
-    ``_steps``, which evaluates the right-hand side inline.  The loop,
-    generated from the tableau by :func:`_steps_source` and compiled on
-    first use, records the steps that hold grid times and counts the
-    accepted and rejected step attempts.
+    Everything that evaluates the flow is generated from the tableau and
+    the lines of :func:`_rhs_lines` by :func:`_steps_source`, compiled on
+    first use, and bound here to the constants: ``_scalar_flow`` gives the
+    first stage and the first-step probe, the step loop ``_steps``
+    evaluates the right-hand side inline, records the steps that hold grid
+    times and counts the accepted and rejected step attempts, and
+    ``_array_flow`` gives the dense output's extra stages.
 
     The grid is read through ``memoryview(t_grid)``, whose items are Python
     floats, so ``bisect`` finds the samples a step covers without a copy of
@@ -536,13 +493,14 @@ def _dop853(f, y, t_grid, rtol, atol):
     hold four times the scratch per chunk.
     """
     grid = memoryview(t_grid)  # items are Python floats; bisect reads it in place
+    f = _generated("_scalar_flow")(*constants)
     k0 = f(0.0, *y)
     h_abs = _initial_step(f, y, k0, grid[-1], rtol, atol)
     # The attempt counts are not reported yet: no stats channel takes them.
     dense, ends, accepted, rejected = _generated("_steps")(
-        *f.constants, y, k0, h_abs, grid, rtol, atol
+        *constants, y, k0, h_abs, grid, rtol, atol
     )
-    table = _dense_table(f, dense)
+    table = _dense_table(_generated("_array_flow")(*constants), dense)
     del dense  # the records are in table now; free them before the outputs are filled
     ends = np.array(ends)
     out = [np.empty(len(grid)) for _ in range(4)]
@@ -579,6 +537,8 @@ def point_from_coherent(alpha: complex, zeta: complex, j: float) -> PhasePoint:
     """Phase-space point at t = 0 labelled by the coherent-state pair (alpha, zeta)."""
     alpha = complex(alpha)
     zeta = complex(zeta)
+    check_label("alpha", alpha)
+    check_label("zeta", zeta)
     s = abs(zeta) ** 2
     scale = 2.0 * math.sqrt(j / (1.0 + s))
     return PhasePoint(
@@ -757,17 +717,38 @@ if {0, 12} & set(_UNRECORDED) or any(row[s] != 0.0 for row in _A[13:] for s in _
     raise RuntimeError("the dense output needs stages that a step does not record")
 _RECORD_WIDTH = 10 + 4 * len(_RECORDED_STAGES)
 
-# The generated code: the scalar right-hand side that _flow binds, and the
-# step loop of _dop853, with the lines of one step attempt in {step}.
+# The generated code: the right-hand side on floats and on arrays, which
+# _dop853 and eom_rhs bind to a run's constants, and the step loop of
+# _dop853, with the lines of one step attempt in {step}.
 _GENERATED_TEMPLATE = '''\
 def _scalar_flow(omega0, omega, two_lam, four_j, guard, drive):
     """The right-hand side f(t, q1, p1, q2, p2) -> (dq1, dp1, dq2, dp2)
-    with these constants.  Generated by meanfield._steps_source."""
+    with these constants, NaN within the boundary guard.  Generated by
+    meanfield._steps_source."""
 {bindings}
 
     def f(t, q1, p1, q2, p2):
 {rhs}
         return dq1, dp1, dq2, dp2
+
+    return f
+
+
+def _array_flow(omega0, omega, two_lam, four_j, guard, drive):
+    """The right-hand side on float64 arrays, one lane per element, as a
+    (component, lane) array with the bits of _scalar_flow's f on every lane:
+    numpy rounds + - * / and sqrt as Python does, and cos and sin are math's
+    lane by lane.  Generated by meanfield._steps_source."""
+{array_bindings}
+
+    def f(t, q1, p1, q2, p2):
+        # Lanes within the guard may take sqrt of a negative or divide by 0;
+        # they are overwritten with NaN, as the scalar f returns NaN there.
+        with np.errstate(all="ignore"):
+{array_rhs}
+            out = np.array((dq1, dp1, dq2, dp2))
+            out[:, rem < guard] = nan
+        return out
 
     return f
 
@@ -834,47 +815,54 @@ def _steps(omega0, omega, two_lam, four_j, guard, drive, y, k0, h_abs, grid, rto
 '''
 
 
-# The locals that the lines of _rhs_lines read besides the constants, bound
-# once per call of each generated function.
-_RHS_BINDINGS = (
-    "cos = math.cos",
-    "sin = math.sin",
-    "sqrt = math.sqrt",
-    "nan = math.nan",
-    "neg_omega0 = -omega0",
-    "neg_omega = -omega",
-)
+def _bindings(cos, sin, sqrt):
+    """The locals that the lines of _rhs_lines read besides the constants,
+    bound once per call of a generated function; cos, sin and sqrt as given."""
+    return [f"cos = {cos}", f"sin = {sin}", f"sqrt = {sqrt}", "nan = math.nan",
+            "neg_omega0 = -omega0", "neg_omega = -omega"]
+
+
+def _lanewise(scalar):
+    """``scalar`` (math.cos or math.sin) on each lane of a 1-D float64 array,
+    read as Python floats through a memoryview: numpy's cos and sin are not
+    bit-equal to libm's."""
+    return lambda x: np.fromiter(map(scalar, memoryview(x)), float, x.size)
 
 
 def _rhs_lines(t, point, out):
-    """The right-hand side as source lines, written once for the scalar f
-    and for every stage of the step loop: at the time ``t`` and the point
-    ``point`` (four local names), into the four names ``out``, all NaN
-    within the boundary guard.  The bits are those of writing each
+    """The right-hand side as source lines, written once for the scalar f,
+    the array f and every stage of the step loop: at the time ``t`` and the
+    point ``point`` (four local names), into the four names ``out``.  Returns
+    the line binding rem = 4j - (q1^2 + p1^2), which the boundary guard
+    tests, and the body lines after it.  The bits are those of writing each
     component out in full: g * proj * x and g * root * x associate to the
     left, so g * proj and g * root can be taken once, and -omega0 * q1
     already is (-omega0) * q1."""
     q1, p1, q2, p2 = point
     d1, d2, d3, d4 = out
-    return [
-        f"rem = four_j - ({q1} * {q1} + {p1} * {p1})",
-        "if rem < guard:",
-        f"    {d1} = {d2} = {d3} = {d4} = nan",
-        "else:",
-        f"    phi = drive * {t}",
-        "    cos_phi = cos(phi)",
-        "    sin_phi = sin(phi)",
-        f"    proj = cos_phi * {q1} + sin_phi * {p1}",
-        "    root = sqrt(rem / four_j)",
-        "    denom = sqrt(four_j * rem)",
-        f"    g = two_lam * {q2}",
-        "    g_proj = g * proj",
-        "    g_root = g * root",
-        f"    {d1} = omega0 * {p1} - g_proj * {p1} / denom + g_root * sin_phi",
-        f"    {d2} = neg_omega0 * {q1} + g_proj * {q1} / denom - g_root * cos_phi",
-        f"    {d3} = omega * {p2}",
-        f"    {d4} = neg_omega * {q2} - two_lam * root * proj",
+    return f"rem = four_j - ({q1} * {q1} + {p1} * {p1})", [
+        f"phi = drive * {t}",
+        "cos_phi = cos(phi)",
+        "sin_phi = sin(phi)",
+        f"proj = cos_phi * {q1} + sin_phi * {p1}",
+        "root = sqrt(rem / four_j)",
+        "denom = sqrt(four_j * rem)",
+        f"g = two_lam * {q2}",
+        "g_proj = g * proj",
+        "g_root = g * root",
+        f"{d1} = omega0 * {p1} - g_proj * {p1} / denom + g_root * sin_phi",
+        f"{d2} = neg_omega0 * {q1} + g_proj * {q1} / denom - g_root * cos_phi",
+        f"{d3} = omega * {p2}",
+        f"{d4} = neg_omega * {q2} - two_lam * root * proj",
     ]
+
+
+def _guarded_rhs_lines(t, point, out):
+    """:func:`_rhs_lines` on floats: the body runs only outside the
+    boundary guard, and within it all four ``out`` are NaN."""
+    rem, body = _rhs_lines(t, point, out)
+    return [rem, "if rem < guard:", f"    {' = '.join(out)} = nan", "else:",
+            *("    " + line for line in body)]
 
 
 def _combination(row, c):
@@ -884,13 +872,15 @@ def _combination(row, c):
 
 
 def _steps_source() -> str:
-    """Source text of the generated ``_scalar_flow`` and ``_steps``.
+    """Source text of the generated ``_scalar_flow``, ``_array_flow`` and
+    ``_steps``, all three evaluating the right-hand side from the lines of
+    :func:`_rhs_lines`: the two float forms behind its guard test, the
+    array form in full with the guarded lanes set to NaN after it.
 
     Stage s of a step attempt is held as k<s>_1..k<s>_4, one local per
     component.  Stages 1-11 bind their time ts = t + c_s h and their point
     y1..y4 = y + (sum a k) h, then evaluate the right-hand side there
-    inline, from the lines of :func:`_rhs_lines` that also make up the
-    scalar f.  The new point n1..n4 is y + h (sum b k), stage 12 is the
+    inline.  The new point n1..n4 is y + h (sum b k), stage 12 is the
     right-hand side there at t + h, and each component adds its
     (sum e k) / scale to both error estimates; the larger of |y| and |n|
     in the scale is picked as max() picks it, NaN order included.
@@ -904,10 +894,10 @@ def _steps_source() -> str:
             f"{x} = {y} + ({_combination(_A[s], c)}) * h"
             for c, (x, y) in enumerate(zip(stage_point, names), 1)
         ]
-        step += _rhs_lines("ts", stage_point, [f"k{s}_{c}" for c in range(1, 5)])
+        step += _guarded_rhs_lines("ts", stage_point, [f"k{s}_{c}" for c in range(1, 5)])
     step += [f"n{c} = {y} + h * ({_combination(_B, c)})" for c, y in enumerate(names, 1)]
     step.append("ts = t + h")
-    step += _rhs_lines("ts", ("n1", "n2", "n3", "n4"), ("k12_1", "k12_2", "k12_3", "k12_4"))
+    step += _guarded_rhs_lines("ts", ("n1", "n2", "n3", "n4"), ("k12_1", "k12_2", "k12_3", "k12_4"))
     for c, y in enumerate(names, 1):
         add = "=" if c == 1 else "+="
         step += [
@@ -919,11 +909,19 @@ def _steps_source() -> str:
             f"err5 {add} x5 * x5",
             f"err3 {add} x3 * x3",
         ]
+    rhs = ("t", names, ("dq1", "dp1", "dq2", "dp2"))
+    rem, body = _rhs_lines(*rhs)
+
+    def indent(depth, lines):
+        return "\n".join(" " * depth + line for line in lines)
+
     return _GENERATED_TEMPLATE.format(
-        bindings="\n".join(" " * 4 + line for line in _RHS_BINDINGS),
-        rhs="\n".join(" " * 8 + line for line in _rhs_lines("t", names, ("dq1", "dp1", "dq2", "dp2"))),
+        bindings=indent(4, _bindings("math.cos", "math.sin", "math.sqrt")),
+        rhs=indent(8, _guarded_rhs_lines(*rhs)),
+        array_bindings=indent(4, _bindings("_lanewise(math.cos)", "_lanewise(math.sin)", "np.sqrt")),
+        array_rhs=indent(12, [rem, *body]),
         width=_RECORD_WIDTH,
-        step="\n".join(" " * 12 + line for line in step),
+        step=indent(12, step),
         stages=", ".join(f"k{s}_{c}" for s in _RECORDED_STAGES for c in range(1, 5)),
     )
 
@@ -933,15 +931,16 @@ _steps_entry = None  # the linecache entry of the generated source, once generat
 
 
 def _generated(name: str):
-    """The generated function ``name``, ``_scalar_flow`` or ``_steps``.
+    """The generated function ``name``: ``_scalar_flow``, ``_array_flow``
+    or ``_steps``.
 
-    The source of both is written by :func:`_steps_source` and compiled on
-    the first call, so a process that never integrates never pays for it.
-    It is compiled into this module's namespace, so the generated code
-    reads the module's globals as hand-written code would, and registered
-    with linecache, so tracebacks, profiles and inspect.getsource show its
-    lines; again at each call, since linecache.clearcache() drops the
-    entry before Python 3.13.
+    The source of all three is written by :func:`_steps_source` and
+    compiled on the first call, so a process that never integrates never
+    pays for it.  It is compiled into this module's namespace, so the
+    generated code reads the module's globals as hand-written code would,
+    and registered with linecache, so tracebacks, profiles and
+    inspect.getsource show its lines; again at each call, since
+    linecache.clearcache() drops the entry before Python 3.13.
     """
     global _steps_entry
     if _steps_entry is None:

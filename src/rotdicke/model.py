@@ -9,8 +9,9 @@ Conventions (hbar = 1):
   it shifts to sqrt(omega*(omega0 + delta_phi))/2.  Above it one closed form
   (:func:`_stationary`) gives the stationary starts' labels, c2/c3 and <n>/j.
 
-Each scalar argument rule is spelled once: check_finite, check_positive,
-check_nonnegative, check_count, check_spin.  Errors lead with the argument's name.
+Each scalar argument rule is spelled once: check_finite, check_label,
+check_positive, check_nonnegative, check_count, check_spin.  Errors lead
+with the argument's name.
 The closed forms run on floats where no step can over- or underflow and on
 wide-exponent Decimals elsewhere (:func:`_closed_form`).
 """
@@ -56,6 +57,13 @@ def check_finite(name: str, value: complex) -> None:
     """ValueError unless ``value``, real or complex, is finite."""
     if not cmath.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_label(name: str, value: complex) -> None:
+    """ValueError unless the coherent-state label ``value`` and |value|^2 are finite."""
+    check_finite(name, value)
+    if not math.isfinite(value.real * value.real + value.imag * value.imag):
+        raise ValueError(f"|{name}|^2 overflows the float range at {name} = {value:.6g}")
 
 
 def check_positive(name: str, value: float) -> None:

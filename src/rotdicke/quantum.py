@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .meanfield import _OBSERVABLES, Trajectory, _check_observables, _sample_grid
-from .model import ModelParams, check_count, check_finite, check_spin, initial_state_params
+from .model import ModelParams, check_count, check_label, check_spin, initial_state_params
 
 __all__ = [
     "PropagationError",
@@ -559,10 +559,8 @@ def _coherent_start(alpha: complex, zeta: complex, j: float, n_max: int) -> tupl
     A start that the truncation loses whole (loss 1) stays all zeros.
     """
     alpha, zeta = complex(alpha), complex(zeta)
-    for name, label in (("alpha", alpha), ("zeta", zeta)):
-        check_finite(name, label)
-        if not math.isfinite(label.real * label.real + label.imag * label.imag):
-            raise ValueError(f"|{name}|^2 overflows the float range at {name} = {label:.6g}")
+    check_label("alpha", alpha)
+    check_label("zeta", zeta)
     two_j = int(round(2 * j))
 
     n = np.arange(n_max + 1, dtype=float)

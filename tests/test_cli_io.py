@@ -684,6 +684,34 @@ class TestMainExitCodes:
                 assert "nan" not in out.read_text().lower(), subcommand
 
     @pytest.mark.parametrize(
+        "engines, key, value, failure",
+        [
+            # 2.4e-13 inside the sphere at j = 6, within the boundary guard;
+            # once reported as rates that overflow at the start.
+            (["meanfield"], "zeta_re", "1e7", "q1^2+p1^2 = 23.999999999999762"
+             " is on or outside the sphere of radius^2 4j = 24.0"),
+            # Once "(34, 'Numerical result out of range')" from the mean
+            # field's label map.
+            (["meanfield", "quantum"], "zeta_re", "1e160",
+             "|zeta|^2 overflows the float range at zeta = 1e+160"),
+            (["meanfield", "quantum"], "alpha_re", "1e160",
+             "|alpha|^2 overflows the float range at alpha = 1e+160"),
+            # |alpha|^2 = 1e300 is finite; the flow's rates are not.
+            (["meanfield"], "alpha_re", "1e150", "no first step: the flow's rates at the start overflow"),
+        ],
+        ids=["zeta-within-the-guard", "zeta-squared-overflows", "alpha-squared-overflows", "rates-overflow"],
+    )
+    def test_extreme_explicit_start_names_its_failure(self, tmp_path, capsys, engines, key, value, failure):
+        for engine in engines:
+            out = tmp_path / f"{engine}.csv"
+            flags = {"engine": engine, "initial": "explicit", "lambda": "1", "sample_count": "3", key: value}
+            argv = [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
+            code = main(["trajectory", *argv, "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 2 and err.startswith(f"error: {failure}"), (engine, err)
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["spectrum", "--lambda-step", "1e-12"],
@@ -961,7 +989,8 @@ def test_runs_without_meanfield_never_generate_the_step_loop(tmp_path, argv):
     # The generated DOP853 loop is compiled on first use (~2 ms): a command
     # that never integrates the mean field never pays for it.
     code = f"from rotdicke.cli import main; assert main({argv + ['--out', str(tmp_path / 'out.csv')]!r}) == 0"
-    generated = "[name for name in ('_steps', '_scalar_flow') if name in vars(sys.modules['rotdicke.meanfield'])]"
+    names = ("_steps", "_scalar_flow", "_array_flow")
+    generated = f"[name for name in {names!r} if name in vars(sys.modules['rotdicke.meanfield'])]"
     assert value_after(code, generated) == []
 
 

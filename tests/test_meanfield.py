@@ -5,6 +5,7 @@ import inspect
 import itertools
 import linecache
 import math
+import re
 import traceback
 import tracemalloc
 import types
@@ -54,17 +55,19 @@ def dot(coeffs, values):
     return total
 
 
-def reference_dop853(f, y, t_grid, rtol, atol, record):
+def reference_dop853(constants, y, t_grid, rtol, atol, record):
     """DOP853 driven by the tableau: every row summed in full, zeros included.
 
     Same scheme, step control and dense output as ``meanfield._dop853``,
     which writes the same arithmetic out as straight-line code; the two must
-    agree bit for bit.  Sets ``record["rejected"]`` to the number of
-    rejected steps and ``record["stages"]`` to the (q1, p1) of every stage
-    1-11 evaluated, in order.
+    agree bit for bit.  Every stage, the dense output's too, is the scalar
+    right-hand side with these ``constants``.  Sets ``record["rejected"]``
+    to the number of rejected steps and ``record["stages"]`` to the (q1, p1)
+    of every stage 1-11 evaluated, in order.
     """
     A, C, B, E5, E3, D = (meanfield._A, meanfield._C, meanfield._B, meanfield._E5,
                           meanfield._E3, meanfield._D)
+    f = meanfield._generated("_scalar_flow")(*constants)
     record["stages"] = []
 
     def stage(s, t, h, y, K):
@@ -351,6 +354,21 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="4j"):
             integrate(PhasePoint(1.5, 0, 0, 0), params, 1.0)
 
+    def test_start_within_the_guard_fails_as_eom_rhs_does(self):
+        # zeta = 1e7 at j = 6 maps 2.4e-13 inside the sphere, within the
+        # boundary guard, where the flow is NaN: integrate once reported it
+        # as "no first step: the flow's rates at the start overflow".
+        params = ModelParams(lam=1.0, j=6.0, delta_phi=1.0)
+        start = point_from_coherent(0j, 1e7, params.j)
+        rem = 4 * params.j - (start.q1 * start.q1 + start.p1 * start.p1)
+        assert 0.0 < rem < meanfield._BOUNDARY_GUARD * 4 * params.j
+        with pytest.raises(ValueError, match="sphere") as expected:
+            eom_rhs(start, 0.0, params)
+        for driven in (True, False):
+            with pytest.raises(ValueError) as raised:
+                integrate(start, params, 1.0, sample_count=3, driven=driven)
+            assert str(raised.value) == str(expected.value)
+
     def test_failure_carries_time(self):
         # Inward flow starting a hair inside the sphere: step control
         # collapses at the boundary and the failure must carry its time and
@@ -402,10 +420,11 @@ class TestDop853:
         # Same tableau and step control: the same right-hand-side evaluations,
         # so the same accepted and rejected steps, and samples within 1e-9.
         # Ours are f at t = 0, the first-step probe, 12 per step attempt in
-        # the loop and one per lane of f.array: the dense-output stages cost
-        # what scipy's per-step evaluations of them cost.
+        # the loop and one per lane of the array form: the dense-output
+        # stages cost what scipy's per-step evaluations of them cost.
         from scipy.integrate import solve_ivp
 
+        generated = meanfield._generated
         rng = np.random.default_rng(12)
         for k in range(8):
             j = float(rng.choice([0.5, 1.0, 3.0]))
@@ -414,22 +433,26 @@ class TestDop853:
             )
             start = random_domain_point(rng, j)
             driven = k % 2 == 0
-            flow = meanfield._flow(params, params.delta_phi if driven else 0.0)
+            drive = params.delta_phi if driven else 0.0
+            flow = generated("_scalar_flow")(*meanfield._constants(params, drive))
             lanes, attempts = [], []
-            array, steps = flow.array, meanfield._generated("_steps")
 
-            def counted_array(t, *y):
-                lanes.append(t.size)
-                return array(t, *y)
+            def counted_array_flow(*constants):
+                array = generated("_array_flow")(*constants)
+
+                def counted_array(t, *y):
+                    lanes.append(t.size)
+                    return array(t, *y)
+
+                return counted_array
 
             def counted_steps(*args):
-                dense, ends, accepted, rejected = steps(*args)
+                dense, ends, accepted, rejected = generated("_steps")(*args)
                 attempts.append(accepted + rejected)
                 return dense, ends, accepted, rejected
 
-            flow.array = counted_array
-            monkeypatch.setattr(meanfield, "_flow", lambda p, d: flow)
-            monkeypatch.setattr(meanfield, "_generated", lambda name: counted_steps)
+            counted = {"_array_flow": counted_array_flow, "_steps": counted_steps}
+            monkeypatch.setattr(meanfield, "_generated", lambda name: counted.get(name) or generated(name))
             traj = integrate(start, params, 2 * math.pi, sample_count=200, driven=driven)
             monkeypatch.undo()
             ref = solve_ivp(
@@ -448,10 +471,12 @@ class TestDop853:
     def test_array_form_bit_identical_to_flow(self):
         # Random domain points, lanes just inside and just outside the
         # boundary guard, lanes past the sphere and NaN coordinates: every
-        # lane of f.array has the bits of f on that lane, NaN included.
+        # lane of the array form has the bits of the scalar f on that lane,
+        # NaN included.
         rng = np.random.default_rng(7)
         for j, lam, drive in ((0.5, 1.7, 0.6), (1.0, 0.0, 1.3), (3.0, 0.9, 0.0)):
-            f = meanfield._flow(ModelParams(lam=lam, j=j, delta_phi=1.0), drive)
+            constants = meanfield._constants(ModelParams(lam=lam, j=j, delta_phi=1.0), drive)
+            f = meanfield._generated("_scalar_flow")(*constants)
             guard = meanfield._BOUNDARY_GUARD * 4 * j
             lanes = [astuple(random_domain_point(rng, j, fill=0.99))[:4] for _ in range(200)]
             for rem in (2 * guard, 1.01 * guard, guard, 0.99 * guard, 0.0, -1.0):
@@ -465,7 +490,7 @@ class TestDop853:
             t = rng.uniform(0.0, 50.0, len(lanes))
             y = np.array(lanes).T
             expected = np.array([f(*args) for args in zip(t.tolist(), *y.tolist())]).T
-            got = f.array(t, *y)
+            got = meanfield._generated("_array_flow")(*constants)(t, *y)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
             near = got[:, -10:-4]  # the lanes around the guard take both sides
@@ -687,7 +712,8 @@ class TestGeneratedSteps:
         source = meanfield._steps_source()
         steps = meanfield._generated("_steps")
         assert source.endswith(inspect.getsource(steps))
-        assert inspect.getsource(meanfield._generated("_scalar_flow")) in source
+        for name in ("_scalar_flow", "_array_flow"):
+            assert inspect.getsource(meanfield._generated(name)) in source
         stage_1 = (
             "            ts = t + 0.05260015195876773 * h\n"
             "            y1 = q1 + (0.05260015195876773 * k0_1) * h\n"
@@ -721,11 +747,28 @@ class TestGeneratedSteps:
         )
         assert stage_1 in source
         assert error_5_of_q1 in source
+        # Both forms of f carry stage 1's lines of the right-hand side, with
+        # its names renamed to f's: the float form behind the guard test, the
+        # array form without it.
+        renames = {"ts": "t", "y1": "q1", "y2": "p1", "y3": "q2", "y4": "p2",
+                   "k1_1": "dq1", "k1_2": "dp1", "k1_3": "dq2", "k1_4": "dp2"}
+        stage = [re.sub(r"\w+", lambda m: renames.get(m[0], m[0]), line.strip())
+                 for line in stage_1.splitlines()[5:-1]]
+
+        def rhs(name):
+            lines = [line.strip() for line in inspect.getsource(meanfield._generated(name)).splitlines()]
+            first = lines.index(stage[0])
+            return lines[first:lines.index(stage[-1], first) + 1]
+
+        guard = ["if rem < guard:", "dq1 = dp1 = dq2 = dp2 = nan", "else:"]
+        assert stage[1:4] == guard and len(stage) == 17
+        assert rhs("_scalar_flow") == stage
+        assert rhs("_array_flow") == stage[:1] + stage[4:]
 
     def test_runs_in_module_globals(self):
         # Monkeypatching a name of the module (as test_stepping_calls_no_sum
         # does with sum) must reach the generated code.
-        for name in ("_steps", "_scalar_flow"):
+        for name in ("_steps", "_scalar_flow", "_array_flow"):
             assert meanfield._generated(name).__globals__ is vars(meanfield)
 
     def test_traceback_shows_generated_line(self, monkeypatch):
@@ -751,9 +794,9 @@ class TestGeneratedSteps:
             return math.cos(x)
 
         monkeypatch.setattr(meanfield, "math", types.SimpleNamespace(**{**vars(math), "cos": cos}))
-        flow = meanfield._flow(ModelParams(lam=0.9, j=1.0, delta_phi=1.3), 1.3)
+        constants = meanfield._constants(ModelParams(lam=0.9, j=1.0, delta_phi=1.3), 1.3)
         with pytest.raises(ZeroDivisionError) as excinfo:
-            meanfield._dop853(flow, (0.4, -0.7, 0.5, 0.2), np.linspace(0.0, 1.0, 5), 1e-9, 1e-12)
+            meanfield._dop853(constants, (0.4, -0.7, 0.5, 0.2), np.linspace(0.0, 1.0, 5), 1e-9, 1e-12)
         frames = [frame for frame in traceback.extract_tb(excinfo.tb) if frame.name == "_steps"]
         assert len(frames) == 1
         assert frames[0].filename == "<rotdicke.meanfield._steps>"
