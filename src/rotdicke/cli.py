@@ -24,12 +24,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import io as rio
 from .experiments import (
+    _AXIS_NAMES,
     ProtocolSpec,
     phase_diagram,
     run_protocol,
@@ -59,24 +60,28 @@ class KeySpec:
     optional: bool = False  # empty value allowed, parsed as None
 
 
+# The library's field defaults, which the keys named after a field share.
+_DEFAULTS = {f.name: f.default for cls in (ModelParams, ProtocolSpec) for f in fields(cls)}
+
+
 def _model_keys(n_revolutions_default: int) -> dict[str, KeySpec]:
     return {
         "engine": KeySpec("str", _REQUIRED, "evolution engine"),
         "initial": KeySpec("str", _REQUIRED, "initial-state preparation"),
-        "omega": KeySpec("float", 1.0, "field frequency"),
-        "omega0": KeySpec("float", 1.0, "atomic level splitting"),
-        "j": KeySpec("float", 6.0, "pseudo-spin length, half-integer"),
-        "n_max": KeySpec("int", None, "boson truncation (quantum engine); empty = adaptive", optional=True),
+        "omega": KeySpec("float", _DEFAULTS["omega"], "field frequency"),
+        "omega0": KeySpec("float", _DEFAULTS["omega0"], "atomic level splitting"),
+        "j": KeySpec("float", _DEFAULTS["j"], "pseudo-spin length, half-integer"),
+        "n_max": KeySpec("int", _DEFAULTS["n_max"], "boson truncation (quantum engine); empty = adaptive", optional=True),
         "epsilon": KeySpec("float", 3.0, "nearly_fock exponent: alpha=zeta=10^-epsilon"),
         "alpha_re": KeySpec("float", 0.0, "Re alpha for initial=explicit"),
         "alpha_im": KeySpec("float", 0.0, "Im alpha for initial=explicit"),
         "zeta_re": KeySpec("float", 0.0, "Re zeta for initial=explicit"),
         "zeta_im": KeySpec("float", 0.0, "Im zeta for initial=explicit"),
-        "driven": KeySpec("bool", True, "rotate from t=0 (false: undriven run, same t_f)"),
+        "driven": KeySpec("bool", _DEFAULTS["driven"], "rotate from t=0 (false: undriven run, same t_f)"),
         "n_revolutions": KeySpec("int", n_revolutions_default, "t_f = n_revolutions*2pi/delta_phi"),
-        "sample_count": KeySpec("int", 1000, "uniform samples incl. endpoints"),
-        "observables": KeySpec("obs", ("mean_photon_scaled", "parity"), "comma-separated observables"),
-        "rtol": KeySpec("float", 1e-12, "mean-field integrator relative tolerance"),
+        "sample_count": KeySpec("int", _DEFAULTS["sample_count"], "uniform samples incl. endpoints"),
+        "observables": KeySpec("obs", _DEFAULTS["observables"], "comma-separated observables"),
+        "rtol": KeySpec("float", _DEFAULTS["rtol"], "mean-field integrator relative tolerance"),
     }
 
 
@@ -131,8 +136,8 @@ def _build_schemas() -> dict[str, dict[str, KeySpec]]:
         **_output_keys(),
     }
     schemas["spectrum"] = {
-        "omega": KeySpec("float", 1.0, "field frequency"),
-        "omega0": KeySpec("float", 1.0, "atomic level splitting"),
+        "omega": KeySpec("float", _DEFAULTS["omega"], "field frequency"),
+        "omega0": KeySpec("float", _DEFAULTS["omega0"], "atomic level splitting"),
         "delta_phi": KeySpec("float", 1.0, "velocity for the rotated critical line"),
         **_lambda_axis_keys(required=False),
         **_output_keys(),
@@ -294,48 +299,37 @@ def _axis_values(values: dict, axis: str) -> np.ndarray:
     return values[f"{axis}_min"] + values[f"{axis}_step"] * np.arange(_axis_size(values, axis))
 
 
-# The keys that can supply a ModelParams field: a run's own value, or else
-# the first point of the axis that sweeps it.
-_FIELD_KEYS = {"lam": ("lambda", "lambda_min"), "delta_phi": ("delta_phi", "delta_phi_min")}
-
-
 def _field_key(values: dict, field: str) -> str:
-    own, axis_min = _FIELD_KEYS[field]
-    return own if own in values else axis_min
+    """The key that supplies swept field ``field``: the run's own value, else its axis's first point."""
+    own = _AXIS_NAMES[field]
+    return own if own in values else own + "_min"
 
 
 def _config_error(exc: ValueError, values: dict) -> ConfigError:
     """The library's error, its leading field name replaced by the CLI key."""
     field, sep, rest = str(exc).partition(" ")
-    if field in _FIELD_KEYS:
+    if field in _AXIS_NAMES:
         field = _field_key(values, field)
     return ConfigError(field + sep + rest)
+
+
+def _from_keys(cls, values: dict, **exceptions):
+    """``cls`` built from the keys named as its fields, ``exceptions`` given apart."""
+    named = {f.name: values[f.name] for f in fields(cls) if f.name in values}
+    return cls(**{**named, **exceptions})
 
 
 def config_to_spec(config: RunConfig) -> ProtocolSpec:
     """ProtocolSpec for the run subcommands (axis cells override later)."""
     v = config.values
     try:
-        params = ModelParams(
-            lam=v[_field_key(v, "lam")],
-            omega0=v["omega0"],
-            omega=v["omega"],
-            j=v["j"],
-            delta_phi=v[_field_key(v, "delta_phi")],
-            n_max=v["n_max"],
-        )
-        return ProtocolSpec(
+        params = _from_keys(ModelParams, v, **{name: v[_field_key(v, name)] for name in _AXIS_NAMES})
+        return _from_keys(
+            ProtocolSpec,
+            v,
             params=params,
-            engine=v["engine"],
-            initial=v["initial"],
-            epsilon=v["epsilon"],
-            alpha=complex(v["alpha_re"], v["alpha_im"]),
-            zeta=complex(v["zeta_re"], v["zeta_im"]),
-            driven=v["driven"],
-            n_revolutions=v["n_revolutions"],
-            sample_count=v["sample_count"],
-            observables=tuple(v["observables"]),
-            rtol=v["rtol"],
+            **{label: complex(v[label + "_re"], v[label + "_im"]) for label in ("alpha", "zeta")},
+            observables=tuple(v["observables"]),  # a legacy JSON config holds a list
         )
     except ValueError as exc:
         raise _config_error(exc, v) from exc

@@ -29,7 +29,7 @@ from .meanfield import _OBSERVABLES, Trajectory, _check_observables, check_grid
 from .model import (
     ModelParams,
     check_count,
-    check_finite,
+    check_label,
     check_positive,
     critical_coupling,
     dynamical_critical_fit,
@@ -100,10 +100,10 @@ class ProtocolSpec:
             raise ValueError("initial=nearly_fock requires epsilon")
         if self.epsilon is not None:
             check_positive("epsilon", self.epsilon)
-        # Checked here for both engines: the mean-field start takes a NaN
-        # label unchecked, and coherent_state sees one only inside a run.
-        check_finite("alpha", self.alpha)
-        check_finite("zeta", self.zeta)
+        # Both engines' starts refuse these labels only inside a run; checked
+        # here, a label the run would refuse fails when the spec is built.
+        check_label("alpha", self.alpha)
+        check_label("zeta", self.zeta)
         if self.initial == "ground_state" and self.engine != "quantum":
             raise ValueError(
                 "initial=ground_state requires the quantum engine; the "

@@ -349,7 +349,11 @@ def dynamical_critical_fit(delta_phi: float) -> float:
     start (at delta_phi = 2 and 3 the minimum lies at 1.05 and 1.24, the
     fit at 1.050 and 1.245).  At delta_phi = 0.5 that minimum is ambiguous:
     two minima, at 0.61 and 0.68, differ by about 1% in depth, and the fit
-    gives 0.694.  A reference overlay only, it gates nothing.
+    gives 0.694.  The minimum is a mean-field result: quantum runs at
+    delta_phi = 1 show none near 0.82 at j = 6 or 12, their gap to the mean
+    field there falling from 0.192 to 0.133, about as j^-1/2, so the
+    ~0.02-deep dip needs j in the hundreds.  A reference overlay only, it
+    gates nothing.
     """
     check_nonnegative("delta_phi", delta_phi)
     return 0.5 + 0.327 * delta_phi**0.75

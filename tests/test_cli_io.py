@@ -684,31 +684,36 @@ class TestMainExitCodes:
                 assert "nan" not in out.read_text().lower(), subcommand
 
     @pytest.mark.parametrize(
-        "engines, key, value, failure",
+        "engines, key, value, exit_code, failure",
         [
             # 2.4e-13 inside the sphere at j = 6, within the boundary guard;
             # once reported as rates that overflow at the start.
-            (["meanfield"], "zeta_re", "1e7", "q1^2+p1^2 = 23.999999999999762"
+            (["meanfield"], "zeta_re", "1e7", 2, "q1^2+p1^2 = 23.999999999999762"
              " is on or outside the sphere of radius^2 4j = 24.0"),
             # Once "(34, 'Numerical result out of range')" from the mean
-            # field's label map.
-            (["meanfield", "quantum"], "zeta_re", "1e160",
+            # field's label map, then a numerical failure after the echo;
+            # ProtocolSpec now rejects the label before it.
+            (["meanfield", "quantum"], "zeta_re", "1e160", 1,
              "|zeta|^2 overflows the float range at zeta = 1e+160"),
-            (["meanfield", "quantum"], "alpha_re", "1e160",
+            (["meanfield", "quantum"], "alpha_re", "1e160", 1,
              "|alpha|^2 overflows the float range at alpha = 1e+160"),
             # |alpha|^2 = 1e300 is finite; the flow's rates are not.
-            (["meanfield"], "alpha_re", "1e150", "no first step: the flow's rates at the start overflow"),
+            (["meanfield"], "alpha_re", "1e150", 2, "no first step: the flow's rates at the start overflow"),
         ],
         ids=["zeta-within-the-guard", "zeta-squared-overflows", "alpha-squared-overflows", "rates-overflow"],
     )
-    def test_extreme_explicit_start_names_its_failure(self, tmp_path, capsys, engines, key, value, failure):
+    def test_extreme_explicit_start_names_its_failure(
+        self, tmp_path, capsys, engines, key, value, exit_code, failure
+    ):
         for engine in engines:
             out = tmp_path / f"{engine}.csv"
             flags = {"engine": engine, "initial": "explicit", "lambda": "1", "sample_count": "3", key: value}
             argv = [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
             code = main(["trajectory", *argv, "--out", str(out)])
-            err = capsys.readouterr().err
-            assert code == 2 and err.startswith(f"error: {failure}"), (engine, err)
+            captured = capsys.readouterr()
+            assert code == exit_code and captured.err.startswith(f"error: {failure}"), (engine, captured.err)
+            if exit_code == 1:
+                assert captured.out == "", engine
             assert not out.exists()
 
     @pytest.mark.parametrize(

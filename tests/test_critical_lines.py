@@ -1,9 +1,10 @@
 """The rotated critical coupling and the reentrant minimum away from delta_phi = 1.
 
 Criteria c06 and c07 of the acceptance suite place both at delta_phi = 1;
-these tests repeat them at other drive velocities with the same protocol
-(j = 1, 150 revolutions, 3000 samples, rtol 1e-9).  Margins measured when
-the windows were fixed are given next to each case.
+the mean-field tests repeat them at other drive velocities with the same
+protocol (j = 1, 150 revolutions, 3000 samples, rtol 1e-9).  The quantum
+tests check the shifted critical coupling on the finite-size engine.
+Margins measured when the windows were fixed are given next to each case.
 """
 
 import numpy as np
@@ -77,3 +78,57 @@ def test_reentrant_minimum_follows_dynamical_fit(delta_phi, first, last):
     _, location = min(minima)
     fit = dynamical_critical_fit(delta_phi)
     assert abs(location - fit) <= 0.02, (delta_phi, location, fit)
+
+
+# Fock starts on the quantum engine: 30 revolutions, 400 samples, n_max 60
+# at j = 3 and 100 at j = 6.  Time-averaged <n>/j at lambda = r lambda_c,rot:
+#   j = 3, r = 0.8:  0.0651 (delta_phi 0.5), 0.0713 (1), 0.0660 (2)
+#   j = 6, r = 0.8:  0.0368, 0.0371, 0.0361
+#   j = 3, r = 1.25: 0.698, 0.896, 1.289
+#   j = 6, r = 1.25: 0.616, 0.814, 1.168
+QUANTUM_N_MAX = {3.0: 60, 6.0: 100}
+QUANTUM_VELOCITIES = (0.5, 1.0, 2.0)
+
+
+@pytest.fixture(scope="module")
+def quantum_shift():
+    """Time-averaged <n>/j per (j, delta_phi, r) at lambda = r lambda_c,rot(delta_phi)."""
+    averages = {}
+    for j, n_max in QUANTUM_N_MAX.items():
+        for delta_phi in QUANTUM_VELOCITIES:
+            for r in (0.8, 1.25):
+                lam = r * rotated_critical_coupling(1.0, 1.0, delta_phi)
+                spec = ProtocolSpec(
+                    params=ModelParams(lam=lam, j=j, delta_phi=delta_phi, n_max=n_max),
+                    engine="quantum",
+                    initial="fock",
+                    n_revolutions=30,
+                    sample_count=400,
+                    observables=("mean_photon_scaled",),
+                )
+                averages[j, delta_phi, r] = run_protocol(spec).average("mean_photon_scaled")
+    return averages
+
+
+def test_quantum_below_shifted_coupling_is_velocity_independent(quantum_shift):
+    # At 0.8 lambda_c,rot every velocity looks alike (spread 1.10 at j = 3,
+    # 1.03 at j = 6), also at delta_phi = 2, where lambda = 0.69 lies well
+    # above the undriven lambda_c = 0.5.
+    for j in QUANTUM_N_MAX:
+        values = [quantum_shift[j, delta_phi, 0.8] for delta_phi in QUANTUM_VELOCITIES]
+        assert max(values) <= 1.15 * min(values), (j, values)
+
+
+def test_quantum_below_shifted_coupling_falls_as_one_over_j(quantum_shift):
+    # From j = 3 to j = 6 the value about halves, as a 1/j finite-size term
+    # does (ratios 0.52-0.57).
+    for delta_phi in QUANTUM_VELOCITIES:
+        ratio = quantum_shift[6.0, delta_phi, 0.8] / quantum_shift[3.0, delta_phi, 0.8]
+        assert 0.45 <= ratio <= 0.65, (delta_phi, ratio)
+
+
+def test_quantum_above_shifted_coupling_is_macroscopic(quantum_shift):
+    # At 1.25 lambda_c,rot the cavity fills at both j (smallest 0.616).
+    for (j, delta_phi, r), value in quantum_shift.items():
+        if r == 1.25:
+            assert value > 0.5, (j, delta_phi, value)

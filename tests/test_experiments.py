@@ -517,6 +517,26 @@ class TestPhaseDiagram:
         )
         assert result.overlays["lambda_c_dyn"][0] == pytest.approx(0.5 + 0.327 * 0.5**0.75)
 
+    @pytest.mark.parametrize("lam, delta_phi", [(1.4, 1.0), (0.9, 0.5), (0.6, 0.25)])
+    def test_region_holds_across_rtol(self, lam, delta_phi):
+        # Chaotic nearly-Fock cells: past their horizon the time average moves
+        # with rtol ((1.4, 1.0): 3.602 at 1e-9, 3.754 at 1e-12), but the
+        # region stays "nonzero" at both.
+        regions = []
+        for rtol in (1e-9, 1e-12):
+            spec = mf_spec(
+                params=ModelParams(lam=1.0, j=6.0, delta_phi=1.0),
+                initial="nearly_fock",
+                epsilon=3.0,
+                n_revolutions=150,
+                sample_count=1501,
+                rtol=rtol,
+            )
+            cell = phase_diagram(spec, [lam], [delta_phi]).cells[0]
+            assert cell.error is None, cell.error
+            regions.append(cell.region)
+        assert regions[0] == regions[1], regions
+
     def test_region_classification(self):
         spec = mf_spec(sample_count=150)
         result = phase_diagram(spec, [0.4, 1.2], [1.0])

@@ -55,7 +55,9 @@ SETTINGS = settings(max_examples=30, deadline=None)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-9, max_value=1e9)
 half_integers = st.integers(min_value=1, max_value=60).map(lambda k: k / 2)
-complexes = st.complex_numbers(allow_nan=False, allow_infinity=False)
+# Coherent-state labels whose |label|^2 stays finite (model.check_label).
+labels = st.complex_numbers(max_magnitude=1e150)
+label_parts = st.floats(min_value=-1e150, max_value=1e150)
 COORDINATES = ("q1", "p1", "q2", "p2")
 
 
@@ -83,8 +85,8 @@ def protocol_specs(draw):
         engine=engine,
         initial=initial,
         epsilon=draw(epsilon),
-        alpha=draw(complexes),
-        zeta=draw(complexes),
+        alpha=draw(labels),
+        zeta=draw(labels),
         driven=draw(st.booleans()),
         n_revolutions=draw(st.integers(min_value=1, max_value=10_000)),
         sample_count=draw(st.integers(min_value=2, max_value=10**7)),
@@ -455,10 +457,10 @@ def trajectory_overrides(draw):
         "j": draw(half_integers),
         "n_max": "" if n_max is None else n_max,
         "epsilon": draw(positive),
-        "alpha_re": draw(finite),
-        "alpha_im": draw(finite),
-        "zeta_re": draw(finite),
-        "zeta_im": draw(finite),
+        "alpha_re": draw(label_parts),
+        "alpha_im": draw(label_parts),
+        "zeta_re": draw(label_parts),
+        "zeta_im": draw(label_parts),
         "driven": draw(st.sampled_from(["true", "false", "True"])),
         "n_revolutions": draw(st.integers(min_value=1, max_value=10_000)),
         "sample_count": draw(st.integers(min_value=2, max_value=10**7)),
