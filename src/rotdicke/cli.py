@@ -16,7 +16,8 @@ CLI key (``lambda``, ``lambda_min``, ``delta_phi_min``).  The CLI itself
 checks only the file syntax, the value types (a float must be finite),
 ``precision`` and the axis grids.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O error.
+Exit codes: 0 success, 1 validation error, 2 numerical failure (including
+a run whose arrays cannot be allocated), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -200,7 +201,8 @@ def _parse_value(subcommand: str, key: str, text: str):
         else:
             value = text
     except ValueError:
-        raise ConfigError(f"{key} expects a {spec.kind} value, got {text!r}") from None
+        article = "an" if spec.kind == "int" else "a"
+        raise ConfigError(f"{key} expects {article} {spec.kind} value, got {text!r}") from None
     if spec.choices is not None and value not in spec.choices:
         raise ConfigError(f"{key} must be one of {spec.choices}, got {value!r}")
     if spec.kind == "float" and not math.isfinite(value):
@@ -352,41 +354,35 @@ def _run(config: RunConfig, out_path: str) -> None:
     rio.emit(result, v["format"], out_path, precision=v["precision"], config=config_dict)
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser that adds its arguments when it first parses:
-    a command builds its own subcommand's arguments, not those of all five
-    subcommands.  Help, usage and errors are formatted after the arguments
-    are added, so their text is that of a parser built whole."""
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The CLI's parser, with arguments added only to the subcommand that runs.
 
-    def __init__(self, *args, schema, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._schema = schema
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._schema is not None:
-            schema, self._schema = self._schema, None
-            self.add_argument("--config", default=None, help="flat key=value configuration file")
-            self.add_argument("--out", required=True, help="output path")
-            for key, spec in schema.items():
-                flag = "--" + key.replace("_", "-")
-                required_note = " [required]" if spec.default is _REQUIRED else ""
-                self.add_argument(flag, dest=key, default=None, metavar="V", help=spec.help + required_note)
-        return super().parse_known_args(args, namespace)
-
-
-def _build_parser() -> argparse.ArgumentParser:
+    No top-level option takes a value, so argparse dispatches on the first
+    positional word of ``argv`` and fails unless it names a subcommand: the
+    running subcommand is the first word that names one.  Only its subparser
+    gets ``--config``, ``--out`` and its schema's flags; help, usage and
+    errors read as from a parser built whole.
+    """
     parser = argparse.ArgumentParser(
         prog="rotdicke",
         description="Rotationally driven Dicke model: trajectories, sweeps and phase diagrams.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_SubcommandParser)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    running = next((word for word in argv if word in SCHEMAS), None)
     for name, schema in SCHEMAS.items():
-        sub.add_parser(name, help=f"{name} run", schema=schema)
+        subparser = sub.add_parser(name, help=f"{name} run")
+        if name == running:
+            subparser.add_argument("--config", default=None, help="flat key=value configuration file")
+            subparser.add_argument("--out", required=True, help="output path")
+            for key, spec in schema.items():
+                text = spec.help + (" [required]" if spec.default is _REQUIRED else "")
+                subparser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, metavar="V", help=text)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     schema = SCHEMAS[args.subcommand]
     overrides = {
         key: str(value)
@@ -404,7 +400,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

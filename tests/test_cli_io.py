@@ -112,6 +112,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="frobnicate"):
             parse_config("trajectory", overrides={"frobnicate": "1"})
 
+    def test_unknown_subcommand_named(self):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("bogus")
+        assert str(excinfo.value) == "unknown subcommand 'bogus'"
+
     def test_type_mismatch_named(self):
         with pytest.raises(ConfigError, match="lambda.*float"):
             parse_config(
@@ -352,6 +357,19 @@ class TestEmit:
         emit(run_protocol(small_spec()), "csv", a)
         emit(run_protocol(small_spec()), "csv", b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unknown_result_type(self, tmp_path, fmt):
+        out = tmp_path / "x.out"
+        with pytest.raises(TypeError, match="cannot emit object"):
+            emit(object(), fmt, out)
+        assert not out.exists()
+
+    def test_unknown_result_kind(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"result": {"kind": "bogus"}}), encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown result kind 'bogus'"):
+            load_result_json(path)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="csv or json"):
@@ -639,6 +657,36 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "subcommand, key, value, message",
+        [
+            ("trajectory", "lambda", "", "lambda requires a value"),
+            ("trajectory", "driven", "yes", "driven expects a bool value, got 'yes'"),
+            ("trajectory", "n_max", "1.5", "n_max expects an int value, got '1.5'"),
+            ("trajectory", "format", "xml", "format must be one of ('csv', 'json'), got 'xml'"),
+            ("trajectory", "precision", "0", "precision must be in [1, 17], got 0"),
+            ("trajectory", "precision", "18", "precision must be in [1, 17], got 18"),
+            ("trajectory", "config", "lambda 1", "{config}:1: expected key = value, got 'lambda 1'"),
+            ("spectrum", "lambda_step", "0", "lambda_step must be positive, got 0.0"),
+            ("spectrum", "lambda_max", "-1", "lambda_max must be >= lambda_min"),
+        ],
+    )
+    def test_cli_rule_is_validation_error(self, tmp_path, capsys, subcommand, key, value, message):
+        # The rules the CLI checks itself (file syntax, value types, precision,
+        # axis grids), each before the echo.  For "config", value is the file's line.
+        flags = {**self.BASE_FLAGS[subcommand], key: value}
+        if key == "config":
+            flags["config"] = config = tmp_path / "run.cfg"
+            config.write_text(value + "\n", encoding="utf-8")
+            message = message.format(config=config)
+        out = tmp_path / "x.csv"
+        argv = [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
+        assert main([subcommand, *argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @staticmethod
     def quantum_failure(key, value, initial):
         """The error a quantum trajectory at ``key`` = ``value`` names, or None for a run."""
@@ -734,6 +782,27 @@ class TestMainExitCodes:
         assert captured.err.startswith(f"error: {step_key} = ")
         assert "points" in captured.err
         assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "subcommand, flags",
+        [
+            ("trajectory", {"engine": "meanfield", "lambda": "1"}),
+            ("trajectory", {"engine": "quantum", "j": "1", "n_max": "5", "lambda": "1"}),
+            ("sweep-lambda", {"engine": "meanfield", "lambda_min": "0.5", "lambda_max": "1.0", "lambda_step": "0.5"}),
+        ],
+        ids=["meanfield", "quantum", "sweep-lambda"],
+    )
+    def test_unallocatable_samples_are_numerical_failure(self, tmp_path, capsys, subcommand, flags):
+        # 10^17 samples ask numpy for 711 PiB, past any 64-bit address space,
+        # so the sample grid's allocation fails before a page is touched.  It
+        # once ended in numpy's traceback and exit 1.
+        out = tmp_path / "x.csv"
+        flags = {"initial": "fock", **flags, "sample_count": str(10**17)}
+        argv = [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
+        assert main([subcommand, *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", ["spectrum", "phase-diagram"])
@@ -1031,11 +1100,14 @@ def parse_outcome(parser, argv):
 @pytest.mark.parametrize(
     "argv",
     [["-h"], [], ["bogus"], ["trajectory", "--out", "x", "--bogus", "1"],
-     ["phase-diagram", "--out", "x", "--lambda-min", "0.5", "--config", "c.txt"]]
+     ["phase-diagram", "--out", "x", "--lambda-min", "0.5", "--config", "c.txt"],
+     # The subcommand is not the first word, or a later word names another one.
+     ["--out=x", "trajectory", "--lambda", "1"], ["--out", "x", "trajectory"], ["-h", "spectrum"],
+     ["spectrum", "--out", "trajectory"]]
     + [[name, "-h"] for name in SCHEMAS] + [[name] for name in SCHEMAS],
     ids=" ".join,
 )
 def test_parser_adds_arguments_on_use_with_unchanged_text(argv):
-    # Each subcommand's arguments are added only when it runs; help, usage,
-    # errors and parsed values are those of a parser built whole.
-    assert parse_outcome(cli._build_parser(), argv) == parse_outcome(eager_parser(), argv)
+    # Only the running subcommand's arguments are added, chosen from argv;
+    # help, usage, errors and parsed values are those of a parser built whole.
+    assert parse_outcome(cli._build_parser(argv), argv) == parse_outcome(eager_parser(), argv)

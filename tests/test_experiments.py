@@ -19,7 +19,7 @@ from rotdicke import (
     sweep_lambda,
     sweep_velocity,
 )
-from rotdicke.experiments import ENGINES
+from rotdicke.experiments import ENGINES, SweepResult
 
 
 def mf_spec(**kwargs):
@@ -374,6 +374,10 @@ class TestSweeps:
         above = values - 0.05 > lam_c
         assert np.all(avg[below] < NONZERO_THRESHOLD)
         assert np.all(avg[above] > NONZERO_THRESHOLD)
+
+    def test_cell_count_must_match_axes(self):
+        with pytest.raises(ValueError, match="cell count 0 != product of axis lengths 2"):
+            SweepResult(axes=(("lambda", np.array([0.5, 1.0])),), cells=(), spec=mf_spec())
 
     def test_lambda_zero_gives_zero_photons(self):
         spec = mf_spec(initial="fock")

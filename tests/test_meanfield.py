@@ -1075,6 +1075,15 @@ class TestCoherentPointMaps:
             assert back.q2 == pytest.approx(pt.q2, abs=1e-12)
             assert back.p2 == pytest.approx(pt.p2, abs=1e-12)
 
+    def test_point_on_the_sphere_has_no_labels(self):
+        with pytest.raises(ValueError, match="must be below 4j"):
+            coherent_from_point(PhasePoint(q1=2.0, p1=0.0, q2=0.0, p2=0.0), 1.0)
+
+    def test_energy_rejects_a_point_outside_the_sphere(self):
+        params = ModelParams(lam=1.0, j=1.0, delta_phi=1.0)
+        with pytest.raises(ValueError, match="exceeds 4j"):
+            classical_hamiltonian(PhasePoint(q1=3.0, p1=0.0, q2=0.0, p2=0.0), 0.0, params)
+
     def test_stationary_labels_map_to_fixed_point(self):
         from rotdicke import initial_state_params
 

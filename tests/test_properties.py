@@ -487,11 +487,13 @@ def test_config_echo_reparses_to_same_values(overrides):
 
 _REAL = st.floats(min_value=-2.0, max_value=2.0) | st.sampled_from([0.0, -math.inf, math.inf, math.nan])
 _COUNT = st.integers(min_value=-2, max_value=12)
+_LABEL_PART = (label_parts, label_parts | st.sampled_from([1e160, -math.inf, math.inf, math.nan]))
 
 # Each library-checked trajectory key: its in-range values, and values in
 # range or out of it (negative, zero, non-finite, non-integer, unknown,
-# empty or repeated).  Engine, initial and observables drawn in range still
-# break the cross rules: ground_state with meanfield, scaled_parity with quantum.
+# empty or repeated; a label part whose square overflows).  Engine, initial
+# and observables drawn in range still break the cross rules: ground_state
+# with meanfield, scaled_parity with quantum.
 TRAJECTORY_KEYS = {
     "engine": (st.sampled_from(ENGINES), st.sampled_from([*ENGINES, "classical"])),
     "initial": (st.sampled_from(INITIAL_KINDS), st.sampled_from([*INITIAL_KINDS, "vacuum"])),
@@ -502,6 +504,10 @@ TRAJECTORY_KEYS = {
     "j": (half_integers, st.integers(min_value=-2, max_value=10).map(lambda k: k / 4) | _REAL),
     "n_max": (st.none() | st.integers(min_value=1, max_value=10_000), st.none() | _COUNT),
     "epsilon": (positive, _REAL),
+    "alpha_re": _LABEL_PART,
+    "alpha_im": _LABEL_PART,
+    "zeta_re": _LABEL_PART,
+    "zeta_im": _LABEL_PART,
     "n_revolutions": (st.integers(min_value=1, max_value=1000), _COUNT | _COUNT.map(lambda k: k + 0.5)),
     "sample_count": (st.integers(min_value=2, max_value=1000), _COUNT | _COUNT.map(lambda k: k + 0.5)),
     "observables": (
@@ -545,6 +551,8 @@ def test_cli_accepts_exactly_what_the_library_accepts(values):
             engine=values["engine"],
             initial=values["initial"],
             epsilon=values["epsilon"],
+            alpha=complex(values["alpha_re"], values["alpha_im"]),
+            zeta=complex(values["zeta_re"], values["zeta_im"]),
             n_revolutions=values["n_revolutions"],
             sample_count=values["sample_count"],
             observables=tuple(values["observables"]),

@@ -132,6 +132,10 @@ class TestBuildOperators:
         diff = applied_matrix(ops2.h_rot) - applied_matrix(ops2.h_dicke)
         assert np.allclose(diff, 2.0 * np.diag(jz_diagonal(1.0, 4)))
 
+    def test_requires_n_max(self):
+        with pytest.raises(ValueError, match="n_max must be set"):
+            build_operators(ModelParams(lam=1.0, j=1.0, delta_phi=1.0))
+
     def test_dimension_cap(self):
         # dim 21 * 10001 = 210021 > 200000: refused before anything is allocated.
         params = ModelParams(lam=1.0, j=10.0, n_max=10_000)
@@ -264,6 +268,14 @@ class TestChebyshevCoefficients:
         for e_max in (2.0 * top, math.inf, math.nan):
             with pytest.raises(ValueError, match="exceeds the cap of 10000000 terms per step"):
                 chebyshev_order(1.0, 0.0, e_max)
+
+    def test_order_rejects_inverted_bounds(self):
+        with pytest.raises(ValueError, match="E_max must be >= E_min"):
+            chebyshev_order(1.0, 1.0, 0.0)
+
+    def test_coefficients_reject_an_empty_span(self):
+        with pytest.raises(ValueError, match="requires E_max > E_min"):
+            chebyshev_coefficients(1.0, 1.0, 1.0, 3)
 
     def test_rejects_non_integer_order(self):
         # A float order once reached np.zeros in _bessel_j as a TypeError.
@@ -468,6 +480,12 @@ class TestEvolve:
             for _ in range(200):
                 psi = chebyshev_step(ops, psi, 0.05, driven=driven, bounds=bounds)
             assert abs(psi.expectation(h) - first) < 1e-10 * abs(first), params
+
+    def test_rejects_a_state_of_another_basis(self):
+        psi0 = coherent_state(0, 0, 1.0, 5)
+        params = ModelParams(lam=1.0, j=1.0, delta_phi=1.0, n_max=6)
+        with pytest.raises(ValueError, match="descriptors disagree"):
+            evolve(psi0, params, 1.0, 3)
 
     def test_truncation_monotonicity(self):
         results = {}
