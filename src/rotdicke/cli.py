@@ -12,9 +12,10 @@ per-subcommand schema: unknown keys are errors.
 
 Values are checked by the library's rules (``ModelParams``, ``ProtocolSpec``,
 the spectrum's closed forms) before anything is echoed; their errors name the
-CLI key (``lambda``, ``lambda_min``, ``delta_phi_min``).  The CLI itself
-checks only the file syntax, the value types (a float must be finite),
-``precision`` and the axis grids.
+CLI key (``lambda``, ``lambda_min``, ``delta_phi_min``); ``precision`` is
+checked by :func:`rotdicke.io.check_precision`.  The CLI itself checks only
+the file syntax, the value types (a float must be finite) and the axis
+grids.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure (including
 a run whose arrays cannot be allocated), 3 I/O error.
@@ -207,8 +208,11 @@ def _parse_value(subcommand: str, key: str, text: str):
         raise ConfigError(f"{key} must be one of {spec.choices}, got {value!r}")
     if spec.kind == "float" and not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {value}")
-    if key == "precision" and not 1 <= value <= 17:
-        raise ConfigError(f"precision must be in [1, 17], got {value}")
+    if key == "precision":
+        try:
+            rio.check_precision(value)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return value
 
 

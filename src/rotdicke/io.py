@@ -31,12 +31,29 @@ Quantum state snapshots are text: header lines ``j=`` (the exact float
 ``repr``, whatever the amplitude precision), ``n_max=``,
 ``ordering=m-major,n-minor``, ``dim=``, then one ``re im`` pair per
 amplitude in basis order.
+
+Every writer rewrites an existing output in place: the path is opened
+without truncation, so its inode, mode, owner and links stay, a symlink is
+written through, and a read-only file is refused.  A regular file is first
+cut to one byte, never to zero, because ext4 forces the writeback of a file
+truncated to zero length when it is closed, and the next truncation of that
+file then waits tens of milliseconds on it.  When the write ends, finished
+or failed, the file is cut at the last byte written, so no old tail
+survives.  Nothing is ``fsync``-ed: a power loss just after a run can lose
+its output, and rerunning the command, whose bytes are deterministic,
+writes it again.  ``precision``, the significant digits of CSV floats and
+snapshot amplitudes, is an integer in [1, 17]; it is checked before any
+file is opened.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import numbers
+import os
+import stat
 import typing
 
 import numpy as np
@@ -46,6 +63,7 @@ from .meanfield import CHUNK, Trajectory
 from .quantum import QuantumState
 
 __all__ = [
+    "check_precision",
     "emit",
     "load_result_json",
     "save_state",
@@ -57,6 +75,34 @@ _STATE_HEADER = ("j", "n_max", "ordering", "dim")
 
 # JSON ``kind`` tag of each result type.
 RESULT_KINDS = {"trajectory": Trajectory, "sweep": SweepResult, "spectrum": Spectrum}
+
+
+def check_precision(precision) -> None:
+    """ValueError unless ``precision`` is an integer (not a bool) in [1, 17]."""
+    if isinstance(precision, bool) or not isinstance(precision, numbers.Integral) or not 1 <= precision <= 17:
+        raise ValueError(f"precision must be in [1, 17], got {precision}")
+
+
+@contextlib.contextmanager
+def _rewrite(path, newline=None):
+    """A UTF-8 text file opened to write ``path`` without truncating it to zero length.
+
+    A regular file is cut to one byte on open, which the first write
+    replaces, and cut at the current position on exit, whether the write
+    finished or raised (see the module docstring).  Devices and FIFOs are
+    written as ``open`` writes them.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as fh:
+        info = os.fstat(fd)
+        regular = stat.S_ISREG(info.st_mode)
+        if regular and info.st_size > 1:
+            os.ftruncate(fd, 1)
+        try:
+            yield fh
+        finally:
+            if regular:
+                fh.truncate()
 
 
 def _encode(value):
@@ -186,6 +232,7 @@ def _text(value, precision: int, lone: bool = False) -> str:
 
 def emit(result, fmt: str, path, precision: int = 17, config: dict | None = None) -> None:
     """Write a trajectory, sweep or spectrum result to ``path`` as CSV or JSON."""
+    check_precision(precision)
     if fmt == "csv":
         header, columns = _table(result)
         lone = len(header) == 1
@@ -195,7 +242,7 @@ def emit(result, fmt: str, path, precision: int = 17, config: dict | None = None
         ]
         # One %-template per row: floats by %g, text cells as they are.
         template = ",".join(f"%.{precision}g" if c.dtype == np.float64 else "%s" for c in columns) + "\n"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with _rewrite(path, newline="") as fh:
             fh.write(",".join(_text(name, precision, lone) for name in header) + "\n")
             _write_rows(fh, template, columns)
     elif fmt == "json":
@@ -203,7 +250,7 @@ def emit(result, fmt: str, path, precision: int = 17, config: dict | None = None
         if kind is None:
             raise TypeError(f"cannot emit {type(result).__name__}")
         payload = {"config": config, "result": {"kind": kind, **_encode(result)}}
-        with open(path, "w", encoding="utf-8") as fh:
+        with _rewrite(path) as fh:
             _write_json(fh, payload)
             fh.write("\n")
     else:
@@ -223,7 +270,8 @@ def load_result_json(path):
 
 def save_state(path, state: QuantumState, precision: int = 17) -> None:
     """Write a quantum state snapshot (text, documented in the module docstring)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    check_precision(precision)
+    with _rewrite(path) as fh:
         # j is exact whatever the amplitude precision: it fixes the dimension.
         fh.write(f"j={float(state.j)!r}\n")
         fh.write(f"n_max={state.n_max}\n")

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -29,6 +30,7 @@ from rotdicke import (
     phase_diagram,
 )
 from rotdicke import cli
+from rotdicke import io as rio
 from rotdicke.cli import (
     SCHEMAS,
     ConfigError,
@@ -376,6 +378,27 @@ class TestEmit:
             emit(run_protocol(small_spec()), "xml", tmp_path / "x.xml")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("precision", [-1, 0, 18, 40, 1.5, True])
+    def test_bad_precision_opens_no_file(self, tmp_path, fmt, precision):
+        # Refused before any file is opened: no header-only output is left,
+        # and an existing output stays as it was.
+        traj = run_protocol(small_spec())
+        new, old = tmp_path / f"new.{fmt}", tmp_path / f"old.{fmt}"
+        old.write_text("old output\n")
+        for path in (new, old):
+            with pytest.raises(ValueError, match=re.escape(f"precision must be in [1, 17], got {precision}")):
+                emit(traj, fmt, path, precision=precision)
+        assert not new.exists()
+        assert old.read_text() == "old output\n"
+
+    def test_numpy_integer_precision_accepted(self, tmp_path):
+        traj = run_protocol(small_spec())
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        emit(traj, "csv", a, precision=np.int64(5))
+        emit(traj, "csv", b, precision=5)
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_emit_memory_stays_flat(self, tmp_path, fmt):
         # Writing the whole file as one string, or every value as its own
         # object list, peaks at >20 MB here; streaming chunks stays near 1 MB.
@@ -482,6 +505,13 @@ class TestStateSnapshot:
         expected = [complex(float(f"{z.real:.1g}"), float(f"{z.imag:.1g}")) for z in state.amplitudes]
         assert np.array_equal(back.amplitudes, expected)
 
+    @pytest.mark.parametrize("precision", [0, 18, 1.5, False])
+    def test_bad_precision_opens_no_file(self, tmp_path, precision):
+        path = tmp_path / "state.txt"
+        with pytest.raises(ValueError, match=re.escape(f"precision must be in [1, 17], got {precision}")):
+            save_state(path, coherent_state(0, 0, 0.5, 2), precision=precision)
+        assert not path.exists()
+
     def test_non_half_integer_j_rejected(self, tmp_path):
         # j=1.3, n_max=1, dim=8 once loaded as a state with j=1.3: the shape
         # check rounds 2j + 1 = 3.6 to 4.
@@ -526,6 +556,129 @@ class TestStateSnapshot:
             fh.write("0 0\n")
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*dim=6"):
             load_state(path)
+
+
+# Each writer, at a size that grows with n: a long output rewritten by a short one.
+WRITERS = {
+    "csv": lambda path, n: emit(run_protocol(small_spec(sample_count=n)), "csv", path),
+    "json": lambda path, n: emit(run_protocol(small_spec(sample_count=n)), "json", path, config={"n": n}),
+    "state": lambda path, n: save_state(path, coherent_state(0.4 + 0.2j, -0.3 + 0.1j, 1.5, n)),
+}
+
+
+class TestRewriteInPlace:
+    """An output is rewritten as ``open(path, "w")`` would, but never cut to zero length."""
+
+    @staticmethod
+    def fresh(tmp_path, writer):
+        path = tmp_path / f"fresh-{writer}"
+        WRITERS[writer](path, 20)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_rewrite_of_a_longer_file_matches_a_fresh_write(self, tmp_path, writer):
+        path = tmp_path / "out"
+        WRITERS[writer](path, 200)
+        assert path.stat().st_size > 2 * len(self.fresh(tmp_path, writer))
+        WRITERS[writer](path, 20)
+        assert path.read_bytes() == self.fresh(tmp_path, writer)
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_rewrite_never_cuts_to_zero_length(self, tmp_path, writer, monkeypatch):
+        # ext4 forces the writeback of a file truncated to zero length, and
+        # the next rewrite of it waits on that: each output is cut to one byte.
+        path = tmp_path / "out"
+        WRITERS[writer](path, 200)
+        cuts = []
+        ftruncate = os.ftruncate
+        monkeypatch.setattr(os, "ftruncate", lambda fd, length: (cuts.append(length), ftruncate(fd, length))[1])
+        WRITERS[writer](path, 20)
+        assert cuts == [1]
+        assert path.read_bytes() == self.fresh(tmp_path, writer)
+
+    def test_new_file_is_created_uncut(self, tmp_path, monkeypatch):
+        cuts = []
+        monkeypatch.setattr(os, "ftruncate", lambda fd, length: cuts.append(length))
+        WRITERS["csv"](tmp_path / "out", 20)
+        assert cuts == []
+
+    def test_mode_is_kept(self, tmp_path):
+        path = tmp_path / "out.csv"
+        WRITERS["csv"](path, 200)
+        path.chmod(0o640)
+        WRITERS["csv"](path, 20)
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert path.read_bytes() == self.fresh(tmp_path, "csv")
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n" * 1000)
+        link.symlink_to(target)
+        WRITERS["csv"](link, 20)
+        assert link.is_symlink()
+        assert target.read_bytes() == self.fresh(tmp_path, "csv")
+
+    def test_hard_link_sees_the_new_content(self, tmp_path):
+        path, other = tmp_path / "out.csv", tmp_path / "other.csv"
+        WRITERS["csv"](path, 200)
+        os.link(path, other)
+        WRITERS["csv"](path, 20)
+        assert other.read_bytes() == path.read_bytes() == self.fresh(tmp_path, "csv")
+
+    def test_devnull_is_accepted(self):
+        for writer in WRITERS:
+            WRITERS[writer](os.devnull, 20)
+
+    def test_fifo_is_accepted(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        WRITERS["csv"](fifo, 20)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [self.fresh(tmp_path, "csv")]
+
+    @pytest.mark.parametrize("text", ["t,x\n0,1\n", ""])
+    def test_failed_write_leaves_only_its_bytes(self, tmp_path, text):
+        # With nothing written, the one byte left by the cut on open goes too.
+        path = tmp_path / "out.csv"
+        path.write_text("old,row\n" * 1000)
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with rio._rewrite(path) as fh:
+                assert path.stat().st_size == 1
+                fh.write(text)
+                raise RuntimeError("mid-write")
+        assert path.read_text() == text
+
+    def test_failed_emit_leaves_no_old_tail(self, tmp_path, monkeypatch):
+        # The rows fail after the header: the file holds the header alone.
+        path = tmp_path / "out.csv"
+        WRITERS["csv"](path, 200)
+        header = path.read_bytes().split(b"\n")[0] + b"\n"
+
+        def fail(fh, template, columns):
+            raise RuntimeError("row writer failed")
+
+        monkeypatch.setattr(rio, "_write_rows", fail)
+        with pytest.raises(RuntimeError, match="row writer failed"):
+            WRITERS["csv"](path, 20)
+        assert path.read_bytes() == header
+
+    def test_directory_path_exits_3(self, tmp_path, capsys):
+        argv = ["trajectory", "--engine", "meanfield", "--initial", "fock", "--lambda", "1.0"]
+        assert main([*argv, "--sample-count", "20", "--out", str(tmp_path)]) == 3
+        assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root writes through a read-only mode")
+    def test_read_only_file_is_refused(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("kept\n")
+        path.chmod(0o444)
+        with pytest.raises(PermissionError):
+            WRITERS["csv"](path, 20)
+        assert path.read_text() == "kept\n"
 
 
 class TestMainExitCodes:
