@@ -12,6 +12,7 @@ from .model import (
     FixedPoint,
     ModelParams,
     PhasePoint,
+    coherent_from_point,
     critical_coupling,
     critical_velocity,
     dynamical_critical_fit,
@@ -19,6 +20,7 @@ from .model import (
     excitation_energy_srp,
     fixed_points,
     initial_state_params,
+    point_from_coherent,
     rotated_critical_coupling,
     stationary_photon_scaled,
 )
@@ -26,12 +28,10 @@ from .meanfield import (
     IntegrationError,
     Trajectory,
     classical_hamiltonian,
-    coherent_from_point,
     eom_rhs,
     hp_rhs,
     integrate,
     jacobi_integral,
-    point_from_coherent,
     time_average,
 )
 from .quantum import (

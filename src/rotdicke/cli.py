@@ -12,13 +12,14 @@ per-subcommand schema: unknown keys are errors.
 
 Values are checked by the library's rules (``ModelParams``, ``ProtocolSpec``,
 the spectrum's closed forms) before anything is echoed; their errors name the
-CLI key (``lambda``, ``lambda_min``, ``delta_phi_min``); ``precision`` is
-checked by :func:`rotdicke.io.check_precision`.  The CLI itself checks only
-the file syntax, the value types (a float must be finite) and the axis
-grids.
+CLI key (``lambda``, ``lambda_min``, ``delta_phi_min``); ``format`` and
+``precision`` are checked by :func:`rotdicke.io.check_format` and
+:func:`rotdicke.io.check_precision`.  The CLI itself checks only the file
+syntax, the value types (a float must be finite) and the axis grids.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure (including
-a run whose arrays cannot be allocated), 3 I/O error.
+Exit codes: 0 success (and ``-h``), 1 validation error (including an
+unknown flag, a missing ``--out`` and an unknown subcommand), 2 numerical
+failure (including a run whose arrays cannot be allocated), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -56,98 +57,61 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class KeySpec:
     kind: str  # float | int | bool | str | obs
-    default: object
+    default: object  # or _REQUIRED; an empty value parses as None where this is None
     help: str
-    choices: tuple | None = None
-    optional: bool = False  # empty value allowed, parsed as None
 
 
 # The library's field defaults, which the keys named after a field share.
 _DEFAULTS = {f.name: f.default for cls in (ModelParams, ProtocolSpec) for f in fields(cls)}
 
+# Every key of every subcommand, once; SCHEMAS picks each subcommand's keys.
+_KEYS = {
+    "engine": KeySpec("str", _REQUIRED, "evolution engine"),
+    "initial": KeySpec("str", _REQUIRED, "initial-state preparation"),
+    "omega": KeySpec("float", _DEFAULTS["omega"], "field frequency"),
+    "omega0": KeySpec("float", _DEFAULTS["omega0"], "atomic level splitting"),
+    "j": KeySpec("float", _DEFAULTS["j"], "pseudo-spin length, half-integer"),
+    "n_max": KeySpec("int", _DEFAULTS["n_max"], "boson truncation (quantum engine); empty = adaptive"),
+    "epsilon": KeySpec("float", 3.0, "nearly_fock exponent: alpha=zeta=10^-epsilon"),
+    "alpha_re": KeySpec("float", 0.0, "Re alpha for initial=explicit"),
+    "alpha_im": KeySpec("float", 0.0, "Im alpha for initial=explicit"),
+    "zeta_re": KeySpec("float", 0.0, "Re zeta for initial=explicit"),
+    "zeta_im": KeySpec("float", 0.0, "Im zeta for initial=explicit"),
+    "driven": KeySpec("bool", _DEFAULTS["driven"], "rotate from t=0 (false: undriven run, same t_f)"),
+    "n_revolutions": KeySpec("int", 150, "t_f = n_revolutions*2pi/delta_phi"),
+    "sample_count": KeySpec("int", _DEFAULTS["sample_count"], "uniform samples incl. endpoints"),
+    "observables": KeySpec("obs", _DEFAULTS["observables"], "comma-separated observables"),
+    "rtol": KeySpec("float", _DEFAULTS["rtol"], "mean-field integrator relative tolerance"),
+    "lambda": KeySpec("float", _REQUIRED, "atom-field coupling"),
+    "delta_phi": KeySpec("float", 1.0, "rotation velocity (> 0, also sets t_f)"),
+    "lambda_min": KeySpec("float", _REQUIRED, "first coupling"),
+    "lambda_max": KeySpec("float", _REQUIRED, "last coupling"),
+    "lambda_step": KeySpec("float", _REQUIRED, "coupling grid step"),
+    "delta_phi_min": KeySpec("float", _REQUIRED, "first velocity (> 0)"),
+    "delta_phi_max": KeySpec("float", _REQUIRED, "last velocity"),
+    "delta_phi_step": KeySpec("float", _REQUIRED, "velocity grid step"),
+    "format": KeySpec("str", "csv", "output format"),
+    "precision": KeySpec("int", 17, "significant digits in CSV output"),
+}
+_RUN = tuple(_KEYS)[:16]  # engine .. rtol: the model and protocol keys of every run
+_LAMBDA_AXIS = ("lambda_min", "lambda_max", "lambda_step")
+_VELOCITY_AXIS = ("delta_phi_min", "delta_phi_max", "delta_phi_step")
+_OUTPUT = ("format", "precision")
 
-def _model_keys(n_revolutions_default: int) -> dict[str, KeySpec]:
-    return {
-        "engine": KeySpec("str", _REQUIRED, "evolution engine"),
-        "initial": KeySpec("str", _REQUIRED, "initial-state preparation"),
-        "omega": KeySpec("float", _DEFAULTS["omega"], "field frequency"),
-        "omega0": KeySpec("float", _DEFAULTS["omega0"], "atomic level splitting"),
-        "j": KeySpec("float", _DEFAULTS["j"], "pseudo-spin length, half-integer"),
-        "n_max": KeySpec("int", _DEFAULTS["n_max"], "boson truncation (quantum engine); empty = adaptive", optional=True),
-        "epsilon": KeySpec("float", 3.0, "nearly_fock exponent: alpha=zeta=10^-epsilon"),
-        "alpha_re": KeySpec("float", 0.0, "Re alpha for initial=explicit"),
-        "alpha_im": KeySpec("float", 0.0, "Im alpha for initial=explicit"),
-        "zeta_re": KeySpec("float", 0.0, "Re zeta for initial=explicit"),
-        "zeta_im": KeySpec("float", 0.0, "Im zeta for initial=explicit"),
-        "driven": KeySpec("bool", _DEFAULTS["driven"], "rotate from t=0 (false: undriven run, same t_f)"),
-        "n_revolutions": KeySpec("int", n_revolutions_default, "t_f = n_revolutions*2pi/delta_phi"),
-        "sample_count": KeySpec("int", _DEFAULTS["sample_count"], "uniform samples incl. endpoints"),
-        "observables": KeySpec("obs", _DEFAULTS["observables"], "comma-separated observables"),
-        "rtol": KeySpec("float", _DEFAULTS["rtol"], "mean-field integrator relative tolerance"),
-    }
-
-
-def _output_keys() -> dict[str, KeySpec]:
-    return {
-        "format": KeySpec("str", "csv", "output format", ("csv", "json")),
-        "precision": KeySpec("int", 17, "significant digits in CSV output"),
-    }
-
-
-def _lambda_axis_keys(required: bool) -> dict[str, KeySpec]:
-    lo, hi, step = (_REQUIRED,) * 3 if required else (0.0, 1.5, 0.01)
-    return {
-        "lambda_min": KeySpec("float", lo, "first coupling"),
-        "lambda_max": KeySpec("float", hi, "last coupling"),
-        "lambda_step": KeySpec("float", step, "coupling grid step"),
-    }
-
-
-def _velocity_axis_keys() -> dict[str, KeySpec]:
-    return {
-        "delta_phi_min": KeySpec("float", _REQUIRED, "first velocity (> 0)"),
-        "delta_phi_max": KeySpec("float", _REQUIRED, "last velocity"),
-        "delta_phi_step": KeySpec("float", _REQUIRED, "velocity grid step"),
-    }
-
-
-def _build_schemas() -> dict[str, dict[str, KeySpec]]:
-    schemas: dict[str, dict[str, KeySpec]] = {}
-    schemas["trajectory"] = {
-        **_model_keys(n_revolutions_default=1),
-        "lambda": KeySpec("float", _REQUIRED, "atom-field coupling"),
-        "delta_phi": KeySpec("float", 1.0, "rotation velocity (> 0, also sets t_f)"),
-        **_output_keys(),
-    }
-    schemas["sweep-lambda"] = {
-        **_model_keys(n_revolutions_default=150),
-        "delta_phi": KeySpec("float", 1.0, "rotation velocity (> 0, also sets t_f)"),
-        **_lambda_axis_keys(required=True),
-        **_output_keys(),
-    }
-    schemas["sweep-velocity"] = {
-        **_model_keys(n_revolutions_default=150),
-        "lambda": KeySpec("float", _REQUIRED, "atom-field coupling"),
-        **_velocity_axis_keys(),
-        **_output_keys(),
-    }
-    schemas["phase-diagram"] = {
-        **_model_keys(n_revolutions_default=150),
-        **_lambda_axis_keys(required=True),
-        **_velocity_axis_keys(),
-        **_output_keys(),
-    }
-    schemas["spectrum"] = {
-        "omega": KeySpec("float", _DEFAULTS["omega"], "field frequency"),
-        "omega0": KeySpec("float", _DEFAULTS["omega0"], "atomic level splitting"),
-        "delta_phi": KeySpec("float", 1.0, "velocity for the rotated critical line"),
-        **_lambda_axis_keys(required=False),
-        **_output_keys(),
-    }
-    return schemas
-
-
-SCHEMAS = _build_schemas()
+# Each subcommand's keys in order, with the fields that differ there from _KEYS.
+SCHEMAS = {
+    name: {key: replace(_KEYS[key], **changes.get(key, {})) for key in keys}
+    for name, keys, changes in (
+        ("trajectory", (*_RUN, "lambda", "delta_phi", *_OUTPUT), {"n_revolutions": {"default": 1}}),
+        ("sweep-lambda", (*_RUN, "delta_phi", *_LAMBDA_AXIS, *_OUTPUT), {}),
+        ("sweep-velocity", (*_RUN, "lambda", *_VELOCITY_AXIS, *_OUTPUT), {}),
+        ("phase-diagram", (*_RUN, *_LAMBDA_AXIS, *_VELOCITY_AXIS, *_OUTPUT), {}),
+        ("spectrum", ("omega", "omega0", "delta_phi", *_LAMBDA_AXIS, *_OUTPUT), {
+            "delta_phi": {"help": "velocity for the rotated critical line"},
+            "lambda_min": {"default": 0.0}, "lambda_max": {"default": 1.5}, "lambda_step": {"default": 0.01},
+        }),
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -185,7 +149,7 @@ def _parse_value(subcommand: str, key: str, text: str):
         raise ConfigError(f"unknown key {key!r} for subcommand {subcommand!r}")
     text = text.strip()
     if text == "":
-        if spec.optional:
+        if spec.default is None:
             return None
         raise ConfigError(f"{key} requires a value")
     try:
@@ -204,13 +168,12 @@ def _parse_value(subcommand: str, key: str, text: str):
     except ValueError:
         article = "an" if spec.kind == "int" else "a"
         raise ConfigError(f"{key} expects {article} {spec.kind} value, got {text!r}") from None
-    if spec.choices is not None and value not in spec.choices:
-        raise ConfigError(f"{key} must be one of {spec.choices}, got {value!r}")
     if spec.kind == "float" and not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {value}")
-    if key == "precision":
+    check = {"format": rio.check_format, "precision": rio.check_precision}.get(key)
+    if check is not None:
         try:
-            rio.check_precision(value)
+            check(value)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     return value
@@ -386,7 +349,11 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    try:
+        args = _build_parser(argv).parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage and its error (or the help, code 0).
+        return 1 if exc.code else 0
     schema = SCHEMAS[args.subcommand]
     overrides = {
         key: str(value)

@@ -36,6 +36,7 @@ from .model import (
     excitation_energy_np,
     excitation_energy_srp,
     initial_state_params,
+    point_from_coherent,
     rotated_critical_coupling,
 )
 
@@ -212,7 +213,7 @@ def run_protocol(spec: ProtocolSpec) -> Trajectory:
     A quantum run evolves the start that :func:`resolve_n_max` built.
     """
     if spec.engine == "meanfield":
-        start = meanfield.point_from_coherent(*_initial_labels(spec), spec.params.j)
+        start = point_from_coherent(*_initial_labels(spec), spec.params.j)
         return meanfield.integrate(
             start, spec.params, spec.t_final, spec.sample_count,
             tol=spec.rtol, driven=spec.driven, observables=spec.observables,

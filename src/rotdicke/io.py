@@ -42,8 +42,9 @@ or failed, the file is cut at the last byte written, so no old tail
 survives.  Nothing is ``fsync``-ed: a power loss just after a run can lose
 its output, and rerunning the command, whose bytes are deterministic,
 writes it again.  ``precision``, the significant digits of CSV floats and
-snapshot amplitudes, is an integer in [1, 17]; it is checked before any
-file is opened.
+snapshot amplitudes, is an integer in [1, 17] (:func:`check_precision`),
+and :func:`emit`'s format is csv or json (:func:`check_format`); both are
+checked before any file is opened.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .meanfield import CHUNK, Trajectory
 from .quantum import QuantumState
 
 __all__ = [
+    "check_format",
     "check_precision",
     "emit",
     "load_result_json",
@@ -75,6 +77,14 @@ _STATE_HEADER = ("j", "n_max", "ordering", "dim")
 
 # JSON ``kind`` tag of each result type.
 RESULT_KINDS = {"trajectory": Trajectory, "sweep": SweepResult, "spectrum": Spectrum}
+
+_FORMATS = ("csv", "json")
+
+
+def check_format(fmt) -> None:
+    """ValueError unless ``fmt`` names an output format, csv or json."""
+    if fmt not in _FORMATS:
+        raise ValueError(f"format must be one of {_FORMATS}, got {fmt!r}")
 
 
 def check_precision(precision) -> None:
@@ -233,6 +243,7 @@ def _text(value, precision: int, lone: bool = False) -> str:
 def emit(result, fmt: str, path, precision: int = 17, config: dict | None = None) -> None:
     """Write a trajectory, sweep or spectrum result to ``path`` as CSV or JSON."""
     check_precision(precision)
+    check_format(fmt)
     if fmt == "csv":
         header, columns = _table(result)
         lone = len(header) == 1
@@ -245,7 +256,7 @@ def emit(result, fmt: str, path, precision: int = 17, config: dict | None = None
         with _rewrite(path, newline="") as fh:
             fh.write(",".join(_text(name, precision, lone) for name in header) + "\n")
             _write_rows(fh, template, columns)
-    elif fmt == "json":
+    else:
         kind = next((k for k, cls in RESULT_KINDS.items() if type(result) is cls), None)
         if kind is None:
             raise TypeError(f"cannot emit {type(result).__name__}")
@@ -253,8 +264,6 @@ def emit(result, fmt: str, path, precision: int = 17, config: dict | None = None
         with _rewrite(path) as fh:
             _write_json(fh, payload)
             fh.write("\n")
-    else:
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
 
 
 def load_result_json(path):

@@ -2,15 +2,11 @@
 observable table of both engines.
 
 The flow lives on (q1, p1, q2, p2) with the spin sector confined to
-q1^2 + p1^2 < 4j.  The drive enters through phi(t) = delta_phi * t; an
+q1^2 + p1^2 < 4j; ``model.point_from_coherent`` maps the coherent-state
+labels there.  The drive enters through phi(t) = delta_phi * t; an
 undriven evolution is the same flow with the drive velocity forced to zero
 (the physical ``delta_phi`` of the parameters is then only used by callers
 to fix the final time).
-
-The coherent-state labels map onto phase space as
-
-    zeta  = (q1 + i p1) / sqrt(4j - (q1^2 + p1^2)),
-    alpha = (q2 + i p2) / sqrt(2).
 
 :func:`integrate` steps the flow with Dormand-Prince 8(5,3) (DOP853) on
 plain Python floats, one run at a time: on a 4-vector the per-call cost of
@@ -52,7 +48,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, PhasePoint, check_count, check_label, check_positive
+from .model import (  # coherent_from_point, point_from_coherent: re-exported
+    ModelParams,
+    PhasePoint,
+    check_count,
+    check_positive,
+    coherent_from_point,
+    point_from_coherent,
+)
 
 __all__ = [
     "IntegrationError",
@@ -63,8 +66,6 @@ __all__ = [
     "classical_hamiltonian",
     "jacobi_integral",
     "time_average",
-    "point_from_coherent",
-    "coherent_from_point",
 ]
 
 # rtol 1e-10 leaves up to ~5e-8 relative energy drift over t=50 on energetic
@@ -531,33 +532,6 @@ def time_average(times, values) -> float:
     if t.size < 2:
         raise ValueError("time average needs at least 2 samples")
     return float(np.trapezoid(values, t) / (t[-1] - t[0]))
-
-
-def point_from_coherent(alpha: complex, zeta: complex, j: float) -> PhasePoint:
-    """Phase-space point at t = 0 labelled by the coherent-state pair (alpha, zeta)."""
-    alpha = complex(alpha)
-    zeta = complex(zeta)
-    check_label("alpha", alpha)
-    check_label("zeta", zeta)
-    s = abs(zeta) ** 2
-    scale = 2.0 * math.sqrt(j / (1.0 + s))
-    return PhasePoint(
-        q1=scale * zeta.real,
-        p1=scale * zeta.imag,
-        q2=math.sqrt(2.0) * alpha.real,
-        p2=math.sqrt(2.0) * alpha.imag,
-    )
-
-
-def coherent_from_point(point: PhasePoint, j: float) -> tuple[complex, complex]:
-    """Inverse of :func:`point_from_coherent`."""
-    r2 = point.q1**2 + point.p1**2
-    four_j = 4.0 * j
-    if r2 >= four_j:
-        raise ValueError(f"q1^2+p1^2 = {r2} must be below 4j = {four_j}")
-    zeta = complex(point.q1, point.p1) / math.sqrt(four_j - r2)
-    alpha = complex(point.q2, point.p2) / math.sqrt(2.0)
-    return alpha, zeta
 
 
 # Dormand-Prince 8(5,3) tableau, as published with the DOP853 code (Hairer,

@@ -37,6 +37,8 @@ __all__ = [
     "dynamical_critical_fit",
     "stationary_photon_scaled",
     "initial_state_params",
+    "point_from_coherent",
+    "coherent_from_point",
 ]
 
 # Width of the knife-edge window around the critical point: couplings with
@@ -136,6 +138,39 @@ class PhasePoint:
     q2: float
     p2: float
     t: float = 0.0
+
+
+def point_from_coherent(alpha: complex, zeta: complex, j: float) -> PhasePoint:
+    """Phase-space point at t = 0 labelled by the coherent-state pair (alpha, zeta).
+
+    The labels map onto phase space as
+
+        zeta  = (q1 + i p1) / sqrt(4j - (q1^2 + p1^2)),
+        alpha = (q2 + i p2) / sqrt(2).
+    """
+    alpha = complex(alpha)
+    zeta = complex(zeta)
+    check_label("alpha", alpha)
+    check_label("zeta", zeta)
+    s = abs(zeta) ** 2
+    scale = 2.0 * math.sqrt(j / (1.0 + s))
+    return PhasePoint(
+        q1=scale * zeta.real,
+        p1=scale * zeta.imag,
+        q2=math.sqrt(2.0) * alpha.real,
+        p2=math.sqrt(2.0) * alpha.imag,
+    )
+
+
+def coherent_from_point(point: PhasePoint, j: float) -> tuple[complex, complex]:
+    """Inverse of :func:`point_from_coherent`."""
+    r2 = point.q1**2 + point.p1**2
+    four_j = 4.0 * j
+    if r2 >= four_j:
+        raise ValueError(f"q1^2+p1^2 = {r2} must be below 4j = {four_j}")
+    zeta = complex(point.q1, point.p1) / math.sqrt(four_j - r2)
+    alpha = complex(point.q2, point.p2) / math.sqrt(2.0)
+    return alpha, zeta
 
 
 @dataclass(frozen=True)
@@ -315,11 +350,9 @@ def fixed_points(params: ModelParams, t: float = 0.0) -> tuple[FixedPoint, Fixed
         stable=lam < lam_c,
     )
     if lam >= lam_c and lam > 0.0:
-        # c2 is the stationary circle's coherent start, mapped to a point as
-        # meanfield.point_from_coherent maps it and turned by phi.
-        alpha, zeta = initial_state_params("stationary_circle", params)
-        radius = 2.0 * math.sqrt(params.j / (1.0 + zeta * zeta)) * zeta
-        q2 = math.sqrt(2.0) * alpha
+        # c2 is the stationary circle's coherent start, turned by phi.
+        start = point_from_coherent(*initial_state_params("stationary_circle", params), params.j)
+        radius, q2 = start.q1, start.q2
         cos_phi, sin_phi = math.cos(phi), math.sin(phi)
         stable = lam > lam_c
         c2 = FixedPoint(

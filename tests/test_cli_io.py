@@ -374,8 +374,11 @@ class TestEmit:
             load_result_json(path)
 
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="csv or json"):
-            emit(run_protocol(small_spec()), "xml", tmp_path / "x.xml")
+        # Refused by check_format, the rule the CLI applies too, before any file is opened.
+        path = tmp_path / "x.xml"
+        with pytest.raises(ValueError, match=re.escape("format must be one of ('csv', 'json'), got 'xml'")):
+            emit(run_protocol(small_spec()), "xml", path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("precision", [-1, 0, 18, 40, 1.5, True])
@@ -700,6 +703,32 @@ class TestMainExitCodes:
         argv[-1] = str(out2)
         assert main(argv) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trajectory", "--engine", "meanfield", "--initial", "fock", "--lambda", "1", "--bogus", "3",
+             "--out", "{out}"],
+            ["trajectory", "--engine", "meanfield", "--initial", "fock", "--lambda", "1"],
+            ["bogus", "--out", "{out}"],
+            [],
+        ],
+        ids=["unknown-flag", "missing-out", "unknown-subcommand", "empty"],
+    )
+    def test_usage_error_exit_code(self, tmp_path, capsys, argv):
+        # argparse's usage errors are validation errors: exit 1, as an
+        # unknown key in a --config file exits, not argparse's 2, which
+        # would read as a numerical failure.
+        out = tmp_path / "x.csv"
+        assert main([word.format(out=out) for word in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exit_code(self, capsys):
+        assert main(["trajectory", "-h"]) == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         # Both fail in parse_config, before the configuration is echoed.

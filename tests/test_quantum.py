@@ -793,12 +793,17 @@ class TestInitialStateParams:
     def test_circle_labels_match_fixed_point(self):
         from rotdicke import fixed_points, point_from_coherent
 
-        params = ModelParams(lam=1.0, j=2.0, delta_phi=1.0)
-        alpha, zeta = initial_state_params("stationary_circle", params)
-        pt = point_from_coherent(alpha, zeta, params.j)
-        c2 = fixed_points(params, 0.0)[1].point
-        assert pt.q1 == pytest.approx(c2.q1, rel=1e-12)
-        assert pt.q2 == pytest.approx(c2.q2, rel=1e-12)
+        for params in (
+            ModelParams(lam=1.0, j=2.0, delta_phi=1.0),
+            # A copy of the label map with zeta*zeta for |zeta|^2 put c2's q1
+            # one ulp off the start's here.
+            ModelParams(lam=3.2828400297399525, omega0=0.9559841879615302, omega=0.16033585237229403,
+                        j=6, delta_phi=3.691011070871964),
+        ):
+            alpha, zeta = initial_state_params("stationary_circle", params)
+            pt = point_from_coherent(alpha, zeta, params.j)
+            c2 = fixed_points(params, 0.0)[1].point
+            assert (pt.q1, pt.q2) == (c2.q1, c2.q2)
 
     def test_unknown_kind(self):
         params = ModelParams(lam=1.0, j=1.0)
