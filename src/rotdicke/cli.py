@@ -12,7 +12,8 @@ per-subcommand schema: unknown keys are errors.
 
 Values are checked by the library's rules (``ModelParams``, ``ProtocolSpec``,
 the spectrum's closed forms) before anything is echoed; their errors name the
-CLI key (``lambda``, ``lambda_min``, ``delta_phi_min``); ``format`` and
+CLI key (``lambda``, ``lambda_min``, ``delta_phi_min``), and a run that fails
+on an extreme value names its flag (``--omega``); ``format`` and
 ``precision`` are checked by :func:`rotdicke.io.check_format` and
 :func:`rotdicke.io.check_precision`.  The CLI itself checks only the file
 syntax, the value types (a float must be finite) and the axis grids.
@@ -282,6 +283,15 @@ def _config_error(exc: ValueError, values: dict) -> ConfigError:
     return ConfigError(field + sep + rest)
 
 
+def _flag_named(message: str) -> str:
+    """A run's error, the field it ends on (``(set by lam = 1e+200)``) written as its CLI flag."""
+    head, sep, tail = message.rpartition("(set by ")
+    if not sep:
+        return message
+    field, space, rest = tail.partition(" ")
+    return f"{head}{sep}--{_AXIS_NAMES.get(field, field).replace('_', '-')}{space}{rest}"
+
+
 def _from_keys(cls, values: dict, **exceptions):
     """``cls`` built from the keys named as its fields, ``exceptions`` given apart."""
     named = {f.name: values[f.name] for f in fields(cls) if f.name in values}
@@ -372,7 +382,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_flag_named(str(exc))}", file=sys.stderr)
         return 2
     return 0
 

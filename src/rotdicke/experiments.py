@@ -28,6 +28,7 @@ from . import meanfield, quantum
 from .meanfield import _OBSERVABLES, Trajectory, _check_observables, check_grid
 from .model import (
     ModelParams,
+    _naming_extreme_field,
     check_count,
     check_label,
     check_positive,
@@ -190,9 +191,15 @@ class Spectrum:
 
 
 def _initial_labels(spec: ProtocolSpec) -> tuple[complex, complex]:
+    """The start's labels; a computed alpha whose square overflows names the field that set it."""
     if spec.initial == "explicit":
         return spec.alpha, spec.zeta
-    return initial_state_params(spec.initial, spec.params, spec.epsilon)
+    alpha, zeta = initial_state_params(spec.initial, spec.params, spec.epsilon)
+    try:
+        check_label("alpha", alpha)
+    except ValueError as exc:
+        raise _naming_extreme_field(exc, spec.params) from None
+    return alpha, zeta
 
 
 def resolve_n_max(spec: ProtocolSpec, solved: list[quantum.QuantumState] | None = None) -> int:

@@ -210,9 +210,31 @@ def _closed_form(name: str, formula, **args: float):
     parts = wide if isinstance(wide, tuple) else (wide,)
     values = tuple(None if part is None else float(part) for part in parts)
     if any(part and not sys.float_info.min <= abs(value) < math.inf for part, value in zip(parts, values)):
-        key = max(args, key=lambda k: abs(math.frexp(args[k])[1]))
+        key = _farthest_from_one(args)
         raise ValueError(f"{key} = {args[key]!r} puts {name} outside the float range")
     return values if isinstance(wide, tuple) else values[0]
+
+
+def _farthest_from_one(args: dict[str, float]) -> str:
+    """The name of the argument whose binary exponent lies farthest from 1's."""
+    return max(args, key=lambda k: abs(math.frexp(args[k])[1]))
+
+
+def _naming_extreme_field(exc: ValueError, params: ModelParams) -> ValueError:
+    """``exc``, ending ``(set by omega = 1e+200)`` when a frequency, the
+    coupling or j of ``params`` lies outside ``_FLOAT_RANGE``.
+
+    Of those outside it, the one farthest from 1 is named, as
+    :func:`_closed_form` names it; with none outside, ``exc`` is returned
+    as it is.
+    """
+    low, high = _FLOAT_RANGE
+    args = {name: getattr(params, name) for name in ("omega", "omega0", "lam", "delta_phi", "j")}
+    extreme = {name: value for name, value in args.items() if value and not low <= abs(value) <= high}
+    if not extreme:
+        return exc
+    key = _farthest_from_one(extreme)
+    return ValueError(f"{exc} (set by {key} = {extreme[key]!r})")
 
 
 def critical_coupling(omega: float, omega0: float) -> float:
@@ -382,11 +404,11 @@ def dynamical_critical_fit(delta_phi: float) -> float:
     start (at delta_phi = 2 and 3 the minimum lies at 1.05 and 1.24, the
     fit at 1.050 and 1.245).  At delta_phi = 0.5 that minimum is ambiguous:
     two minima, at 0.61 and 0.68, differ by about 1% in depth, and the fit
-    gives 0.694.  The minimum is a mean-field result: quantum runs at
-    delta_phi = 1 show none near 0.82 at j = 6 or 12, their gap to the mean
-    field there falling from 0.192 to 0.133, about as j^-1/2, so the
-    ~0.02-deep dip needs j in the hundreds.  A reference overlay only, it
-    gates nothing.
+    gives 0.694.  Quantum runs at delta_phi = 1 show the minimum from
+    j = 48 on: none near 0.82 at j = 6, 12 or 24; at j = 48 at 0.81, 0.019
+    deep, and at j = 96 at 0.82, 0.050 deep (the fit gives 0.827).  Their
+    gap to the mean field at 0.82 is 0.133, 0.093, 0.058 and 0.030 at
+    j = 12, 24, 48 and 96.  A reference overlay only, it gates nothing.
     """
     check_nonnegative("delta_phi", delta_phi)
     return 0.5 + 0.327 * delta_phi**0.75

@@ -5,17 +5,22 @@ index (m+j)*(n_max+1) + n, with m = -j..j and n = 0..n_max.  Operators are
 real symmetric and never stored as matrices: a^dag a and the parity are
 diagonals, and a Hamiltonian is its diagonal plus the tridiagonal factors
 of its coupling term (see :class:`Hamiltonian`).  Every product H v runs
-through one stencil (:class:`_Stencil`) on a ghost-padded copy of the
-grid: (k, n) sits at flat index (k+1)*(n_max+2) + n, behind a zero row
-above and below and a zero column after each row, so each neighbour is a
-fixed shift (+-1 along the Fock axis, +-(n_max+2) along the spin axis) and
-H v is a few ufunc calls on contiguous 1-D slices, in O(dim).
+through one stencil method (:meth:`_Stencil.product`) on a ghost-padded
+copy of the grid: (k, n) sits at flat index (k+1)*(n_max+2) + n, behind a
+zero row above and below and a zero column after each row, so each
+neighbour is a fixed shift (+-1 along the Fock axis, +-(n_max+2) along the
+spin axis) and H v is eight ufunc calls on contiguous 1-D slices of the
+interior rows, in O(dim).  The slices are views bound once: the stencil's
+own at its construction, a vector's by the caller.
 
 Propagation approximates exp(-i H dt) by a Chebyshev expansion of the
 spectrally rescaled Hamiltonian with Bessel-function coefficients
 (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), within Gershgorin
 bounds on the spectrum; the Bessel values come from Miller's backward
-recurrence (:func:`_bessel_j`).  In the driven case H is the co-rotating-frame
+recurrence (:func:`_bessel_j`).  A step (:func:`chebyshev_step`) pads psi
+once, rotates the terms through three padded vectors whose views it binds
+once, and runs every term and the sum over the interior rows alone, so the
+ghost rows are never written.  In the driven case H is the co-rotating-frame
 Hamiltonian
 
     H_rot = (omega0 + delta_phi) J_z + omega a^dag a
@@ -45,7 +50,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .meanfield import _OBSERVABLES, Trajectory, _check_observables, _sample_grid
-from .model import ModelParams, check_count, check_label, check_spin, initial_state_params
+from .model import (
+    ModelParams,
+    _naming_extreme_field,
+    check_count,
+    check_label,
+    check_spin,
+    initial_state_params,
+)
 
 __all__ = [
     "PropagationError",
@@ -159,7 +171,8 @@ class Hamiltonian:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """H v, in the dtype of ``v`` (at least float)."""
         stencil = _Stencil(self, np.result_type(v, float))
-        return stencil.unpad(stencil.apply(stencil.pad(v), stencil.zeros()))
+        out = stencil.apply(stencil.pad(v), stencil.zeros())
+        return stencil.unpad(stencil.interior(out))
 
     def row_radii(self) -> np.ndarray:
         """Gershgorin radii: the off-diagonal absolute row sums of H."""
@@ -179,7 +192,7 @@ class _Stencil:
     (k+1)*w + n, w = n_max + 2, of a padded vector of length (2j+3)*w.  The
     row above the grid, the row below it and the last column of every row
     are ghosts holding zeros, so every neighbour is a fixed shift (+-1 along
-    the Fock axis, +-w along the spin axis) and :meth:`apply` is eight ufunc
+    the Fock axis, +-w along the spin axis) and a product is eight ufunc
     calls on contiguous 1-D slices of the interior rows.  The factors are
     held over those rows in the vector's dtype, so no call casts:
 
@@ -191,6 +204,11 @@ class _Stencil:
       zero on the last row; ``spin_down`` is the same bonds one row
       earlier, behind the ghost row's zeros.
 
+    :meth:`product` is the one product.  It takes a vector's interior rows
+    and their shifts by +1 and -1 as views the caller binds once (see
+    :meth:`views`), and writes the interior rows of the result; the
+    factors, the field part's three views and the scratch are bound once,
+    here.  :meth:`apply` binds the views of two padded vectors and calls it.
     Each sum is added in the order of the products on the unpadded grid, so
     a padded product carries the same bits.  A stencil is per-call scratch
     (it owns its work buffers); nothing keeps it.
@@ -204,57 +222,81 @@ class _Stencil:
         self.dtype = dtype
         diagonal = np.zeros((rows, width), dtype)
         diagonal[:, :cols] = ((h.diagonal - shift) * factor).reshape(h.grid)
-        self.diagonal = diagonal.ravel()
         field = np.zeros(rows * width + 1, dtype)
         field[1:].reshape(rows, width)[:, : cols - 1] = h.field_offdiag
-        self.field_up, self.field_down = field[1:], field[:-1]
         spin = np.zeros((rows + 1, width), dtype)
         spin[1:rows, :cols] = ((h.coupling * factor) * h.spin_offdiag)[:, None]
-        self.spin_up, self.spin_down = spin.ravel()[width:], spin.ravel()[:-width]
-        # The field part (a + a^dag) v, zero on the ghost rows, and one
-        # product's worth of scratch.
-        self._field_part = np.zeros(self.size, dtype)
-        self._product = np.empty(rows * width, dtype)
+        # The field part (a + a^dag) v, zero on the ghost rows, seen over the
+        # interior rows and one row below and above them; and one product's
+        # worth of scratch.
+        field_part = np.zeros(self.size, dtype)
+        self._bound = (
+            field[1:],
+            field[:-1],
+            diagonal.ravel(),
+            spin.ravel()[width:],
+            spin.ravel()[:-width],
+            field_part[width : self.size - width],
+            field_part[2 * width :],
+            field_part[: self.size - 2 * width],
+            np.empty(rows * width, dtype),
+        )
 
     def zeros(self) -> np.ndarray:
         """A padded vector of zeros."""
         return np.zeros(self.size, self.dtype)
 
-    def _grid_view(self, padded: np.ndarray) -> np.ndarray:
-        """The grid points of a padded vector, as a (2j+1, n_max+1) view."""
-        return padded[self.width : self.size - self.width].reshape(-1, self.width)[:, :-1]
+    def interior(self, padded: np.ndarray) -> np.ndarray:
+        """The interior rows of a padded vector, as a view."""
+        return padded[self.width : self.size - self.width]
+
+    def views(self, padded: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The interior rows of a padded vector and their shifts by +1 and -1, as views."""
+        w, size = self.width, self.size
+        return padded[w : size - w], padded[w + 1 : size - w + 1], padded[w - 1 : size - w - 1]
+
+    def _grid_view(self, rows: np.ndarray) -> np.ndarray:
+        """The grid points of interior rows, as a (2j+1, n_max+1) view."""
+        return rows.reshape(-1, self.width)[:, :-1]
 
     def pad(self, v: np.ndarray) -> np.ndarray:
         """``v`` (over the unpadded basis) on the padded grid."""
         padded = self.zeros()
-        self._grid_view(padded)[...] = v.reshape(self.grid)
+        self._grid_view(self.interior(padded))[...] = v.reshape(self.grid)
         return padded
 
-    def unpad(self, padded: np.ndarray) -> np.ndarray:
-        """The grid points of ``padded`` in basis order, as a new vector."""
-        return self._grid_view(padded).flatten()
+    def unpad(self, rows: np.ndarray) -> np.ndarray:
+        """The grid points of the interior rows ``rows`` in basis order, as a new vector."""
+        return self._grid_view(rows).flatten()
+
+    def product(self, v: np.ndarray, above: np.ndarray, below: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` = factor * (H - shift) v over the interior rows.
+
+        ``v``, ``above`` and ``below`` are the :meth:`views` of one padded
+        vector, whose ghosts must be finite (they meet only zero factors);
+        ``out`` is interior-length and must not alias them.
+        """
+        field_up, field_down, diagonal, spin_up, spin_down, inner, inner_above, inner_below, scratch = self._bound
+        multiply, add = np.multiply, np.add
+        # (a + a^dag) along the Fock axis ...
+        multiply(above, field_up, inner)
+        multiply(below, field_down, scratch)
+        add(inner, scratch, inner)
+        # ... then the diagonal and (J_+ + J_-), scaled by the coupling, along the spin axis.
+        multiply(diagonal, v, out)
+        multiply(spin_up, inner_above, scratch)
+        add(out, scratch, out)
+        multiply(spin_down, inner_below, scratch)
+        add(out, scratch, out)
+        return out
 
     def apply(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out`` = factor * (H - shift) ``v`` on the interior rows of two padded vectors.
 
-        ``v``'s ghosts must be finite (they meet only zero factors) and
-        ``out``'s ghost rows are left as they are; ``out`` must not alias ``v``.
+        ``v``'s ghosts must be finite and ``out``'s ghost rows are left as
+        they are; ``out`` must not alias ``v``.
         """
-        w = self.width
-        lo, hi = w, self.size - w
-        y, product = self._field_part, self._product
-        # (a + a^dag) along the Fock axis ...
-        inner = y[lo:hi]
-        np.multiply(v[lo + 1 : hi + 1], self.field_up, out=inner)
-        np.multiply(v[lo - 1 : hi - 1], self.field_down, out=product)
-        inner += product
-        # ... then the diagonal and (J_+ + J_-), scaled by the coupling, along the spin axis.
-        res = out[lo:hi]
-        np.multiply(self.diagonal, v[lo:hi], out=res)
-        np.multiply(self.spin_up, y[lo + w : hi + w], out=product)
-        res += product
-        np.multiply(self.spin_down, y[lo - w : hi - w], out=product)
-        res += product
+        self.product(*self.views(v), self.interior(out))
         return out
 
 
@@ -438,8 +480,8 @@ def chebyshev_step(
     """One step psi -> exp(-i H dt) psi via the Chebyshev three-term recurrence.
 
     H is the co-rotating Hamiltonian when ``driven`` else the undriven one.
-    The result is never renormalized; a norm drift beyond 1e-8 raises
-    :class:`PropagationError` instead.
+    The result is never renormalized; a norm drift beyond 1e-8, or a NaN
+    one (a step that overflows), raises :class:`PropagationError` instead.
     """
     h = ops.h_rot if driven else ops.h_dicke
     if bounds is None:
@@ -452,30 +494,41 @@ def chebyshev_step(
 
     # The recurrence T_k = 2 h T_(k-1) - T_(k-2) with h = (H - center)/half_span
     # applies 2h each term, so the centre and span are folded into one
-    # stencil; T_1 = h T_0 is half of its first product.  The recurrence
-    # runs on the padded grid: psi is padded once and the sum unpadded once.
+    # stencil; T_1 = h T_0 is half of its first product.  The terms rotate
+    # through three padded vectors, psi padded into the first; their views,
+    # the stencil's product and the loop's ufuncs are bound once (at a few
+    # thousand elements a lookup per call shows).  Every term is written
+    # over the interior rows only, so the ghost rows stay zero, and the sum
+    # is kept over the interior rows and unpadded once.  A scalar leads the
+    # products c_0 T_0 and c_1 T_1 and trails c_k T_k for k >= 2: numpy's
+    # complex multiply is not bitwise commutative, and this order is the one
+    # the outputs were written with.
     center = 0.5 * (e_max + e_min)
     half_span = 0.5 * (e_max - e_min)
     doubled = _Stencil(h, complex, center, 2.0 / half_span)
+    coefficients = coefficients.tolist()
 
-    t_prev = doubled.pad(psi.amplitudes)
-    out = coefficients[0] * t_prev
+    prev = doubled.views(doubled.pad(psi.amplitudes))
+    out = np.multiply(coefficients[0], prev[0])
     if order >= 1:
-        t_cur = doubled.apply(t_prev, doubled.zeros())
-        t_cur *= 0.5
-        out += coefficients[1] * t_cur
-        scratch = doubled.zeros()
+        cur = doubled.views(doubled.zeros())
+        spare = doubled.views(doubled.zeros())
+        term = doubled.product(*prev, cur[0])
+        np.multiply(term, 0.5, term)
+        np.multiply(coefficients[1], term, spare[0])
+        np.add(out, spare[0], out)
+        product, multiply, add, subtract = doubled.product, np.multiply, np.add, np.subtract
         for k in range(2, order + 1):
-            doubled.apply(t_cur, out=scratch)
-            np.subtract(scratch, t_prev, out=t_prev)
-            t_prev, t_cur = t_cur, t_prev
-            np.multiply(t_cur, coefficients[k], out=scratch)
-            out += scratch
+            term = product(*cur, spare[0])
+            subtract(term, prev[0], term)
+            multiply(term, coefficients[k], prev[0])
+            add(out, prev[0], out)
+            prev, cur, spare = cur, spare, prev
     out = doubled.unpad(out)
 
     in_norm = psi.norm()
     drift = abs(float(np.linalg.norm(out)) - in_norm)
-    if drift > _NORM_DRIFT_TOL:
+    if not drift <= _NORM_DRIFT_TOL:
         raise PropagationError(
             f"norm drift {drift:.3e} after one Chebyshev step; "
             "insufficient order or bad spectral bounds"
@@ -508,7 +561,10 @@ def evolve(
     h = ops.h_rot if driven else ops.h_dicke
     bounds = spectral_bounds(h)
     dt = float(t[1] - t[0])
-    order = chebyshev_order(dt, *bounds)
+    try:
+        order = chebyshev_order(dt, *bounds)
+    except ValueError as exc:
+        raise _naming_extreme_field(exc, params) from None
     coeffs = chebyshev_coefficients(dt, *bounds, order)
 
     columns: dict[str, list[float]] = {name: [] for name in observables}

@@ -914,6 +914,27 @@ class TestMainExitCodes:
                 assert "nan" not in out.read_text().lower(), subcommand
 
     @pytest.mark.parametrize(
+        "value, failure",
+        [
+            # The spectrum spreads over omega * n_max = 1e202.
+            ("1e200", "Chebyshev order for dt = 3.14159 over the spectral span E_max - E_min = 1e+202"),
+            # alpha ~ 2 lam/omega on the stationary circle.
+            ("1e-200", "|alpha|^2 overflows the float range at alpha = 1.41421e+200"),
+        ],
+        ids=["huge", "tiny"],
+    )
+    def test_extreme_omega_run_names_the_flag(self, tmp_path, capsys, value, failure):
+        # Both runs once failed naming only the Chebyshev span or |alpha|^2,
+        # not the value that set it.
+        out = tmp_path / "x.csv"
+        argv = ["trajectory", "--engine", "quantum", "--initial", "stationary_dicke", "--j", "1"]
+        assert main([*argv, "--lambda", "1", "--omega", value, "--sample-count", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {failure}")
+        assert err.endswith(f" (set by --omega = {float(value)!r})\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "engines, key, value, exit_code, failure",
         [
             # 2.4e-13 inside the sphere at j = 6, within the boundary guard;

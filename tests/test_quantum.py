@@ -26,7 +26,7 @@ from rotdicke import (
     spectral_bounds,
     stationary_photon_scaled,
 )
-from rotdicke.quantum import Hamiltonian, _bessel_j, _lowest_eigenvalue, _ritz_pair
+from rotdicke.quantum import Hamiltonian, _bessel_j, _lowest_eigenvalue, _ritz_pair, _Stencil
 
 from dense_reference import kron_hamiltonian
 
@@ -402,6 +402,60 @@ class TestChebyshevStep:
         # argument outside [-1, 1] where the expansion diverges.
         with pytest.raises(PropagationError, match="norm drift"):
             chebyshev_step(ops, psi, 2.0, bounds=(bad_bounds[0] * 0.3, bad_bounds[1] * 0.3))
+
+    def test_overflowing_step_raises(self):
+        # Bounds a thousand times too narrow make the terms overflow to NaN;
+        # a NaN drift failed "drift > tol", and the step returned an all-NaN
+        # state with no error.
+        params = ModelParams(lam=1.3, j=2.0, delta_phi=1.0, n_max=30)
+        ops = build_operators(params)
+        psi = coherent_state(1.0, 0.3, 2.0, 30)
+        e_min, e_max = spectral_bounds(ops.h_rot)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PropagationError, match="norm drift nan"):
+                chebyshev_step(ops, psi, 2000.0, bounds=(e_min * 0.001, e_max * 0.001))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 30])
+    def test_bits_match_the_whole_vector_recurrence(self, order):
+        # The recurrence runs each term's subtract, scale and accumulate on
+        # the interior rows alone, through views bound once per step.  It
+        # must keep the bits of the same recurrence over whole padded
+        # vectors, ghost rows included, copied here as it first ran.  The
+        # coefficients are arbitrary, scaled so that the sum keeps the norm.
+        rng = np.random.default_rng(31 + order)
+        j, n_max = 2.0, 9
+        ops = build_operators(ModelParams(lam=1.3, j=j, delta_phi=1.0, n_max=n_max))
+        psi = random_state(rng, j, n_max)
+        grid = psi.amplitudes.reshape(int(2 * j) + 1, n_max + 1)
+        edges = np.concatenate([grid[0], grid[-1], grid[:, 0], grid[:, -1]])
+        assert np.all(edges.real != 0.0) and np.all(edges.imag != 0.0)
+        bounds = spectral_bounds(ops.h_rot)
+        coefficients = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        coefficients /= np.linalg.norm(whole_vector_recurrence(ops.h_rot, psi, bounds, coefficients))
+        expected = whole_vector_recurrence(ops.h_rot, psi, bounds, coefficients)
+        out = chebyshev_step(ops, psi, 0.1, bounds=bounds, order=order, coefficients=coefficients)
+        assert np.array_equal(out.amplitudes.view(np.int64), expected.view(np.int64))
+
+
+def whole_vector_recurrence(h, psi, bounds, coefficients):
+    """sum_k c_k T_k(h_rescaled) psi over whole padded vectors: psi padded once,
+    each term's subtract, scale and accumulate run over the ghost rows too."""
+    center, half_span = 0.5 * (bounds[1] + bounds[0]), 0.5 * (bounds[1] - bounds[0])
+    doubled = _Stencil(h, complex, center, 2.0 / half_span)
+    t_prev = doubled.pad(psi.amplitudes)
+    out = coefficients[0] * t_prev
+    if coefficients.size > 1:
+        t_cur = doubled.apply(t_prev, doubled.zeros())
+        t_cur *= 0.5
+        out += coefficients[1] * t_cur
+        scratch = doubled.zeros()
+        for k in range(2, coefficients.size):
+            doubled.apply(t_cur, out=scratch)
+            np.subtract(scratch, t_prev, out=t_prev)
+            t_prev, t_cur = t_cur, t_prev
+            np.multiply(t_cur, coefficients[k], out=scratch)
+            out += scratch
+    return doubled.unpad(doubled.interior(out))
 
 
 class TestEvolve:
