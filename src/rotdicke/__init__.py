@@ -60,6 +60,6 @@ from .experiments import (
     sweep_lambda,
     sweep_velocity,
 )
-from .io import emit, load_result_json, load_state, save_state
+from .io import emit, load_result_json
 
 __version__ = "0.1.0"

@@ -208,7 +208,10 @@ def resolve_n_max(spec: ProtocolSpec, solved: list[quantum.QuantumState] | None 
     The start, built for a fixed n_max too, is appended to ``solved`` when given.
     """
     labels = None if spec.initial == "ground_state" else _initial_labels(spec)
-    state = quantum.initial_state(spec.params, labels)
+    try:
+        state = quantum.initial_state(spec.params, labels)
+    except ValueError as exc:
+        raise _naming_extreme_field(exc, spec.params) from None
     if solved is not None:
         solved.append(state)
     return state.n_max

@@ -1,4 +1,4 @@
-"""Serialization: CSV/JSON emission, JSON loaders, and state snapshots.
+"""Serialization: CSV/JSON emission and the JSON loader.
 
 CSV output is RFC-4180 style: comma delimiter, ``.`` decimal point, a
 mandatory header row, LF line endings, one record per row.  Numbers are
@@ -27,11 +27,6 @@ exactly.  The layout is that of ``json.dump(payload, fh, indent=1)``, byte
 for byte, but float arrays are written ``CHUNK`` values at a time, so no
 whole-file string or per-value object list is ever held.
 
-Quantum state snapshots are text: header lines ``j=`` (the exact float
-``repr``, whatever the amplitude precision), ``n_max=``,
-``ordering=m-major,n-minor``, ``dim=``, then one ``re im`` pair per
-amplitude in basis order.
-
 Every writer rewrites an existing output in place: the path is opened
 without truncation, so its inode, mode, owner and links stay, a symlink is
 written through, and a read-only file is refused.  A regular file is first
@@ -41,10 +36,10 @@ file then waits tens of milliseconds on it.  When the write ends, finished
 or failed, the file is cut at the last byte written, so no old tail
 survives.  Nothing is ``fsync``-ed: a power loss just after a run can lose
 its output, and rerunning the command, whose bytes are deterministic,
-writes it again.  ``precision``, the significant digits of CSV floats and
-snapshot amplitudes, is an integer in [1, 17] (:func:`check_precision`),
-and :func:`emit`'s format is csv or json (:func:`check_format`); both are
-checked before any file is opened.
+writes it again.  ``precision``, the significant digits of CSV floats, is
+an integer in [1, 17] (:func:`check_precision`), and :func:`emit`'s format
+is csv or json (:func:`check_format`); both are checked before any file is
+opened.
 """
 
 from __future__ import annotations
@@ -61,19 +56,13 @@ import numpy as np
 
 from .experiments import Spectrum, SweepResult
 from .meanfield import CHUNK, Trajectory
-from .quantum import QuantumState
 
 __all__ = [
     "check_format",
     "check_precision",
     "emit",
     "load_result_json",
-    "save_state",
-    "load_state",
 ]
-
-STATE_ORDERING_TAG = "m-major,n-minor"
-_STATE_HEADER = ("j", "n_max", "ordering", "dim")
 
 # JSON ``kind`` tag of each result type.
 RESULT_KINDS = {"trajectory": Trajectory, "sweep": SweepResult, "spectrum": Spectrum}
@@ -276,42 +265,3 @@ def load_result_json(path):
         raise ValueError(f"unknown result kind {d['kind']!r}")
     return _decode(cls, d)
 
-
-def save_state(path, state: QuantumState, precision: int = 17) -> None:
-    """Write a quantum state snapshot (text, documented in the module docstring)."""
-    check_precision(precision)
-    with _rewrite(path) as fh:
-        # j is exact whatever the amplitude precision: it fixes the dimension.
-        fh.write(f"j={float(state.j)!r}\n")
-        fh.write(f"n_max={state.n_max}\n")
-        fh.write(f"ordering={STATE_ORDERING_TAG}\n")
-        fh.write(f"dim={state.amplitudes.size}\n")
-        _write_rows(fh, f"%.{precision}g %.{precision}g\n", [state.amplitudes.real, state.amplitudes.imag])
-
-
-def load_state(path) -> QuantumState:
-    """Read a snapshot written by :func:`save_state`."""
-    with open(path, encoding="utf-8") as fh:
-        header = {}
-        for _ in range(4):
-            key, sep, value = fh.readline().strip().partition("=")
-            if sep:
-                header[key] = value
-        missing = [key for key in _STATE_HEADER if key not in header]
-        if missing:
-            raise ValueError(f"{path}: snapshot header lacks {', '.join(missing)}")
-        if header["ordering"] != STATE_ORDERING_TAG:
-            raise ValueError(f"unsupported ordering {header['ordering']!r}")
-        dim = int(header["dim"])
-        amplitudes = np.empty(dim, dtype=complex)
-        for i in range(dim):
-            pair = fh.readline().split()
-            if len(pair) != 2:
-                raise ValueError(f"{path}: amplitude line {i + 1} of dim={dim} is not a 're im' pair")
-            amplitudes[i] = complex(float(pair[0]), float(pair[1]))
-        if fh.read().strip():
-            raise ValueError(f"{path}: data after the dim={dim} amplitudes")
-        bad = np.flatnonzero(~np.isfinite(amplitudes))
-        if bad.size:
-            raise ValueError(f"{path}: amplitude line {bad[0] + 1} of dim={dim} is not finite")
-    return QuantumState(amplitudes, float(header["j"]), int(header["n_max"]))

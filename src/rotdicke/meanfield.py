@@ -89,7 +89,7 @@ _EXPONENT = -1.0 / 8.0
 
 # Samples handled per pass wherever a run walks its whole sample grid: the
 # dense-output evaluation, the boundary check and the observable columns
-# here, and every CSV, JSON and snapshot write in ``io``.  Large enough to
+# here, and every CSV and JSON write in ``io``.  Large enough to
 # amortise the per-chunk calls, small enough that a chunk's scratch stays
 # far below the size of the arrays being filled or written.
 CHUNK = 4096

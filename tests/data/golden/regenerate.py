@@ -3,9 +3,8 @@
 
     PYTHONPATH=src python tests/data/golden/regenerate.py
 
-Every file here but the state snapshot is the output of one ``rotdicke``
-command line, run through ``rotdicke.cli.main``; the format follows the
-file's extension.  The snapshot is ``save_state`` of one coherent state.
+Every file here is the output of one ``rotdicke`` command line, run
+through ``rotdicke.cli.main``; the format follows the file's extension.
 ``tests/test_golden.py`` re-runs each case and compares it with the file.
 Regenerate only for a change that alters output bits on purpose, and say so
 in CHANGES.md.
@@ -61,18 +60,12 @@ COMMANDS = {
         "--delta-phi", "0.7", "--omega0", "1.25",
     ],
 }
-SNAPSHOT = "state_coherent.txt"
-NAMES = tuple(f"{name}.{fmt}" for name in COMMANDS for fmt in ("csv", "json")) + (SNAPSHOT,)
+NAMES = tuple(f"{name}.{fmt}" for name in COMMANDS for fmt in ("csv", "json"))
 
 
 def write(name: str, directory) -> None:
     """Write the golden case ``name`` into ``directory``."""
     path = str(Path(directory) / name)
-    if name == SNAPSHOT:
-        from rotdicke import coherent_state, save_state
-
-        save_state(path, coherent_state(0.3 - 0.2j, 0.2 + 0.1j, 1.5, 8))
-        return
     from rotdicke.cli import main
 
     stem, fmt = name.rsplit(".", 1)

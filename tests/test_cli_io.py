@@ -20,12 +20,9 @@ import pytest
 from rotdicke import (
     ModelParams,
     ProtocolSpec,
-    coherent_state,
     emit,
     load_result_json,
-    load_state,
     run_protocol,
-    save_state,
     sweep_lambda,
     phase_diagram,
 )
@@ -474,98 +471,10 @@ class TestLegacyFixtures:
         assert load_result_json(DATA / "spectrum.json") == expected
 
 
-class TestStateSnapshot:
-    def test_round_trip(self, tmp_path):
-        state = coherent_state(0.4 + 0.2j, -0.3 + 0.1j, 1.5, 30)
-        path = tmp_path / "state.txt"
-        save_state(path, state)
-        back = load_state(path)
-        assert back.j == state.j and back.n_max == state.n_max
-        assert np.array_equal(back.amplitudes, state.amplitudes)
-
-    def test_header_documents_ordering(self, tmp_path):
-        path = tmp_path / "state.txt"
-        save_state(path, coherent_state(0, 0, 0.5, 2))
-        text = path.read_text()
-        assert "ordering=m-major,n-minor" in text
-
-    def test_foreign_ordering_rejected(self, tmp_path):
-        path = tmp_path / "state.txt"
-        save_state(path, coherent_state(0, 0, 0.5, 2))
-        text = path.read_text().replace("m-major,n-minor", "n-major,m-minor")
-        path.write_text(text)
-        with pytest.raises(ValueError, match="ordering"):
-            load_state(path)
-
-    def test_low_precision_keeps_j_exact(self, tmp_path):
-        # j fixes the dimension: rounded to one digit, j=1.5 would read as 2.
-        state = coherent_state(0.4, 0.1, 1.5, 20)
-        path = tmp_path / "state.txt"
-        save_state(path, state, precision=1)
-        assert path.read_text().startswith("j=1.5\n")
-        back = load_state(path)
-        assert back.j == 1.5 and back.n_max == 20
-        expected = [complex(float(f"{z.real:.1g}"), float(f"{z.imag:.1g}")) for z in state.amplitudes]
-        assert np.array_equal(back.amplitudes, expected)
-
-    @pytest.mark.parametrize("precision", [0, 18, 1.5, False])
-    def test_bad_precision_opens_no_file(self, tmp_path, precision):
-        path = tmp_path / "state.txt"
-        with pytest.raises(ValueError, match=re.escape(f"precision must be in [1, 17], got {precision}")):
-            save_state(path, coherent_state(0, 0, 0.5, 2), precision=precision)
-        assert not path.exists()
-
-    def test_non_half_integer_j_rejected(self, tmp_path):
-        # j=1.3, n_max=1, dim=8 once loaded as a state with j=1.3: the shape
-        # check rounds 2j + 1 = 3.6 to 4.
-        path = tmp_path / "state.txt"
-        save_state(path, coherent_state(0, 0, 1.5, 1))
-        path.write_text(path.read_text().replace("j=1.5\n", "j=1.3\n"))
-        with pytest.raises(ValueError, match="half-integer"):
-            load_state(path)
-
-    def test_negative_n_max_rejected(self, tmp_path):
-        # j=0.5, n_max=-1, dim=0 once loaded as an empty state with norm 0.
-        path = tmp_path / "state.txt"
-        path.write_text("j=0.5\nn_max=-1\nordering=m-major,n-minor\ndim=0\n")
-        with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
-            load_state(path)
-
-    def test_cut_short_header_rejected(self, tmp_path):
-        path = tmp_path / "state.txt"
-        path.write_text("j=0.5\n")
-        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*n_max, ordering, dim"):
-            load_state(path)
-
-    def test_truncated_snapshot_rejected(self, tmp_path):
-        path = tmp_path / "state.txt"
-        save_state(path, coherent_state(0, 0, 0.5, 2))
-        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-2]))
-        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*dim=6"):
-            load_state(path)
-
-    @pytest.mark.parametrize("line", ["nan 0", "0 inf", "-inf 0"])
-    def test_non_finite_amplitude_rejected(self, tmp_path, line):
-        # j=0.5, n_max=1, dim=4 with a "nan 0" line once loaded as a state of norm NaN.
-        path = tmp_path / "state.txt"
-        path.write_text(f"j=0.5\nn_max=1\nordering=m-major,n-minor\ndim=4\n1 0\n0 0\n{line}\n0 0\n")
-        with pytest.raises(ValueError, match=re.escape(str(path)) + ": amplitude line 3 of dim=4 is not finite"):
-            load_state(path)
-
-    def test_padded_snapshot_rejected(self, tmp_path):
-        path = tmp_path / "state.txt"
-        save_state(path, coherent_state(0, 0, 0.5, 2))
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("0 0\n")
-        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*dim=6"):
-            load_state(path)
-
-
 # Each writer, at a size that grows with n: a long output rewritten by a short one.
 WRITERS = {
     "csv": lambda path, n: emit(run_protocol(small_spec(sample_count=n)), "csv", path),
     "json": lambda path, n: emit(run_protocol(small_spec(sample_count=n)), "json", path, config={"n": n}),
-    "state": lambda path, n: save_state(path, coherent_state(0.4 + 0.2j, -0.3 + 0.1j, 1.5, n)),
 }
 
 
@@ -914,20 +823,24 @@ class TestMainExitCodes:
                 assert "nan" not in out.read_text().lower(), subcommand
 
     @pytest.mark.parametrize(
-        "value, failure",
+        "initial, value, failure",
         [
             # The spectrum spreads over omega * n_max = 1e202.
-            ("1e200", "Chebyshev order for dt = 3.14159 over the spectral span E_max - E_min = 1e+202"),
+            ("stationary_dicke", "1e200",
+             "Chebyshev order for dt = 3.14159 over the spectral span E_max - E_min = 1e+202"),
             # alpha ~ 2 lam/omega on the stationary circle.
-            ("1e-200", "|alpha|^2 overflows the float range at alpha = 1.41421e+200"),
+            ("stationary_dicke", "1e-200", "|alpha|^2 overflows the float range at alpha = 1.41421e+200"),
+            ("ground_state", "1e200", "ground state: the Gershgorin bound |E| <= 1e+202 squared overflows"),
+            # The ground state's n_max ladder starts from the stationary-Dicke labels.
+            ("ground_state", "1e-200", "|alpha|^2 overflows the float range at alpha = 1.41421e+200"),
         ],
-        ids=["huge", "tiny"],
+        ids=["huge", "tiny", "ground-state-huge", "ground-state-tiny"],
     )
-    def test_extreme_omega_run_names_the_flag(self, tmp_path, capsys, value, failure):
-        # Both runs once failed naming only the Chebyshev span or |alpha|^2,
-        # not the value that set it.
+    def test_extreme_omega_run_names_the_flag(self, tmp_path, capsys, initial, value, failure):
+        # Each run once failed naming only the Chebyshev span, the
+        # Gershgorin bound or |alpha|^2, not the value that set it.
         out = tmp_path / "x.csv"
-        argv = ["trajectory", "--engine", "quantum", "--initial", "stationary_dicke", "--j", "1"]
+        argv = ["trajectory", "--engine", "quantum", "--initial", initial, "--j", "1"]
         assert main([*argv, "--lambda", "1", "--omega", value, "--sample-count", "3", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {failure}")

@@ -3,7 +3,8 @@
 Criteria c06 and c07 of the acceptance suite place both at delta_phi = 1;
 the mean-field tests repeat them at other drive velocities with the same
 protocol (j = 1, 150 revolutions, 3000 samples, rtol 1e-9).  The quantum
-tests check the shifted critical coupling on the finite-size engine.
+tests check the shifted critical coupling on the finite-size engine, and
+the reentrant minimum at delta_phi = 1 at j = 48.
 Margins measured when the windows were fixed are given next to each case.
 """
 
@@ -78,6 +79,25 @@ def test_reentrant_minimum_follows_dynamical_fit(delta_phi, first, last):
     _, location = min(minima)
     fit = dynamical_critical_fit(delta_phi)
     assert abs(location - fit) <= 0.02, (delta_phi, location, fit)
+
+
+def test_quantum_reentrant_minimum_at_delta_phi_1():
+    # The stationary-Dicke start on the quantum engine, j = 48, n_max 120
+    # (170 gives the same averages to 4 digits; 100 fails the start's
+    # truncation check), 3 revolutions, 61 samples.  Time-averaged <n>/j:
+    # 0.5134 at 0.78, 0.4850 at 0.81, 0.5381 at 0.84 (margins 0.028 and
+    # 0.053).  At 20 samples per revolution the dip also holds at 2, 4, 5
+    # and 8 revolutions, with margins of at least 0.012.
+    spec = ProtocolSpec(
+        params=ModelParams(lam=0.81, j=48.0, delta_phi=1.0, n_max=120),
+        engine="quantum",
+        initial="stationary_dicke",
+        n_revolutions=3,
+        sample_count=61,
+        observables=("mean_photon_scaled",),
+    )
+    below, dip, above = sweep_lambda(spec, [0.78, 0.81, 0.84]).values("mean_photon_scaled")
+    assert dip < below and dip < above, (below, dip, above)
 
 
 # Fock starts on the quantum engine: 30 revolutions, 400 samples, n_max 60

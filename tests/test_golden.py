@@ -1,8 +1,7 @@
-"""Golden outputs: every subcommand in both formats, and one state snapshot.
+"""Golden outputs: every subcommand in both formats.
 
 Each case in ``tests/data/golden/regenerate.py`` is re-run through
-``rotdicke.cli.main`` (the snapshot through ``save_state``) and compared
-with the committed file, field by field:
+``rotdicke.cli.main`` and compared with the committed file, field by field:
 
 - Text that is not a float (headers, keys, layout, quoting, strings, ints,
   region tags) must match exactly.
@@ -12,7 +11,7 @@ with the committed file, field by field:
 - Floats that pass through numpy's CPU-dispatched kernels (exp and ** on
   arrays, trapezoid and vdot reductions, the quantum engine) must agree to
   a relative ``RTOL`` = 1e-12: the observable columns, the sweep cells'
-  final and time-averaged values, and the snapshot's amplitudes.
+  final and time-averaged values.
 
 Why 1e-12, fixed before the files were first made: a SIMD kernel may round
 exp or ** differently from libm or from another CPU by a few ulp (~1e-15;
@@ -113,15 +112,6 @@ def compare_csv(expected: str, actual: str) -> None:
                 assert keep and a and b and close(a, b), (row, name, a, b)
 
 
-def compare_snapshot(expected: str, actual: str) -> None:
-    want, got = expected.split("\n"), actual.split("\n")
-    assert got[:4] == want[:4] and len(got) == len(want), "snapshot header or length differs"
-    for i, (a_line, b_line) in enumerate(zip(want[4:], got[4:])):
-        a_pair, b_pair = a_line.split(), b_line.split()
-        assert len(a_pair) == len(b_pair), (i, a_line, b_line)
-        assert all(a == b or close(a, b) for a, b in zip(a_pair, b_pair)), (i, a_line, b_line)
-
-
 @pytest.mark.parametrize("name", regenerate.NAMES)
 def test_golden_output(name, tmp_path):
     regenerate.write(name, tmp_path)
@@ -129,9 +119,7 @@ def test_golden_output(name, tmp_path):
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     if actual == expected:
         return
-    if name == regenerate.SNAPSHOT:
-        compare_snapshot(expected, actual)
-    elif name.endswith(".json"):
+    if name.endswith(".json"):
         compare_json(expected, actual)
     else:
         compare_csv(expected, actual)
@@ -152,6 +140,3 @@ def test_compare_rules_catch_changes():
         compare_json(doc, doc.replace('"q1"', '"q2"'))
     with pytest.raises(AssertionError):
         compare_json(doc, doc.replace("\n    0.5", "    0.5"))
-    compare_snapshot("j=1.0\nn_max=1\no\ndim=1\n0.5 0\n", "j=1.0\nn_max=1\no\ndim=1\n0.50000000000001 0\n")
-    with pytest.raises(AssertionError):
-        compare_snapshot("j=1.0\nn_max=1\no\ndim=1\n0.5 0\n", "j=1.0\nn_max=1\no\ndim=1\n0.5 1e-300\n")

@@ -425,21 +425,6 @@ def test_bare_carriage_return_stays_unquoted():
     assert emit_csv(result, 3) == 'a\rb,"c,d"\nx\ry,\n"""",1.5\n'
 
 
-@SETTINGS
-@given(real=float_arrays(lengths=(2, rio.CHUNK + 2)), precision=st.integers(min_value=1, max_value=17))
-def test_state_snapshot_matches_per_amplitude_lines(real, precision):
-    amplitudes = np.empty(real.size, dtype=complex)
-    amplitudes.real, amplitudes.imag = real, real[::-1]
-    state = QuantumState(amplitudes, 0.5, amplitudes.size // 2 - 1)
-    expected = f"j=0.5\nn_max={state.n_max}\nordering=m-major,n-minor\ndim={amplitudes.size}\n" + "".join(
-        f"{z.real:.{precision}g} {z.imag:.{precision}g}\n" for z in amplitudes
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "state.txt"
-        rio.save_state(path, state, precision=precision)
-        assert_same_text(path.read_bytes().decode("utf-8"), expected)
-
-
 @st.composite
 def trajectory_overrides(draw):
     engine = draw(st.sampled_from(ENGINES))

@@ -916,3 +916,8 @@ class TestStateBasics:
         # n_max = 4.0 passed the shape check: (10,) == (10.0,).
         with pytest.raises(ValueError, match="n_max must be an integer"):
             QuantumState(np.zeros(10, dtype=complex), 0.5, 4.0)
+
+    def test_negative_n_max_rejected(self):
+        # j = 0.5, n_max = -1 passed the shape check as an empty state of norm 0.
+        with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+            QuantumState(np.zeros(0, dtype=complex), 0.5, -1)
