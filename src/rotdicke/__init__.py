@@ -3,6 +3,9 @@
 Two engines evolve the same protocols: a thermodynamic-limit mean-field
 integrator (:mod:`rotdicke.meanfield`) and an exact finite-size Chebyshev
 propagator on the truncated Fock x Dicke basis (:mod:`rotdicke.quantum`).
+Both end a run in the same shape, a :class:`Trajectory` of observables on a
+uniform sample grid, defined with the observable table in
+:mod:`rotdicke.trajectory`.
 Closed-form critical lines and fixed points live in :mod:`rotdicke.model`,
 protocol and sweep drivers in :mod:`rotdicke.experiments`, serialization in
 :mod:`rotdicke.io`, and the command line in :mod:`rotdicke.cli`.
@@ -24,15 +27,14 @@ from .model import (
     rotated_critical_coupling,
     stationary_photon_scaled,
 )
+from .trajectory import Trajectory, time_average
 from .meanfield import (
     IntegrationError,
-    Trajectory,
     classical_hamiltonian,
     eom_rhs,
     hp_rhs,
     integrate,
     jacobi_integral,
-    time_average,
 )
 from .quantum import (
     OperatorSet,

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import io as rio
 from .experiments import (
-    _AXIS_NAMES,
+    AXIS_NAMES,
     ProtocolSpec,
     phase_diagram,
     run_protocol,
@@ -271,14 +271,14 @@ def _axis_values(values: dict, axis: str) -> np.ndarray:
 
 def _field_key(values: dict, field: str) -> str:
     """The key that supplies swept field ``field``: the run's own value, else its axis's first point."""
-    own = _AXIS_NAMES[field]
+    own = AXIS_NAMES[field]
     return own if own in values else own + "_min"
 
 
 def _config_error(exc: ValueError, values: dict) -> ConfigError:
     """The library's error, its leading field name replaced by the CLI key."""
     field, sep, rest = str(exc).partition(" ")
-    if field in _AXIS_NAMES:
+    if field in AXIS_NAMES:
         field = _field_key(values, field)
     return ConfigError(field + sep + rest)
 
@@ -289,7 +289,7 @@ def _flag_named(message: str) -> str:
     if not sep:
         return message
     field, space, rest = tail.partition(" ")
-    return f"{head}{sep}--{_AXIS_NAMES.get(field, field).replace('_', '-')}{space}{rest}"
+    return f"{head}{sep}--{AXIS_NAMES.get(field, field).replace('_', '-')}{space}{rest}"
 
 
 def _from_keys(cls, values: dict, **exceptions):
@@ -302,7 +302,7 @@ def config_to_spec(config: RunConfig) -> ProtocolSpec:
     """ProtocolSpec for the run subcommands (axis cells override later)."""
     v = config.values
     try:
-        params = _from_keys(ModelParams, v, **{name: v[_field_key(v, name)] for name in _AXIS_NAMES})
+        params = _from_keys(ModelParams, v, **{name: v[_field_key(v, name)] for name in AXIS_NAMES})
         return _from_keys(
             ProtocolSpec,
             v,

@@ -24,11 +24,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import meanfield, quantum
-from .meanfield import _OBSERVABLES, Trajectory, _check_observables, check_grid
+from . import meanfield, quantum, trajectory
 from .model import (
     ModelParams,
-    _naming_extreme_field,
     check_count,
     check_label,
     check_positive,
@@ -37,9 +35,11 @@ from .model import (
     excitation_energy_np,
     excitation_energy_srp,
     initial_state_params,
+    naming_extreme_field,
     point_from_coherent,
     rotated_critical_coupling,
 )
+from .trajectory import Trajectory, check_grid, check_observables, eq_by_value
 
 __all__ = [
     "ENGINES",
@@ -67,7 +67,7 @@ INITIAL_KINDS = (
     "ground_state",
     "explicit",
 )
-OBSERVABLES = tuple(_OBSERVABLES)
+OBSERVABLES = tuple(trajectory.OBSERVABLES)
 
 # Time-averaged scaled photon number above this counts as a macroscopic
 # ("nonzero") phase-diagram region; separates integrator noise from
@@ -119,7 +119,7 @@ class ProtocolSpec:
         check_count("n_revolutions", self.n_revolutions, 1)
         check_count("sample_count", self.sample_count, 2)
         check_positive("rtol", self.rtol)
-        _check_observables(self.observables, self.engine)
+        check_observables(self.observables, self.engine)
 
     @property
     def t_final(self) -> float:
@@ -151,7 +151,7 @@ class SweepResult:
     spec: ProtocolSpec
     overlays: dict[str, np.ndarray] = field(default_factory=dict)
 
-    __eq__ = meanfield._eq_by_value
+    __eq__ = eq_by_value
 
     def __post_init__(self) -> None:
         expected = 1
@@ -198,7 +198,7 @@ def _initial_labels(spec: ProtocolSpec) -> tuple[complex, complex]:
     try:
         check_label("alpha", alpha)
     except ValueError as exc:
-        raise _naming_extreme_field(exc, spec.params) from None
+        raise naming_extreme_field(exc, spec.params) from None
     return alpha, zeta
 
 
@@ -211,7 +211,7 @@ def resolve_n_max(spec: ProtocolSpec, solved: list[quantum.QuantumState] | None 
     try:
         state = quantum.initial_state(spec.params, labels)
     except ValueError as exc:
-        raise _naming_extreme_field(exc, spec.params) from None
+        raise naming_extreme_field(exc, spec.params) from None
     if solved is not None:
         solved.append(state)
     return state.n_max
@@ -254,7 +254,7 @@ def _validated_axis(name: str, values) -> np.ndarray:
 
 
 # Sweep axis name of each swept ModelParams field.
-_AXIS_NAMES = {"lam": "lambda", "delta_phi": "delta_phi"}
+AXIS_NAMES = {"lam": "lambda", "delta_phi": "delta_phi"}
 
 
 def _sweep(spec: ProtocolSpec, **grids) -> SweepResult:
@@ -263,7 +263,7 @@ def _sweep(spec: ProtocolSpec, **grids) -> SweepResult:
     Each keyword names the swept ModelParams field; cells run in
     lexicographic order, last axis fastest.
     """
-    axes = tuple((_AXIS_NAMES[key], _validated_axis(_AXIS_NAMES[key], v)) for key, v in grids.items())
+    axes = tuple((AXIS_NAMES[key], _validated_axis(AXIS_NAMES[key], v)) for key, v in grids.items())
     cells = []
     for point in itertools.product(*(values.tolist() for _, values in axes)):
         params = replace(spec.params, **dict(zip(grids, point)))

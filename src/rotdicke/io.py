@@ -55,7 +55,7 @@ import typing
 import numpy as np
 
 from .experiments import Spectrum, SweepResult
-from .meanfield import CHUNK, Trajectory
+from .trajectory import CHUNK, Trajectory
 
 __all__ = [
     "check_format",

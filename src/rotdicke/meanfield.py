@@ -1,5 +1,4 @@
-"""Thermodynamic-limit engine: mean-field equations of motion, and the
-observable table of both engines.
+"""Thermodynamic-limit engine: mean-field equations of motion.
 
 The flow lives on (q1, p1, q2, p2) with the spin sector confined to
 q1^2 + p1^2 < 4j; ``model.point_from_coherent`` maps the coherent-state
@@ -22,17 +21,13 @@ that are exactly 0.0 and adds the rest left to right, with no ``sum()``,
 whose rounding of floats changed in Python 3.12 (it is compensated from
 then on).
 
-The interpolant, and :func:`integrate`'s boundary check and observable
-columns, are evaluated ``CHUNK`` samples at a time into preallocated
-arrays, with the operations and order of a whole-grid pass, so the bits do
-not depend on where the chunks fall.
-:func:`check_grid`, the library's one rule for sweep axes and stored sample
-times (1-D, nonempty, finite, strictly increasing), walks them the same way.
-
-``_OBSERVABLES`` defines each observable once: its mean-field form on the
-sampled coordinate arrays and its quantum expectation value, or None where
-only the mean field reports it.  :func:`integrate` and ``quantum.evolve``
-fill their columns from it, on the grid of :func:`_sample_grid`.
+:func:`integrate` returns a :class:`rotdicke.trajectory.Trajectory` on the
+grid of ``trajectory.sample_grid``, with the mean-field column of each
+observable asked for, from ``trajectory.OBSERVABLES``.  The interpolant,
+the boundary check and the observable columns are evaluated
+``trajectory.CHUNK`` samples at a time into preallocated arrays, with the
+operations and order of a whole-grid pass, so the bits do not depend on
+where the chunks fall.
 """
 
 from __future__ import annotations
@@ -43,29 +38,21 @@ import linecache
 import math
 import struct
 from array import array
-from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import (  # coherent_from_point, point_from_coherent: re-exported
-    ModelParams,
-    PhasePoint,
-    check_count,
-    check_positive,
-    coherent_from_point,
-    point_from_coherent,
-)
+# point_from_coherent is re-exported: perfbench/micro.py reads it here until
+# the benchmark change of ROADMAP item 2 edits micro.py.
+from .model import ModelParams, PhasePoint, point_from_coherent
+from .trajectory import CHUNK, OBSERVABLES, Trajectory, check_observables, sample_grid
 
 __all__ = [
     "IntegrationError",
-    "Trajectory",
     "eom_rhs",
     "hp_rhs",
     "integrate",
     "classical_hamiltonian",
     "jacobi_integral",
-    "time_average",
 ]
 
 # rtol 1e-10 leaves up to ~5e-8 relative energy drift over t=50 on energetic
@@ -87,13 +74,6 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _EXPONENT = -1.0 / 8.0
 
-# Samples handled per pass wherever a run walks its whole sample grid: the
-# dense-output evaluation, the boundary check and the observable columns
-# here, and every CSV and JSON write in ``io``.  Large enough to
-# amortise the per-chunk calls, small enough that a chunk's scratch stays
-# far below the size of the arrays being filled or written.
-CHUNK = 4096
-
 
 class IntegrationError(RuntimeError):
     """Mean-field integration failure, carrying the time it occurred at."""
@@ -101,138 +81,6 @@ class IntegrationError(RuntimeError):
     def __init__(self, t: float, message: str):
         super().__init__(f"{message} (t={t!r})")
         self.t = t
-
-
-def _same(a, b) -> bool:
-    """a == b, with ndarrays (also inside tuples and dicts) compared by value."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(a, b)
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(map(_same, a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
-    return a == b
-
-
-def _eq_by_value(self, other) -> bool:
-    """Field-by-field dataclass equality for results that hold ndarrays.
-
-    The generated ``__eq__`` compares field tuples, which raises on an
-    ndarray of more than one element.
-    """
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-
-
-def check_grid(name: str, values) -> np.ndarray:
-    """``values`` as a float array; ValueError unless a nonempty 1-D grid of finite,
-    strictly increasing points.  Checked CHUNK pairs at a time (no whole-grid
-    temporaries); a NaN fails a comparison, and finite ends bound the rest."""
-    t = np.asarray(values, dtype=float)
-    pairs = (t[start:start + CHUNK + 1] for start in range(0, t.size - 1, CHUNK))
-    if not (t.ndim == 1 and t.size and math.isfinite(t[0]) and math.isfinite(t[-1])
-            and all(np.all(p[1:] > p[:-1]) for p in pairs)):
-        raise ValueError(f"{name} must be a nonempty 1-D grid of finite, strictly increasing points")
-    return t
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Uniformly sampled time series produced by either engine.
-
-    ``data`` maps column names to arrays aligned with ``times``; the
-    mean-field engine always includes the phase-space coordinates
-    q1, p1, q2, p2 next to whatever observables were attached.
-    """
-
-    params: ModelParams
-    engine: str  # "meanfield" | "quantum"
-    driven: bool
-    times: np.ndarray
-    data: dict[str, np.ndarray]
-    observables: tuple[str, ...] = ()
-
-    __eq__ = _eq_by_value
-
-    def __post_init__(self) -> None:
-        t = check_grid("times", self.times)
-        if t[0] != 0.0:
-            raise ValueError(f"first sample must be at t=0, got {t[0]}")
-        for name, col in self.data.items():
-            if len(col) != t.size:
-                raise ValueError(f"column {name!r} has {len(col)} samples, expected {t.size}")
-        missing = [name for name in self.observables if name not in self.data]
-        if missing:
-            raise ValueError(f"observables {missing} have no column in data")
-
-    def final(self, name: str) -> float:
-        return float(self.data[name][-1])
-
-    def average(self, name: str) -> float:
-        return time_average(self.times, self.data[name])
-
-
-def _meanfield_photon(q1, p1, q2, p2, j):
-    """(q2^2 + p2^2)/(2j), the scaled photon number |alpha|^2/j."""
-    return (q2**2 + p2**2) / (2.0 * j)
-
-
-def _meanfield_parity(q1, p1, q2, p2, j):
-    """exp(-2|alpha|^2) ((1-|zeta|^2)/(1+|zeta|^2))^(2j), written in phase space."""
-    return np.exp(-(q2**2 + p2**2)) * (1.0 - (q1**2 + p1**2) / (2.0 * j)) ** int(round(2.0 * j))
-
-
-def _meanfield_scaled_parity(q1, p1, q2, p2, j):
-    """Parity with every coordinate rescaled by sqrt(j):
-    exp(-(q2^2+p2^2)/j) (1 - (q1^2+p1^2)/(2j^2))^(2j).
-
-    The base must be nonnegative; a base in [-1e-12, 0) is floating residue
-    on the edge q1^2 + p1^2 = 2j^2 and counts as 0.
-    """
-    base = 1.0 - (q1**2 + p1**2) / (2.0 * j * j)
-    if np.any(base < -1e-12):
-        raise ValueError("q1^2+p1^2 exceeded 2j^2 along the trajectory; scaled parity undefined")
-    base = np.maximum(base, 0.0)
-    return np.exp(-(q2**2 + p2**2) / j) * base ** int(round(2.0 * j))
-
-
-def _quantum_photon(ops, state) -> float:
-    return state.expectation(ops.adag_a) / ops.j
-
-
-def _quantum_parity(ops, state) -> float:
-    return state.expectation(ops.parity)
-
-
-class _Observable(NamedTuple):
-    meanfield: Callable  # (q1, p1, q2, p2, j) -> value, elementwise on arrays
-    quantum: Callable | None  # (OperatorSet, QuantumState) -> float; None: mean-field only
-
-
-# Every observable, defined once.  The names, and which engine reports which,
-# are read from here by _check_observables.  The
-# quantum values of a^dag a and of the parity are invariant under the frame
-# rotation, so the co-rotating-frame expectation is the laboratory one.
-_OBSERVABLES = {
-    "mean_photon_scaled": _Observable(_meanfield_photon, _quantum_photon),
-    "parity": _Observable(_meanfield_parity, _quantum_parity),
-    "scaled_parity": _Observable(_meanfield_scaled_parity, None),
-}
-
-
-def _check_observables(names, engine: str) -> None:
-    """The rule on observable names of ProtocolSpec and of both engines: at
-    least one, each reported by ``engine``, none repeated."""
-    reported = [name for name, row in _OBSERVABLES.items() if engine == "meanfield" or row.quantum]
-    unsupported = sorted(set(names) - set(reported))
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if unsupported:
-        raise ValueError(f"unsupported {engine} observables: {unsupported}, not in {reported}")
-    if not names:
-        raise ValueError("at least one observable is required")
-    if repeated:
-        raise ValueError(f"repeated observables: {repeated}")
 
 
 def _constants(params: ModelParams, drive: float) -> tuple:
@@ -323,14 +171,6 @@ def jacobi_integral(point: PhasePoint, t: float, params: ModelParams) -> float:
     )
 
 
-def _sample_grid(t_end: float, sample_count: int) -> np.ndarray:
-    """The sample times of a run of either engine: ``sample_count`` uniform
-    times from 0 to ``t_end``, both included."""
-    check_positive("t_end", t_end)
-    check_count("sample_count", sample_count, 2)
-    return np.linspace(0.0, t_end, sample_count)
-
-
 def integrate(
     start: PhasePoint,
     params: ModelParams,
@@ -353,9 +193,9 @@ def integrate(
     trajectory holds q1, p1, q2, p2 and the mean-field column of each of
     the ``observables``.
     """
-    t_grid = _sample_grid(t_end, sample_count)
+    t_grid = sample_grid(t_end, sample_count)
     if observables:
-        _check_observables(observables, "meanfield")
+        check_observables(observables, "meanfield")
     if start.t != 0.0:
         raise ValueError(f"start.t must be 0 (the drive phase starts at 0), got {start.t}")
     y0 = (start.q1, start.p1, start.q2, start.p2)
@@ -376,7 +216,7 @@ def integrate(
             )
     data = {"q1": q1, "p1": p1, "q2": q2, "p2": p2}
     for name in observables:
-        observable = _OBSERVABLES[name].meanfield
+        observable = OBSERVABLES[name].meanfield
         data[name] = column = np.empty(sample_count)
         for start in range(0, sample_count, CHUNK):
             part = slice(start, start + CHUNK)
@@ -521,17 +361,6 @@ def _dop853(constants, y, t_grid, rtol, atol):
                 yc *= x1 if i % 2 else x
             yc += coeff[:, 0]
     return out
-
-
-def time_average(times, values) -> float:
-    """Time average over the sample grid, (1/(t_f - t_0)) * integral v dt.
-
-    Trapezoidal quadrature on the given samples; exact for linear data.
-    """
-    t = check_grid("times", times)
-    if t.size < 2:
-        raise ValueError("time average needs at least 2 samples")
-    return float(np.trapezoid(values, t) / (t[-1] - t[0]))
 
 
 # Dormand-Prince 8(5,3) tableau, as published with the DOP853 code (Hairer,

@@ -220,7 +220,7 @@ def _farthest_from_one(args: dict[str, float]) -> str:
     return max(args, key=lambda k: abs(math.frexp(args[k])[1]))
 
 
-def _naming_extreme_field(exc: ValueError, params: ModelParams) -> ValueError:
+def naming_extreme_field(exc: ValueError, params: ModelParams) -> ValueError:
     """``exc``, ending ``(set by omega = 1e+200)`` when a frequency, the
     coupling or j of ``params`` lies outside ``_FLOAT_RANGE``.
 

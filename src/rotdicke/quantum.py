@@ -28,8 +28,9 @@ Hamiltonian
 
 whose expectation values of a^dag a and of the parity Pi = exp(i pi N)
 coincide with the laboratory-frame ones (both commute with J_z).
-:func:`evolve` records them through the quantum entries of the observable
-table in :mod:`rotdicke.meanfield`, which also holds their mean-field forms.
+:func:`evolve` records them into a :class:`rotdicke.trajectory.Trajectory`
+through the quantum entries of the observable table in
+:mod:`rotdicke.trajectory`, which also holds their mean-field forms.
 
 The ground state is the lowest eigenvector of the undriven Hamiltonian in
 the even-parity sector, found by Lanczos on the matrix-free operator from
@@ -49,15 +50,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .meanfield import _OBSERVABLES, Trajectory, _check_observables, _sample_grid
 from .model import (
     ModelParams,
-    _naming_extreme_field,
     check_count,
     check_label,
     check_spin,
     initial_state_params,
+    naming_extreme_field,
 )
+from .trajectory import OBSERVABLES, Trajectory, check_observables, sample_grid
 
 __all__ = [
     "PropagationError",
@@ -546,14 +547,15 @@ def evolve(
 ) -> Trajectory:
     """Propagate ``psi0``, one :func:`chebyshev_step` per sample interval, and
     record expectation values at ``sample_count`` uniform times from 0 to
-    ``t_end``, as :func:`rotdicke.meanfield.integrate` samples.
+    ``t_end``, the grid of :func:`rotdicke.trajectory.sample_grid` that
+    both engines sample.
 
     ``observables`` are the names with a quantum evaluator in the observable
-    table of :mod:`rotdicke.meanfield`: ``mean_photon_scaled`` (<a^dag a>/j)
+    table of :mod:`rotdicke.trajectory`: ``mean_photon_scaled`` (<a^dag a>/j)
     and ``parity`` (<Pi>).
     """
-    t = _sample_grid(t_end, sample_count)
-    _check_observables(observables, "quantum")
+    t = sample_grid(t_end, sample_count)
+    check_observables(observables, "quantum")
     ops = build_operators(params)
     if psi0.j != ops.j or psi0.n_max != ops.n_max:
         raise ValueError("state and operator basis descriptors disagree")
@@ -564,7 +566,7 @@ def evolve(
     try:
         order = chebyshev_order(dt, *bounds)
     except ValueError as exc:
-        raise _naming_extreme_field(exc, params) from None
+        raise naming_extreme_field(exc, params) from None
     coeffs = chebyshev_coefficients(dt, *bounds, order)
 
     columns: dict[str, list[float]] = {name: [] for name in observables}
@@ -575,7 +577,7 @@ def evolve(
                 ops, psi, dt, driven=driven, bounds=bounds, order=order, coefficients=coeffs
             )
         for name, column in columns.items():
-            column.append(_OBSERVABLES[name].quantum(ops, psi))
+            column.append(OBSERVABLES[name].quantum(ops, psi))
 
     return Trajectory(
         params=params,
@@ -614,9 +616,10 @@ def _coherent_start(alpha: complex, zeta: complex, j: float, n_max: int) -> tupl
 
     A start that the truncation loses whole (loss 1) stays all zeros.
     """
-    alpha, zeta = complex(alpha), complex(zeta)
+    # Checked as given: a real label's error message spells it as a real number.
     check_label("alpha", alpha)
     check_label("zeta", zeta)
+    alpha, zeta = complex(alpha), complex(zeta)
     two_j = int(round(2 * j))
 
     n = np.arange(n_max + 1, dtype=float)

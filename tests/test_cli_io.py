@@ -37,8 +37,8 @@ from rotdicke.cli import (
     parse_config,
 )
 from rotdicke.experiments import INITIAL_KINDS, Spectrum, SweepResult, spectrum
-from rotdicke.meanfield import Trajectory
 from rotdicke.model import check_spin
+from rotdicke.trajectory import Trajectory
 
 DATA = Path(__file__).parent / "data"
 

@@ -325,7 +325,7 @@ class TestRunProtocol:
     @pytest.mark.parametrize(
         "omega, message",
         [
-            (1e-200, "|alpha|^2 overflows the float range at alpha = 1.41421e+200+0j (set by omega = 1e-200)"),
+            (1e-200, "|alpha|^2 overflows the float range at alpha = 1.41421e+200 (set by omega = 1e-200)"),
             (1e-3, "basis dimension (n_max+1)(2j+1) = 296463 exceeds the cap 200000"),
         ],
         ids=["overflow", "cap"],

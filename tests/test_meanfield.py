@@ -33,7 +33,7 @@ from rotdicke import (
     sweep_lambda,
     time_average,
 )
-from rotdicke import build_operators, coherent_state, evolve, meanfield
+from rotdicke import build_operators, coherent_state, evolve, meanfield, trajectory
 from rotdicke.model import check_count, check_positive
 
 from closed_forms import mean_photon_scaled, parity_meanfield, scaled_parity_meanfield
@@ -809,7 +809,7 @@ class TestGeneratedSteps:
 def table_value(name, point, j):
     """The observable table's mean-field value at one phase-space point."""
     coords = (np.array([c]) for c in (point.q1, point.p1, point.q2, point.p2))
-    return float(meanfield._OBSERVABLES[name].meanfield(*coords, j)[0])
+    return float(trajectory.OBSERVABLES[name].meanfield(*coords, j)[0])
 
 
 class TestObservables:
@@ -862,7 +862,7 @@ class TestObservables:
         q1 = np.array([1.0, math.sqrt(2 * j * j), 0.5])
         assert 1.0 - q1[1] ** 2 / (2 * j * j) < 0.0
         zeros = np.zeros(3)
-        values = meanfield._OBSERVABLES["scaled_parity"].meanfield(q1, zeros, zeros, zeros, j)
+        values = trajectory.OBSERVABLES["scaled_parity"].meanfield(q1, zeros, zeros, zeros, j)
         assert values[1] == 0.0
         for k in (0, 2):
             expected = scaled_parity_meanfield(PhasePoint(q1[k], 0.0, 0.0, 0.0), j)
@@ -907,7 +907,7 @@ class TestObservables:
         # bit-equal to the table row evaluated once on the whole returned
         # coordinate arrays.  At j = 2 the domain 4j of the flow lies inside
         # the 2j^2 of the scaled parity.
-        names = tuple(meanfield._OBSERVABLES)
+        names = tuple(trajectory.OBSERVABLES)
         params = ModelParams(lam=1.0, j=2.0, delta_phi=1.0)
         samples = 3 * meanfield.CHUNK + 1
         traj = integrate(PhasePoint(1.2, -0.7, 0.5, 0.2), params, 8.0, samples, observables=names)
@@ -915,7 +915,7 @@ class TestObservables:
         assert list(traj.data) == ["q1", "p1", "q2", "p2", *names]
         coords = [traj.data[name] for name in ("q1", "p1", "q2", "p2")]
         for name in names:
-            whole = meanfield._OBSERVABLES[name].meanfield(*coords, params.j)
+            whole = trajectory.OBSERVABLES[name].meanfield(*coords, params.j)
             assert traj.data[name].tobytes() == whole.tobytes(), name
 
     def test_quantum_entries_match_meanfield_on_coherent_states(self):
@@ -926,10 +926,10 @@ class TestObservables:
             ops = build_operators(ModelParams(lam=0.5, j=j, n_max=n_max))
             state = coherent_state(alpha, zeta, j, n_max)
             point = point_from_coherent(alpha, zeta, j)
-            names = [name for name, entry in meanfield._OBSERVABLES.items() if entry.quantum]
+            names = [name for name, entry in trajectory.OBSERVABLES.items() if entry.quantum]
             assert names == ["mean_photon_scaled", "parity"]
             for name in names:
-                quantum = meanfield._OBSERVABLES[name].quantum(ops, state)
+                quantum = trajectory.OBSERVABLES[name].quantum(ops, state)
                 assert abs(quantum - table_value(name, point, j)) < 1e-10, (name, alpha, zeta, j)
 
 

@@ -32,18 +32,20 @@ from rotdicke.experiments import (
     SweepCell,
     SweepResult,
 )
-from rotdicke.meanfield import Trajectory, coherent_from_point, point_from_coherent
 from rotdicke.model import (
     ModelParams,
+    coherent_from_point,
     critical_coupling,
     critical_velocity,
     dynamical_critical_fit,
     excitation_energy_np,
     excitation_energy_srp,
+    point_from_coherent,
     rotated_critical_coupling,
     stationary_photon_scaled,
 )
 from rotdicke.quantum import QuantumState, build_operators, chebyshev_step, evolve
+from rotdicke.trajectory import Trajectory
 
 # hypothesis draws the inputs here, so a RuntimeWarning stays a warning
 # (pytest's default) instead of the error that pyproject.toml makes it:
