@@ -37,6 +37,16 @@ COMMANDS = {
         "trajectory", "--engine", "quantum", "--initial", "ground_state",
         "--j", "1.5", "--n-max", "10", "--lambda", "0.4", "--sample-count", "21",
     ],
+    "trajectory_undriven_meanfield": [
+        "trajectory", "--engine", "meanfield", "--initial", "stationary_circle",
+        "--j", "1.5", "--lambda", "1.2", "--delta-phi", "1.4", "--driven", "false",
+        "--n-revolutions", "2", "--sample-count", "30",
+    ],
+    "trajectory_undriven_quantum": [
+        "trajectory", "--engine", "quantum", "--initial", "stationary_circle",
+        "--j", "1.5", "--n-max", "30", "--lambda", "1.2", "--delta-phi", "1.4", "--driven", "false",
+        "--n-revolutions", "2", "--sample-count", "30",
+    ],
     "sweep_lambda": [
         "sweep-lambda", "--engine", "meanfield", "--initial", "nearly_fock", "--epsilon", "1",
         "--j", "3", "--delta-phi", "1.2", "--lambda-min", "0.2", "--lambda-max", "1.2",
