@@ -13,7 +13,7 @@ per-subcommand schema: unknown keys are errors.
 Values are checked by the library's rules (``ModelParams``, ``ProtocolSpec``,
 the spectrum's closed forms) before anything is echoed; their errors name the
 CLI key (``lambda``, ``lambda_min``, ``delta_phi_min``), and a run that fails
-on an extreme value names its flag (``--omega``); ``format`` and
+on an extreme value names its key or its flag (``--omega``) once; ``format`` and
 ``precision`` are checked by :func:`rotdicke.io.check_format` and
 :func:`rotdicke.io.check_precision`.  The CLI itself checks only the file
 syntax, the value types (a float must be finite) and the axis grids.
@@ -284,7 +284,11 @@ def _config_error(exc: ValueError, values: dict) -> ConfigError:
 
 
 def _flag_named(message: str) -> str:
-    """A run's error, the field it ends on (``(set by lam = 1e+200)``) written as its CLI flag."""
+    """A run's error, the field it leads with (``lam = 1e+308 puts``) written as
+    its CLI key and the one it ends on (``(set by lam = 1e+200)``) as its flag."""
+    field, sep, rest = message.partition(" = ")
+    if field in AXIS_NAMES:
+        message = AXIS_NAMES[field] + sep + rest
     head, sep, tail = message.rpartition("(set by ")
     if not sep:
         return message

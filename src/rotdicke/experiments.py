@@ -5,8 +5,10 @@ initial-state preparations, and whether the rotation is switched on at
 t=0.  It only picks the start: the labels come from
 :func:`rotdicke.model.initial_state_params`, a quantum start and its n_max
 from :func:`rotdicke.quantum.initial_state`.  The final time is always
-t_f = n_revolutions * 2 pi / delta_phi; undriven comparison runs keep the
-same t_f, using delta_phi only to fix it.
+t_f = n_revolutions * 2 pi / delta_phi.  The engines evolve at the
+delta_phi of their parameters; :func:`run_protocol` alone runs an undriven
+comparison (same start and t_f, delta_phi = 0) and names the field a failed
+run comes from.
 Sweeps repeat a protocol over parameter grids, recording final-time and
 time-averaged observables per cell; a failed cell is tagged with its error
 instead of aborting the grid.  The coupling sweep, the velocity sweep and
@@ -191,15 +193,9 @@ class Spectrum:
 
 
 def _initial_labels(spec: ProtocolSpec) -> tuple[complex, complex]:
-    """The start's labels; a computed alpha whose square overflows names the field that set it."""
     if spec.initial == "explicit":
         return spec.alpha, spec.zeta
-    alpha, zeta = initial_state_params(spec.initial, spec.params, spec.epsilon)
-    try:
-        check_label("alpha", alpha)
-    except ValueError as exc:
-        raise naming_extreme_field(exc, spec.params) from None
-    return alpha, zeta
+    return initial_state_params(spec.initial, spec.params, spec.epsilon)
 
 
 def resolve_n_max(spec: ProtocolSpec, solved: list[quantum.QuantumState] | None = None) -> int:
@@ -208,10 +204,7 @@ def resolve_n_max(spec: ProtocolSpec, solved: list[quantum.QuantumState] | None 
     The start, built for a fixed n_max too, is appended to ``solved`` when given.
     """
     labels = None if spec.initial == "ground_state" else _initial_labels(spec)
-    try:
-        state = quantum.initial_state(spec.params, labels)
-    except ValueError as exc:
-        raise naming_extreme_field(exc, spec.params) from None
+    state = quantum.initial_state(spec.params, labels)
     if solved is not None:
         solved.append(state)
     return state.n_max
@@ -220,20 +213,27 @@ def resolve_n_max(spec: ProtocolSpec, solved: list[quantum.QuantumState] | None 
 def run_protocol(spec: ProtocolSpec) -> Trajectory:
     """Prepare the initial state and run it through the spec's engine.
 
-    A quantum run evolves the start that :func:`resolve_n_max` built.
+    The start (for a quantum run, the one :func:`resolve_n_max` built) and
+    t_f come from ``spec.params``.  An undriven run evolves at delta_phi = 0
+    and gets its delta_phi back, with ``driven`` False.  A ValueError names
+    an extreme field of ``spec.params`` (:func:`naming_extreme_field`).
     """
-    if spec.engine == "meanfield":
-        start = point_from_coherent(*_initial_labels(spec), spec.params.j)
-        return meanfield.integrate(
-            start, spec.params, spec.t_final, spec.sample_count,
-            tol=spec.rtol, driven=spec.driven, observables=spec.observables,
-        )
-    solved: list[quantum.QuantumState] = []
-    params = replace(spec.params, n_max=resolve_n_max(spec, solved))
-    return quantum.evolve(
-        solved[0], params, spec.t_final, spec.sample_count,
-        observables=spec.observables, driven=spec.driven,
-    )
+    params = spec.params if spec.driven else replace(spec.params, delta_phi=0.0)
+    try:
+        if spec.engine == "meanfield":
+            start = point_from_coherent(*_initial_labels(spec), spec.params.j)
+            traj = meanfield.integrate(
+                start, params, spec.t_final, spec.sample_count, tol=spec.rtol, observables=spec.observables
+            )
+        else:
+            solved: list[quantum.QuantumState] = []
+            params = replace(params, n_max=resolve_n_max(spec, solved))
+            traj = quantum.evolve(solved[0], params, spec.t_final, spec.sample_count, observables=spec.observables)
+    except ValueError as exc:
+        raise naming_extreme_field(exc, spec.params) from None
+    if spec.driven:
+        return traj
+    return replace(traj, params=replace(traj.params, delta_phi=spec.params.delta_phi))
 
 
 def _run_cell(spec: ProtocolSpec, coords: tuple[float, ...]) -> SweepCell:

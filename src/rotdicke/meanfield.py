@@ -2,10 +2,10 @@
 
 The flow lives on (q1, p1, q2, p2) with the spin sector confined to
 q1^2 + p1^2 < 4j; ``model.point_from_coherent`` maps the coherent-state
-labels there.  The drive enters through phi(t) = delta_phi * t; an
-undriven evolution is the same flow with the drive velocity forced to zero
-(the physical ``delta_phi`` of the parameters is then only used by callers
-to fix the final time).
+labels there.  The drive enters through phi(t) = delta_phi * t at the
+``delta_phi`` of the parameters, 0 for the undriven flow; only
+:func:`rotdicke.experiments.run_protocol` knows undriven comparison runs
+and names the field a failed run comes from.
 
 :func:`integrate` steps the flow with Dormand-Prince 8(5,3) (DOP853) on
 plain Python floats, one run at a time: on a 4-vector the per-call cost of
@@ -142,15 +142,13 @@ def hp_rhs(
     return d_alpha, d_beta
 
 
-def classical_hamiltonian(
-    point: PhasePoint, t: float, params: ModelParams, driven: bool = True
-) -> float:
-    """Classical Hamiltonian; a constant of motion when the drive is off."""
+def classical_hamiltonian(point: PhasePoint, t: float, params: ModelParams) -> float:
+    """Classical Hamiltonian H_cl(t); a constant of motion when delta_phi = 0."""
     four_j = 4.0 * params.j
     r2 = point.q1**2 + point.p1**2
     if r2 > four_j:
         raise ValueError(f"q1^2+p1^2 = {r2} exceeds 4j = {four_j}")
-    phi = (params.delta_phi * t) if driven else 0.0
+    phi = params.delta_phi * t
     proj = math.cos(phi) * point.q1 + math.sin(phi) * point.p1
     return (
         0.5 * params.omega0 * (r2 - 2.0 * params.j)
@@ -166,7 +164,7 @@ def jacobi_integral(point: PhasePoint, t: float, params: ModelParams) -> float:
     autonomous; its energy is H_cl(t) + delta_phi * ((q1^2 + p1^2)/2 - j).
     """
     r2 = point.q1**2 + point.p1**2
-    return classical_hamiltonian(point, t, params, driven=True) + params.delta_phi * (
+    return classical_hamiltonian(point, t, params) + params.delta_phi * (
         0.5 * r2 - params.j
     )
 
@@ -177,7 +175,6 @@ def integrate(
     t_end: float,
     sample_count: int = 1000,
     tol: float = DEFAULT_RTOL,
-    driven: bool = True,
     observables: tuple[str, ...] = (),
 ) -> Trajectory:
     """Integrate the mean-field flow and sample it on a uniform grid.
@@ -185,9 +182,10 @@ def integrate(
     Steps adaptively with the Dormand-Prince 8(5,3) pair (DOP853, relative
     tolerance ``tol``) and reads the ``sample_count`` uniform times, t=0 and
     ``t_end`` included, off the method's 7th-order dense output.  The drive
-    phase is 0 at the start, so ``start.t`` must be 0: a point built for
-    another time would be integrated from the wrong phase.  A start where
-    the flow is NaN, within the boundary guard, fails as in :func:`eom_rhs`.
+    (``driven`` unless ``params.delta_phi`` is 0) has phase 0 at the start,
+    so ``start.t`` must be 0: a point built for another time would be
+    integrated from the wrong phase.  A start where the flow is NaN, within
+    the boundary guard, fails as in :func:`eom_rhs`.
     Raises :class:`IntegrationError` when step control fails, which in
     practice flags an approach to the q1^2+p1^2 -> 4j boundary.  The
     trajectory holds q1, p1, q2, p2 and the mean-field column of each of
@@ -202,8 +200,7 @@ def integrate(
     if not all(map(math.isfinite, y0)):
         raise ValueError(f"start must be finite, got (q1, p1, q2, p2) = {y0}")
     _check_off_the_boundary(start, params.j)
-    drive = params.delta_phi if driven else 0.0
-    q1, p1, q2, p2 = _dop853(_constants(params, drive), y0, t_grid, tol, DEFAULT_ATOL)
+    q1, p1, q2, p2 = _dop853(_constants(params, params.delta_phi), y0, t_grid, tol, DEFAULT_ATOL)
     four_j = 4.0 * params.j
     for start in range(0, sample_count, CHUNK):
         part = slice(start, start + CHUNK)
@@ -224,7 +221,7 @@ def integrate(
     return Trajectory(
         params=params,
         engine="meanfield",
-        driven=driven,
+        driven=params.delta_phi != 0.0,
         times=t_grid,
         data=data,
         observables=tuple(observables),

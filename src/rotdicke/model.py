@@ -148,10 +148,10 @@ def point_from_coherent(alpha: complex, zeta: complex, j: float) -> PhasePoint:
         zeta  = (q1 + i p1) / sqrt(4j - (q1^2 + p1^2)),
         alpha = (q2 + i p2) / sqrt(2).
     """
-    alpha = complex(alpha)
-    zeta = complex(zeta)
+    # Checked as given: a real label's error message spells it as a real number.
     check_label("alpha", alpha)
     check_label("zeta", zeta)
+    alpha, zeta = complex(alpha), complex(zeta)
     s = abs(zeta) ** 2
     scale = 2.0 * math.sqrt(j / (1.0 + s))
     return PhasePoint(
@@ -225,13 +225,14 @@ def naming_extreme_field(exc: ValueError, params: ModelParams) -> ValueError:
     coupling or j of ``params`` lies outside ``_FLOAT_RANGE``.
 
     Of those outside it, the one farthest from 1 is named, as
-    :func:`_closed_form` names it; with none outside, ``exc`` is returned
-    as it is.
+    :func:`_closed_form` names it.  With none outside, or when ``exc``
+    already leads with a field (``lam = 1e+308 puts ...``, as
+    :func:`_closed_form` writes it), ``exc`` is returned as it is.
     """
     low, high = _FLOAT_RANGE
     args = {name: getattr(params, name) for name in ("omega", "omega0", "lam", "delta_phi", "j")}
     extreme = {name: value for name, value in args.items() if value and not low <= abs(value) <= high}
-    if not extreme:
+    if not extreme or str(exc).startswith(tuple(f"{name} = " for name in args)):
         return exc
     key = _farthest_from_one(extreme)
     return ValueError(f"{exc} (set by {key} = {extreme[key]!r})")

@@ -20,14 +20,16 @@ bounds on the spectrum; the Bessel values come from Miller's backward
 recurrence (:func:`_bessel_j`).  A step (:func:`chebyshev_step`) pads psi
 once, rotates the terms through three padded vectors whose views it binds
 once, and runs every term and the sum over the interior rows alone, so the
-ghost rows are never written.  In the driven case H is the co-rotating-frame
-Hamiltonian
+ghost rows are never written.  H is the co-rotating-frame Hamiltonian
 
     H_rot = (omega0 + delta_phi) J_z + omega a^dag a
-            + (lam/sqrt(2j)) (a + a^dag)(J_+ + J_-),
+            + (lam/sqrt(2j)) (a + a^dag)(J_+ + J_-)
 
-whose expectation values of a^dag a and of the parity Pi = exp(i pi N)
-coincide with the laboratory-frame ones (both commute with J_z).
+at the ``delta_phi`` of the parameters, the undriven one at 0; only
+:func:`rotdicke.experiments.run_protocol` knows undriven comparison runs
+and names the field a failed run comes from.  Its expectation values of
+a^dag a and of the parity Pi = exp(i pi N) coincide with the
+laboratory-frame ones (both commute with J_z).
 :func:`evolve` records them into a :class:`rotdicke.trajectory.Trajectory`
 through the quantum entries of the observable table in
 :mod:`rotdicke.trajectory`, which also holds their mean-field forms.
@@ -56,7 +58,6 @@ from .model import (
     check_label,
     check_spin,
     initial_state_params,
-    naming_extreme_field,
 )
 from .trajectory import OBSERVABLES, Trajectory, check_observables, sample_grid
 
@@ -306,9 +307,10 @@ class OperatorSet:
     """Operators on the truncated basis for one parameter set.
 
     ``adag_a`` and ``parity`` are diagonal and stored as 1-D arrays of
-    their diagonals; ``h_dicke`` (undriven) and ``h_rot``
-    (co-rotating frame) are matrix-free :class:`Hamiltonian` objects that
-    share their two tridiagonal factors.  Nothing is O(dim^2).
+    their diagonals; ``h_dicke`` (undriven, for :func:`ground_state`) and
+    ``h_rot`` (co-rotating frame, the one that propagates) are matrix-free
+    :class:`Hamiltonian` objects that share their two tridiagonal factors.
+    Nothing is O(dim^2).
     """
 
     j: float
@@ -473,18 +475,17 @@ def chebyshev_step(
     ops: OperatorSet,
     psi: QuantumState,
     dt: float,
-    driven: bool = True,
     bounds: tuple[float, float] | None = None,
     order: int | None = None,
     coefficients: np.ndarray | None = None,
 ) -> QuantumState:
     """One step psi -> exp(-i H dt) psi via the Chebyshev three-term recurrence.
 
-    H is the co-rotating Hamiltonian when ``driven`` else the undriven one.
+    H is the co-rotating Hamiltonian ``ops.h_rot``.
     The result is never renormalized; a norm drift beyond 1e-8, or a NaN
     one (a step that overflows), raises :class:`PropagationError` instead.
     """
-    h = ops.h_rot if driven else ops.h_dicke
+    h = ops.h_rot
     if bounds is None:
         bounds = spectral_bounds(h)
     e_min, e_max = bounds
@@ -543,12 +544,12 @@ def evolve(
     t_end: float,
     sample_count: int = 1000,
     observables: tuple[str, ...] = ("mean_photon_scaled", "parity"),
-    driven: bool = True,
 ) -> Trajectory:
     """Propagate ``psi0``, one :func:`chebyshev_step` per sample interval, and
     record expectation values at ``sample_count`` uniform times from 0 to
     ``t_end``, the grid of :func:`rotdicke.trajectory.sample_grid` that
-    both engines sample.
+    both engines sample.  H is ``h_rot`` at ``params.delta_phi``; the
+    trajectory is ``driven`` unless that is 0.
 
     ``observables`` are the names with a quantum evaluator in the observable
     table of :mod:`rotdicke.trajectory`: ``mean_photon_scaled`` (<a^dag a>/j)
@@ -560,29 +561,23 @@ def evolve(
     if psi0.j != ops.j or psi0.n_max != ops.n_max:
         raise ValueError("state and operator basis descriptors disagree")
 
-    h = ops.h_rot if driven else ops.h_dicke
-    bounds = spectral_bounds(h)
+    bounds = spectral_bounds(ops.h_rot)
     dt = float(t[1] - t[0])
-    try:
-        order = chebyshev_order(dt, *bounds)
-    except ValueError as exc:
-        raise naming_extreme_field(exc, params) from None
+    order = chebyshev_order(dt, *bounds)
     coeffs = chebyshev_coefficients(dt, *bounds, order)
 
     columns: dict[str, list[float]] = {name: [] for name in observables}
     psi = psi0
     for step in range(sample_count):
         if step:
-            psi = chebyshev_step(
-                ops, psi, dt, driven=driven, bounds=bounds, order=order, coefficients=coeffs
-            )
+            psi = chebyshev_step(ops, psi, dt, bounds=bounds, order=order, coefficients=coeffs)
         for name, column in columns.items():
             column.append(OBSERVABLES[name].quantum(ops, psi))
 
     return Trajectory(
         params=params,
         engine="quantum",
-        driven=driven,
+        driven=params.delta_phi != 0.0,
         times=t,
         data={name: np.array(col) for name, col in columns.items()},
         observables=tuple(observables),

@@ -308,11 +308,11 @@ def test_c12_undriven_energy_conservation():
     rng = np.random.default_rng(112)
     worst = 0.0
     for _ in range(10):
-        params = ModelParams(lam=float(rng.uniform(0.2, 1.5)), j=1.0, delta_phi=1.0)
+        params = ModelParams(lam=float(rng.uniform(0.2, 1.5)), j=1.0, delta_phi=0.0)
         r = math.sqrt(4.0) * 0.8 * math.sqrt(rng.uniform(0.01, 1.0))
         th = rng.uniform(0, 2 * math.pi)
         start = PhasePoint(r * math.cos(th), r * math.sin(th), rng.normal(0, 1), rng.normal(0, 1))
-        traj = integrate(start, params, 50.0, sample_count=200, driven=False)
+        traj = integrate(start, params, 50.0, sample_count=200)
         energies = np.array(
             [
                 classical_hamiltonian(
@@ -321,7 +321,6 @@ def test_c12_undriven_energy_conservation():
                     ),
                     t,
                     params,
-                    driven=False,
                 )
                 for i, t in enumerate(traj.times)
             ]

@@ -848,6 +848,31 @@ class TestMainExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "flags, failure",
+        [
+            (["--lambda", "1e308", "--omega", "1e-10"],
+             "lambda = 1e+308 puts the stationary_dicke labels outside the float range"),
+            (["--lambda", "1", "--omega", "1e-310"],
+             "omega = 1e-310 puts the stationary_dicke labels outside the float range"),
+        ],
+        ids=["lambda", "omega"],
+    )
+    @pytest.mark.parametrize(
+        "engine, initial",
+        [("meanfield", "stationary_dicke"), ("quantum", "stationary_dicke"), ("quantum", "ground_state")],
+    )
+    def test_closed_form_failure_names_the_key_once(self, tmp_path, capsys, engine, initial, flags, failure):
+        # The stationary-Dicke labels' closed form names the field it fails
+        # on.  Its message once kept the library's field (lam, not lambda),
+        # and a ground-state start named the field a second time, as
+        # "(set by --lambda = 1e+308)".
+        out = tmp_path / "x.csv"
+        argv = ["trajectory", "--engine", engine, "--initial", initial, "--j", "1", *flags]
+        assert main([*argv, "--sample-count", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {failure}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "engines, key, value, exit_code, failure",
         [
             # 2.4e-13 inside the sphere at j = 6, within the boundary guard;

@@ -11,7 +11,12 @@ from rotdicke import (
     ModelParams,
     NONZERO_THRESHOLD,
     ProtocolSpec,
+    coherent_state,
+    evolve,
+    initial_state_params,
+    integrate,
     phase_diagram,
+    point_from_coherent,
     rotated_critical_coupling,
     run_protocol,
     spectrum,
@@ -154,6 +159,24 @@ class TestRunProtocol:
         undriven = run_protocol(mf_spec(driven=False))
         assert np.array_equal(driven.times, undriven.times)
         assert not undriven.driven
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_undriven_run_is_the_engine_run_at_zero_velocity(self, engine):
+        # The engines know no undriven flag: run_protocol evolves the driven
+        # run's start over its t_f at delta_phi = 0, where an engine records
+        # driven False, and puts the spec's delta_phi back.
+        params = ModelParams(lam=1.2, j=1.5, delta_phi=1.4, n_max=30)
+        spec = mf_spec(engine=engine, params=params, driven=False, sample_count=30)
+        alpha, zeta = initial_state_params(spec.initial, params)
+        still = replace(params, delta_phi=0.0)
+        if engine == "meanfield":
+            start = point_from_coherent(alpha, zeta, params.j)
+            alone = integrate(start, still, spec.t_final, 30, tol=spec.rtol, observables=spec.observables)
+        else:
+            start = coherent_state(alpha, zeta, params.j, 30)
+            alone = evolve(start, still, spec.t_final, 30, observables=spec.observables)
+        assert not alone.driven
+        assert run_protocol(spec) == replace(alone, params=params)
 
     def test_scaled_parity_column(self):
         spec = mf_spec(

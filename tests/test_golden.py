@@ -17,7 +17,7 @@ Why 1e-12, fixed before the files were first made: a SIMD kernel may round
 exp or ** differently from libm or from another CPU by a few ulp (~1e-15;
 np.exp and math.exp disagree on ~5% of float64 arguments), and a reduction
 summed in another order over n terms moves by at most ~n * eps times the
-sum of the magnitudes.  The reductions here run over at most 63 amplitudes
+sum of the magnitudes.  The reductions here run over at most 124 amplitudes
 or 40 samples of sums without strong cancellation, which bounds that at
 ~1e-14 relative; 1e-12 leaves a factor 100.  Any edit that changes the
 numerics on purpose (a tolerance, an order, a formula) moves these values

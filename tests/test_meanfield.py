@@ -267,16 +267,16 @@ class TestIntegrate:
         # point is no longer stationary and the photon number oscillates.
         params = ModelParams(lam=1.0, j=1.0, delta_phi=1.0)
         c2 = fixed_points(params, 0.0)[1]
-        traj = integrate(c2.point, params, 2 * math.pi, sample_count=300, driven=False)
+        traj = integrate(c2.point, replace(params, delta_phi=0.0), 2 * math.pi, sample_count=300)
         photon = (traj.data["q2"] ** 2 + traj.data["p2"] ** 2) / (2 * params.j)
         assert np.max(photon) - np.min(photon) > 0.1
 
     def test_energy_conservation_undriven(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            params = ModelParams(lam=float(rng.uniform(0.2, 1.5)), j=1.0, delta_phi=1.0)
+            params = ModelParams(lam=float(rng.uniform(0.2, 1.5)), j=1.0, delta_phi=0.0)
             start = random_domain_point(rng, 1.0, fill=0.8)
-            traj = integrate(start, params, 50.0, sample_count=200, driven=False)
+            traj = integrate(start, params, 50.0, sample_count=200)
             energies = np.array(
                 [
                     classical_hamiltonian(
@@ -288,7 +288,6 @@ class TestIntegrate:
                         ),
                         t,
                         params,
-                        driven=False,
                     )
                     for i, t in enumerate(traj.times)
                 ]
@@ -305,7 +304,7 @@ class TestIntegrate:
                 lam=float(rng.uniform(0.2, 1.5)), j=1.0, delta_phi=float(rng.uniform(0.5, 3.0))
             )
             start = random_domain_point(rng, 1.0, fill=0.8)
-            traj = integrate(start, params, 50.0, sample_count=200, tol=1e-12, driven=True)
+            traj = integrate(start, params, 50.0, sample_count=200, tol=1e-12)
             points = [
                 PhasePoint(*(traj.data[k][i] for k in ("q1", "p1", "q2", "p2")))
                 for i in range(traj.times.size)
@@ -364,9 +363,9 @@ class TestIntegrate:
         assert 0.0 < rem < meanfield._BOUNDARY_GUARD * 4 * params.j
         with pytest.raises(ValueError, match="sphere") as expected:
             eom_rhs(start, 0.0, params)
-        for driven in (True, False):
+        for params in (params, replace(params, delta_phi=0.0)):
             with pytest.raises(ValueError) as raised:
-                integrate(start, params, 1.0, sample_count=3, driven=driven)
+                integrate(start, params, 1.0, sample_count=3)
             assert str(raised.value) == str(expected.value)
 
     def test_failure_carries_time(self):
@@ -432,9 +431,9 @@ class TestDop853:
                 lam=float(rng.uniform(0.2, 1.5)), j=j, delta_phi=float(rng.uniform(0.3, 2.0))
             )
             start = random_domain_point(rng, j)
-            driven = k % 2 == 0
-            drive = params.delta_phi if driven else 0.0
-            flow = generated("_scalar_flow")(*meanfield._constants(params, drive))
+            if k % 2:
+                params = replace(params, delta_phi=0.0)
+            flow = generated("_scalar_flow")(*meanfield._constants(params, params.delta_phi))
             lanes, attempts = [], []
 
             def counted_array_flow(*constants):
@@ -453,7 +452,7 @@ class TestDop853:
 
             counted = {"_array_flow": counted_array_flow, "_steps": counted_steps}
             monkeypatch.setattr(meanfield, "_generated", lambda name: counted.get(name) or generated(name))
-            traj = integrate(start, params, 2 * math.pi, sample_count=200, driven=driven)
+            traj = integrate(start, params, 2 * math.pi, sample_count=200)
             monkeypatch.undo()
             ref = solve_ivp(
                 lambda t, y: flow(t, *y),
@@ -500,8 +499,8 @@ class TestDop853:
         # At lambda = 0 both sectors rotate rigidly, drive or no drive.
         params = ModelParams(lam=0.0, omega0=1.3, omega=0.7, j=2.0, delta_phi=1.0)
         start = PhasePoint(0.8, -1.1, 1.5, 0.4)
-        for driven in (True, False):
-            traj = integrate(start, params, 20.0, sample_count=301, driven=driven)
+        for params in (params, replace(params, delta_phi=0.0)):
+            traj = integrate(start, params, 20.0, sample_count=301)
             for q, p, w in (("q1", "p1", params.omega0), ("q2", "p2", params.omega)):
                 cos, sin = np.cos(w * traj.times), np.sin(w * traj.times)
                 q0, p0 = getattr(start, q), getattr(start, p)
@@ -559,8 +558,10 @@ class TestDop853:
             )
             start = random_domain_point(rng, j, fill=0.95)
             t_end = float(rng.uniform(1.0, 15.0))
+            if not driven:
+                params = replace(params, delta_phi=0.0)
             ours, ref, _ = self.integrate_both(
-                monkeypatch, start, params, t_end, sample_count=count, tol=rtol, driven=driven
+                monkeypatch, start, params, t_end, sample_count=count, tol=rtol
             )
             self.assert_same_bits(ours, ref)
 
@@ -572,9 +573,9 @@ class TestDop853:
         params = ModelParams(lam=1.7937745040710111, j=0.5, delta_phi=0.636331583157467)
         start = PhasePoint(0.0025490479612444296, -1.414145207989694, -0.6499561948012956,
                            -0.9771454371346897)
-        for driven in (True, False):
+        for params in (params, replace(params, delta_phi=0.0)):
             ours, ref, record = self.integrate_both(
-                monkeypatch, start, params, 4.0, sample_count=60, tol=1e-6, driven=driven
+                monkeypatch, start, params, 4.0, sample_count=60, tol=1e-6
             )
             assert record["rejected"] > 0
             self.assert_same_bits(ours, ref)
@@ -633,9 +634,9 @@ class TestDop853:
         start = PhasePoint(0.6, -0.3, 0.9, -0.4)
         chunk = meanfield.CHUNK
         for count in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
-            for driven in (True, False):
+            for drive in (params.delta_phi, 0.0):
                 ours, ref, _ = self.integrate_both(
-                    monkeypatch, start, params, 6.0, sample_count=count, tol=1e-9, driven=driven
+                    monkeypatch, start, replace(params, delta_phi=drive), 6.0, sample_count=count, tol=1e-9
                 )
                 self.assert_same_bits(ours, ref)
 
@@ -670,8 +671,8 @@ class TestDop853:
 
         monkeypatch.setattr(meanfield, "sum", no_sum, raising=False)
         params = ModelParams(lam=0.9, j=1.0, delta_phi=1.3)
-        for driven in (True, False):
-            traj = integrate(PhasePoint(0.4, -0.7, 0.5, 0.2), params, 8.0, 100, driven=driven)
+        for params in (params, replace(params, delta_phi=0.0)):
+            traj = integrate(PhasePoint(0.4, -0.7, 0.5, 0.2), params, 8.0, 100)
             assert np.all(np.isfinite(traj.data["q1"]))
 
     @pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0, 0.0])
