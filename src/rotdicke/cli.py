@@ -13,7 +13,8 @@ per-subcommand schema: unknown keys are errors.
 Values are checked by the library's rules (``ModelParams``, ``ProtocolSpec``,
 the spectrum's closed forms) before anything is echoed; their errors name the
 CLI key (``lambda``, ``lambda_min``, ``delta_phi_min``), and a run that fails
-on an extreme value names its key or its flag (``--omega``) once; ``format`` and
+on an extreme value names its key or its flag (``--omega``) once, on stderr
+and in a failed sweep cell's ``error`` alike; ``format`` and
 ``precision`` are checked by :func:`rotdicke.io.check_format` and
 :func:`rotdicke.io.check_precision`.  The CLI itself checks only the file
 syntax, the value types (a float must be finite) and the axis grids.
@@ -94,7 +95,11 @@ _KEYS = {
     "format": KeySpec("str", "csv", "output format"),
     "precision": KeySpec("int", 17, "significant digits in CSV output"),
 }
-_RUN = tuple(_KEYS)[:16]  # engine .. rtol: the model and protocol keys of every run
+# The model and protocol keys of every run.
+_RUN = (
+    "engine", "initial", "omega", "omega0", "j", "n_max", "epsilon", "alpha_re", "alpha_im",
+    "zeta_re", "zeta_im", "driven", "n_revolutions", "sample_count", "observables", "rtol",
+)
 _LAMBDA_AXIS = ("lambda_min", "lambda_max", "lambda_step")
 _VELOCITY_AXIS = ("delta_phi_min", "delta_phi_max", "delta_phi_step")
 _OUTPUT = ("format", "precision")
@@ -324,13 +329,17 @@ def _run(config: RunConfig, out_path: str) -> None:
         result = spectrum(v["omega"], v["omega0"], v["delta_phi"], _axis_values(v, "lambda"))
     elif config.subcommand == "trajectory":
         result = run_protocol(config_to_spec(config))
-    elif config.subcommand == "sweep-lambda":
-        result = sweep_lambda(config_to_spec(config), _axis_values(v, "lambda"))
-    elif config.subcommand == "sweep-velocity":
-        result = sweep_velocity(config_to_spec(config), _axis_values(v, "delta_phi"))
     else:
-        lambdas, velocities = _axis_values(v, "lambda"), _axis_values(v, "delta_phi")
-        result = phase_diagram(config_to_spec(config), lambdas, velocities)
+        if config.subcommand == "sweep-lambda":
+            result = sweep_lambda(config_to_spec(config), _axis_values(v, "lambda"))
+        elif config.subcommand == "sweep-velocity":
+            result = sweep_velocity(config_to_spec(config), _axis_values(v, "delta_phi"))
+        else:
+            lambdas, velocities = _axis_values(v, "lambda"), _axis_values(v, "delta_phi")
+            result = phase_diagram(config_to_spec(config), lambdas, velocities)
+        # A failed cell's error reads as main's message for the same failed run.
+        cells = [c if c.error is None else replace(c, error=_flag_named(c.error)) for c in result.cells]
+        result = replace(result, cells=tuple(cells))
     config_dict = {"subcommand": config.subcommand, **v}
     rio.emit(result, v["format"], out_path, precision=v["precision"], config=config_dict)
 

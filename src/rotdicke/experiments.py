@@ -116,7 +116,7 @@ class ProtocolSpec:
         if not self.params.delta_phi > 0.0:
             raise ValueError(
                 "delta_phi must be positive: it defines t_f = n_R*2pi/delta_phi "
-                "(undriven runs use it for t_f only)"
+                "and the stationary_circle labels, in undriven runs too"
             )
         check_count("n_revolutions", self.n_revolutions, 1)
         check_count("sample_count", self.sample_count, 2)

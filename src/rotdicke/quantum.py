@@ -11,7 +11,8 @@ zero row above and below and a zero column after each row, so each
 neighbour is a fixed shift (+-1 along the Fock axis, +-(n_max+2) along the
 spin axis) and H v is eight ufunc calls on contiguous 1-D slices of the
 interior rows, in O(dim).  The slices are views bound once: the stencil's
-own at its construction, a vector's by the caller.
+own at its construction, a vector's by the caller.  Only :class:`_Stencil`
+computes a position on this grid.
 
 Propagation approximates exp(-i H dt) by a Chebyshev expansion of the
 spectrally rescaled Hamiltonian with Bessel-function coefficients
@@ -146,10 +147,10 @@ class Hamiltonian:
     off-diagonals of the two tridiagonal factors (``spin_offdiag[k]`` =
     <m+1|J_+|m> at m = k - j, ``field_offdiag[n-1]`` = <n-1|a|n> = sqrt(n))
     and the scalar coupling ``c``.  There is no dense form: every product
-    goes through the :class:`_Stencil` of ``h``.  ``h.apply(v)`` pads v onto
-    the ghost-padded grid, runs the stencil once and unpads the result (for
-    one-off products such as <H>); repeated products (the Chebyshev
-    recurrence, Lanczos) build one stencil and stay on the padded grid.
+    goes through :meth:`_Stencil.product`.  ``h.apply(v)`` pads v, binds its
+    views and unpads the one product (for one-off products such as <H>);
+    repeated products (the Chebyshev recurrence, Lanczos) build one stencil,
+    bind their vectors' views once and stay on the padded grid.
     """
 
     def __init__(
@@ -173,8 +174,8 @@ class Hamiltonian:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """H v, in the dtype of ``v`` (at least float)."""
         stencil = _Stencil(self, np.result_type(v, float))
-        out = stencil.apply(stencil.pad(v), stencil.zeros())
-        return stencil.unpad(stencil.interior(out))
+        views = stencil.views(stencil.pad(v))
+        return stencil.unpad(stencil.product(*views, np.empty_like(views[0])))
 
     def row_radii(self) -> np.ndarray:
         """Gershgorin radii: the off-diagonal absolute row sums of H."""
@@ -206,14 +207,14 @@ class _Stencil:
       zero on the last row; ``spin_down`` is the same bonds one row
       earlier, behind the ghost row's zeros.
 
-    :meth:`product` is the one product.  It takes a vector's interior rows
-    and their shifts by +1 and -1 as views the caller binds once (see
-    :meth:`views`), and writes the interior rows of the result; the
-    factors, the field part's three views and the scratch are bound once,
-    here.  :meth:`apply` binds the views of two padded vectors and calls it.
-    Each sum is added in the order of the products on the unpadded grid, so
-    a padded product carries the same bits.  A stencil is per-call scratch
-    (it owns its work buffers); nothing keeps it.
+    :meth:`product` is the one product, and the only way H touches a
+    vector.  It takes a vector's interior rows and their shifts by +1 and -1
+    as views the caller binds once (see :meth:`views`), and writes the
+    interior rows of the result; the factors, the field part's three views
+    and the scratch are bound once, here.  Each sum is added in the order of
+    the products on the unpadded grid, so a padded product carries the same
+    bits.  :meth:`pad`, :meth:`unpad`, :meth:`views` and :meth:`slots` hold
+    every padded position.  A stencil is per-call scratch; nothing keeps it.
     """
 
     def __init__(self, h: Hamiltonian, dtype, shift: float = 0.0, factor: float = 1.0):
@@ -248,10 +249,6 @@ class _Stencil:
         """A padded vector of zeros."""
         return np.zeros(self.size, self.dtype)
 
-    def interior(self, padded: np.ndarray) -> np.ndarray:
-        """The interior rows of a padded vector, as a view."""
-        return padded[self.width : self.size - self.width]
-
     def views(self, padded: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The interior rows of a padded vector and their shifts by +1 and -1, as views."""
         w, size = self.width, self.size
@@ -264,8 +261,12 @@ class _Stencil:
     def pad(self, v: np.ndarray) -> np.ndarray:
         """``v`` (over the unpadded basis) on the padded grid."""
         padded = self.zeros()
-        self._grid_view(self.interior(padded))[...] = v.reshape(self.grid)
+        self._grid_view(self.views(padded)[0])[...] = v.reshape(self.grid)
         return padded
+
+    def slots(self, indices: np.ndarray) -> np.ndarray:
+        """Padded-grid positions of basis indices: i = k*(n_max+1) + n sits at i + k + w."""
+        return indices + indices // self.grid[1] + self.width
 
     def unpad(self, rows: np.ndarray) -> np.ndarray:
         """The grid points of the interior rows ``rows`` in basis order, as a new vector."""
@@ -290,15 +291,6 @@ class _Stencil:
         add(out, scratch, out)
         multiply(spin_down, inner_below, scratch)
         add(out, scratch, out)
-        return out
-
-    def apply(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out`` = factor * (H - shift) ``v`` on the interior rows of two padded vectors.
-
-        ``v``'s ghosts must be finite and ``out``'s ghost rows are left as
-        they are; ``out`` must not alias ``v``.
-        """
-        self.product(*self.views(v), self.interior(out))
         return out
 
 
@@ -764,7 +756,8 @@ def _lowest_eigenvector(h: Hamiltonian, sector: np.ndarray) -> np.ndarray:
     diag((-1)^k) has none above 0, and the lowest eigenvector has the sign
     pattern (-1)^k wherever it is nonzero: the start can never be orthogonal
     to it.  The products come from one real :class:`_Stencil`, on a padded
-    vector that is zero off the sector.  Every ``_LANCZOS_CHECK``
+    vector that is zero off the sector, through views and sector
+    :meth:`_Stencil.slots` bound once per solve.  Every ``_LANCZOS_CHECK``
     iterations the lowest Ritz pair of the tridiagonal matrix T is taken by
     :func:`_ritz_pair`, warm-started from the previous check's value (an
     upper bound, by Cauchy interlacing); no LAPACK call is made.  The run
@@ -782,14 +775,15 @@ def _lowest_eigenvector(h: Hamiltonian, sector: np.ndarray) -> np.ndarray:
     spin = sector // h.grid[1]
     basis[0] = (1.0 - 2.0 * (spin % 2)) / math.sqrt(size)
     stencil = _Stencil(h, float)
-    # Flat index i = k*(n_max+1) + n lies at i + k + w on the padded grid.
-    padded = sector + spin + stencil.width
+    slots = stencil.slots(sector)
     full, image = stencil.zeros(), stencil.zeros()
+    views, rows = stencil.views(full), stencil.views(image)[0]
     alpha_max = 0.0
     theta = math.inf
     for k in range(limit):
-        full[padded] = basis[k]
-        w = stencil.apply(full, image)[padded]
+        full[slots] = basis[k]
+        stencil.product(*views, rows)
+        w = image[slots]
         alphas[k] = basis[k] @ w
         alpha_max = max(alpha_max, abs(alphas[k]))
         block = basis[: k + 1]

@@ -52,6 +52,13 @@ COMMANDS = {
         "--j", "3", "--delta-phi", "1.2", "--lambda-min", "0.2", "--lambda-max", "1.2",
         "--lambda-step", "0.5", "--n-revolutions", "3", "--sample-count", "40",
     ],
+    "sweep_lambda_failed": [
+        # Both cells fail: omega = 1e-200 puts the first start's |alpha|^2
+        # past the float range, lambda = 1e308 the second start's labels.
+        "sweep-lambda", "--engine", "meanfield", "--initial", "stationary_dicke",
+        "--j", "1", "--omega", "1e-200", "--lambda-min", "1", "--lambda-max", "1e308",
+        "--lambda-step", "1e308", "--sample-count", "5",
+    ],
     "sweep_velocity": [
         "sweep-velocity", "--engine", "quantum", "--initial", "stationary_circle",
         "--j", "1", "--n-max", "20", "--lambda", "0.9", "--delta-phi-min", "0.5",

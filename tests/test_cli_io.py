@@ -717,7 +717,11 @@ class TestMainExitCodes:
             ("trajectory", "lambda", "-1", "lambda must be nonnegative"),
             ("trajectory", "omega", "0", "omega must be positive"),
             ("trajectory", "omega0", "-1", "omega0 must be positive"),
-            ("trajectory", "delta_phi", "0", "delta_phi must be positive"),
+            (
+                "trajectory", "delta_phi", "0",
+                "delta_phi must be positive: it defines t_f = n_R*2pi/delta_phi "
+                "and the stationary_circle labels, in undriven runs too\n",
+            ),
             ("trajectory", "n_max", "0", "n_max must be >= 1"),
             ("trajectory", "epsilon", "0", "epsilon must be positive"),
             ("trajectory", "n_revolutions", "0", "n_revolutions must be >= 1"),
@@ -871,6 +875,26 @@ class TestMainExitCodes:
         assert main([*argv, "--sample-count", "3", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {failure}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_sweep_cell_reads_as_the_same_run_on_stderr(self, tmp_path, capsys, fmt):
+        # Both cells fail, one on the flag that set |alpha|^2 and one on the
+        # key the closed form names.  The cells once kept the library's
+        # spelling, "(set by omega = 1e-200)" and "lam = 1e+308".
+        argv = ["--engine", "meanfield", "--initial", "stationary_dicke", "--j", "1", "--omega", "1e-200"]
+        argv += ["--sample-count", "3"]
+        out = tmp_path / f"sweep.{fmt}"
+        grid = ["--lambda-min", "1", "--lambda-max", "1e308", "--lambda-step", "1e308"]
+        assert main(["sweep-lambda", *argv, *grid, "--format", fmt, "--out", str(out)]) == 0
+        capsys.readouterr()
+        if fmt == "json":
+            errors = [cell["error"] for cell in json.loads(out.read_text())["result"]["cells"]]
+        else:
+            errors = [row[-1] for row in list(csv.reader(out.open(newline="")))[1:]]
+        assert len(errors) == 2
+        for lam, error in zip(("1", "1e308"), errors):
+            assert main(["trajectory", *argv, "--lambda", lam, "--out", str(tmp_path / "run.csv")]) == 2
+            assert capsys.readouterr().err == f"error: {error}\n"
 
     @pytest.mark.parametrize(
         "engines, key, value, exit_code, failure",

@@ -161,6 +161,21 @@ class TestBuildOperators:
                         assert np.max(np.abs(got - ref @ v)) < 1e-13, (j, n_max, omega0_eff)
                     assert np.max(np.abs(applied_matrix(h) - ref)) < 1e-13, (j, n_max, omega0_eff)
 
+    @pytest.mark.parametrize("j, n_max", [(0.5, 0), (0.5, 3), (1.0, 0), (1.5, 4), (2.0, 7), (3.5, 1)])
+    def test_slots_are_where_pad_writes(self, j, n_max):
+        # Every basis index goes to the padded position pad writes it to,
+        # and every other position is a ghost that pad leaves at zero.
+        stencil = _Stencil(operators_or_bare(j, n_max, 1.0, 1.0)[1], float)
+        dim = int(2 * j + 1) * (n_max + 1)
+        values = np.arange(1.0, dim + 1.0)
+        padded = stencil.pad(values)
+        slots = stencil.slots(np.arange(dim))
+        assert np.array_equal(padded[slots], values)
+        ghosts = np.ones(stencil.size, bool)
+        ghosts[slots] = False
+        assert np.count_nonzero(ghosts) == stencil.size - dim
+        assert not padded[ghosts].any()
+
     def test_large_basis_is_matrix_free(self):
         # dim 5250: the operator is stored in O(dim) numbers, and the ground
         # state comes from Lanczos on it, never from a dense matrix.
@@ -443,20 +458,25 @@ def whole_vector_recurrence(h, psi, bounds, coefficients):
     each term's subtract, scale and accumulate run over the ghost rows too."""
     center, half_span = 0.5 * (bounds[1] + bounds[0]), 0.5 * (bounds[1] - bounds[0])
     doubled = _Stencil(h, complex, center, 2.0 / half_span)
+
+    def apply(v, out):
+        doubled.product(*doubled.views(v), doubled.views(out)[0])
+        return out
+
     t_prev = doubled.pad(psi.amplitudes)
     out = coefficients[0] * t_prev
     if coefficients.size > 1:
-        t_cur = doubled.apply(t_prev, doubled.zeros())
+        t_cur = apply(t_prev, doubled.zeros())
         t_cur *= 0.5
         out += coefficients[1] * t_cur
         scratch = doubled.zeros()
         for k in range(2, coefficients.size):
-            doubled.apply(t_cur, out=scratch)
+            apply(t_cur, scratch)
             np.subtract(scratch, t_prev, out=t_prev)
             t_prev, t_cur = t_cur, t_prev
             np.multiply(t_cur, coefficients[k], out=scratch)
             out += scratch
-    return doubled.unpad(doubled.interior(out))
+    return doubled.unpad(doubled.views(out)[0])
 
 
 class TestEvolve:
