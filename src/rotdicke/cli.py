@@ -5,10 +5,10 @@
 Subcommands: ``trajectory``, ``sweep-lambda``, ``sweep-velocity``,
 ``phase-diagram`` and ``spectrum`` (excitation-energy branches and critical
 lines).  Configuration comes from an optional flat ``key = value`` file
-(UTF-8, ``#`` comments) overridden by flags; the fully resolved
-configuration is echoed to stdout with the provenance of every value, in a
-form that re-parses to the same configuration.  Keys follow a closed
-per-subcommand schema: unknown keys are errors.
+(UTF-8, a leading BOM skipped, ``#`` comments) overridden by flags.  The
+resolved configuration is echoed to stdout in schema order, the order of a
+JSON output's ``config``, with each value's provenance, in a form that
+re-parses to it.  Each subcommand's key schema is closed: unknown keys are errors.
 
 Values are checked by the library's rules (``ModelParams``, ``ProtocolSpec``,
 the spectrum's closed forms) before anything is echoed; their errors name the
@@ -122,19 +122,16 @@ SCHEMAS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved configuration: values plus per-key provenance."""
+    """Fully resolved configuration: values in schema order plus per-key provenance."""
 
     subcommand: str
     values: dict
     provenance: dict
 
     def echo_lines(self) -> list[str]:
-        lines = [f"# rotdicke {self.subcommand}"]
-        for key in SCHEMAS[self.subcommand]:
-            lines.append(
-                f"{key} = {_value_to_text(self.values[key])}  # {self.provenance[key]}"
-            )
-        return lines
+        return [f"# rotdicke {self.subcommand}"] + [
+            f"{key} = {_value_to_text(value)}  # {self.provenance[key]}" for key, value in self.values.items()
+        ]
 
 
 def _value_to_text(value) -> str:
@@ -188,8 +185,12 @@ def _parse_value(subcommand: str, key: str, text: str):
 def _read_config_file(path: str) -> dict[str, str]:
     raw: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    # A leading BOM is skipped; a byte that is not UTF-8 reads as a lone surrogate, reported with its line.
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            bad = next((char for char in line if "\udc80" <= char <= "\udcff"), None)
+            if bad is not None:
+                raise ConfigError(f"{path}:{line_no}: byte 0x{ord(bad) - 0xDC00:02x} is not UTF-8")
             # No schema value contains "#", so it starts a comment anywhere.
             stripped = line.partition("#")[0].strip()
             if not stripped:
@@ -212,24 +213,23 @@ def parse_config(
     config_path: str | None = None,
     overrides: dict[str, str] | None = None,
 ) -> RunConfig:
-    """Resolve defaults, file values and flag overrides into a RunConfig."""
+    """Resolve each schema key, in schema order, from a flag, else the file, else its default."""
     if subcommand not in SCHEMAS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     schema = SCHEMAS[subcommand]
-    values: dict = {}
-    provenance: dict = {}
-    for key, spec in schema.items():
-        if spec.default is not _REQUIRED:
-            values[key] = spec.default
-            provenance[key] = "default"
-    if config_path is not None:
-        for key, text in _read_config_file(config_path).items():
-            values[key] = _parse_value(subcommand, key, text)
-            provenance[key] = "file"
-    for key, text in (overrides or {}).items():
-        values[key] = _parse_value(subcommand, key, text)
-        provenance[key] = "flag"
-    missing = [key for key in schema if key not in values]
+    texts = {"file": {} if config_path is None else _read_config_file(config_path), "flag": overrides or {}}
+    # Every given value is parsed, the file's before the flags', so the first bad one is the error.
+    given = {source: {key: _parse_value(subcommand, key, text) for key, text in pairs.items()}
+             for source, pairs in texts.items()}
+    given["default"] = {key: spec.default for key, spec in schema.items() if spec.default is not _REQUIRED}
+    values, provenance, missing = {}, {}, []
+    # Each key once, in schema order: a flag beats a file value, and a file value the default.
+    for key in schema:
+        source = next((name for name in ("flag", "file", "default") if key in given[name]), None)
+        if source is None:
+            missing.append(key)
+        else:
+            values[key], provenance[key] = given[source][key], source
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     for axis in ("lambda", "delta_phi"):
@@ -340,8 +340,7 @@ def _run(config: RunConfig, out_path: str) -> None:
         # A failed cell's error reads as main's message for the same failed run.
         cells = [c if c.error is None else replace(c, error=_flag_named(c.error)) for c in result.cells]
         result = replace(result, cells=tuple(cells))
-    config_dict = {"subcommand": config.subcommand, **v}
-    rio.emit(result, v["format"], out_path, precision=v["precision"], config=config_dict)
+    rio.emit(result, v["format"], out_path, precision=v["precision"], config={"subcommand": config.subcommand, **v})
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:

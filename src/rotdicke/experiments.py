@@ -167,10 +167,13 @@ class SweepResult:
     def values(self, observable: str, kind: str = "average") -> np.ndarray:
         """Grid of one observable, NaN where a cell failed.
 
-        ``kind`` is ``"average"`` (time average) or ``"final"`` (final time).
+        ``kind`` is ``"average"`` (time average) or ``"final"`` (final time);
+        ``observable`` must be one of ``spec.observables``.
         """
         if kind not in ("average", "final"):
             raise ValueError(f"kind must be 'average' or 'final', got {kind!r}")
+        if observable not in self.spec.observables:
+            raise ValueError(f"observable {observable!r} is not in spec.observables {self.spec.observables}")
         shape = tuple(len(values) for _, values in self.axes)
         out = np.full(shape, np.nan)
         flat = out.reshape(-1)

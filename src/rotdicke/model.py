@@ -449,6 +449,7 @@ def initial_state_params(
     if kind == "nearly_fock":
         if epsilon is None:
             raise ValueError("nearly_fock requires epsilon")
+        check_positive("epsilon", epsilon)
         return 10.0**-epsilon, 10.0**-epsilon
     if kind not in ("stationary_dicke", "stationary_circle"):
         raise ValueError(f"unknown initial-state kind {kind!r}")

@@ -160,6 +160,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r":4: duplicate key 'lambda' \(first set on line 2\)"):
             parse_config("trajectory", str(cfg))
 
+    def test_file_that_is_not_utf8_names_its_line(self, tmp_path, capsys):
+        # A Latin-1 byte once exited 2, as a numerical failure, with the
+        # codec's message and no file name.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"engine = meanfield\ninitial = fock\n# caf\xe9\nlambda = 1\n")
+        out = tmp_path / "x.csv"
+        assert main(["trajectory", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cfg}:3: byte 0xe9 is not UTF-8\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_leading_bom_is_skipped(self, tmp_path):
+        # The BOM once read as part of the first key: "unknown key '\\ufefflambda'".
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\ufefflambda = 1\nengine = meanfield\ninitial = fock\n", encoding="utf-8")
+        config = parse_config("trajectory", str(cfg))
+        assert (config.values["lambda"], config.provenance["lambda"]) == (1.0, "file")
+
     def test_echo_reparses_to_same_values(self, tmp_path):
         config = parse_config(
             "trajectory",
@@ -1111,6 +1130,28 @@ class TestMainExitCodes:
         assert payload["config"]["delta_phi"] == 2.0
         assert payload["result"]["kind"] == "trajectory"
 
+    def test_one_configuration_writes_one_json_wherever_its_keys_are_set(self, tmp_path, capsys):
+        # A required key once landed in the JSON config after the defaults,
+        # in the order its source gave it, so a file in another order than
+        # the schema's wrote other bytes than the same flags.
+        flags = {"engine": "meanfield", "initial": "fock", "lambda": "1", "j": "2", "sample_count": "3"}
+        reordered = tmp_path / "reordered.cfg"
+        reordered.write_text("".join(f"{k} = {v}\n" for k, v in reversed(flags.items())), encoding="utf-8")
+        part = tmp_path / "part.cfg"
+        part.write_text("sample_count = 3\nlambda = 1\ninitial = fock\n", encoding="utf-8")
+        runs = {
+            "flags": [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()],
+            "file": ["--config", str(reordered)],
+            "mix": ["--config", str(part), "--j", "2", "--engine", "meanfield"],
+        }
+        written = []
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}.json"
+            assert main(["trajectory", *argv, "--format", "json", "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        capsys.readouterr()
+        assert written[0] == written[1] == written[2]
+
     def test_sweep_velocity_cli(self, tmp_path):
         out = tmp_path / "sv.csv"
         code = main(
@@ -1153,11 +1194,14 @@ class TestMainExitCodes:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_json_config_keys_match_schema(self, tmp_path, argv):
+    def test_json_config_keys_match_schema(self, tmp_path, capsys, argv):
+        # The JSON config and the echo list the keys in one order, the schema's.
         out = tmp_path / "out.json"
         assert main(argv + ["--format", "json", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert set(payload["config"]) == {"subcommand"} | set(SCHEMAS[argv[0]])
+        assert list(payload["config"]) == ["subcommand", *SCHEMAS[argv[0]]]
+        echoed = [line.partition(" = ")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert echoed == list(payload["config"])[1:]
         assert isinstance(load_result_json(out), (Trajectory, SweepResult, Spectrum))
 
 

@@ -505,6 +505,17 @@ class TestSweeps:
         with pytest.raises(ValueError, match="kind"):
             result.values("mean_photon_scaled", "avg")
 
+    def test_values_of_an_unrecorded_observable_name_spec_observables(self):
+        # Once a bare KeyError, and an all-NaN grid where every cell had failed.
+        recorded = sweep_lambda(mf_spec(sample_count=20), [0.5])
+        params = ModelParams(lam=1.0, j=1.0, delta_phi=1.0, omega=1e-200)
+        failed = sweep_lambda(mf_spec(initial="stationary_dicke", params=params, sample_count=5), [1.0])
+        assert recorded.cells[0].error is None and failed.cells[0].error is not None
+        message = r"^observable 'parity' is not in spec\.observables \('mean_photon_scaled',\)$"
+        for result in (recorded, failed):
+            with pytest.raises(ValueError, match=message):
+                result.values("parity")
+
     def test_determinism(self):
         spec = mf_spec(sample_count=150)
         r1 = sweep_lambda(spec, [0.4, 0.8, 1.1])

@@ -133,6 +133,13 @@ def test_stationary_labels_outside_the_float_range_name_an_argument():
         initial_state_params("stationary_dicke", ModelParams(lam=1e200, omega=1e-200))
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -400.0, 0.0])
+def test_nearly_fock_labels_need_a_positive_finite_epsilon(epsilon):
+    # 10^-nan once gave (nan, nan) and 10^400 a bare OverflowError; ProtocolSpec checks by the same rule.
+    with pytest.raises(ValueError, match=r"^epsilon must be positive and finite, got "):
+        initial_state_params("nearly_fock", ModelParams(lam=1.0), epsilon)
+
+
 class TestCriticalCoupling:
     def test_resonant(self):
         assert critical_coupling(1.0, 1.0) == 0.5
